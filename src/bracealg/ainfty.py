@@ -20,9 +20,11 @@ from .algebra import (
     AlgebraSpecError,
     FiniteAlgebra,
     LaurentAlgebra,
-    _structure_key,
+    _parse_scalar,
+    _per_algebra,
 )
 from .hochschild import (
+    DEFAULT_CAP,
     Cochain,
     EulerAdjoinedCochain,
     HHClass,
@@ -223,13 +225,8 @@ class DGAlgebra:
 
     @staticmethod
     def from_json(data, field=QQ):
-        from .hochschild import _encode  # noqa: F401 (parsing only)
-
         def sc(x):
-            if isinstance(x, str) and "/" in x:
-                n, dn = x.split("/")
-                return field.of(int(n), int(dn))
-            return field.of(int(x))
+            return _parse_scalar(field, x, "DG dump")
 
         dims = {int(k): v for k, v in data["dims"].items()}
         unit = [sc(x) for x in data["unit"]]
@@ -766,7 +763,6 @@ def _tensor_support(vecs, field):
 def gauge(m: MinimalAInfty, g0: Matrix, w=None) -> MinimalAInfty:
     """m * g for the graded automorphism g = (g0 on degree 0, iota -> w iota)."""
     lam = m.algebra
-    field = lam.field
     if w is None:
         w = lam.unit
     # g0 must be an algebra automorphism
@@ -785,7 +781,6 @@ def gauge(m: MinimalAInfty, g0: Matrix, w=None) -> MinimalAInfty:
     for n, c in m.ops.items():
         q = c.iota
         winvq = _central_power(lam, w, -q)
-        gw = lam.mul(g0inv.apply(winvq), lam.unit) if False else g0inv.apply(winvq)
         # (m*g)_n = g^{-1} o m_n o g^{(x)n}: on the iota part this is the
         # central multiplier g0^{-1}(w^{-q})
         conj = _conjugate_cochain(c, g0inv, g0, lam, extra_central=None)
@@ -994,25 +989,23 @@ def _vec_to_weighted(lam, p, j, vec):
     return Cochain(lam, j, comps, math.inf)
 
 
-_weighted_diff_cache = {}
+@_per_algebra
+def _weighted_differential_matrix(lam, p):
+    """Matrix of d on the weight<=1 cochains, arity p -> p+1."""
+    src = len(_weight_monomials(p)) * lam.dim * lam.dim**p
+    cols = []
+    for t in range(src):
+        vec = [lam.field.zero] * src
+        vec[t] = lam.field.one
+        c = _vec_to_weighted(lam, p, 0, vec)
+        cols.append(_weighted_to_vec(differential(c), p + 1))
+    tgt = len(_weight_monomials(p + 1)) * lam.dim * lam.dim ** (p + 1)
+    return Matrix([[cols[c2][r] for c2 in range(src)] for r in range(tgt)], lam.field, cols=src)
 
 
 def weighted_solve_coboundary(lam, target: Cochain, p, j):
     """Solve d(c) = target for c of arity p-1 in the weight<=1 space."""
-    key = (_structure_key(lam), p - 1)
-    if key not in _weighted_diff_cache:
-        src = len(_weight_monomials(p - 1)) * lam.dim * lam.dim ** (p - 1)
-        cols = []
-        for t in range(src):
-            vec = [lam.field.zero] * src
-            vec[t] = lam.field.one
-            c = _vec_to_weighted(lam, p - 1, 0, vec)
-            cols.append(_weighted_to_vec(differential(c), p))
-        tgt = len(_weight_monomials(p)) * lam.dim * lam.dim**p
-        _weighted_diff_cache[key] = Matrix(
-            [[cols[c2][r] for c2 in range(src)] for r in range(tgt)], lam.field, cols=src
-        )
-    dmat = _weighted_diff_cache[key]
+    dmat = _weighted_differential_matrix(lam, p - 1)
     sol = solve(dmat, _weighted_to_vec(target, p))
     if sol is None:
         return None
@@ -1061,7 +1054,7 @@ def contractible_solution(a: Cochain, u: HHClass, q: int):
     if direct is not None:
         return zero_pair, direct
     # hypothesis: the obstruction class commutes with the periodicity class
-    if p + 4 <= _context_cap():
+    if p + 4 <= DEFAULT_CAP:
         comm = bracket(m4_rep, a)
         comm_cls = laurent_class_of(lam, comm, p + 3, q + 1)
         if not comm_cls.is_zero():
@@ -1115,12 +1108,6 @@ def contractible_solution(a: Cochain, u: HHClass, q: int):
     )
 
 
-def _context_cap():
-    from .hochschild import DEFAULT_CAP
-
-    return DEFAULT_CAP
-
-
 # ---------------------------------------------------------------------------
 # The inductive isomorphism builder
 
@@ -1140,7 +1127,6 @@ def build_iso(m: MinimalAInfty, mp: MinimalAInfty, N: int) -> AInftyMorphism:
         raise M3NonZero("both structures must have m_3 = 0")
     r1 = restricted_ump(m)
     r2 = restricted_ump(mp)
-    linear = None
     if r1 != r2:
         uvec = _search_compensating_unit(lam, r1, r2)
         if uvec is None:
@@ -1307,9 +1293,6 @@ def transported_structure(m: MinimalAInfty, fdict, cap=None) -> MinimalAInfty:
     f = {n: c for n, c in fdict.items() if not c.is_zero()}
     ops = {}
     for N in range(3, cap + 1):
-        if (N - 2) % 2 != 0 and all((n - 2) % 2 == 0 for n in m.ops):
-            # evenly graded: odd target operations cannot appear
-            pass
         acc = {}
         for n, c in f.items():
             _sum_per_arity(acc, differential(c))

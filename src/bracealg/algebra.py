@@ -11,7 +11,7 @@ plain rank computations.
 
 from __future__ import annotations
 
-import json
+import functools
 import random
 
 from .linalg import (
@@ -64,7 +64,6 @@ class FiniteAlgebra:
     # -- construction helpers -----------------------------------------
 
     def _check_axioms(self):
-        z = self.field.zero
         for i in range(self.dim):
             ei = self.basis_vector(i)
             if self.mul(self.unit, ei) != ei:
@@ -345,6 +344,7 @@ class Bimodule:
         self.left = list(left)
         self.right = list(right)
         self.dim = self.left[0].rows if self.left else 0
+        self._strip = None  # filled in by strip_projective_summands
         if check:
             self._check()
 
@@ -618,7 +618,6 @@ def bar_resolution(lam: FiniteAlgebra, length: int, verify_homotopy=True) -> Res
     d = lam.dim
     field = lam.field
     modules = [BarModule(lam, p) for p in range(length + 1)]
-    unit_idx = [i for i, c in enumerate(lam.unit) if c]
     # differentials d_p: B_p -> B_{p-1}
     diffs = [None]
     for p in range(1, length + 1):
@@ -896,7 +895,6 @@ def _symmetrizing_form_env(lam: FiniteAlgebra):
     if lamform is None:
         return None
     d = lam.dim
-    field = lam.field
     # product form on Lambda (x) Lambda^op
     return [lamform[i] * lamform[j] for i in range(d) for j in range(d)]
 
@@ -910,7 +908,16 @@ def strip_projective_summands(m: Bimodule) -> StripResult:
     soc(E).v != 0 generates a free rank-one summand; the number of free
     summands is the rank of soc(E).M, and an explicit complement is cut
     out by dual-basis functionals obtained from the symmetrizing form.
+
+    The result is kept on m, as a Matrix keeps its rref: each bimodule is
+    stripped once.
     """
+    if m._strip is None:
+        m._strip = _strip(m)
+    return m._strip
+
+
+def _strip(m: Bimodule) -> StripResult:
     lam = m.algebra
     env = _env_of(lam)
     field = lam.field
@@ -940,7 +947,7 @@ def strip_projective_summands(m: Bimodule) -> StripResult:
     r = len(sel)
     if r == 0:
         return StripResult(m, 0, Matrix.identity(m.dim, field), Matrix.identity(m.dim, field))
-    # action matrices of all enveloping basis elements (cached sparsely)
+    # action matrices of all enveloping basis elements
     env_mats = [m.env_action(i, j) for i in range(lam.dim) for j in range(lam.dim)]
     # F-basis rows: b_t . m_l
     frows = []
@@ -1074,9 +1081,6 @@ def _form_value(env, form, vec):
     return sum((c * f for c, f in zip(vec, form) if c), env.field.zero)
 
 
-_env_cache = {}
-
-
 def _structure_key(lam: FiniteAlgebra):
     return (
         lam.field,
@@ -1086,11 +1090,29 @@ def _structure_key(lam: FiniteAlgebra):
     )
 
 
-def _env_of(lam: FiniteAlgebra) -> FiniteAlgebra:
-    key = _structure_key(lam)
-    if key not in _env_cache:
-        _env_cache[key] = enveloping(lam)
-    return _env_cache[key]
+# The per-algebra store: everything built once per algebra (enveloping
+# algebra, differential matrices, Hochschild contexts, bar syzygies) lives
+# here for the life of the process, keyed on the algebra's structure so
+# that equal algebras built separately share entries.  Nothing in the
+# package runs concurrently, so it needs no lock.
+_store = {}
+
+
+def _per_algebra(build):
+    """Decorator: keep build(lam, *args) in the store, built on first use."""
+
+    @functools.wraps(build)
+    def memo(lam, *args):
+        key = (_structure_key(lam), build.__qualname__, args)
+        value = _store.get(key)
+        if value is None:
+            value = _store[key] = build(lam, *args)
+        return value
+
+    return memo
+
+
+_env_of = _per_algebra(enveloping)
 
 
 def is_stable_iso(f: BimoduleMap) -> bool:
@@ -1192,7 +1214,6 @@ def comparison_map_to_periodic(res_bar: Resolution, k: int) -> BimoduleMap:
     # lift id_Lambda: alpha_p on bar generators (1, j_1..j_p, 1)
     # alpha_0: Lambda(x)Lambda -> Lambda(x)Lambda identity
     d = lam.dim
-    gens = {}
 
     def gen_tuples(p):
         if p == 0:
@@ -1244,7 +1265,6 @@ def comparison_map_to_periodic(res_bar: Resolution, k: int) -> BimoduleMap:
     # restrict alpha_{k-1} (module map B_{k-1} -> P_{k-1}) to the syzygy
     syz = syzygy(res_bar, k)
     bar_mod = res_bar.modules[k - 1]
-    target_elem = {}  # image vectors in P_{k-1} = Lambda(x)Lambda
     cols = []
     for v in syz.inclusion.vectors():
         img = [field.zero] * (n * n)

@@ -26,12 +26,14 @@ from .algebra import (
     AlgebraSpecError,
     BimoduleMap,
     FiniteAlgebra,
+    _env_of,
+    _per_algebra,
     bar_resolution,
     diagonal_bimodule,
     is_stable_iso,
     syzygy,
 )
-from .linalg import Matrix, QQ, SubspaceBasis, kernel_basis, solve, solve_matrix
+from .linalg import Matrix, SubspaceBasis, kernel_basis, solve
 
 
 class CapTooLow(Exception):
@@ -110,7 +112,6 @@ class Cochain:
         """The product 2-cochain m2 (equal to minus the multiplication)."""
         d = algebra.dim
         field = algebra.field
-        cols = []
         m = Matrix.zeros(d, d * d, field).entries
         for i in range(d):
             for j in range(d):
@@ -630,24 +631,9 @@ def vec_to_cochain(lam, p, j, vec, cap=math.inf):
     return Cochain.from_matrix(lam, p, Matrix(m, lam.field, _copy=False), j, cap)
 
 
-_diff_cache = {}
-
-
-def _lam_key(lam):
-    return (
-        lam.field,
-        lam.dim,
-        tuple(lam.unit),
-        tuple(tuple(tuple(v) for v in row) for row in lam.mult),
-    )
-
-
+@_per_algebra
 def normalized_differential_matrix(lam, p):
     """Matrix of d on normalized cochains, arity p -> p+1, reduced coords."""
-    key = (_lam_key(lam), p)
-    if key in _diff_cache:
-        return _diff_cache[key]
-    r = lam.dim - 1
     src = normalized_space_dim(lam, p)
     cols = []
     for t in range(src):
@@ -659,14 +645,12 @@ def normalized_differential_matrix(lam, p):
             raise AlgebraSpecError("differential left the normalized subcomplex")
         cols.append(cochain_to_vec(dc, p + 1))
     tgt = normalized_space_dim(lam, p + 1)
-    mat = Matrix(
+    return Matrix(
         [[cols[j][i] for j in range(src)] for i in range(tgt)],
         lam.field,
         _copy=False,
         cols=src,
     )
-    _diff_cache[key] = mat
-    return mat
 
 
 def _is_normalized_component(c: Cochain, p):
@@ -722,16 +706,11 @@ class HHContext:
         ]
 
 
-_ctx_cache = {}
-
-
+@_per_algebra
 def hh_context(lam, p, j) -> HHContext:
-    key = (_lam_key(lam), p, j)
-    if key not in _ctx_cache:
-        if p + 1 > DEFAULT_CAP:
-            raise CapTooLow("cohomology at arity %d exceeds the horizontal cap %d" % (p, DEFAULT_CAP))
-        _ctx_cache[key] = HHContext(lam, p, j)
-    return _ctx_cache[key]
+    if p + 1 > DEFAULT_CAP:
+        raise CapTooLow("cohomology at arity %d exceeds the horizontal cap %d" % (p, DEFAULT_CAP))
+    return HHContext(lam, p, j)
 
 
 class HHClass:
@@ -940,23 +919,27 @@ def hh_isos_backward(e: EulerAdjoinedCochain) -> Cochain:
 # Cocycle -> bimodule extension and the Tate unit test
 
 
-_bar_cache = {}
+@_per_algebra
+def _bar_syzygy(lam, k):
+    """Omega^k(L) = ker d_{k-1} in the bar resolution of length k.
 
-
-def _bar_of(lam, length):
-    key = (_lam_key(lam), length)
-    if key not in _bar_cache:
-        _bar_cache[key] = bar_resolution(lam, length)
-    return _bar_cache[key]
+    Length k makes bar_resolution verify the homotopy identity
+    d_k s + s d_{k-1} = id on B_{k-1}, which cocycle_to_extension uses.
+    """
+    return syzygy(bar_resolution(lam, k), k)
 
 
 def cocycle_to_extension(c: Cochain, degree=4) -> BimoduleMap:
     """The bimodule map Omega^degree(L) -> L induced by a cocycle.
 
-    A cocycle of arity k corresponds to a map on bar_k vanishing on the
-    image of d_{k+1}; by exactness it factors through Omega^k = ker d_{k-1}
-    via d_k.  Cohomologous cocycles give maps equal up to one factoring
-    through a projective.
+    A cocycle c of arity k is the bimodule map phi on bar_k with
+    phi(a_0 (x) ... (x) a_{k+1}) = a_0 c(a_1, ..., a_k) a_{k+1}; it vanishes
+    on the image of d_{k+1}, so it factors through Omega^k = ker d_{k-1}
+    via d_k.  A syzygy vector v lifts through the contracting homotopy
+    s = 1 (x) -: d_k s v = v - s d_{k-1} v = v.  The value phi(s v) does not
+    depend on the lift, since lifts differ by ker d_k = im d_{k+1}.
+    Cohomologous cocycles give maps equal up to one factoring through a
+    projective.
     """
     lam = c.algebra
     field = lam.field
@@ -965,32 +948,22 @@ def cocycle_to_extension(c: Cochain, degree=4) -> BimoduleMap:
     dc = differential(c)
     if not dc.is_zero(up_to=degree + 1 if dc.cap >= degree + 1 else None):
         raise NotACocycle("not a cocycle")
-    res = _bar_of(lam, degree)
-    syz = syzygy(res, degree)
-    dmat = res.differential_matrix(degree)
-    incl = syz.inclusion.vectors()
-    B = Matrix([[v[i] for v in incl] for i in range(len(incl[0]))], field)
-    W = solve_matrix(dmat, B)
-    if W is None:
-        raise NotACocycle("syzygy vectors are not boundaries (resolution too short?)")
+    syz = _bar_syzygy(lam, degree)
     cmat = c.component_matrix(degree)
-    bar_top = res.modules[degree]
     d = lam.dim
     cols = []
-    for t in range(syz.dim):
-        w = W.column(t)
+    for v in syz.inclusion.vectors():
         acc = [field.zero] * d
-        for idx, coeff in enumerate(w):
+        for idx, coeff in enumerate(v):
             if not coeff:
                 continue
-            full = bar_top.decode(idx)
-            a0, mid, a1 = full[0], full[1:-1], full[-1]
-            col = _encode(mid, d)
+            # s puts the unit in front: phi(s(a_0 (x) ... (x) a_k)) = c(a_0, ..., a_{k-1}) a_k
+            full = syz.ambient.decode(idx)
+            col = _encode(full[:-1], d)
             val = [cmat.entries[r][col] for r in range(d)]
             if not any(val):
                 continue
-            val = lam.mul(lam.basis_vector(a0), val)
-            val = lam.mul(val, lam.basis_vector(a1))
+            val = lam.mul(val, lam.basis_vector(full[-1]))
             acc = [x + coeff * y for x, y in zip(acc, val)]
         cols.append(acc)
     mat = Matrix([[cols[t][r] for t in range(syz.dim)] for r in range(d)], field)
@@ -1019,10 +992,7 @@ def tate_unit_check(cls: HHClass) -> TateUnitResult:
     if cls.bidegree != (4, -2):
         raise WrongBidegree("tate unit check needs bidegree (4, -2), got %r" % (cls.bidegree,))
     lam = cls.context.algebra
-    from .algebra import _env_of
-
-    env = _env_of(lam)
-    separable = env.radical_basis().dim == 0
+    separable = _env_of(lam).radical_basis().dim == 0
     fmap = cocycle_to_extension(cls.representative, 4)
     return TateUnitResult(is_stable_iso(fmap), separable)
 

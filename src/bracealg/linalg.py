@@ -409,10 +409,6 @@ def image_basis(m: Matrix) -> SubspaceBasis:
     return SubspaceBasis(m.rows, [m.column(j) for j in range(m.cols)], m.field)
 
 
-def row_space(m: Matrix) -> SubspaceBasis:
-    return SubspaceBasis(m.cols, [m.row(i) for i in range(m.rows)], m.field)
-
-
 def solve(m: Matrix, b) -> list | None:
     """Some exact solution v of m v = b, or None when inconsistent.
 
@@ -434,7 +430,6 @@ def solve_matrix(m: Matrix, b: Matrix) -> Matrix | None:
     aug, piv = rref(m.augment(b))
     if piv and piv[-1] >= m.cols:
         return None
-    z = m.field.zero
     out = Matrix.zeros(m.cols, b.cols, m.field).entries
     for i, pc in enumerate(piv):
         for j in range(b.cols):
@@ -456,9 +451,7 @@ def quotient_basis(big: SubspaceBasis, small: SubspaceBasis):
     if not big.contains_subspace(small):
         raise SubspaceNotContained("quotient by a non-subspace")
     field = big.field
-    stacked = small.matrix.entries + big.matrix.entries
     reps = []
-    seen = small.dim
     cur = SubspaceBasis(big.ambient_dim, small.matrix.entries, field)
     for v in big.vectors():
         if not cur.contains(v):

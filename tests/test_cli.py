@@ -77,6 +77,9 @@ def test_transfer_corrupted_dg_spec_exit_2(tmp_path):
     bad = tmp_path / "bad_dg.json"
     bad.write_text(json.dumps(data))
     assert run(["transfer", str(bad), "--cap-n", "6"]) == 2
+    data["diff"]["0"][0][0] = "1/0"  # a scalar that is not a number
+    bad.write_text(json.dumps(data))
+    assert run(["transfer", str(bad), "--cap-n", "6"]) == 2
 
 
 def test_massey_42(tmp_path):
@@ -152,3 +155,29 @@ def test_field_option_fp(kx2_spec, tmp_path):
 
 def test_caps_validated():
     assert run(["transfer", "--n", "2", "--a", "1", "--cap-n", "3"]) == 2
+
+
+def test_field_option_bad_prime_exit_2(kx2_spec):
+    assert run(["hh", kx2_spec, "--field", "fp:abc"]) == 2
+
+
+def _edited_structure_dump(tmp_path, edit):
+    data = structure_to_json(seeded_minimal_model(4, 2, cap=8))
+    edit(data)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_structure_dump_bad_scalar_exit_2(tmp_path):
+    def edit(data):
+        data["ops"]["4"]["components"]["4"][0]["matrix"][0][0] = "1/0"
+
+    assert run(["massey", _edited_structure_dump(tmp_path, edit)]) == 2
+
+
+def test_structure_dump_missing_cap_exit_2(tmp_path):
+    def edit(data):
+        del data["cap"]
+
+    assert run(["massey", _edited_structure_dump(tmp_path, edit)]) == 2

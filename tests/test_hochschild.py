@@ -2,8 +2,14 @@ import random
 
 import pytest
 
-from bracealg.algebra import build_truncated_polynomial
-from bracealg.linalg import Matrix, QQ, kernel_basis, rank
+from bracealg.algebra import (
+    bar_resolution,
+    build_truncated_polynomial,
+    load_algebra,
+    strip_projective_summands,
+    syzygy,
+)
+from bracealg.linalg import Matrix, QQ, kernel_basis, rank, solve_matrix
 from bracealg import hochschild as H
 
 
@@ -371,6 +377,56 @@ def test_coboundary_gives_non_stable_iso():
 
     fmap = H.cocycle_to_extension(dbn)
     assert not is_stable_iso(fmap)
+
+
+def _extension_by_elimination(c, k):
+    """Reference for cocycle_to_extension: lift Omega^k through d_k by elimination."""
+    lam = c.algebra
+    d = lam.dim
+    res = bar_resolution(lam, k)
+    syz = syzygy(res, k)
+    incl = syz.inclusion.vectors()
+    B = Matrix([[v[i] for v in incl] for i in range(len(incl[0]))], lam.field)
+    W = solve_matrix(res.differential_matrix(k), B)
+    cmat = c.component_matrix(k)
+    cols = []
+    for t in range(syz.dim):
+        acc = [lam.field.zero] * d
+        for idx, coeff in enumerate(W.column(t)):
+            if coeff:
+                full = res.modules[k].decode(idx)
+                val = [cmat.entries[r][H._encode(full[1:-1], d)] for r in range(d)]
+                val = lam.mul(lam.mul(lam.basis_vector(full[0]), val), lam.basis_vector(full[-1]))
+                acc = [x + coeff * y for x, y in zip(acc, val)]
+        cols.append(acc)
+    return Matrix([[cols[t][r] for t in range(syz.dim)] for r in range(d)], lam.field)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_homotopy_lift_matches_elimination(k):
+    rng = random.Random(17 + k)
+    reps = [cls.representative for cls in H.cohomology(LAM2, k, 1)]
+    b = rc(LAM2, k - 1, 1, rng, norm=True)
+    perturbed = reps[0] + H.differential(b)
+    reps.append(H.Cochain.from_matrix(LAM2, k, perturbed.component_matrix(k), 1))
+    assert not (reps[-1] - reps[0]).is_zero()
+    for c in reps:
+        assert H.cocycle_to_extension(c, k).matrix == _extension_by_elimination(c, k)
+
+
+def test_store_shared_by_equal_algebras():
+    a = build_truncated_polynomial(2)
+    b = load_algebra(a.to_json())
+    assert a is not b
+    assert H.hh_context(a, 4, 1) is H.hh_context(b, 4, 1)
+
+
+def test_extension_maps_share_omega():
+    u = H.cohomology(LAM2, 4, 1)[0]
+    f1 = H.cocycle_to_extension(u.representative)
+    f2 = H.cocycle_to_extension(u.representative.scale(QQ.of(2)))
+    assert f1.source is f2.source
+    assert strip_projective_summands(f1.source) is strip_projective_summands(f2.source)
 
 
 def test_tate_unit_check_periodicity_class():
