@@ -20,6 +20,9 @@ from .algebra import (
     AlgebraSpecError,
     FiniteAlgebra,
     LaurentAlgebra,
+    _get,
+    _parse_int,
+    _parse_matrix,
     _parse_scalar,
     _per_algebra,
 )
@@ -228,19 +231,23 @@ class DGAlgebra:
         def sc(x):
             return _parse_scalar(field, x, "DG dump")
 
-        dims = {int(k): v for k, v in data["dims"].items()}
-        unit = [sc(x) for x in data["unit"]]
+        def get(key):
+            return _get(data, key, "DG dump")
+
+        periodic = get("periodic")
+        dims = {_parse_int(k, "DG dump dims"): v for k, v in get("dims").items()}
+        unit = [sc(x) for x in get("unit")]
         mult = {}
-        for key, table in data["mult"].items():
-            d1, d2 = (int(t) for t in key.split(","))
+        for key, table in get("mult").items():
+            d1, d2 = (_parse_int(t, "DG dump mult") for t in key.split(","))
             mult[(d1, d2)] = [[[sc(x) for x in vec] for vec in row] for row in table]
         diff = {}
-        for k, rows in data["diff"].items():
-            deg = int(k)
-            tgt = dims.get((deg + 1) % 2 if data["periodic"] else deg + 1, 0)
+        for k, rows in get("diff").items():
+            deg = _parse_int(k, "DG dump diff")
+            tgt = dims.get((deg + 1) % 2 if periodic else deg + 1, 0)
             src = dims.get(deg, 0)
-            diff[deg] = Matrix([[sc(x) for x in row] for row in rows], field, cols=src) if rows else Matrix.zeros(tgt, src, field)
-        return DGAlgebra(dims, unit, mult, diff, periodic=data["periodic"], labels=data.get("labels"), field=field)
+            diff[deg] = _parse_matrix(field, rows, src, "DG dump diff[%s]" % k) if rows else Matrix.zeros(tgt, src, field)
+        return DGAlgebra(dims, unit, mult, diff, periodic=periodic, labels=data.get("labels"), field=field)
 
     def __repr__(self):
         return "DGAlgebra(%s, dims=%r)" % ("periodic" if self.periodic else "bounded", self.dims)

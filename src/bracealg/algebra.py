@@ -38,7 +38,7 @@ class FiniteAlgebra:
     constructed; everything downstream relies on them.
     """
 
-    def __init__(self, labels, unit, mult, field=QQ, check=True):
+    def __init__(self, labels, unit, mult, field=QQ):
         self.field = field
         self.dim = len(labels)
         self.basis_labels = list(labels)
@@ -58,8 +58,7 @@ class FiniteAlgebra:
         self._left_mats = None
         self._right_mats = None
         self._rad = None
-        if check:
-            self._check_axioms()
+        self._check_axioms()
 
     # -- construction helpers -----------------------------------------
 
@@ -117,14 +116,7 @@ class FiniteAlgebra:
         return self._right_mats[i]
 
     def left_mult_of(self, vec):
-        m = Matrix.zeros(self.dim, self.dim, self.field)
-        ent = m.entries
-        for i, c in enumerate(vec):
-            if c:
-                li = self.left_mult_matrix(i)
-                for r in range(self.dim):
-                    ent[r] = [a + c * b for a, b in zip(ent[r], li.entries[r])]
-        return Matrix(ent, self.field, _copy=False)
+        return _combo([self.left_mult_matrix(i) for i in range(self.dim)], vec, self.dim, self.field)
 
     def is_commutative(self):
         return all(
@@ -234,6 +226,30 @@ def _parse_scalar(field, txt, where):
     raise AlgebraSpecError("%s: bad scalar %r" % (where, txt))
 
 
+def _parse_int(txt, where):
+    try:
+        return int(txt)
+    except (TypeError, ValueError) as exc:
+        raise AlgebraSpecError("%s: bad integer %r" % (where, txt)) from exc
+
+
+def _parse_matrix(field, rows, cols, where):
+    """A Matrix from a dump's rows of scalars, each of length cols."""
+    out = []
+    for r, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != cols:
+            raise AlgebraSpecError("%s: row %d must be a list of %d scalars" % (where, r, cols))
+        out.append([_parse_scalar(field, x, "%s[%d][%d]" % (where, r, c)) for c, x in enumerate(row)])
+    return Matrix(out, field, _copy=False, cols=cols)
+
+
+def _get(obj, key, where):
+    """obj[key] from a dump, or an AlgebraSpecError naming the missing key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise AlgebraSpecError("%s: missing key %r" % (where, key))
+    return obj[key]
+
+
 def load_algebra(data, field=QQ):
     """Load an algebra spec {dim, labels, unit, mult} with precise errors.
 
@@ -324,7 +340,7 @@ def enveloping(a: FiniteAlgebra) -> FiniteAlgebra:
                                 if c2:
                                     vec[r * d + s] = vec[r * d + s] + c1 * c2
                     mult[i * d + j][k * d + l] = vec
-    return FiniteAlgebra(labels, unit, mult, field, check=(d <= 3))
+    return FiniteAlgebra(labels, unit, mult, field)
 
 
 # ---------------------------------------------------------------------------
@@ -335,18 +351,17 @@ class Bimodule:
     """A Lambda-bimodule with explicit action matrices per algebra basis.
 
     Both actions are unital and associative and commute with each other;
-    for small modules this is verified on all basis triples, for large
-    ones on seeded probe vectors (exact equality either way).
+    this is verified with exact matrix equality on all pairs of basis
+    elements.
     """
 
-    def __init__(self, algebra: FiniteAlgebra, left, right, check=True):
+    def __init__(self, algebra: FiniteAlgebra, left, right):
         self.algebra = algebra
         self.left = list(left)
         self.right = list(right)
         self.dim = self.left[0].rows if self.left else 0
         self._strip = None  # filled in by strip_projective_summands
-        if check:
-            self._check()
+        self._check()
 
     def _check(self):
         a = self.algebra
@@ -359,31 +374,16 @@ class Bimodule:
         ru = _combo(self.right, a.unit, self.dim, field)
         if lu != ident or ru != ident:
             raise AlgebraSpecError("bimodule actions are not unital")
-        if self.dim <= 24:
-            for i in range(d):
-                for j in range(d):
-                    lij = _combo(self.left, a.mult[i][j], self.dim, field)
-                    if lij != self.left[i] * self.left[j]:
-                        raise AlgebraSpecError("left action not associative at (%d,%d)" % (i, j))
-                    rij = _combo(self.right, a.mult[i][j], self.dim, field)
-                    if rij != self.right[j] * self.right[i]:
-                        raise AlgebraSpecError("right action not associative at (%d,%d)" % (i, j))
-                    if self.left[i] * self.right[j] != self.right[j] * self.left[i]:
-                        raise AlgebraSpecError("actions do not commute at (%d,%d)" % (i, j))
-        else:
-            rng = random.Random(20240)
-            probes = [
-                [field.of(rng.randint(-2, 2)) for _ in range(self.dim)] for _ in range(4)
-            ]
-            for i in range(d):
-                for j in range(d):
-                    for v in probes:
-                        if self.left[i].apply(self.left[j].apply(v)) != _combo_apply(self.left, a.mult[i][j], v, field):
-                            raise AlgebraSpecError("left action not associative at (%d,%d)" % (i, j))
-                        if self.right[j].apply(self.right[i].apply(v)) != _combo_apply(self.right, a.mult[i][j], v, field):
-                            raise AlgebraSpecError("right action not associative at (%d,%d)" % (i, j))
-                        if self.left[i].apply(self.right[j].apply(v)) != self.right[j].apply(self.left[i].apply(v)):
-                            raise AlgebraSpecError("actions do not commute at (%d,%d)" % (i, j))
+        for i in range(d):
+            for j in range(d):
+                lij = _combo(self.left, a.mult[i][j], self.dim, field)
+                if lij != self.left[i] * self.left[j]:
+                    raise AlgebraSpecError("left action not associative at (%d,%d)" % (i, j))
+                rij = _combo(self.right, a.mult[i][j], self.dim, field)
+                if rij != self.right[j] * self.right[i]:
+                    raise AlgebraSpecError("right action not associative at (%d,%d)" % (i, j))
+                if self.left[i] * self.right[j] != self.right[j] * self.left[i]:
+                    raise AlgebraSpecError("actions do not commute at (%d,%d)" % (i, j))
 
     def apply_left(self, i, vec):
         return self.left[i].apply(vec)
@@ -413,23 +413,17 @@ class Bimodule:
 
 
 def _combo(mats, coeffs, dim, field):
-    out = Matrix.zeros(dim, dim, field)
-    ent = out.entries
-    for i, c in enumerate(coeffs):
-        if c:
-            mi = mats[i].entries
-            for r in range(dim):
-                ent[r] = [a + c * b for a, b in zip(ent[r], mi[r])]
-    return Matrix(ent, field, _copy=False)
-
-
-def _combo_apply(mats, coeffs, vec, field):
-    acc = [field.zero] * len(vec)
-    for i, c in enumerate(coeffs):
-        if c:
-            w = mats[i].apply(vec)
-            acc = [s + c * t for s, t in zip(acc, w)]
-    return acc
+    """sum_i coeffs[i] * mats[i] for dim x dim matrices, over their nonzeros."""
+    terms = [(c, m.nonzeros()) for c, m in zip(coeffs, mats) if c]
+    rows = []
+    for r in range(dim):
+        acc = {}
+        for c, nz in terms:
+            for j, b in nz[r]:
+                s = acc.get(j)
+                acc[j] = c * b if s is None else s + c * b
+        rows.append(acc)
+    return Matrix.from_nonzeros(rows, dim, field)
 
 
 def diagonal_bimodule(lam: FiniteAlgebra) -> Bimodule:
@@ -469,36 +463,20 @@ def free_rank_one_bimodule(lam: FiniteAlgebra) -> Bimodule:
 class BimoduleMap:
     """A map of bimodules given by its matrix; checked to be equivariant."""
 
-    def __init__(self, source: Bimodule, target: Bimodule, matrix: Matrix, check=True):
+    def __init__(self, source: Bimodule, target: Bimodule, matrix: Matrix):
         self.source = source
         self.target = target
         self.matrix = matrix
         if matrix.rows != target.dim or matrix.cols != source.dim:
             raise AlgebraSpecError("bimodule map has wrong shape")
-        if check:
-            self._check()
+        self._check()
 
     def _check(self):
-        d = self.source.algebra.dim
-        field = self.source.algebra.field
-        if self.source.dim <= 64 and self.target.dim <= 64:
-            for i in range(d):
-                if self.matrix * self.source.left[i] != self.target.left[i] * self.matrix:
-                    raise AlgebraSpecError("map does not commute with left action %d" % i)
-                if self.matrix * self.source.right[i] != self.target.right[i] * self.matrix:
-                    raise AlgebraSpecError("map does not commute with right action %d" % i)
-        else:
-            rng = random.Random(77)
-            probes = [
-                [field.of(rng.randint(-2, 2)) for _ in range(self.source.dim)]
-                for _ in range(4)
-            ]
-            for i in range(d):
-                for v in probes:
-                    if self.matrix.apply(self.source.left[i].apply(v)) != self.target.left[i].apply(self.matrix.apply(v)):
-                        raise AlgebraSpecError("map does not commute with left action %d" % i)
-                    if self.matrix.apply(self.source.right[i].apply(v)) != self.target.right[i].apply(self.matrix.apply(v)):
-                        raise AlgebraSpecError("map does not commute with right action %d" % i)
+        for i in range(self.source.algebra.dim):
+            if self.matrix * self.source.left[i] != self.target.left[i] * self.matrix:
+                raise AlgebraSpecError("map does not commute with left action %d" % i)
+            if self.matrix * self.source.right[i] != self.target.right[i] * self.matrix:
+                raise AlgebraSpecError("map does not commute with right action %d" % i)
 
     def __repr__(self):
         return "BimoduleMap(%d -> %d)" % (self.source.dim, self.target.dim)
@@ -787,8 +765,7 @@ class SyzygyBimodule(Bimodule):
     """ker(d_{k-1}) with its induced actions plus embedding data."""
 
     def __init__(self, algebra, left, right, inclusion: SubspaceBasis, position: int, ambient):
-        super().__init__(algebra, left, right, check=False)
-        Bimodule._check(self)
+        super().__init__(algebra, left, right)
         self.inclusion = inclusion
         self.position = position
         self.ambient = ambient
@@ -925,8 +902,8 @@ def _strip(m: Bimodule) -> StripResult:
     rad = env.radical_basis()
     if rad.dim == 0:
         # semisimple: everything is projective
-        core = Bimodule(lam, [Matrix.zeros(0, 0, field)] * lam.dim, [Matrix.zeros(0, 0, field)] * lam.dim, check=False)
-        core.dim = 0
+        empty = [Matrix.zeros(0, 0, field)] * lam.dim
+        core = Bimodule(lam, empty, empty)
         return StripResult(core, m.dim, Matrix.zeros(m.dim, 0, field), Matrix.zeros(0, m.dim, field))
     soc = env.socle_generator()
     if soc is None:
@@ -968,7 +945,6 @@ def _strip(m: Bimodule) -> StripResult:
     funcs = solve_matrix(F, RHS)
     if funcs is None:
         raise AlgebraSpecError("free summand extraction failed (theory violation?)")
-    f_list = [funcs.column(l) for l in range(r)]
     # Gram matrix of the symmetrizing pairing on E and its inverse
     gram = Matrix(
         [[_form_value(env, lamform, env.mult[i][j]) for j in range(d2)] for i in range(d2)],
@@ -977,46 +953,17 @@ def _strip(m: Bimodule) -> StripResult:
     gram_inv = solve_matrix(gram, Matrix.identity(d2, field))
     if gram_inv is None:
         raise AlgebraSpecError("symmetrizing form of the enveloping algebra is degenerate")
-    # phi_l(v) = gram_inv . (f_l(b_t v))_t ; rows of Phi
-    fB = []  # fB[l][t] = row vector f_l o B_t
-    for l in range(r):
-        fl = f_list[l]
-        rows_lt = []
-        for t in range(d2):
-            bt = env_mats[t]
-            row = [field.zero] * m.dim
-            for rr, c in enumerate(fl):
-                if c:
-                    br = bt.entries[rr]
-                    row = [a + c * b for a, b in zip(row, br)]
-            rows_lt.append(row)
-        fB.append(rows_lt)
+    # phi_l(v) = gram_inv . (f_l(b_t v))_t; Phi stacks the blocks phi_l
+    f_rows = funcs.transpose()
+    fB = [f_rows * bt for bt in env_mats]  # row l of fB[t] is f_l o B_t
     phi_rows = []
     for l in range(r):
-        for i in range(d2):
-            row = [field.zero] * m.dim
-            for t in range(d2):
-                g = gram_inv.entries[i][t]
-                if g:
-                    row = [a + g * b for a, b in zip(row, fB[l][t])]
-            phi_rows.append(row)
+        phi_rows.extend((gram_inv * Matrix([fbt.entries[l] for fbt in fB], field)).entries)
     Phi = Matrix(phi_rows, field)
-    # sanity probes: Phi restricted to the F-basis is the identity
-    rngp = random.Random(4096)
-    probe_pairs = [(rngp.randrange(r), rngp.randrange(d2)) for _ in range(min(8, r * d2))]
-    if m.dim <= 64:
-        probe_pairs = [(l, t) for l in range(r) for t in range(d2)]
-    for l, t in probe_pairs:
-        v = env_mats[t].apply(_unit_vec(field, m.dim, sel[l]))
-        img = Phi.apply(v)
-        # phi_l(b_t m_l) should be b_t, phi_{l'} zero for l' != l
-        for l2 in range(r):
-            seg = img[l2 * d2 : (l2 + 1) * d2]
-            want = [field.zero] * d2
-            if l2 == l:
-                want = list(_unit_vec(field, d2, t))
-            if seg != want:
-                raise AlgebraSpecError("retraction verification failed")
+    # Phi is a retraction onto the free part: phi_l(b_t m_l) = b_t and
+    # phi_l'(b_t m_l) = 0 for l' != l, i.e. Phi F^T is the identity
+    if Phi * F.transpose() != Matrix.identity(r * d2, field):
+        raise AlgebraSpecError("retraction verification failed")
     # complement: kernel of Phi via the explicit section
     Fr, fpiv = rref(F)
     free_cols = [j for j in range(m.dim) if j not in fpiv]
@@ -1055,20 +1002,11 @@ def _strip(m: Bimodule) -> StripResult:
         rcols = [project(m.right[i].apply(v)) for v in core_vecs]
         left.append(Matrix([[lcols[j][t] for j in range(core_dim)] for t in range(core_dim)], field))
         right.append(Matrix([[rcols[j][t] for j in range(core_dim)] for t in range(core_dim)], field))
-    if core_dim == 0:
-        core = Bimodule(lam, [Matrix.zeros(0, 0, field)] * lam.dim, [Matrix.zeros(0, 0, field)] * lam.dim, check=False)
-        core.dim = 0
-    else:
-        core = Bimodule(lam, left, right, check=(core_dim <= 24))
+    core = Bimodule(lam, left, right)
     # the core must carry no further free summand
-    soc_core = [core_dim and m_core_apply(core, soc, j, field) for j in range(core_dim)]
-    if core_dim and any(any(w) for w in soc_core):
+    if any(any(core.apply_env_element(soc, _unit_vec(field, core_dim, j))) for j in range(core_dim)):
         raise AlgebraSpecError("stripping did not reach a projective-free core")
     return StripResult(core, r, include, proj_matrix)
-
-
-def m_core_apply(core, env_vec, j, field):
-    return core.apply_env_element(env_vec, _unit_vec(field, core.dim, j))
 
 
 def _unit_vec(field, n, i):
@@ -1227,41 +1165,46 @@ def comparison_map_to_periodic(res_bar: Resolution, k: int) -> BimoduleMap:
     for i, c in enumerate(lam.unit):
         if c:
             unit_idx = i
+
+    def add_outer(acc, a0, base, a1, c):
+        # acc += c * a0 . base . a1, with a0 acting on the left and a1 on
+        # the right of base in Lambda (x) Lambda
+        for pos, cc in enumerate(base):
+            if cc:
+                u, v = divmod(pos, n)
+                lu = lam.mult[a0][u]
+                rv = lam.mult[v][a1]
+                for r, c1 in enumerate(lu):
+                    if c1:
+                        for s, c2 in enumerate(rv):
+                            if c2:
+                                acc[r * n + s] = acc[r * n + s] + c * cc * c1 * c2
+
+    def solve_columns(m, cols, failure):
+        sol = solve_matrix(m, Matrix([[col[i] for col in cols] for i in range(m.rows)], field))
+        if sol is None:
+            raise AlgebraSpecError(failure)
+        return sol
+
+    # alpha_p on the generators: one solve per degree against the periodic
+    # differential, one right-hand column per generator
     alpha = [{(): _unit_vec(field, n * n, unit_idx * n + unit_idx)}]
-    per_mats = [None] + [per.differential_matrix(j) for j in range(1, k + 1)]
     for p in range(1, k + 1):
         prev = alpha[p - 1]
-        cur = {}
         bar_p = res_bar.modules[p]
         bar_pm1 = res_bar.modules[p - 1]
-        for tup in gen_tuples(p):
+        tuples = gen_tuples(p)
+        rhs_cols = []
+        for tup in tuples:
             # value of alpha_{p-1}(d_p(generator))
             gidx = bar_p.encode((unit_idx,) + tup + (unit_idx,))
-            dcol = res_bar.differentials[p][gidx]
             rhs = [field.zero] * (n * n)
-            for idx, c in dcol.items():
+            for idx, c in res_bar.differentials[p][gidx].items():
                 full = bar_pm1.decode(idx)
-                a0, mid, a1 = full[0], full[1:-1], full[-1]
-                base = prev[mid]
-                # apply outer actions a0 (left), a1 (right) on Lambda(x)Lambda
-                for pos, cc in enumerate(base):
-                    if cc:
-                        u, v = divmod(pos, n)
-                        lu = lam.mult[a0][u]
-                        rv = lam.mult[v][a1]
-                        for r, c1 in enumerate(lu):
-                            if c1:
-                                for s, c2 in enumerate(rv):
-                                    if c2:
-                                        rhs[r * n + s] = rhs[r * n + s] + c * cc * c1 * c2
-            if p == 1 and not any(rhs):
-                cur[tup] = [field.zero] * (n * n)
-                continue
-            sol = solve(per_mats[p], rhs)
-            if sol is None:
-                raise AlgebraSpecError("comparison lift failed at degree %d" % p)
-            cur[tup] = sol
-        alpha.append(cur)
+                add_outer(rhs, full[0], prev[full[1:-1]], full[-1], c)
+            rhs_cols.append(rhs)
+        sol = solve_columns(per.differential_matrix(p), rhs_cols, "comparison lift failed at degree %d" % p)
+        alpha.append({tup: sol.column(t) for t, tup in enumerate(tuples)})
     # restrict alpha_{k-1} (module map B_{k-1} -> P_{k-1}) to the syzygy
     syz = syzygy(res_bar, k)
     bar_mod = res_bar.modules[k - 1]
@@ -1269,21 +1212,9 @@ def comparison_map_to_periodic(res_bar: Resolution, k: int) -> BimoduleMap:
     for v in syz.inclusion.vectors():
         img = [field.zero] * (n * n)
         for idx, c in enumerate(v):
-            if not c:
-                continue
-            full = bar_mod.decode(idx)
-            a0, mid, a1 = full[0], full[1:-1], full[-1]
-            base = alpha[k - 1][mid]
-            for pos, cc in enumerate(base):
-                if cc:
-                    u, vv = divmod(pos, n)
-                    lu = lam.mult[a0][u]
-                    rv = lam.mult[vv][a1]
-                    for r, c1 in enumerate(lu):
-                        if c1:
-                            for s, c2 in enumerate(rv):
-                                if c2:
-                                    img[r * n + s] = img[r * n + s] + c * cc * c1 * c2
+            if c:
+                full = bar_mod.decode(idx)
+                add_outer(img, full[0], alpha[k - 1][full[1:-1]], full[-1], c)
         cols.append(img)
     # the image lies in ker(d^per_{k-1}); express through the embedding
     # Lambda ~ ker given by lambda -> insert-middle element of next diff
@@ -1301,14 +1232,8 @@ def comparison_map_to_periodic(res_bar: Resolution, k: int) -> BimoduleMap:
                     vec[r * n + c2] = vec[r * n + c2] + coeff * ca
         emb_cols.append(vec)
     emb = Matrix([[emb_cols[j][i] for j in range(n)] for i in range(n * n)], field)
-    outcols = []
-    for img in cols:
-        sol = solve(emb, img)
-        if sol is None:
-            raise AlgebraSpecError("syzygy comparison does not land in the periodic syzygy")
-        outcols.append(sol)
-    mat = Matrix([[outcols[j][i] for j in range(len(outcols))] for i in range(n)], field)
-    return BimoduleMap(syz, diagonal_bimodule(lam), mat, check=(syz.dim <= 64))
+    mat = solve_columns(emb, cols, "syzygy comparison does not land in the periodic syzygy")
+    return BimoduleMap(syz, diagonal_bimodule(lam), mat)
 
 
 class LaurentAlgebra:

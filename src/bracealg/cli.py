@@ -14,7 +14,7 @@ import json
 import sys
 import time
 
-from .algebra import AlgebraSpecError, LaurentAlgebra, _parse_scalar, load_algebra
+from .algebra import AlgebraSpecError, LaurentAlgebra, _get, _parse_int, _parse_matrix, load_algebra
 from .ainfty import (
     ClassMismatch,
     DGAlgebra,
@@ -36,7 +36,7 @@ from .hochschild import (
     cohomology,
     tate_unit_check,
 )
-from .linalg import GF, QQ, Matrix
+from .linalg import GF, QQ
 from .models import (
     BadParameters,
     complete_resolution,
@@ -115,35 +115,27 @@ def structure_to_json(m: MinimalAInfty):
 def structure_from_json(data, field=QQ) -> MinimalAInfty:
     lam = load_algebra(_get(data, "algebra", "structure dump"), field)
     cap = _get(data, "cap", "structure dump")
+    if not isinstance(cap, int):
+        raise AlgebraSpecError("structure dump: cap %r is not an integer" % (cap,))
     ops = {}
     for key, dump in data.get("ops", {}).items():
-        n = int(key)
         where = "ops[%s]" % key
+        n = _parse_int(key, where)
         comps = _get(dump, "components", where).get(str(n))
         if comps is None:
             raise AlgebraSpecError("operation %d: missing its own component" % n)
         mat = None
         for pos, entry in enumerate(comps):
             at = "%s.components[%d]" % (where, pos)
-            rows = [
-                [_parse_scalar(field, x, "%s.matrix[%d][%d]" % (at, r, c)) for c, x in enumerate(row)]
-                for r, row in enumerate(_get(entry, "matrix", at))
-            ]
+            entry_mat = _parse_matrix(field, _get(entry, "matrix", at), lam.dim**n, at + ".matrix")
             if not any(_get(entry, "weights", at)):
-                mat = Matrix(rows, field, cols=lam.dim**n)
-            elif any(any(row) for row in rows):
+                mat = entry_mat
+            elif not entry_mat.is_zero():
                 raise AlgebraSpecError("operation %d: weighted components not allowed" % n)
         if mat is None:
             continue
         ops[n] = Cochain.from_matrix(lam, n, mat, _get(dump, "iota_power", where), cap)
     return MinimalAInfty(LaurentAlgebra(lam), ops, cap)
-
-
-def _get(obj, key, where):
-    """obj[key] from a dump, or an AlgebraSpecError naming the missing key."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise AlgebraSpecError("%s: missing key %r" % (where, key))
-    return obj[key]
 
 
 # ---------------------------------------------------------------------------

@@ -967,7 +967,7 @@ def cocycle_to_extension(c: Cochain, degree=4) -> BimoduleMap:
             acc = [x + coeff * y for x, y in zip(acc, val)]
         cols.append(acc)
     mat = Matrix([[cols[t][r] for t in range(syz.dim)] for r in range(d)], field)
-    return BimoduleMap(syz, diagonal_bimodule(lam), mat, check=(syz.dim <= 64))
+    return BimoduleMap(syz, diagonal_bimodule(lam), mat)
 
 
 class TateUnitResult(int):

@@ -1,9 +1,12 @@
-"""Dense exact linear algebra over the rationals (or a prime field).
+"""Exact linear algebra over the rationals (or a prime field).
 
-All matrices are small (desk scale) and dense; elimination skips zero
-multipliers, which makes the common sparse 0/±1 inputs cheap without a
-separate sparse type.  Every operation is a pure function of its inputs,
-values are never mutated after construction, and results are bit-exact.
+A matrix is stored dense, and keeps the list of its nonzeros per row
+beside the dense entries, built on first use like its rref.  Products,
+matrix-vector products and equality run over those nonzeros, and
+elimination skips zero multipliers, so the common sparse 0/±1 inputs are
+cheap without a separate sparse type.  Every operation is a pure function
+of its inputs, values are never mutated after construction (which is what
+makes both caches safe), and results are bit-exact.
 """
 
 from __future__ import annotations
@@ -133,7 +136,7 @@ def GF(p):
 class Matrix:
     """Immutable dense matrix over an exact field."""
 
-    __slots__ = ("rows", "cols", "entries", "field", "_rref")
+    __slots__ = ("rows", "cols", "entries", "field", "_rref", "_nz")
 
     def __init__(self, entries, field=QQ, _copy=True, cols=None):
         if _copy:
@@ -146,6 +149,7 @@ class Matrix:
                 raise ValueError("ragged rows")
         self.field = field
         self._rref = None
+        self._nz = None
 
     # -- constructors -------------------------------------------------
 
@@ -163,6 +167,22 @@ class Matrix:
     @staticmethod
     def from_int_rows(rows, field=QQ):
         return Matrix([[field.of(x) for x in r] for r in rows], field, _copy=False)
+
+    @staticmethod
+    def from_nonzeros(rows, cols, field=QQ):
+        """Matrix from one {column: value} dict per row; zero values are dropped."""
+        z = field.zero
+        entries, nz = [], []
+        for acc in rows:
+            row_nz = [(j, acc[j]) for j in sorted(acc) if acc[j]]
+            row = [z] * cols
+            for j, x in row_nz:
+                row[j] = x
+            entries.append(row)
+            nz.append(row_nz)
+        m = Matrix(entries, field, _copy=False, cols=cols)
+        m._nz = nz
+        return m
 
     @staticmethod
     def row_vector(vec, field=QQ):
@@ -183,12 +203,18 @@ class Matrix:
     def column(self, j):
         return [r[j] for r in self.entries]
 
+    def nonzeros(self):
+        """Per row, the (column, value) pairs of its nonzero entries, by column."""
+        if self._nz is None:
+            self._nz = [[(j, x) for j, x in enumerate(r) if x] for r in self.entries]
+        return self._nz
+
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.nonzeros() == other.nonzeros()
         )
 
     def __hash__(self):
@@ -228,29 +254,29 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch %dx%d * %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        z = self.field.zero
-        ob = other.entries
+        onz = other.nonzeros()
         out = []
-        for ra in self.entries:
-            acc = [z] * other.cols
-            for k, a in enumerate(ra):
-                if a:
-                    rb = ob[k]
-                    acc = [s + a * b for s, b in zip(acc, rb)]
+        for ra in self.nonzeros():
+            acc = {}
+            for k, a in ra:
+                for j, b in onz[k]:
+                    s = acc.get(j)
+                    acc[j] = a * b if s is None else s + a * b
             out.append(acc)
-        return Matrix(out, self.field, _copy=False, cols=other.cols)
+        return Matrix.from_nonzeros(out, other.cols, self.field)
 
     def apply(self, vec):
         """Matrix times column vector, as a plain list."""
         z = self.field.zero
-        acc = [z] * self.rows
-        for k, a in enumerate(vec):
-            if a:
-                for i in range(self.rows):
-                    e = self.entries[i][k]
-                    if e:
-                        acc[i] = acc[i] + e * a
-        return acc
+        out = []
+        for row in self.nonzeros():
+            acc = z
+            for j, e in row:
+                a = vec[j]
+                if a:
+                    acc = acc + e * a
+            out.append(acc)
+        return out
 
     def transpose(self):
         return Matrix(

@@ -3,6 +3,7 @@ import pytest
 from bracealg.linalg import QQ, Matrix, rank
 from bracealg.algebra import (
     AlgebraSpecError,
+    Bimodule,
     BimoduleMap,
     FiniteAlgebra,
     bar_resolution,
@@ -18,6 +19,7 @@ from bracealg.algebra import (
     strip_projective_summands,
     syzygy,
 )
+from bracealg import hochschild as H
 
 
 def k_algebra():
@@ -160,6 +162,48 @@ def test_periodic_resolution_is_exact():
     lam = kxx(3)
     res = periodic_bimodule_resolution(lam, 5)
     assert res.exactness_verified_up_to == 4
+
+
+# The comparison maps Omega^k -> Lambda, pinned as (shape, positions of
+# their entries, all equal to 1), as the per-generator elimination that
+# preceded the one-solve-per-degree lift computed them.
+COMPARISON_MAPS = {
+    (2, 2): ((2, 6), [(0, 2), (1, 5)]),
+    (2, 4): ((2, 22), [(0, 10), (1, 21)]),
+    (3, 2): ((3, 21), [(0, 4), (0, 5), (1, 6), (1, 11), (1, 12), (2, 13), (2, 18), (2, 19)]),
+    (3, 4): (
+        (3, 183),
+        [
+            (0, 38), (0, 39), (0, 51), (0, 52),
+            (1, 40), (1, 53), (1, 58), (1, 59), (1, 99), (1, 100), (1, 112), (1, 113),
+            (2, 60), (2, 101), (2, 114), (2, 119), (2, 120), (2, 160), (2, 161), (2, 173), (2, 174),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_comparison_maps_pinned(n):
+    res = bar_resolution(kxx(n), 4)
+    for k in (2, 4):
+        (rows, cols), ones = COMPARISON_MAPS[(n, k)]
+        want = [[0] * cols for _ in range(rows)]
+        for i, j in ones:
+            want[i][j] = 1
+        assert comparison_map_to_periodic(res, k).matrix == Matrix.from_int_rows(want)
+
+
+def test_exact_check_rejects_corrupted_omega4_action():
+    lam = kxx(3)
+    syz = H._bar_syzygy(lam, 4)
+    assert syz.dim == 183
+    Bimodule(lam, syz.left, syz.right)  # the syzygy itself passes
+    ent = [list(r) for r in syz.left[1].entries]
+    ent[0][0] = ent[0][0] + 1
+    left = list(syz.left)
+    left[1] = Matrix(ent, QQ)
+    with pytest.raises(AlgebraSpecError):
+        Bimodule(lam, left, syz.right)
 
 
 @pytest.mark.parametrize("n,k", [(2, 2), (2, 4), (3, 2), (3, 4)])

@@ -181,3 +181,46 @@ def test_structure_dump_missing_cap_exit_2(tmp_path):
         del data["cap"]
 
     assert run(["massey", _edited_structure_dump(tmp_path, edit)]) == 2
+
+
+def _ragged_row(data):
+    data["ops"]["4"]["components"]["4"][0]["matrix"][0].pop()
+
+
+def _bad_op_key(data):
+    data["ops"]["x"] = data["ops"].pop("4")
+
+
+def _string_cap(data):
+    data["cap"] = "8"
+
+
+def _no_dims(data):
+    del data["dims"]
+
+
+def _ragged_diff_row(data):
+    data["diff"]["0"][0].pop()
+
+
+@pytest.mark.parametrize(
+    "kind,edit",
+    [
+        ("structure", _ragged_row),
+        ("structure", _bad_op_key),
+        ("structure", _string_cap),
+        ("dg", _no_dims),
+        ("dg", _ragged_diff_row),
+    ],
+    ids=["ragged-matrix-row", "non-integer-op-key", "string-cap", "dg-no-dims", "dg-ragged-diff-row"],
+)
+def test_malformed_dump_exit_2(tmp_path, kind, edit):
+    if kind == "structure":
+        assert run(["massey", _edited_structure_dump(tmp_path, edit)]) == 2
+        return
+    path = tmp_path / "dg.json"
+    assert run(["model", "--n", "4", "--a", "2", "--out", str(path)]) == 0
+    data = json.loads(open(path).read())["dga"]
+    edit(data)
+    path.write_text(json.dumps(data))
+    assert run(["transfer", str(path), "--cap-n", "6"]) == 2

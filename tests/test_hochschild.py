@@ -3,6 +3,8 @@ import random
 import pytest
 
 from bracealg.algebra import (
+    AlgebraSpecError,
+    BimoduleMap,
     bar_resolution,
     build_truncated_polynomial,
     load_algebra,
@@ -427,6 +429,16 @@ def test_extension_maps_share_omega():
     f2 = H.cocycle_to_extension(u.representative.scale(QQ.of(2)))
     assert f1.source is f2.source
     assert strip_projective_summands(f1.source) is strip_projective_summands(f2.source)
+
+
+def test_exact_check_rejects_corrupted_extension_map():
+    u = H.cohomology(LAM3, 4, 1)[0]
+    f = H.cocycle_to_extension(u.representative)
+    assert f.source.dim == 183
+    ent = [list(r) for r in f.matrix.entries]
+    ent[0][0] = ent[0][0] + 1
+    with pytest.raises(AlgebraSpecError):
+        BimoduleMap(f.source, f.target, Matrix(ent, QQ))
 
 
 def test_tate_unit_check_periodicity_class():

@@ -2,9 +2,9 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from bracealg.linalg import QQ, Matrix, kernel_basis, rank, rref, solve
+from bracealg.linalg import GF, QQ, Matrix, kernel_basis, rank, rref, solve
 from bracealg.algebra import build_truncated_polynomial
 from bracealg import hochschild as H
 
@@ -52,6 +52,43 @@ def test_solve_is_exact_or_certifiably_inconsistent(m, b):
         assert rank(m.augment(Matrix.column_vector(b))) > rank(m)
     else:
         assert m.apply(v) == b
+
+
+@st.composite
+def products(draw):
+    """(field, a, b, v) with a r x k, b k x c and v of length k, as rows of
+    field elements.  Entries are mostly zero and small, so sums of products
+    often cancel (1 - 1 over QQ, 3 + 4 over GF(7))."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    r, k, c = (draw(st.integers(1, 5)) for _ in range(3))
+    entry = st.sampled_from([(0, 1)] * 4 + [(1, 1), (-1, 1), (3, 1), (4, 1), (1, 2), (-1, 2)])
+
+    def block(rows, cols):
+        return [[field.of(*draw(entry)) for _ in range(cols)] for _ in range(rows)]
+
+    return field, block(r, k), block(k, c), block(1, k)[0]
+
+
+def _dense_mul(a, b, z):
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), z) for j in range(len(b[0]))] for i in range(len(a))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(products())
+@example((QQ, [[QQ.one, QQ.one]], [[QQ.one], [-QQ.one]], [QQ.one, -QQ.one]))
+def test_matrix_kernel_matches_dense_reference(case):
+    field, a, b, v = case
+    z = field.zero
+    want = _dense_mul(a, b, z)
+    prod = Matrix(a, field) * Matrix(b, field)
+    assert prod.entries == want
+    # cancelled entries are dropped and columns stay sorted
+    assert prod.nonzeros() == [[(j, x) for j, x in enumerate(row) if x] for row in want]
+    assert Matrix(a, field).apply(v) == [sum((x * y for x, y in zip(row, v)), z) for row in a]
+    assert prod == Matrix(want, field) and Matrix(want, field) == prod
+    bumped = [list(row) for row in want]
+    bumped[-1][-1] = bumped[-1][-1] + field.one
+    assert prod != Matrix(bumped, field)
 
 
 LAM = build_truncated_polynomial(2)
