@@ -44,10 +44,8 @@ from .hochschild import (
     solve_coboundary,
     tate_unit_check,
     vec_to_cochain,
-    _decode,
-    _encode,
 )
-from .linalg import Matrix, QQ, SubspaceBasis, image_basis, kernel_basis, rank, solve
+from .linalg import Matrix, QQ, SubspaceBasis, compose, image_basis, kernel_basis, rank, solve
 
 
 class NotLaurentForm(Exception):
@@ -102,6 +100,7 @@ class DGAlgebra:
         self.diff = diff  # degree -> Matrix (dims[deg+1] x dims[deg])
         self.labels = labels or {}
         self.field = field
+        self._mult_mats = {}
         if check:
             self._check()
 
@@ -118,24 +117,25 @@ class DGAlgebra:
     def dim(self, d):
         return self.dims.get(d, 0)
 
+    def mult_matrix(self, d1, d2):
+        """The product on degrees (d1, d2) as a matrix; column i*dim(d2)+j is e_i e_j."""
+        m = self._mult_mats.get((d1, d2))
+        if m is None:
+            n1, n2, nt = self.dim(d1), self.dim(d2), self.dim(self.deg_add(d1, d2))
+            table = self.mult.get((d1, d2))
+            if table is None:
+                m = Matrix.zeros(nt, n1 * n2, self.field)
+            else:
+                if len(table) != n1 or any(len(row) != n2 or any(len(v) != nt for v in row) for row in table):
+                    raise AlgebraSpecError("multiplication table shape mismatch at degrees (%r,%r)" % (d1, d2))
+                m = Matrix([[v[r] for row in table for v in row] for r in range(nt)], self.field, cols=n1 * n2)
+            self._mult_mats[(d1, d2)] = m
+        return m
+
     def mul_vectors(self, d1, u, d2, v):
         """Product of u (degree d1) and v (degree d2)."""
-        target = self.deg_add(d1, d2)
-        out = [self.field.zero] * self.dim(target)
-        table = self.mult.get((d1, d2))
-        if table is None:
-            return out
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            row = table[i]
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                c = a * b
-                vec = row[j]
-                out = [s + c * t for s, t in zip(out, vec)]
-        return out
+        f = self.field
+        return compose(self.mult_matrix(d1, d2), [Matrix.column_vector(u, f), Matrix.column_vector(v, f)]).column(0)
 
     def d_matrix(self, deg):
         m = self.diff.get(deg)
@@ -155,20 +155,19 @@ class DGAlgebra:
             if self.dim(nxt) and self.dim(self.deg_next(nxt)):
                 if not (self.d_matrix(nxt) * self.d_matrix(deg)).is_zero():
                     raise AlgebraSpecError("d^2 != 0 at degree %r" % deg)
-        # unit laws
+        # unit laws, associativity and Leibniz, as matrix identities on all
+        # basis vectors, pairs and triples
         if self.dim(0) == 0:
             raise AlgebraSpecError("need a degree-0 component containing the unit")
+        unit = Matrix.column_vector(self.unit, f)
+        ident = {deg: Matrix.identity(self.dim(deg), f) for deg in self.degrees()}
         for deg in self.degrees():
-            dimd = self.dim(deg)
-            for i in range(dimd):
-                e = _basis(f, dimd, i)
-                if self.mul_vectors(0, self.unit, deg, e) != e:
-                    raise AlgebraSpecError("left unit law fails in degree %r" % deg)
-                if self.mul_vectors(deg, e, 0, self.unit) != e:
-                    raise AlgebraSpecError("right unit law fails in degree %r" % deg)
+            if compose(self.mult_matrix(0, deg), [unit, ident[deg]]) != ident[deg]:
+                raise AlgebraSpecError("left unit law fails in degree %r" % deg)
+            if compose(self.mult_matrix(deg, 0), [ident[deg], unit]) != ident[deg]:
+                raise AlgebraSpecError("right unit law fails in degree %r" % deg)
         if any(self.d_matrix(0).apply(self.unit)):
             raise AlgebraSpecError("unit is not a cocycle")
-        # associativity and Leibniz on basis triples/pairs
         degs = self.degrees()
         for d1 in degs:
             for d2 in degs:
@@ -178,36 +177,20 @@ class DGAlgebra:
                     t12 = self.deg_add(d1, d2)
                     if not self.periodic and (t12 not in self.dims or self.deg_add(t12, d3) not in self.dims):
                         continue
-                    for i in range(self.dim(d1)):
-                        ei = _basis(f, self.dim(d1), i)
-                        for j in range(self.dim(d2)):
-                            ej = _basis(f, self.dim(d2), j)
-                            pij = self.mul_vectors(d1, ei, d2, ej)
-                            for k in range(self.dim(d3)):
-                                ek = _basis(f, self.dim(d3), k)
-                                lhs = self.mul_vectors(t12, pij, d3, ek)
-                                rhs = self.mul_vectors(d1, ei, self.deg_add(d2, d3), self.mul_vectors(d2, ej, d3, ek))
-                                if lhs != rhs:
-                                    raise AlgebraSpecError(
-                                        "associativity fails at degrees (%r,%r,%r)" % (d1, d2, d3)
-                                    )
+                    lhs = compose(self.mult_matrix(t12, d3), [self.mult_matrix(d1, d2), ident[d3]])
+                    rhs = compose(self.mult_matrix(d1, self.deg_add(d2, d3)), [ident[d1], self.mult_matrix(d2, d3)])
+                    if lhs != rhs:
+                        raise AlgebraSpecError("associativity fails at degrees (%r,%r,%r)" % (d1, d2, d3))
         for d1 in degs:
             for d2 in degs:
                 if not (self.dim(d1) and self.dim(d2)):
                     continue
-                sgn = f.one if d1 % 2 == 0 else -f.one
-                for i in range(self.dim(d1)):
-                    ei = _basis(f, self.dim(d1), i)
-                    dei = self.d_matrix(d1).apply(ei)
-                    for j in range(self.dim(d2)):
-                        ej = _basis(f, self.dim(d2), j)
-                        dej = self.d_matrix(d2).apply(ej)
-                        lhs = self.d_matrix(self.deg_add(d1, d2)).apply(self.mul_vectors(d1, ei, d2, ej))
-                        rhs = self.mul_vectors(self.deg_next(d1), dei, d2, ej)
-                        rhs2 = self.mul_vectors(d1, ei, self.deg_next(d2), dej)
-                        rhs = [a + sgn * b for a, b in zip(rhs, rhs2)]
-                        if lhs != rhs:
-                            raise AlgebraSpecError("Leibniz fails at degrees (%r,%r)" % (d1, d2))
+                # d(ab) = d(a) b + (-1)^|a| a d(b)
+                lhs = self.d_matrix(self.deg_add(d1, d2)) * self.mult_matrix(d1, d2)
+                rhs = compose(self.mult_matrix(self.deg_next(d1), d2), [self.d_matrix(d1), ident[d2]])
+                rhs2 = compose(self.mult_matrix(d1, self.deg_next(d2)), [ident[d1], self.d_matrix(d2)])
+                if lhs != (rhs + rhs2 if d1 % 2 == 0 else rhs - rhs2):
+                    raise AlgebraSpecError("Leibniz fails at degrees (%r,%r)" % (d1, d2))
 
     def to_json(self):
         ser = self.field.to_str
@@ -550,31 +533,10 @@ def transfer(dga: DGAlgebra, con: ContractionData, N: int) -> MinimalAInfty:
     m2_expected = Cochain.multiplication(base)
     for n in range(2, N + 1):
         dth = deg_theta(n)
-        tdim = dga.dim(dth)
-        cols = [[f.zero] * tdim for _ in range(h0**n)]
+        theta = Matrix.zeros(dga.dim(dth), h0**n, f)
         for k in range(1, n):
-            pk, pnk = psi.get(k), psi.get(n - k)
-            if pk is None or pnk is None:
-                continue
-            dk, dnk = deg_psi(k), deg_psi(n - k)
-            sgn = f.one if k % 2 == 0 else -f.one
-            for c1 in range(h0**k):
-                v1 = pk.column(c1)
-                if not any(v1):
-                    continue
-                for c2 in range(h0 ** (n - k)):
-                    v2 = pnk.column(c2)
-                    if not any(v2):
-                        continue
-                    prod = dga.mul_vectors(dk, v1, dnk, v2)
-                    if not any(prod):
-                        continue
-                    col = c1 * (h0 ** (n - k)) + c2
-                    tgt = cols[col]
-                    for r, x in enumerate(prod):
-                        if x:
-                            tgt[r] = tgt[r] + sgn * x
-        theta = Matrix([[cols[c][r] for c in range(h0**n)] for r in range(tdim)], f, cols=h0**n)
+            term = compose(dga.mult_matrix(deg_psi(k), deg_psi(n - k)), [psi[k], psi[n - k]])
+            theta = theta + term if k % 2 == 0 else theta - term
         bn = con.p[dth] * theta if con.h_dims.get(dth, 0) else Matrix.zeros(con.h_dims.get(dth, 0), h0**n, f)
         psi[n] = con.h[dth] * theta
         if n == 2:
@@ -721,29 +683,11 @@ def _matrix_inverse(m: Matrix) -> Matrix:
 
 def _conjugate_cochain(c: Cochain, g0inv: Matrix, g0: Matrix | None, lam, extra_central=None):
     """g0inv o c o g0^(x)arity, with an optional central multiplier."""
-    field = lam.field
-    d = lam.dim
-    comps = {}
     gm = g0 if g0 is not None else _matrix_inverse(g0inv)
-    for p, comp in c.comps.items():
-        newcomp = {}
-        for e, mat in comp.items():
-            cols = []
-            for colidx in range(d**p):
-                tup = _decode(colidx, d, p)
-                vecs = [gm.column(t) for t in tup]
-                out = [field.zero] * d
-                for pick in _tensor_support(vecs, field):
-                    coeff, tup2 = pick
-                    col2 = _encode(tup2, d)
-                    for r in range(d):
-                        v = mat.entries[r][col2]
-                        if v:
-                            out[r] = out[r] + coeff * v
-                cols.append(g0inv.apply(out))
-            newmat = Matrix([[cols[cc][r] for cc in range(d**p)] for r in range(d)], field, cols=d**p)
-            newcomp[e] = newmat
-        comps[p] = newcomp
+    comps = {
+        p: {e: g0inv * compose(mat, [gm] * p) for e, mat in comp.items()}
+        for p, comp in c.comps.items()
+    }
     out = Cochain(lam, c.iota, comps, c.cap)
     if extra_central is not None:
         mult = lam.left_mult_of(extra_central)
@@ -754,33 +698,17 @@ def _conjugate_cochain(c: Cochain, g0inv: Matrix, g0: Matrix | None, lam, extra_
     return out
 
 
-def _tensor_support(vecs, field):
-    from itertools import product as iproduct
-
-    supports = [[(t, v[t]) for t in range(len(v)) if v[t]] for v in vecs]
-    for pick in iproduct(*supports):
-        coeff = field.one
-        tup = []
-        for t, cval in pick:
-            coeff = coeff * cval
-            tup.append(t)
-        yield coeff, tuple(tup)
-
-
 def gauge(m: MinimalAInfty, g0: Matrix, w=None) -> MinimalAInfty:
     """m * g for the graded automorphism g = (g0 on degree 0, iota -> w iota)."""
     lam = m.algebra
     if w is None:
         w = lam.unit
-    # g0 must be an algebra automorphism
+    # g0 must be an algebra automorphism: g0 . mult = mult . (g0 (x) g0)
     if rank(g0) != lam.dim:
         raise NotUnit("linear part is not invertible")
-    for i2 in range(lam.dim):
-        for j2 in range(lam.dim):
-            lhs = g0.apply(lam.mult[i2][j2])
-            rhs = lam.mul(g0.column(i2), g0.column(j2))
-            if lhs != rhs:
-                raise AlgebraSpecError("linear part is not an algebra map")
+    mult = lam.mult_matrix()
+    if g0 * mult != compose(mult, [g0, g0]):
+        raise AlgebraSpecError("linear part is not an algebra map")
     if not lam.is_central(w) or not lam.is_unit(w):
         raise NotCentral("iota multiplier must be a central unit")
     g0inv = _matrix_inverse(g0)

@@ -18,6 +18,7 @@ from .linalg import (
     QQ,
     Matrix,
     SubspaceBasis,
+    compose,
     kernel_basis,
     rank,
     rref,
@@ -57,28 +58,30 @@ class FiniteAlgebra:
                     raise AlgebraSpecError("mult[%d][%d] has wrong length" % (i, j))
         self._left_mats = None
         self._right_mats = None
+        self._mult_mat = None
         self._rad = None
         self._check_axioms()
 
     # -- construction helpers -----------------------------------------
 
     def _check_axioms(self):
-        for i in range(self.dim):
-            ei = self.basis_vector(i)
-            if self.mul(self.unit, ei) != ei:
-                raise AlgebraSpecError("left unit law fails on basis %d" % i)
-            if self.mul(ei, self.unit) != ei:
-                raise AlgebraSpecError("right unit law fails on basis %d" % i)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                pij = self.mult[i][j]
-                for k in range(self.dim):
-                    lhs = self.mul(pij, self.basis_vector(k))
-                    rhs = self.mul(self.basis_vector(i), self.mult[j][k])
-                    if lhs != rhs:
-                        raise AlgebraSpecError(
-                            "associativity fails on basis triple (%d,%d,%d)" % (i, j, k)
-                        )
+        """Unit laws and associativity as matrix identities on all basis
+        vectors and triples; an error names the first failing one."""
+        d = self.dim
+        mult = self.mult_matrix()
+        ident = Matrix.identity(d, self.field)
+        unit = Matrix.column_vector(self.unit, self.field)
+        left = _first_difference(compose(mult, [unit, ident]), ident)
+        right = _first_difference(compose(mult, [ident, unit]), ident)
+        if left is not None and (right is None or left <= right):
+            raise AlgebraSpecError("left unit law fails on basis %d" % left)
+        if right is not None:
+            raise AlgebraSpecError("right unit law fails on basis %d" % right)
+        col = _first_difference(compose(mult, [mult, ident]), compose(mult, [ident, mult]))
+        if col is not None:
+            raise AlgebraSpecError(
+                "associativity fails on basis triple (%d,%d,%d)" % (col // (d * d), col // d % d, col % d)
+            )
 
     def basis_vector(self, i):
         v = [self.field.zero] * self.dim
@@ -98,6 +101,15 @@ class FiniteAlgebra:
                 vec = row[j]
                 acc = [s + c * t for s, t in zip(acc, vec)]
         return acc
+
+    def mult_matrix(self):
+        """The product as a dim x dim^2 matrix; column i*dim+j is e_i e_j."""
+        if self._mult_mat is None:
+            d = self.dim
+            self._mult_mat = Matrix(
+                [[self.mult[i][j][r] for i in range(d) for j in range(d)] for r in range(d)], self.field
+            )
+        return self._mult_mat
 
     def left_mult_matrix(self, i):
         if self._left_mats is None:
@@ -210,6 +222,12 @@ class FiniteAlgebra:
 
     def __repr__(self):
         return "FiniteAlgebra(dim=%d, %s)" % (self.dim, ",".join(map(str, self.basis_labels[:6])))
+
+
+def _first_difference(a: Matrix, b: Matrix):
+    """The first column in which a and b differ, or None."""
+    cols = [j for ra, rb in zip(a.nonzeros(), b.nonzeros()) for j, _ in set(ra) ^ set(rb)]
+    return min(cols, default=None)
 
 
 def _parse_scalar(field, txt, where):
@@ -435,28 +453,10 @@ def diagonal_bimodule(lam: FiniteAlgebra) -> Bimodule:
 
 def free_rank_one_bimodule(lam: FiniteAlgebra) -> Bimodule:
     """Lambda (x) Lambda with outer actions; basis (i,j) at i*dim+j."""
-    d = lam.dim
-    field = lam.field
-    left, right = [], []
-    for b in range(d):
-        lm = Matrix.zeros(d * d, d * d, field).entries
-        rm = Matrix.zeros(d * d, d * d, field).entries
-        for i in range(d):
-            prod = lam.mult[b][i]
-            for j in range(d):
-                col = i * d + j
-                for r, c in enumerate(prod):
-                    if c:
-                        lm[r * d + j][col] = lm[r * d + j][col] + c
-        for i in range(d):
-            for j in range(d):
-                col = i * d + j
-                prodr = lam.mult[j][b]
-                for s, c in enumerate(prodr):
-                    if c:
-                        rm[i * d + s][col] = rm[i * d + s][col] + c
-        left.append(Matrix(lm, field, _copy=False))
-        right.append(Matrix(rm, field, _copy=False))
+    ident = Matrix.identity(lam.dim, lam.field)
+    outer = Matrix.identity(lam.dim**2, lam.field)
+    left = [compose(outer, [lam.left_mult_matrix(b), ident]) for b in range(lam.dim)]
+    right = [compose(outer, [ident, lam.right_mult_matrix(b)]) for b in range(lam.dim)]
     return Bimodule(lam, left, right)
 
 
@@ -707,37 +707,20 @@ def periodic_bimodule_resolution(lam: FiniteAlgebra, length: int) -> Resolution:
     modules = [free for _ in range(length + 1)]
 
     def middle_mult(celem):
-        # bimodule endomorphism of Lambda(x)Lambda inserting celem in the middle
-        m = Matrix.zeros(n * n, n * n, field).entries
-        for i in range(n):
-            for j in range(n):
-                colv = {}
-                for (c1, c2), coeff in celem.items():
-                    a = lam.mult[i][c1]
-                    for r, ca in enumerate(a):
-                        if not ca:
-                            continue
-                        b = lam.mult[c2][j]
-                        for s, cb in enumerate(b):
-                            if cb:
-                                key = r * n + s
-                                colv[key] = colv.get(key, field.zero) + coeff * ca * cb
-                col = i * n + j
-                for key, val in colv.items():
-                    m[key][col] = m[key][col] + val
-        return Matrix(m, field, _copy=False)
+        # bimodule endomorphism of Lambda(x)Lambda inserting celem in the
+        # middle: a (x) b -> sum coeff * a c1 (x) c2 b
+        outer = Matrix.identity(n * n, field)
+        m = Matrix.zeros(n * n, n * n, field)
+        for (c1, c2), coeff in celem.items():
+            m = m + compose(outer, [lam.right_mult_matrix(c1), lam.left_mult_matrix(c2)]).scale(coeff)
+        return m
 
     pi_elem = {(1, 0): field.one, (0, 1): -field.one} if n > 1 else {}
     tau_elem = {(i, n - 1 - i): field.one for i in range(n)}
     mats = []
     for k in range(1, length + 1):
         mats.append(middle_mult(pi_elem if k % 2 == 1 else tau_elem))
-    cols_list = []
-    for m in mats:
-        cols = []
-        for j in range(n * n):
-            cols.append({r: m.entries[r][j] for r in range(n * n) if m.entries[r][j]})
-        cols_list.append(cols)
+    cols_list = [[dict(col) for col in m.transpose().nonzeros()] for m in mats]
     aug = []
     for idx in range(n * n):
         i, j = divmod(idx, n)
@@ -1166,19 +1149,12 @@ def comparison_map_to_periodic(res_bar: Resolution, k: int) -> BimoduleMap:
         if c:
             unit_idx = i
 
+    free = per.modules[0]
+
     def add_outer(acc, a0, base, a1, c):
-        # acc += c * a0 . base . a1, with a0 acting on the left and a1 on
-        # the right of base in Lambda (x) Lambda
-        for pos, cc in enumerate(base):
-            if cc:
-                u, v = divmod(pos, n)
-                lu = lam.mult[a0][u]
-                rv = lam.mult[v][a1]
-                for r, c1 in enumerate(lu):
-                    if c1:
-                        for s, c2 in enumerate(rv):
-                            if c2:
-                                acc[r * n + s] = acc[r * n + s] + c * cc * c1 * c2
+        # acc += c * a0 . base . a1 in the free bimodule Lambda (x) Lambda
+        w = free.left[a0].apply(free.right[a1].apply(base))
+        acc[:] = [x + c * y for x, y in zip(acc, w)]
 
     def solve_columns(m, cols, failure):
         sol = solve_matrix(m, Matrix([[col[i] for col in cols] for i in range(m.rows)], field))
@@ -1216,22 +1192,10 @@ def comparison_map_to_periodic(res_bar: Resolution, k: int) -> BimoduleMap:
                 full = bar_mod.decode(idx)
                 add_outer(img, full[0], alpha[k - 1][full[1:-1]], full[-1], c)
         cols.append(img)
-    # the image lies in ker(d^per_{k-1}); express through the embedding
-    # Lambda ~ ker given by lambda -> insert-middle element of next diff
-    if k % 2 == 1:
-        celem = {(1, 0): field.one, (0, 1): -field.one}
-    else:
-        celem = {(i, n - 1 - i): field.one for i in range(n)}
-    emb_cols = []
-    for lidx in range(n):
-        vec = [field.zero] * (n * n)
-        for (c1, c2), coeff in celem.items():
-            prod = lam.mult[lidx][c1]
-            for r, ca in enumerate(prod):
-                if ca:
-                    vec[r * n + c2] = vec[r * n + c2] + coeff * ca
-        emb_cols.append(vec)
-    emb = Matrix([[emb_cols[j][i] for j in range(n)] for i in range(n * n)], field)
+    # the image lies in ker(d^per_{k-1}); express it through the embedding
+    # Lambda ~ ker, lambda -> d^per_k(lambda (x) 1)
+    unit = Matrix.column_vector(lam.unit, field)
+    emb = compose(per.differential_matrix(k), [Matrix.identity(n, field), unit])
     mat = solve_columns(emb, cols, "syzygy comparison does not land in the periodic syzygy")
     return BimoduleMap(syz, diagonal_bimodule(lam), mat)
 

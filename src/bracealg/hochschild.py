@@ -33,7 +33,7 @@ from .algebra import (
     is_stable_iso,
     syzygy,
 )
-from .linalg import Matrix, SubspaceBasis, kernel_basis, solve
+from .linalg import Matrix, SubspaceBasis, compose, kernel_basis, solve
 
 
 class CapTooLow(Exception):
@@ -51,28 +51,14 @@ class WrongBidegree(Exception):
 DEFAULT_CAP = 10
 
 
-def _encode(tup, d):
-    idx = 0
-    for t in tup:
-        idx = idx * d + t
-    return idx
-
-
-def _decode(idx, d, p):
-    out = []
-    for _ in range(p):
-        out.append(idx % d)
-        idx //= d
-    out.reverse()
-    return tuple(out)
-
-
 class Cochain:
     """A Hochschild cochain with iota bookkeeping and optional weights.
 
     comps[p] is a dict {weight-tuple: Matrix}; the weight tuple has length
     p, and the value of the component on inputs l_1 i^{j_1}, ..., l_p i^{j_p}
-    is sum_e (prod_i j_i^{e_i}) M_e(l_1,...,l_p) * i^{iota + sum j_i}.
+    is sum_e (prod_i j_i^{e_i}) M_e(l_1,...,l_p) * i^{iota + sum j_i}.  Column
+    (i_1 ... i_p) in base dim, first input most significant, is the value on
+    the basis inputs e_{i_1}, ..., e_{i_p}: the order of linalg.compose.
     Components with arity > cap are unknown rather than zero.
     """
 
@@ -110,16 +96,7 @@ class Cochain:
     @staticmethod
     def multiplication(algebra):
         """The product 2-cochain m2 (equal to minus the multiplication)."""
-        d = algebra.dim
-        field = algebra.field
-        m = Matrix.zeros(d, d * d, field).entries
-        for i in range(d):
-            for j in range(d):
-                col = i * d + j
-                for r, c in enumerate(algebra.mult[i][j]):
-                    if c:
-                        m[r][col] = -c
-        return Cochain.from_matrix(algebra, 2, Matrix(m, field, _copy=False), 0)
+        return Cochain.from_matrix(algebra, 2, -algebra.mult_matrix(), 0)
 
     @staticmethod
     def euler(algebra):
@@ -205,20 +182,6 @@ class Cochain:
             return NotImplemented
         return (self - other).is_zero()
 
-    def is_normalized(self):
-        """Vanishing whenever some input is the unit (a basis direction)."""
-        uidx = _unit_index(self.algebra)
-        if uidx is None:
-            return False
-        d = self.algebra.dim
-        for p, comp in self.comps.items():
-            for e, mat in comp.items():
-                for col in range(d**p):
-                    tup = _decode(col, d, p)
-                    if uidx in tup and any(mat.entries[r][col] for r in range(mat.rows)):
-                        return False
-        return True
-
     # -- evaluation -------------------------------------------------------
 
     def evaluate(self, inputs):
@@ -235,6 +198,7 @@ class Cochain:
         if p > self.cap:
             raise CapTooLow("evaluation at arity %d beyond cap" % p)
         if comp:
+            factors = [Matrix.column_vector(vec, field) for vec, _ in inputs]
             for e, mat in comp.items():
                 wcoeff = 1
                 for exp, (_, j) in zip(e, inputs):
@@ -243,18 +207,8 @@ class Cochain:
                 if wcoeff == 0:
                     continue
                 c = field.of(wcoeff)
-                for choice in product(*[range(d)] * p) if p else [()]:
-                    coef = c
-                    for t, (vec, _) in zip(choice, inputs):
-                        coef = coef * vec[t]
-                        if not coef:
-                            break
-                    if coef:
-                        col = _encode(choice, d)
-                        for r in range(d):
-                            m = mat.entries[r][col]
-                            if m:
-                                out[r] = out[r] + coef * m
+                val = compose(mat, factors).column(0)
+                out = [a + c * b for a, b in zip(out, val)]
         jout = self.iota + sum(j for _, j in inputs)
         return out, jout
 
@@ -424,7 +378,6 @@ def _brace_term(out, lam, P, p0, slots, choice, e0, mat0, block_start, slotpos, 
     """Accumulate one (slots, argument components) combination into out[P]."""
     field = lam.field
     d = lam.dim
-    n = len(slots)
     pks = [c[0] for c in choice]
     # weights of the inserted cochains transfer to their global positions
     base_mono = {}
@@ -467,47 +420,13 @@ def _brace_term(out, lam, P, p0, slots, choice, e0, mat0, block_start, slotpos, 
     weight_terms = {m: c for m, c in weight_terms.items() if c}
     if not weight_terms:
         return
-    # matrix of the term
-    mats = [c[2] for c in choice]
-    res = Matrix.zeros(d, d**P, field).entries
-    any_nonzero = False
-    tuples = product(*[range(d)] * P) if P else [()]
-    for tup in tuples:
-        col = _encode(tup, d) if P else 0
-        inners = []
-        ok = True
-        for k in range(n):
-            block = tup[block_start[k] : block_start[k] + pks[k]]
-            icol = _encode(block, d) if pks[k] else 0
-            vec = [mats[k].entries[r][icol] for r in range(d)]
-            if not any(vec):
-                ok = False
-                break
-            inners.append(vec)
-        if not ok:
-            continue
-        supports = [[(r, v[r]) for r in range(d) if v[r]] for v in inners]
-        for pick in product(*supports):
-            coeff = field.one
-            for _, c in pick:
-                coeff = coeff * c
-            x0tup = []
-            bcount = 0
-            for t in range(p0):
-                if bcount < n and t == slots[bcount]:
-                    x0tup.append(pick[bcount][0])
-                    bcount += 1
-                else:
-                    x0tup.append(tup[slotpos[t]])
-            x0col = _encode(tuple(x0tup), d) if p0 else 0
-            for r in range(d):
-                v = mat0.entries[r][x0col]
-                if v:
-                    res[r][col] = res[r][col] + coeff * v
-                    any_nonzero = True
-    if not any_nonzero:
+    # matrix of the term: x0 with the chosen components in its slots
+    factors = [Matrix.identity(d, field)] * p0
+    for k, slot in enumerate(slots):
+        factors[slot] = choice[k][2]
+    term = compose(mat0, factors)
+    if term.is_zero():
         return
-    term = Matrix(res, field, _copy=False)
     bucket = out.setdefault(P, {})
     for mono, wc in weight_terms.items():
         md = dict(zip(mono[::2], mono[1::2]))
@@ -582,13 +501,16 @@ def differential(c: Cochain, cap=None) -> Cochain:
 # The normalized subcomplex as finite coordinates
 
 
-def _reduced_indices(lam: FiniteAlgebra):
+def _reduced_inclusion(lam: FiniteAlgebra):
+    """The dim x (dim-1) matrix whose columns are the non-unit basis vectors."""
     uidx = _unit_index(lam)
     if uidx is None:
         raise AlgebraSpecError(
             "normalized-complex coordinates need the unit to be a basis vector"
         )
-    return uidx, [i for i in range(lam.dim) if i != uidx]
+    f = lam.field
+    red = [j for j in range(lam.dim) if j != uidx]
+    return Matrix([[f.one if i == j else f.zero for j in red] for i in range(lam.dim)], f, cols=len(red))
 
 
 def normalized_space_dim(lam, p):
@@ -600,35 +522,19 @@ def cochain_to_vec(c: Cochain, p):
 
     Requires an iota-linear component (no weights).
     """
-    lam = c.algebra
-    d = lam.dim
-    uidx, red = _reduced_indices(lam)
-    comp = c.comps.get(p, {})
-    for e, m in comp.items():
+    for e, m in c.comps.get(p, {}).items():
         if any(e) and not m.is_zero():
             raise AlgebraSpecError("cochain has Euler weights; not in the iota-linear model")
-    mat = c.component_matrix(p)
-    r = len(red)
-    out = []
-    for t in range(r**p):
-        tup = tuple(red[i] for i in _decode(t, r, p))
-        col = _encode(tup, d) if p else 0
-        out.extend(mat.entries[row][col] for row in range(d))
-    return out
+    reduced = compose(c.component_matrix(p), [_reduced_inclusion(c.algebra)] * p)
+    return [x for col in reduced.transpose().entries for x in col]
 
 
 def vec_to_cochain(lam, p, j, vec, cap=math.inf):
     """Normalized cochain from reduced coordinates (zero on unit inputs)."""
     d = lam.dim
-    uidx, red = _reduced_indices(lam)
-    r = len(red)
-    m = Matrix.zeros(d, d**p, lam.field).entries
-    for t in range(r**p):
-        tup = tuple(red[i] for i in _decode(t, r, p))
-        col = _encode(tup, d) if p else 0
-        for row in range(d):
-            m[row][col] = vec[t * d + row]
-    return Cochain.from_matrix(lam, p, Matrix(m, lam.field, _copy=False), j, cap)
+    proj = _reduced_inclusion(lam).transpose()
+    reduced = Matrix([vec[row::d] for row in range(d)], lam.field, cols=proj.rows**p)
+    return Cochain.from_matrix(lam, p, compose(reduced, [proj] * p), j, cap)
 
 
 @_per_algebra
@@ -654,15 +560,10 @@ def normalized_differential_matrix(lam, p):
 
 
 def _is_normalized_component(c: Cochain, p):
-    lam = c.algebra
-    uidx, _ = _reduced_indices(lam)
+    """Does the arity-p component vanish whenever an input is the unit?"""
+    incl = _reduced_inclusion(c.algebra)
     mat = c.component_matrix(p)
-    d = lam.dim
-    for col in range(d**p):
-        tup = _decode(col, d, p)
-        if uidx in tup and any(mat.entries[row][col] for row in range(d)):
-            return False
-    return True
+    return compose(mat, [incl * incl.transpose()] * p) == mat
 
 
 # ---------------------------------------------------------------------------
@@ -949,25 +850,9 @@ def cocycle_to_extension(c: Cochain, degree=4) -> BimoduleMap:
     if not dc.is_zero(up_to=degree + 1 if dc.cap >= degree + 1 else None):
         raise NotACocycle("not a cocycle")
     syz = _bar_syzygy(lam, degree)
-    cmat = c.component_matrix(degree)
-    d = lam.dim
-    cols = []
-    for v in syz.inclusion.vectors():
-        acc = [field.zero] * d
-        for idx, coeff in enumerate(v):
-            if not coeff:
-                continue
-            # s puts the unit in front: phi(s(a_0 (x) ... (x) a_k)) = c(a_0, ..., a_{k-1}) a_k
-            full = syz.ambient.decode(idx)
-            col = _encode(full[:-1], d)
-            val = [cmat.entries[r][col] for r in range(d)]
-            if not any(val):
-                continue
-            val = lam.mul(val, lam.basis_vector(full[-1]))
-            acc = [x + coeff * y for x, y in zip(acc, val)]
-        cols.append(acc)
-    mat = Matrix([[cols[t][r] for t in range(syz.dim)] for r in range(d)], field)
-    return BimoduleMap(syz, diagonal_bimodule(lam), mat)
+    # s puts the unit in front: phi(s(a_0 (x) ... (x) a_k)) = c(a_0, ..., a_{k-1}) a_k
+    phi_s = compose(lam.mult_matrix(), [c.component_matrix(degree), Matrix.identity(lam.dim, field)])
+    return BimoduleMap(syz, diagonal_bimodule(lam), phi_s * syz.inclusion.matrix.transpose())
 
 
 class TateUnitResult(int):

@@ -2,11 +2,18 @@
 
 A matrix is stored dense, and keeps the list of its nonzeros per row
 beside the dense entries, built on first use like its rref.  Products,
-matrix-vector products and equality run over those nonzeros, and
-elimination skips zero multipliers, so the common sparse 0/±1 inputs are
-cheap without a separate sparse type.  Every operation is a pure function
-of its inputs, values are never mutated after construction (which is what
-makes both caches safe), and results are bit-exact.
+sums, differences, scaling, zero tests, matrix-vector products and
+equality run over those nonzeros, and elimination skips zero multipliers,
+so the common sparse 0/±1 inputs are cheap without a separate sparse type.
+
+compose(m, [F_1, ..., F_k]) = m . (F_1 (x) ... (x) F_k) is the one
+tensor-composition primitive: the brace engine, homotopy transfer, gauge
+actions and the associativity, unit and Leibniz checks all reduce to it,
+and it never forms the Kronecker product.
+
+Every operation is a pure function of its inputs, values are never mutated
+after construction (which is what makes both caches safe), and results are
+bit-exact.
 """
 
 from __future__ import annotations
@@ -226,28 +233,35 @@ class Matrix:
         return "Matrix(%r)" % (self.entries,)
 
     def is_zero(self):
-        z = self.field.zero
-        return all(x == z for r in self.entries for x in r)
+        return not any(self.nonzeros())
+
+    def _plus(self, other, negate=False):
+        """self + other (self - other if negate), over the nonzeros of both."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch %dx%d + %dx%d" % (self.rows, self.cols, other.rows, other.cols))
+        out = []
+        for ra, rb in zip(self.nonzeros(), other.nonzeros()):
+            acc = dict(ra)
+            for j, b in rb:
+                if negate:
+                    b = -b
+                s = acc.get(j)
+                acc[j] = b if s is None else s + b
+            out.append(acc)
+        return Matrix.from_nonzeros(out, self.cols, self.field)
 
     def __add__(self, other):
-        return Matrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-            self.field,
-            _copy=False,
-        )
+        return self._plus(other)
 
     def __sub__(self, other):
-        return Matrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-            self.field,
-            _copy=False,
-        )
+        return self._plus(other, negate=True)
 
     def __neg__(self):
-        return Matrix([[-a for a in r] for r in self.entries], self.field, _copy=False)
+        return self.scale(-self.field.one)
 
     def scale(self, c):
-        return Matrix([[c * a for a in r] for r in self.entries], self.field, _copy=False)
+        rows = [{j: c * x for j, x in r} if c else {} for r in self.nonzeros()]
+        return Matrix.from_nonzeros(rows, self.cols, self.field)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -298,6 +312,48 @@ class Matrix:
         return Matrix(
             [ra + rb for ra, rb in zip(self.entries, other.entries)], self.field
         )
+
+
+def compose(m: Matrix, factors) -> Matrix:
+    """m . (F_1 (x) ... (x) F_k), without forming the Kronecker product.
+
+    The columns of m index tuples (i_1, ..., i_k) with i_t < F_t.rows, and
+    the result's columns index tuples (j_1, ..., j_k) with j_t < F_t.cols,
+    both encoded with the first position most significant.  The factors are
+    contracted one at a time, last first, over the nonzeros of m and the
+    per-row nonzeros of each factor; identity factors are skipped.  This is
+    the partial composition of multilinear maps: a brace inserts cochains
+    into some inputs of another (identities elsewhere), a change of basis
+    transforms every input, and a product M is associative exactly when
+    compose(M, [M, I]) == compose(M, [I, M]).
+    """
+    width = cols = 1
+    for f in factors:
+        width *= f.rows
+        cols *= f.cols
+    if m.cols != width:
+        raise ValueError("compose: %d columns, but the factors take %d inputs" % (m.cols, width))
+    one = m.field.one
+    rows = [dict(r) for r in m.nonzeros()]
+    suffix = 1  # columns of the factors contracted so far
+    for f in reversed(factors):
+        fnz = f.nonzeros()
+        if f.rows == f.cols and all(r == [(i, one)] for i, r in enumerate(fnz)):
+            suffix *= f.cols
+            continue
+        for t, row in enumerate(rows):
+            acc = {}
+            for col, v in row.items():
+                hi, lo = divmod(col, suffix)
+                pre, i = divmod(hi, f.rows)
+                base = pre * f.cols
+                for j, x in fnz[i]:
+                    key = (base + j) * suffix + lo
+                    s = acc.get(key)
+                    acc[key] = v * x if s is None else s + v * x
+            rows[t] = acc
+        suffix *= f.cols
+    return Matrix.from_nonzeros(rows, cols, m.field)
 
 
 def rref(m: Matrix):

@@ -82,6 +82,38 @@ def test_dga_rejects_broken_leibniz():
         DGAlgebra(dims, lam.unit, mult, diff, periodic=True)
 
 
+def _square_zero_dga(edit=None):
+    """k[x]/(x^2) in both parities with zero differential, after edit(mult)."""
+    lam = build_truncated_polynomial(2)
+    mult = {key: [[list(v) for v in row] for row in lam.mult] for key in ((0, 0), (0, 1), (1, 0), (1, 1))}
+    if edit:
+        edit(mult)
+    zero = Matrix.zeros(2, 2, QQ)
+    return DGAlgebra({0: 2, 1: 2}, lam.unit, mult, {0: zero, 1: zero}, periodic=True)
+
+
+def _break_associativity(mult):
+    mult[(0, 1)][1][1] = [QQ.one, QQ.zero]  # x . u_x = u_1, so (x x) u_x != x (x u_x)
+
+
+def _break_right_unit(mult):
+    mult[(1, 0)][0][0] = [QQ.zero, QQ.one]  # u_1 . 1 = u_x
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_break_associativity, r"associativity fails at degrees \(0,0,1\)"),
+        (_break_right_unit, "right unit law fails in degree 1"),
+    ],
+    ids=["associativity", "unit-law"],
+)
+def test_dga_rejects_broken_axiom(edit, message):
+    assert _square_zero_dga().dims == {0: 2, 1: 2}  # the unedited model is accepted
+    with pytest.raises(AlgebraSpecError, match=message):
+        _square_zero_dga(edit)
+
+
 def test_dga_json_roundtrip():
     e = dg_end(complete_resolution(4, 2))
     data = e.to_json()

@@ -67,8 +67,45 @@ def test_associativity_violation_rejected():
         [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
         [[0, 0, 1], z3, z3],
     ]
-    with pytest.raises(AlgebraSpecError):
+    with pytest.raises(AlgebraSpecError, match=r"basis triple \(1,1,1\)"):
         FiniteAlgebra(["1", "a", "b"], [1, 0, 0], mult)
+
+
+def test_associativity_error_names_first_failing_triple():
+    # k[x]/(x^4) with x^3 * x = x^3: the triples (1,2,1), (2,1,1), ... fail,
+    # and the error names the first in lexicographic order
+    a = kxx(4)
+    mult = [[list(v) for v in row] for row in a.mult]
+    mult[3][1] = [0, 0, 0, 1]
+    with pytest.raises(AlgebraSpecError, match=r"basis triple \(1,2,1\)$"):
+        FiniteAlgebra(a.basis_labels, a.unit, mult)
+
+
+@pytest.mark.parametrize(
+    "i,j,vec,message",
+    [(1, 0, [1, 0], "right unit law fails on basis 1"), (0, 1, [1, 0], "left unit law fails on basis 1")],
+)
+def test_unit_law_error_names_basis(i, j, vec, message):
+    mult = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
+    mult[i][j] = vec
+    with pytest.raises(AlgebraSpecError, match=message):
+        FiniteAlgebra(["1", "t"], [1, 0], mult)
+
+
+def test_comparison_refuses_permuted_basis():
+    # k[x]/(x^3) with basis x, x^2, 1: the periodic oracle needs the
+    # monomial basis, so the comparison map refuses instead of guessing
+    lam = load_algebra({
+        "dim": 3,
+        "labels": ["x", "x^2", "1"],
+        "unit": ["0", "0", "1"],
+        "mult": [
+            [0, 0, ["0", "1", "0"]], [0, 2, ["1", "0", "0"]], [1, 2, ["0", "1", "0"]],
+            [2, 0, ["1", "0", "0"]], [2, 1, ["0", "1", "0"]], [2, 2, ["0", "0", "1"]],
+        ],
+    })
+    with pytest.raises(AlgebraSpecError, match="monomial basis"):
+        comparison_map_to_periodic(bar_resolution(lam, 2), 2)
 
 
 def test_enveloping_dims():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -26,6 +27,22 @@ def test_hh_report(kx2_spec, tmp_path):
     rep = json.loads(open(out).read())
     assert rep["schema"] == "v1"
     assert rep["hh_dimensions"] == {"0": 2, "1": 1, "2": 1, "3": 1, "4": 1, "5": 1}
+
+
+# sha256 of json.dumps([cup_table, bracket_table], sort_keys=True) of the hh
+# report on k[x]/(x^3) at --cap-p 5, recorded before braces were rewritten
+# as tensor compositions
+HH_X3_TABLES_SHA256 = "31a07bd108cc9541bf945d0a4b1303552c40232771675bc23fc6cd497984b7c2"
+
+
+def test_hh_product_tables_pinned(tmp_path):
+    path = tmp_path / "kx3.json"
+    path.write_text(json.dumps(build_truncated_polynomial(3).to_json()))
+    out = str(tmp_path / "hh.json")
+    assert run(["hh", str(path), "--cap-p", "5", "--out", out]) == 0
+    rep = json.loads(open(out).read())
+    tables = json.dumps([rep["cup_table"], rep["bracket_table"]], sort_keys=True)
+    assert hashlib.sha256(tables.encode()).hexdigest() == HH_X3_TABLES_SHA256
 
 
 def test_hh_all_zero_for_k(tmp_path):
@@ -203,6 +220,10 @@ def _ragged_diff_row(data):
     data["diff"]["0"][0].pop()
 
 
+def _short_mult_row(data):
+    data["mult"]["0,0"][1].pop()
+
+
 @pytest.mark.parametrize(
     "kind,edit",
     [
@@ -211,8 +232,12 @@ def _ragged_diff_row(data):
         ("structure", _string_cap),
         ("dg", _no_dims),
         ("dg", _ragged_diff_row),
+        ("dg", _short_mult_row),
     ],
-    ids=["ragged-matrix-row", "non-integer-op-key", "string-cap", "dg-no-dims", "dg-ragged-diff-row"],
+    ids=[
+        "ragged-matrix-row", "non-integer-op-key", "string-cap", "dg-no-dims", "dg-ragged-diff-row",
+        "dg-short-mult-row",
+    ],
 )
 def test_malformed_dump_exit_2(tmp_path, kind, edit):
     if kind == "structure":

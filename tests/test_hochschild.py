@@ -397,7 +397,10 @@ def _extension_by_elimination(c, k):
         for idx, coeff in enumerate(W.column(t)):
             if coeff:
                 full = res.modules[k].decode(idx)
-                val = [cmat.entries[r][H._encode(full[1:-1], d)] for r in range(d)]
+                col = 0
+                for t in full[1:-1]:
+                    col = col * d + t
+                val = [cmat.entries[r][col] for r in range(d)]
                 val = lam.mul(lam.mul(lam.basis_vector(full[0]), val), lam.basis_vector(full[-1]))
                 acc = [x + coeff * y for x, y in zip(acc, val)]
         cols.append(acc)

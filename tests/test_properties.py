@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from bracealg.linalg import GF, QQ, Matrix, kernel_basis, rank, rref, solve
+from bracealg.linalg import GF, QQ, Matrix, compose, kernel_basis, rank, rref, solve
 from bracealg.algebra import build_truncated_polynomial
 from bracealg import hochschild as H
 
@@ -56,9 +56,11 @@ def test_solve_is_exact_or_certifiably_inconsistent(m, b):
 
 @st.composite
 def products(draw):
-    """(field, a, b, v) with a r x k, b k x c and v of length k, as rows of
-    field elements.  Entries are mostly zero and small, so sums of products
-    often cancel (1 - 1 over QQ, 3 + 4 over GF(7))."""
+    """(field, a, b, v, c, m, factors) with a r x k, b k x c, v of length k,
+    c r x k, factors a list of up to three small blocks (some identities)
+    and m with one column per tuple of factor rows, as rows of field
+    elements.  Entries are mostly zero and small, so sums of products often
+    cancel (1 - 1 over QQ, 3 + 4 over GF(7))."""
     field = draw(st.sampled_from([QQ, GF(7)]))
     r, k, c = (draw(st.integers(1, 5)) for _ in range(3))
     entry = st.sampled_from([(0, 1)] * 4 + [(1, 1), (-1, 1), (3, 1), (4, 1), (1, 2), (-1, 2)])
@@ -66,18 +68,38 @@ def products(draw):
     def block(rows, cols):
         return [[field.of(*draw(entry)) for _ in range(cols)] for _ in range(rows)]
 
-    return field, block(r, k), block(k, c), block(1, k)[0]
+    factors = []
+    for _ in range(draw(st.integers(0, 3))):
+        fr, fc = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            factors.append([[field.of(int(i == j)) for j in range(fr)] for i in range(fr)])
+        else:
+            factors.append(block(fr, fc))
+    width = 1
+    for f in factors:
+        width *= len(f)
+    m = block(draw(st.integers(1, 3)), width)
+    return field, block(r, k), block(k, c), block(1, k)[0], block(r, k), m, factors
 
 
 def _dense_mul(a, b, z):
     return [[sum((a[i][t] * b[t][j] for t in range(len(b))), z) for j in range(len(b[0]))] for i in range(len(a))]
 
 
+def _dense_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def _nonzeros(rows):
+    return [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+
+
 @settings(max_examples=80, deadline=None)
 @given(products())
-@example((QQ, [[QQ.one, QQ.one]], [[QQ.one], [-QQ.one]], [QQ.one, -QQ.one]))
+@example((QQ, [[QQ.one, QQ.one]], [[QQ.one], [-QQ.one]], [QQ.one, -QQ.one],
+          [[-QQ.one, QQ.one]], [[QQ.one, QQ.one]], [[[QQ.one], [-QQ.one]]]))
 def test_matrix_kernel_matches_dense_reference(case):
-    field, a, b, v = case
+    field, a, b, v, c, m, factors = case
     z = field.zero
     want = _dense_mul(a, b, z)
     prod = Matrix(a, field) * Matrix(b, field)
@@ -89,6 +111,25 @@ def test_matrix_kernel_matches_dense_reference(case):
     bumped = [list(row) for row in want]
     bumped[-1][-1] = bumped[-1][-1] + field.one
     assert prod != Matrix(bumped, field)
+    # compose against the dense Kronecker product of the factors
+    kron = [[field.one]]
+    for f in factors:
+        kron = _dense_kron(kron, f)
+    want = _dense_mul(m, kron, z)
+    comp = compose(Matrix(m, field), [Matrix(f, field) for f in factors])
+    assert comp.entries == want and comp.nonzeros() == _nonzeros(want)
+    # elementwise operations, with sums that cancel
+    A, C = Matrix(a, field), Matrix(c, field)
+    for got, dense in [
+        (A + C, [[x + y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)]),
+        (A - C, [[x - y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)]),
+        (-A, [[-x for x in ra] for ra in a]),
+        (A.scale(field.of(3)), [[field.of(3) * x for x in ra] for ra in a]),
+    ]:
+        assert got.entries == dense and got.nonzeros() == _nonzeros(dense)
+        assert got.is_zero() == (not any(x for row in dense for x in row))
+    assert (A - A).is_zero() and (A + -A).is_zero() and A.scale(z).is_zero()
+    assert A.is_zero() == (not any(x for row in a for x in row))
 
 
 LAM = build_truncated_polynomial(2)
