@@ -45,7 +45,7 @@ from .hochschild import (
     tate_unit_check,
     vec_to_cochain,
 )
-from .linalg import Matrix, QQ, SubspaceBasis, compose, image_basis, kernel_basis, rank, solve
+from .linalg import Matrix, QQ, SubspaceBasis, _echelon_of, _sparse, compose, image_basis, kernel_basis, rank, solve
 
 
 class NotLaurentForm(Exception):
@@ -323,26 +323,17 @@ def make_contraction(dga: DGAlgebra, scheme="default") -> ContractionData:
             raise AlgebraSpecError("unknown contraction scheme %r" % scheme)
         # W1: complement of im in ker (unit first in degree 0)
         w1_vecs = []
-        span = SubspaceBasis(dim, im.vectors(), f)
+        span = _echelon_of(f, im.matrix.nonzeros())
         if deg == 0:
             if not ker.contains(dga.unit):
                 raise NotLaurentForm("unit is not a cocycle")
-            if span.contains(dga.unit):
+            if span.add(_sparse(dga.unit)) is None:
                 raise NotLaurentForm("unit class vanishes in cohomology")
             w1_vecs.append(list(dga.unit))
-            span = SubspaceBasis(dim, span.vectors() + [list(dga.unit)], f)
-        for v in ker.vectors():
-            if not span.contains(v):
-                w1_vecs.append(v)
-                span = SubspaceBasis(dim, span.vectors() + [v], f)
+        w1_vecs += [v for v in ker.vectors() if span.add(_sparse(v)) is not None]
         # W2: complement of ker in the whole component
-        w2_vecs = []
-        span2 = SubspaceBasis(dim, ker.vectors(), f)
-        for c in cands:
-            e = _basis(f, dim, c)
-            if not span2.contains(e):
-                w2_vecs.append(e)
-                span2 = SubspaceBasis(dim, span2.vectors() + [e], f)
+        span2 = _echelon_of(f, ker.matrix.nonzeros())
+        w2_vecs = [e for e in (_basis(f, dim, c) for c in cands) if span2.add(_sparse(e)) is not None]
         hdims[deg] = len(w1_vecs)
         w2[deg] = w2_vecs
         # p and i in the decomposition im + W1 + W2

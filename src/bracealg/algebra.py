@@ -21,7 +21,10 @@ from .linalg import (
     compose,
     kernel_basis,
     rank,
-    rref,
+    _Echelon,
+    _echelon_of,
+    _sparse,
+    _subtract,
     solve,
     solve_matrix,
 )
@@ -268,6 +271,13 @@ def _get(obj, key, where):
     return obj[key]
 
 
+def _list(value, where):
+    """value if it is a JSON list, else an AlgebraSpecError naming the field."""
+    if not isinstance(value, list):
+        raise AlgebraSpecError("%s: expected a list, got %r" % (where, value))
+    return value
+
+
 def load_algebra(data, field=QQ):
     """Load an algebra spec {dim, labels, unit, mult} with precise errors.
 
@@ -282,25 +292,25 @@ def load_algebra(data, field=QQ):
     dim = data["dim"]
     if not isinstance(dim, int) or dim < 1:
         raise AlgebraSpecError("dim: must be a positive integer")
-    labels = data["labels"]
+    labels = _list(data["labels"], "labels")
     if len(labels) != dim:
         raise AlgebraSpecError("labels: expected %d entries, got %d" % (dim, len(labels)))
-    unit = data["unit"]
+    unit = _list(data["unit"], "unit")
     if len(unit) != dim:
         raise AlgebraSpecError("unit: expected %d entries, got %d" % (dim, len(unit)))
     unit = [_parse_scalar(field, x, "unit[%d]" % k) for k, x in enumerate(unit)]
     z = field.zero
     mult = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
-    for pos, triple in enumerate(data["mult"]):
+    for pos, triple in enumerate(_list(data["mult"], "mult")):
         where = "mult[%d]" % pos
-        if len(triple) != 3:
+        if len(_list(triple, where)) != 3:
             raise AlgebraSpecError("%s: expected [i, j, coeffs]" % where)
         i, j, coeffs = triple
         if not (isinstance(i, int) and 0 <= i < dim):
             raise AlgebraSpecError("%s: row index %r out of range" % (where, i))
         if not (isinstance(j, int) and 0 <= j < dim):
             raise AlgebraSpecError("%s: column index %r out of range" % (where, j))
-        if len(coeffs) != dim:
+        if len(_list(coeffs, where + " coeffs")) != dim:
             raise AlgebraSpecError("%s: coeffs length %d != dim %d" % (where, len(coeffs), dim))
         mult[i][j] = [_parse_scalar(field, c, "%s[%d]" % (where, k)) for k, c in enumerate(coeffs)]
     try:
@@ -898,12 +908,8 @@ def _strip(m: Bimodule) -> StripResult:
         raise AlgebraSpecError("coefficient algebra is not symmetric")
     # rank of soc * M and a greedy choice of generators
     soc_im = [m.apply_env_element(soc, _unit_vec(field, m.dim, j)) for j in range(m.dim)]
-    sel = []
-    seen = SubspaceBasis(m.dim, [], field)
-    for j, w in enumerate(soc_im):
-        if any(w) and not seen.contains(w):
-            sel.append(j)
-            seen = SubspaceBasis(m.dim, seen.vectors() + [w], field)
+    seen = _Echelon(field)
+    sel = [j for j, w in enumerate(soc_im) if seen.add(_sparse(w)) is not None]
     r = len(sel)
     if r == 0:
         return StripResult(m, 0, Matrix.identity(m.dim, field), Matrix.identity(m.dim, field))
@@ -947,34 +953,25 @@ def _strip(m: Bimodule) -> StripResult:
     # phi_l'(b_t m_l) = 0 for l' != l, i.e. Phi F^T is the identity
     if Phi * F.transpose() != Matrix.identity(r * d2, field):
         raise AlgebraSpecError("retraction verification failed")
-    # complement: kernel of Phi via the explicit section
-    Fr, fpiv = rref(F)
-    free_cols = [j for j in range(m.dim) if j not in fpiv]
-    if len(fpiv) != d2 * r:
+    # complement: kernel of Phi via the explicit section; F is factored
+    # once, and the projection reduces by it and reads the free columns
+    reducer = _echelon_of(field, F.nonzeros())
+    if len(reducer.rows) != d2 * r:
         raise AlgebraSpecError("free part has unexpected rank")
-    # incl_F: coordinates (l,t) -> frows
+    free_cols = [j for j in range(m.dim) if j not in reducer.rows]
+    # core vector for free column c: e_c - sum_k Phi[k][c] F_k
     core_dim = m.dim - d2 * r
+    sections = Phi.transpose().nonzeros()
+    fnz = F.nonzeros()
     core_vecs = []
     for cpos in free_cols:
-        e = _unit_vec(field, m.dim, cpos)
-        img = Phi.apply(e)
-        v = list(e)
-        for l in range(r):
-            for t in range(d2):
-                c = img[l * d2 + t]
-                if c:
-                    fr = frows[l * d2 + t]
-                    v = [a - c * b for a, b in zip(v, fr)]
-        core_vecs.append(v)
-    # projection to core coordinates: reduce by rref(F), read free columns
+        v = {cpos: field.one}
+        for k, c in sections[cpos]:
+            _subtract(v, c, fnz[k])
+        core_vecs.append([v.get(j, field.zero) for j in range(m.dim)])
     def project(vec):
-        v = list(vec)
-        for i, pc in enumerate(fpiv):
-            c = v[pc]
-            if c:
-                row = Fr.entries[i]
-                v = [a - c * b for a, b in zip(v, row)]
-        return [v[j] for j in free_cols]
+        v = reducer.reduce(_sparse(vec))
+        return [v.get(j, field.zero) for j in free_cols]
 
     include = Matrix([[core_vecs[t][i] for t in range(core_dim)] for i in range(m.dim)], field)
     ident = Matrix.identity(m.dim, field)

@@ -3,8 +3,14 @@
 A matrix is stored dense, and keeps the list of its nonzeros per row
 beside the dense entries, built on first use like its rref.  Products,
 sums, differences, scaling, zero tests, matrix-vector products and
-equality run over those nonzeros, and elimination skips zero multipliers,
-so the common sparse 0/±1 inputs are cheap without a separate sparse type.
+equality run over those nonzeros, so the common sparse 0/±1 inputs are
+cheap without a separate sparse type.
+
+Elimination is one row-sparse Gauss-Jordan kernel (_Echelon) over
+{column: value} rows: rref, kernel bases, solves, subspace coordinates and
+quotient projections all go through it, and it only touches nonzeros.  A
+basis that is used for many vectors is factored once and kept, as a
+Matrix keeps its rref.
 
 compose(m, [F_1, ..., F_k]) = m . (F_1 (x) ... (x) F_k) is the one
 tensor-composition primitive: the brace engine, homotopy transfer, gauge
@@ -163,13 +169,17 @@ class Matrix:
     @staticmethod
     def zeros(rows, cols, field=QQ):
         z = field.zero
-        return Matrix([[z] * cols for _ in range(rows)], field, _copy=False, cols=cols)
+        m = Matrix([[z] * cols for _ in range(rows)], field, _copy=False, cols=cols)
+        m._nz = [[] for _ in range(rows)]
+        return m
 
     @staticmethod
     def identity(n, field=QQ):
         z, o = field.zero, field.one
         ent = [[o if i == j else z for j in range(n)] for i in range(n)]
-        return Matrix(ent, field, _copy=False)
+        m = Matrix(ent, field, _copy=False)
+        m._nz = [[(i, o)] for i in range(n)]
+        return m
 
     @staticmethod
     def from_int_rows(rows, field=QQ):
@@ -356,48 +366,101 @@ def compose(m: Matrix, factors) -> Matrix:
     return Matrix.from_nonzeros(rows, cols, m.field)
 
 
+def _subtract(acc, c, row):
+    """acc -= c * row for a {column: value} dict acc and (column, value)
+    pairs row; entries that cancel are dropped."""
+    for j, x in row:
+        s = acc.get(j)
+        s = -c * x if s is None else s - c * x
+        if s:
+            acc[j] = s
+        else:
+            del acc[j]
+
+
+class _Echelon:
+    """Row-sparse Gauss-Jordan elimination over {column: value} rows.
+
+    Keeps one fully reduced row per pivot column: the row starts at its
+    pivot column with the entry one, and is zero at every other pivot
+    column.  Sorted by pivot, the rows are therefore the unique RREF of
+    their span.  A row is reduced only at the pivot columns where it is
+    nonzero, and cancelled entries are dropped, so the work follows the
+    nonzeros.
+    """
+
+    __slots__ = ("field", "rows")
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = {}  # pivot column -> fully reduced row
+
+    def reduce(self, row):
+        """Subtract from row (a dict, changed in place) its pivot-column
+        entries times the pivot rows; returns row, now zero at every pivot.
+
+        The pivot rows are zero at each other's pivots, so row's entries at
+        pivot columns are not changed by the other subtractions."""
+        pivots = self.rows
+        for pc in [j for j in row if j in pivots]:
+            _subtract(row, row[pc], pivots[pc].items())
+        return row
+
+    def insert(self, row):
+        """Make a reduced nonzero row a pivot row at its first column and
+        clear that column from the other pivot rows; returns the column."""
+        pc = min(row)
+        lead = row[pc]
+        if lead != self.field.one:
+            inv = self.field.inv(lead)
+            row = {j: x * inv for j, x in row.items()}
+        for other in self.rows.values():
+            c = other.get(pc)
+            if c is not None:
+                _subtract(other, c, row.items())
+        self.rows[pc] = row
+        return pc
+
+    def add(self, row):
+        """Reduce row; if anything is left, insert it.  Returns the new
+        pivot column, or None when row was already in the span."""
+        row = self.reduce(row)
+        return self.insert(row) if row else None
+
+    def matrix(self, nrows, ncols):
+        """The pivot rows by pivot column, then zero rows up to nrows, as a
+        Matrix whose rref is itself."""
+        pivots = sorted(self.rows)
+        rows = [self.rows[pc] for pc in pivots] + [{}] * (nrows - len(pivots))
+        out = Matrix.from_nonzeros(rows, ncols, self.field)
+        out._rref = (out, pivots)
+        return out
+
+
+def _echelon_of(field, rows):
+    """An _Echelon of rows given as {column: value} dicts or (column, value)
+    pairs; the rows are copied."""
+    ech = _Echelon(field)
+    for row in rows:
+        if row:
+            ech.add(dict(row))
+    return ech
+
+
+def _sparse(vec):
+    return {j: x for j, x in enumerate(vec) if x}
+
+
 def rref(m: Matrix):
     """Reduced row echelon form.  Returns (Matrix, pivot column list).
 
     The result is the unique RREF, so it can be used for canonical
     comparisons; the pivot list is strictly increasing.
     """
-    if m._rref is not None:
-        return m._rref
-    z = m.field.zero
-    rows = [list(r) for r in m.entries]
-    nr, nc = m.rows, m.cols
-    pivots = []
-    pr = 0
-    for pc in range(nc):
-        piv = None
-        for i in range(pr, nr):
-            if rows[i][pc] != z:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        inv = m.field.inv(rows[pr][pc])
-        if inv != m.field.one:
-            rows[pr] = [x * inv for x in rows[pr]]
-        rp = rows[pr]
-        for i in range(nr):
-            if i == pr:
-                continue
-            f = rows[i][pc]
-            if f:
-                ri = rows[i]
-                rows[i] = [a - f * b for a, b in zip(ri, rp)]
-        pivots.append(pc)
-        pr += 1
-        if pr == nr:
-            break
-    out = Matrix(rows, m.field, _copy=False)
-    result = (out, pivots)
-    m._rref = result
-    out._rref = result
-    return result
+    if m._rref is None:
+        out = _echelon_of(m.field, m.nonzeros()).matrix(m.rows, m.cols)
+        m._rref = out._rref
+    return m._rref
 
 
 def rank(m: Matrix):
@@ -412,21 +475,21 @@ class SubspaceBasis:
 
     __slots__ = ("ambient_dim", "matrix", "pivots")
 
-    def __init__(self, ambient_dim, vectors, field=QQ, _reduced=False):
+    def __init__(self, ambient_dim, vectors, field=QQ):
+        self._span(ambient_dim, [_sparse(v) for v in vectors], field)
+
+    @classmethod
+    def from_nonzeros(cls, ambient_dim, rows, field=QQ):
+        """The span of {column: value} rows."""
+        self = cls.__new__(cls)
+        self._span(ambient_dim, rows, field)
+        return self
+
+    def _span(self, ambient_dim, rows, field):
         self.ambient_dim = ambient_dim
-        if _reduced:
-            self.matrix = vectors
-            self.pivots = vectors._rref[1] if vectors._rref else rref(vectors)[1]
-            return
-        if not vectors:
-            self.matrix = Matrix.zeros(0, ambient_dim, field)
-            self.pivots = []
-            return
-        red, piv = rref(Matrix(vectors, field))
-        keep = red.entries[: len(piv)]
-        self.matrix = Matrix(keep, field, _copy=False)
-        self.pivots = piv
-        rref(self.matrix)
+        ech = _echelon_of(field, rows)
+        self.matrix = ech.matrix(len(ech.rows), ambient_dim)
+        self.pivots = self.matrix._rref[1]
 
     @property
     def dim(self):
@@ -450,19 +513,18 @@ class SubspaceBasis:
         return "SubspaceBasis(dim %d of k^%d)" % (self.dim, self.ambient_dim)
 
     def coordinates(self, vec):
-        """Coordinates of vec in this RREF basis, or None if not a member."""
-        z = self.field.zero
+        """Coordinates of vec in this RREF basis, or None if not a member.
+
+        The rows are fully reduced, so the coordinates are vec's entries at
+        the pivot columns, and vec is a member when subtracting that
+        combination leaves nothing."""
         v = list(vec)
-        coords = []
-        for i, pc in enumerate(self.pivots):
-            c = v[pc]
-            coords.append(c)
+        coords = [v[pc] for pc in self.pivots]
+        rest = _sparse(v)
+        for c, row in zip(coords, self.matrix.nonzeros()):
             if c:
-                row = self.matrix.entries[i]
-                v = [a - c * b for a, b in zip(v, row)]
-        if any(x != z for x in v):
-            return None
-        return coords
+                _subtract(rest, c, row)
+        return None if rest else coords
 
     def contains(self, vec):
         return self.coordinates(vec) is not None
@@ -474,16 +536,14 @@ class SubspaceBasis:
 def kernel_basis(m: Matrix) -> SubspaceBasis:
     """Basis of {v : m v = 0}, canonical (RREF) form."""
     red, piv = rref(m)
-    z, o = m.field.zero, m.field.one
-    free = [j for j in range(m.cols) if j not in piv]
-    vecs = []
-    for j in free:
-        v = [z] * m.cols
-        v[j] = o
-        for i, pc in enumerate(piv):
-            v[pc] = -red.entries[i][j]
-        vecs.append(v)
-    return SubspaceBasis(m.cols, vecs, m.field)
+    pivset = set(piv)
+    one = m.field.one
+    vecs = {j: {j: one} for j in range(m.cols) if j not in pivset}
+    for pc, row in zip(piv, red.nonzeros()):
+        for j, x in row:
+            if j in vecs:
+                vecs[j][pc] = -x
+    return SubspaceBasis.from_nonzeros(m.cols, vecs.values(), m.field)
 
 
 def image_basis(m: Matrix) -> SubspaceBasis:
@@ -526,37 +586,38 @@ def quotient_basis(big: SubspaceBasis, small: SubspaceBasis):
     classes form a basis of the quotient, and proj maps any vector of big
     to its coordinate list in those classes (a surjective linear map with
     kernel exactly small).  Raises SubspaceNotContained if small is not a
-    subspace of big.
+    subspace of big, or when proj is given a vector outside big.
+
+    The basis of big made of small's rows followed by reps is factored
+    once: its rows are eliminated with an identity block appended, as in
+    rref([base | I]), so each pivot row is (R, T) with R = T . base.  A
+    vector v then reduces to (v - c . base, -c), and its coordinates c are
+    read off the identity block.
     """
     if big.ambient_dim != small.ambient_dim:
         raise SubspaceNotContained("ambient dimensions differ")
     if not big.contains_subspace(small):
         raise SubspaceNotContained("quotient by a non-subspace")
     field = big.field
+    n = big.ambient_dim
+    ech = _Echelon(field)
     reps = []
-    cur = SubspaceBasis(big.ambient_dim, small.matrix.entries, field)
-    for v in big.vectors():
-        if not cur.contains(v):
-            reps.append(v)
-            cur = SubspaceBasis(big.ambient_dim, cur.vectors() + [v], field)
-    base = Matrix(small.vectors() + reps, field) if (small.dim or reps) else Matrix.zeros(0, big.ambient_dim, field)
+    for i, v in enumerate(small.vectors() + big.vectors()):
+        row = ech.reduce(_sparse(v))
+        if any(j < n for j in row):  # v is not in the span so far: it joins base
+            row[n + len(ech.rows)] = field.one
+            ech.insert(row)
+            if i >= small.dim:
+                reps.append(v)
+    zero = field.zero
 
     def proj(vec):
-        coords = _coords_in_rows(base, vec)
-        if coords is None:
+        row = ech.reduce(_sparse(vec))
+        if any(j < n for j in row):
             raise SubspaceNotContained("vector not in the big subspace")
-        return coords[small.dim :]
+        return [-row[j] if j in row else zero for j in range(n + small.dim, n + len(ech.rows))]
 
     return reps, proj
-
-
-def _coords_in_rows(base: Matrix, vec):
-    """Coordinates of vec as a combination of the rows of base."""
-    if base.rows == 0:
-        z = base.field.zero
-        return [] if all(x == z for x in vec) else None
-    sol = solve(base.transpose(), vec)
-    return sol
 
 
 def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:

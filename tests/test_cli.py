@@ -60,6 +60,28 @@ def test_malformed_spec_exit_2(tmp_path):
     assert run(["hh", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("labels", 5),
+        ("mult", 5),
+        ("mult", [7]),
+        ("mult", [[0, 0, 5]]),
+        # a string is not read one character at a time
+        ("unit", "100"),
+    ],
+    ids=["labels-int", "mult-int", "mult-entry-int", "mult-coeffs-int", "unit-string"],
+)
+def test_malformed_spec_field_exit_2(tmp_path, capsys, field, value):
+    spec = build_truncated_polynomial(3).to_json()
+    spec[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert run(["hh", str(path), "--cap-p", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + field) and "expected a list" in err
+
+
 def test_cap_exceeded_exit_3(kx2_spec):
     assert run(["hh", kx2_spec, "--cap-p", "12"]) == 3
 

@@ -118,6 +118,28 @@ def test_quotient_not_contained_raises():
         quotient_basis(big, small)
 
 
+def test_quotient_projection_rejects_non_member():
+    big = SubspaceBasis(3, [[1, 1, 0], [0, 0, 1]], QQ)
+    small = SubspaceBasis(3, [[0, 0, 1]], QQ)
+    reps, proj = quotient_basis(big, small)
+    assert len(reps) == 1
+    assert proj([QQ.of(2), QQ.of(2), QQ.of(5)]) == [QQ.of(2)]
+    with pytest.raises(SubspaceNotContained):
+        proj([QQ.of(1), QQ.of(0), QQ.of(0)])
+    # the quotient by everything still rejects vectors outside big
+    _, proj = quotient_basis(big, big)
+    with pytest.raises(SubspaceNotContained):
+        proj([QQ.of(0), QQ.of(1), QQ.of(1)])
+
+
+def test_coordinates_of_non_member_is_none():
+    s = SubspaceBasis(3, [[1, 2, 0], [0, 0, 1]], QQ)
+    assert s.coordinates([QQ.of(2), QQ.of(4), QQ.of(-1)]) == [QQ.of(2), QQ.of(-1)]
+    assert s.coordinates([QQ.of(1), QQ.of(1), QQ.of(0)]) is None
+    assert not s.contains([QQ.of(0), QQ.of(1), QQ.of(0)])
+    assert SubspaceBasis(3, [], QQ).coordinates([QQ.of(0), QQ.of(0), QQ.of(1)]) is None
+
+
 def test_image_basis_column_space():
     m = Matrix.from_int_rows([[1, 2], [0, 0], [1, 2]])
     im = image_basis(m)

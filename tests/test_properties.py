@@ -2,9 +2,23 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bracealg.linalg import GF, QQ, Matrix, compose, kernel_basis, rank, rref, solve
+from bracealg.linalg import (
+    GF,
+    QQ,
+    Matrix,
+    SubspaceBasis,
+    SubspaceNotContained,
+    compose,
+    kernel_basis,
+    quotient_basis,
+    rank,
+    rref,
+    solve,
+    solve_matrix,
+)
 from bracealg.algebra import build_truncated_polynomial
 from bracealg import hochschild as H
 
@@ -56,11 +70,14 @@ def test_solve_is_exact_or_certifiably_inconsistent(m, b):
 
 @st.composite
 def products(draw):
-    """(field, a, b, v, c, m, factors) with a r x k, b k x c, v of length k,
-    c r x k, factors a list of up to three small blocks (some identities)
-    and m with one column per tuple of factor rows, as rows of field
-    elements.  Entries are mostly zero and small, so sums of products often
-    cancel (1 - 1 over QQ, 3 + 4 over GF(7))."""
+    """(field, a, b, v, c, m, factors, e) with a r x k, b k x c, v of length
+    k, c r x k, factors a list of up to three small blocks (some identities),
+    m with one column per tuple of factor rows, and e an elimination input,
+    as rows of field elements.  Entries are mostly zero and small, so sums
+    of products often cancel (1 - 1 over QQ, 3 + 4 over GF(7)).  e is a
+    block followed by sums of its rows (so it is rank-deficient), shuffled,
+    so its pivot rows arrive out of order; zero rows and columns are
+    common."""
     field = draw(st.sampled_from([QQ, GF(7)]))
     r, k, c = (draw(st.integers(1, 5)) for _ in range(3))
     entry = st.sampled_from([(0, 1)] * 4 + [(1, 1), (-1, 1), (3, 1), (4, 1), (1, 2), (-1, 2)])
@@ -79,7 +96,11 @@ def products(draw):
     for f in factors:
         width *= len(f)
     m = block(draw(st.integers(1, 3)), width)
-    return field, block(r, k), block(k, c), block(1, k)[0], block(r, k), m, factors
+    e = block(draw(st.integers(1, 4)), draw(st.integers(1, 5)))
+    pick = st.integers(0, len(e) - 1)
+    e += [[x + y for x, y in zip(e[i], e[j])] for i, j in draw(st.lists(st.tuples(pick, pick), max_size=2))]
+    e = draw(st.permutations(e))
+    return field, block(r, k), block(k, c), block(1, k)[0], block(r, k), m, factors, e
 
 
 def _dense_mul(a, b, z):
@@ -94,12 +115,79 @@ def _nonzeros(rows):
     return [[(j, x) for j, x in enumerate(row) if x] for row in rows]
 
 
+def _dense_rref(rows, field, cols):
+    """Dense Gauss-Jordan elimination over whole rows, the reference for
+    the row-sparse kernel: (rows, pivots)."""
+    z = field.zero
+    rows = [list(r) for r in rows]
+    nr = len(rows)
+    pivots = []
+    pr = 0
+    for pc in range(cols):
+        piv = None
+        for i in range(pr, nr):
+            if rows[i][pc] != z:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[pr], rows[piv] = rows[piv], rows[pr]
+        inv = field.inv(rows[pr][pc])
+        if inv != field.one:
+            rows[pr] = [x * inv for x in rows[pr]]
+        rp = rows[pr]
+        for i in range(nr):
+            if i == pr:
+                continue
+            f = rows[i][pc]
+            if f:
+                ri = rows[i]
+                rows[i] = [a - f * b for a, b in zip(ri, rp)]
+        pivots.append(pc)
+        pr += 1
+        if pr == nr:
+            break
+    return rows, pivots
+
+
+def _dense_basis(vectors, field, cols):
+    """The nonzero rows of the dense RREF of vectors."""
+    red, piv = _dense_rref(vectors, field, cols)
+    return red[: len(piv)]
+
+
+def _dense_solve(m, bcols, field):
+    """Solutions of m X = B (columns bcols) with zero free coordinates, as
+    one list per column, or None when some column is inconsistent."""
+    n = len(m[0])
+    aug, piv = _dense_rref([row + [b[i] for b in bcols] for i, row in enumerate(m)], field, n + len(bcols))
+    if piv and piv[-1] >= n:
+        return None
+    out = [[field.zero] * n for _ in bcols]
+    for i, pc in enumerate(piv):
+        for t in range(len(bcols)):
+            out[t][pc] = aug[i][n + t]
+    return out
+
+
+def _dense_coords(basis, w, field):
+    """Coordinates of w in the independent rows of basis, or None."""
+    if not basis:
+        return None if any(w) else []
+    ref = _dense_solve([list(r) for r in zip(*basis)], [w], field)
+    return ref[0] if ref else None
+
+
 @settings(max_examples=80, deadline=None)
 @given(products())
 @example((QQ, [[QQ.one, QQ.one]], [[QQ.one], [-QQ.one]], [QQ.one, -QQ.one],
-          [[-QQ.one, QQ.one]], [[QQ.one, QQ.one]], [[[QQ.one], [-QQ.one]]]))
+          [[-QQ.one, QQ.one]], [[QQ.one, QQ.one]], [[[QQ.one], [-QQ.one]]],
+          [[QQ.one, -QQ.one]]))
+# zero rows, a zero column, a dependent row, and pivot rows out of order
+@example((GF(7), [[GF(7).one]], [[GF(7).one]], [GF(7).one], [[GF(7).one]], [[GF(7).one]], [],
+          [[GF(7).of(x) for x in r] for r in [[0, 0, 0, 3], [0, 0, 0, 0], [0, 2, 0, 1], [0, 2, 0, 4], [0, 0, 0, 0]]]))
 def test_matrix_kernel_matches_dense_reference(case):
-    field, a, b, v, c, m, factors = case
+    field, a, b, v, c, m, factors, e = case
     z = field.zero
     want = _dense_mul(a, b, z)
     prod = Matrix(a, field) * Matrix(b, field)
@@ -130,6 +218,47 @@ def test_matrix_kernel_matches_dense_reference(case):
         assert got.is_zero() == (not any(x for row in dense for x in row))
     assert (A - A).is_zero() and (A + -A).is_zero() and A.scale(z).is_zero()
     assert A.is_zero() == (not any(x for row in a for x in row))
+    # elimination against the dense Gauss-Jordan reference
+    E, n = Matrix(e, field), len(e[0])
+    red, piv = rref(E)
+    want, want_piv = _dense_rref(e, field, n)
+    assert (red.entries, piv) == (want, want_piv) and red.nonzeros() == _nonzeros(want)
+    free = [j for j in range(n) if j not in want_piv]
+    null = [[field.one if t == j else z for t in range(n)] for j in free]
+    for i, pc in enumerate(want_piv):
+        for t, j in enumerate(free):
+            null[t][pc] = -want[i][j]
+    assert kernel_basis(E).vectors() == _dense_basis(null, field, n)
+    units = [[field.one if t == j else z for t in range(n)] for j in range(n)]
+    rhs = [E.apply(v2) for v2 in [list(row) for row in e] + units]  # consistent columns
+    rhs += [[field.one if t == i else z for t in range(len(e))] for i in range(len(e))]
+    for col in rhs:
+        got, ref = solve(E, col), _dense_solve(e, [col], field)
+        assert got == (ref[0] if ref else None)
+    got = solve_matrix(E, Matrix([list(r) for r in zip(*rhs)], field))
+    ref = _dense_solve(e, rhs, field)
+    assert (got is None and ref is None) or got.entries == [list(r) for r in zip(*ref)]
+    # subspace coordinates and the quotient projection, members or not
+    span = SubspaceBasis(n, e, field)
+    basis = _dense_basis(e, field, n)
+    assert span.vectors() == basis
+    probes = basis + [list(row) for row in e] + units
+    for w in probes:
+        assert span.coordinates(w) == _dense_coords(basis, w, field)
+    small = SubspaceBasis(n, e[:1], field)
+    reps, proj = quotient_basis(span, small)
+    base = small.vectors()
+    for w in span.vectors():  # greedy representatives, as the reference picks them
+        if _dense_coords(base, w, field) is None:
+            base.append(w)
+    assert reps == base[small.dim :]
+    for w in probes:
+        ref = _dense_coords(base, w, field)
+        if ref is None:
+            with pytest.raises(SubspaceNotContained):
+                proj(w)
+        else:
+            assert proj(w) == ref[small.dim :]
 
 
 LAM = build_truncated_polynomial(2)
