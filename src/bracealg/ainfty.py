@@ -346,7 +346,7 @@ def make_contraction(dga: DGAlgebra, scheme="default") -> ContractionData:
             raise AlgebraSpecError("component decomposition failed")
         nim = im.dim
         i[deg] = Matrix([[w1_vecs[t][r] for t in range(len(w1_vecs))] for r in range(dim)], f, cols=len(w1_vecs))
-        p[deg] = Matrix([Binv.row(nim + t) for t in range(len(w1_vecs))], f, cols=dim)
+        p[deg] = Binv.select_rows(range(nim, nim + len(w1_vecs)))
     for deg in degs:
         # h on degree deg: inverse of d restricted to W2 of the previous degree
         prev = (deg - 1) % 2 if dga.periodic else deg - 1
@@ -365,7 +365,7 @@ def make_contraction(dga: DGAlgebra, scheme="default") -> ContractionData:
         from .linalg import solve_matrix
 
         Binv = solve_matrix(B, ident)
-        im_coords = Matrix([Binv.row(t) for t in range(im.dim)], f, cols=dim) if im.dim else Matrix.zeros(0, dim, f)
+        im_coords = Binv.select_rows(range(im.dim))
         # express im-basis vectors through d(w2[prev])
         if im.dim:
             T = solve_matrix(A, im.matrix.transpose())
@@ -382,7 +382,7 @@ def make_contraction(dga: DGAlgebra, scheme="default") -> ContractionData:
 
 def _w1_of(i, deg):
     m = i[deg]
-    return [m.column(t) for t in range(m.cols)]
+    return m.transpose().entries
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +408,7 @@ def cohomology_algebra(dga: DGAlgebra, scheme="default"):
         raise NotLaurentForm("zero cohomology")
     f = dga.field
     # induced multiplication on H0 representatives
-    reps = [con.i[0].column(t) for t in range(h0)]
+    reps = con.i[0].transpose().entries
     mult = []
     for a in reps:
         row = []
@@ -504,7 +504,7 @@ def transfer(dga: DGAlgebra, con: ContractionData, N: int) -> MinimalAInfty:
     if con.h_dims.get(1, 0):
         raise NotLaurentForm("odd cohomology nonzero")
     h0 = con.h_dims[0]
-    reps = [con.i[0].column(t) for t in range(h0)]
+    reps = con.i[0].transpose().entries
     mult = [[con.p[0].apply(dga.mul_vectors(0, a, 0, b)) for b in reps] for a in reps]
     unit = con.p[0].apply(dga.unit)
     labels = ["h%d" % t for t in range(h0)]
@@ -731,7 +731,7 @@ def _central_power(lam, w, k):
 def gauge_by_central_unit(m: MinimalAInfty, u) -> MinimalAInfty:
     """Gauge by g_u: x -> x u^i on the degree-2i part (iota -> u^{-1} iota)."""
     lam = m.algebra
-    u = lam.element_from(u) if not isinstance(u[0], type(lam.field.one)) else u
+    u = lam.element_from(u)
     if not lam.is_central(u):
         raise NotCentral("u is not central")
     if not lam.is_unit(u):
@@ -884,9 +884,12 @@ def _weighted_to_vec(c: Cochain, p):
     d = lam.dim
     out = []
     for e in _weight_monomials(p):
-        mat = c.component_matrix(p, e)
-        for col in range(d**p):
-            out.extend(mat.entries[r][col] for r in range(d))
+        # the block of e lists the matrix column by column
+        block = [lam.field.zero] * (d * d**p)
+        for r, row in enumerate(c.component_matrix(p, e).nonzeros()):
+            for col, x in row:
+                block[col * d + r] = x
+        out.extend(block)
     # ensure no higher weights are silently dropped
     for e, mat in c.comps.get(p, {}).items():
         if sum(e) > 1 and not mat.is_zero():
@@ -901,13 +904,7 @@ def _vec_to_weighted(lam, p, j, vec):
     comp = {}
     for t, e in enumerate(_weight_monomials(p)):
         block = vec[t * stride : (t + 1) * stride]
-        m = Matrix.zeros(d, d**p, lam.field).entries
-        idx = 0
-        for col in range(d**p):
-            for r in range(d):
-                m[r][col] = block[idx]
-                idx += 1
-        mm = Matrix(m, lam.field, _copy=False, cols=d**p)
+        mm = Matrix([block[r::d] for r in range(d)], lam.field, cols=d**p)
         if not mm.is_zero():
             comp[e] = mm
     if comp:
@@ -926,7 +923,7 @@ def _weighted_differential_matrix(lam, p):
         c = _vec_to_weighted(lam, p, 0, vec)
         cols.append(_weighted_to_vec(differential(c), p + 1))
     tgt = len(_weight_monomials(p + 1)) * lam.dim * lam.dim ** (p + 1)
-    return Matrix([[cols[c2][r] for c2 in range(src)] for r in range(tgt)], lam.field, cols=src)
+    return Matrix(cols, lam.field, cols=tgt).transpose()
 
 
 def weighted_solve_coboundary(lam, target: Cochain, p, j):
@@ -1117,7 +1114,8 @@ def _search_compensating_unit(lam, target: HHClass, current: HHClass):
     field = lam.field
     centre = lam.center_basis()
     cols = []
-    for z in centre.vectors():
+    zs = centre.vectors()
+    for z in zs:
         zc = Cochain.from_matrix(lam, 0, Matrix([[x] for x in z], field), 0)
         prod = cup(zc, current.representative)
         cls = class_of(lam, Cochain.from_matrix(lam, 4, prod.component_matrix(4), 1), 4, 1)
@@ -1127,7 +1125,7 @@ def _search_compensating_unit(lam, target: HHClass, current: HHClass):
     if sol is None:
         return None
     u = [field.zero] * lam.dim
-    for c, z in zip(sol, centre.vectors()):
+    for c, z in zip(sol, zs):
         if c:
             u = [a + c * b for a, b in zip(u, z)]
     if not lam.is_unit(u):
@@ -1135,7 +1133,7 @@ def _search_compensating_unit(lam, target: HHClass, current: HHClass):
         ker = kernel_basis(A)
         for kv in ker.vectors():
             cand = list(u)
-            for c, z in zip(kv, centre.vectors()):
+            for c, z in zip(kv, zs):
                 if c:
                     cand = [a + c * b for a, b in zip(cand, z)]
             if lam.is_unit(cand):

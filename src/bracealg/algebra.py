@@ -23,7 +23,6 @@ from .linalg import (
     rank,
     _Echelon,
     _echelon_of,
-    _sparse,
     _subtract,
     solve,
     solve_matrix,
@@ -142,30 +141,21 @@ class FiniteAlgebra:
 
     def center_basis(self):
         """Basis of the centre, as a SubspaceBasis of k^dim."""
-        rows = []
+        rows = Matrix.zeros(0, self.dim, self.field)
         for j in range(self.dim):
-            lj = self.left_mult_matrix(j)
-            rj = self.right_mult_matrix(j)
-            diff = lj - rj
-            rows.extend(diff.entries)
-        if not rows:
-            return SubspaceBasis(self.dim, [self.basis_vector(i) for i in range(self.dim)], self.field)
-        return kernel_basis(Matrix(rows, self.field))
+            rows = rows.stack(self.left_mult_matrix(j) - self.right_mult_matrix(j))
+        return kernel_basis(rows)
 
     def radical_basis(self):
         """Jacobson radical via the trace form (characteristic zero)."""
         if self._rad is not None:
             return self._rad
-        gram = Matrix.zeros(self.dim, self.dim, self.field)
-        ent = gram.entries
+
+        def trace(m):
+            return sum((x for k, row in enumerate(m.nonzeros()) for j, x in row if j == k), self.field.zero)
+
         lmats = [self.left_mult_matrix(i) for i in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                prod = lmats[i] * lmats[j]
-                ent[i][j] = sum(
-                    (prod.entries[k][k] for k in range(self.dim)), self.field.zero
-                )
-        self._rad = kernel_basis(Matrix(ent, self.field, _copy=False))
+        self._rad = kernel_basis(Matrix([[trace(a * b) for b in lmats] for a in lmats], self.field))
         return self._rad
 
     def socle_generator(self):
@@ -177,10 +167,10 @@ class FiniteAlgebra:
         radb = self.radical_basis()
         if radb.dim == 0:
             return None
-        rows = []
+        rows = Matrix.zeros(0, self.dim, self.field)
         for v in radb.vectors():
-            rows.extend(self.left_mult_of(v).entries)
-        soc = kernel_basis(Matrix(rows, self.field))
+            rows = rows.stack(self.left_mult_of(v))
+        soc = kernel_basis(rows)
         if soc.dim != 1:
             return None
         return soc.vectors()[0]
@@ -261,7 +251,7 @@ def _parse_matrix(field, rows, cols, where):
         if not isinstance(row, list) or len(row) != cols:
             raise AlgebraSpecError("%s: row %d must be a list of %d scalars" % (where, r, cols))
         out.append([_parse_scalar(field, x, "%s[%d][%d]" % (where, r, c)) for c, x in enumerate(row)])
-    return Matrix(out, field, _copy=False, cols=cols)
+    return Matrix(out, field, cols=cols)
 
 
 def _get(obj, key, where):
@@ -423,19 +413,6 @@ class Bimodule:
         """Matrix of the enveloping-algebra basis element e_i (x) e_j."""
         return self.left[i] * self.right[j]
 
-    def apply_env_element(self, env_vec, vec):
-        """Apply an element of the enveloping algebra given by coordinates."""
-        d = self.algebra.dim
-        field = self.algebra.field
-        acc = [field.zero] * self.dim
-        for idx, c in enumerate(env_vec):
-            if c:
-                i, j = divmod(idx, d)
-                w = self.right[j].apply(vec)
-                w = self.left[i].apply(w)
-                acc = [s + c * t for s, t in zip(acc, w)]
-        return acc
-
     def __repr__(self):
         return "Bimodule(dim=%d over %r)" % (self.dim, self.algebra)
 
@@ -461,15 +438,6 @@ def diagonal_bimodule(lam: FiniteAlgebra) -> Bimodule:
     return Bimodule(lam, mats_l, mats_r)
 
 
-def free_rank_one_bimodule(lam: FiniteAlgebra) -> Bimodule:
-    """Lambda (x) Lambda with outer actions; basis (i,j) at i*dim+j."""
-    ident = Matrix.identity(lam.dim, lam.field)
-    outer = Matrix.identity(lam.dim**2, lam.field)
-    left = [compose(outer, [lam.left_mult_matrix(b), ident]) for b in range(lam.dim)]
-    right = [compose(outer, [ident, lam.right_mult_matrix(b)]) for b in range(lam.dim)]
-    return Bimodule(lam, left, right)
-
-
 class BimoduleMap:
     """A map of bimodules given by its matrix; checked to be equivariant."""
 
@@ -493,14 +461,15 @@ class BimoduleMap:
 
 
 # ---------------------------------------------------------------------------
-# The bar resolution (lazy free modules, sparse differentials)
+# The bar resolution, built from compose
 
 
 class BarModule:
     """B_p = Lambda^(x)(p+2), free over the enveloping algebra.
 
-    Basis indices encode tuples (j_0, ..., j_{p+1}) base dim(Lambda).
-    Actions are applied sparsely; dense matrices are never materialised.
+    Basis indices encode tuples (j_0, ..., j_{p+1}) base dim(Lambda), the
+    first position most significant.  The outer actions are built on first
+    use: a syzygy needs them on one module of a resolution only.
     """
 
     def __init__(self, algebra: FiniteAlgebra, p: int):
@@ -508,196 +477,121 @@ class BarModule:
         self.p = p
         self.dim = algebra.dim ** (p + 2)
 
-    def decode(self, idx):
-        d = self.algebra.dim
-        out = []
-        for _ in range(self.p + 2):
-            out.append(idx % d)
-            idx //= d
-        out.reverse()
-        return tuple(out)
+    @functools.cached_property
+    def left(self):
+        return _outer_actions(self.algebra, self.p, "left")
 
-    def encode(self, tup):
-        d = self.algebra.dim
-        idx = 0
-        for t in tup:
-            idx = idx * d + t
-        return idx
-
-    def apply_left_sparse(self, i, sparse):
-        """Left action of basis e_i on {index: coeff}."""
-        a = self.algebra
-        d = a.dim
-        stride = d ** (self.p + 1)
-        out = {}
-        for idx, c in sparse.items():
-            j0 = idx // stride
-            rest = idx % stride
-            for r, coeff in enumerate(a.mult[i][j0]):
-                if coeff:
-                    key = r * stride + rest
-                    out[key] = out.get(key, a.field.zero) + c * coeff
-        return {k: v for k, v in out.items() if v}
-
-    def apply_right_sparse(self, i, sparse):
-        a = self.algebra
-        d = a.dim
-        out = {}
-        for idx, c in sparse.items():
-            jlast = idx % d
-            rest = idx - jlast
-            for s, coeff in enumerate(a.mult[jlast][i]):
-                if coeff:
-                    key = rest + s
-                    out[key] = out.get(key, a.field.zero) + c * coeff
-        return {k: v for k, v in out.items() if v}
+    @functools.cached_property
+    def right(self):
+        return _outer_actions(self.algebra, self.p, "right")
 
     def __repr__(self):
         return "BarModule(p=%d, dim=%d)" % (self.p, self.dim)
 
 
+def _outer_actions(lam: FiniteAlgebra, p, side):
+    """The action of each basis element on Lambda^(x)(p+2): L_b in the first
+    slot (side "left") or R_b in the last (side "right")."""
+    inner = [Matrix.identity(lam.dim, lam.field)] * (p + 1)
+    outer = Matrix.identity(lam.dim ** (p + 2), lam.field)
+    if side == "left":
+        return [compose(outer, [lam.left_mult_matrix(b)] + inner) for b in range(lam.dim)]
+    return [compose(outer, inner + [lam.right_mult_matrix(b)]) for b in range(lam.dim)]
+
+
+def free_rank_one_bimodule(lam: FiniteAlgebra) -> Bimodule:
+    """Lambda (x) Lambda with outer actions; basis (i,j) at i*dim+j."""
+    free = BarModule(lam, 0)
+    return Bimodule(lam, free.left, free.right)
+
+
 class Resolution:
     """A (partial) projective bimodule resolution of Lambda.
 
-    differentials[k] maps modules[k] -> modules[k-1] (k >= 1) and
-    augmentation maps modules[0] -> Lambda; the differentials are stored
-    as sparse columns.  d o d = 0 is always verified; exactness is
-    certified either by an explicit contracting homotopy (bar case) or by
-    rank computations (recorded in exactness_verified_up_to).
+    differentials[k] is the Matrix of d_k : modules[k] -> modules[k-1] for
+    k >= 1, and differentials[0] is the augmentation modules[0] -> Lambda.
+    d o d = 0 is always verified; exactness is certified either by an
+    explicit contracting homotopy (bar case) or by rank computations
+    (recorded in exactness_verified_up_to).
     """
 
-    def __init__(self, algebra, modules, differentials, augmentation, exactness_verified_up_to=-1):
+    def __init__(self, algebra, modules, differentials, exactness_verified_up_to=-1):
         self.algebra = algebra
         self.modules = modules
-        self.differentials = differentials  # list; entry k: list of columns (dict) for d_k, k>=1
-        self.augmentation = augmentation  # list of columns (vectors in Lambda)
+        self.differentials = differentials
         self.exactness_verified_up_to = exactness_verified_up_to
         self.length = len(modules) - 1
 
+    @property
+    def augmentation(self) -> Matrix:
+        return self.differentials[0]
+
     def differential_matrix(self, k) -> Matrix:
-        """Dense matrix of d_k : modules[k] -> modules[k-1]."""
-        field = self.algebra.field
-        cols = self.differentials[k]
-        tgt_dim = self.modules[k - 1].dim
-        m = Matrix.zeros(tgt_dim, len(cols), field).entries
-        for j, col in enumerate(cols):
-            for r, c in col.items():
-                m[r][j] = c
-        return Matrix(m, field, _copy=False)
-
-    def apply_differential(self, k, sparse):
-        field = self.algebra.field
-        out = {}
-        for idx, c in sparse.items():
-            for r, v in self.differentials[k][idx].items():
-                out[r] = out.get(r, field.zero) + c * v
-        return {k2: v for k2, v in out.items() if v}
+        """The matrix of d_k : modules[k] -> modules[k-1]."""
+        return self.differentials[k]
 
 
-def bar_resolution(lam: FiniteAlgebra, length: int, verify_homotopy=True) -> Resolution:
+def _check_complex(res: Resolution, what):
+    """d_{k-1} o d_k = 0 for k >= 1, each as one matrix product."""
+    for k in range(1, res.length + 1):
+        if not (res.differentials[k - 1] * res.differentials[k]).is_zero():
+            raise AlgebraSpecError("%s: d_%d o d_%d != 0" % (what, k - 1, k))
+
+
+def bar_resolution(lam: FiniteAlgebra, length: int) -> Resolution:
     """The bar resolution B_p = Lambda^(x)(p+2) up to B_length.
 
-    Exactness at every position is certified by the standard contracting
-    homotopy s(a_0 (x) ... ) = 1 (x) a_0 (x) ..., which is verified on
-    every basis element (d s + s d = id).
+    With mu the product and I the identity of Lambda, face i of d_p
+    multiplies slots i and i+1: d_p = sum_i (-1)^i I^(x)i (x) mu (x) I^(x)(p-i),
+    and the augmentation is mu.  Exactness at every position is certified
+    by the standard contracting homotopy s(a_0 (x) ...) = 1 (x) a_0 (x) ...,
+    as one exact matrix identity d s + s d = id per degree.
     """
     if length < 1:
         raise AlgebraSpecError("length must be >= 1")
-    d = lam.dim
     field = lam.field
+    mu = lam.mult_matrix()
+    ident = Matrix.identity(lam.dim, field)
     modules = [BarModule(lam, p) for p in range(length + 1)]
-    # differentials d_p: B_p -> B_{p-1}
-    diffs = [None]
+    diffs = [mu]
     for p in range(1, length + 1):
-        src = modules[p]
-        tgt = modules[p - 1]
-        cols = []
-        for idx in range(src.dim):
-            tup = src.decode(idx)
-            col = {}
-            for i in range(p + 1):
-                sign = field.one if i % 2 == 0 else -field.one
-                prod = lam.mult[tup[i]][tup[i + 1]]
-                for r, c in enumerate(prod):
-                    if c:
-                        merged = tup[:i] + (r,) + tup[i + 2 :]
-                        key = tgt.encode(merged)
-                        col[key] = col.get(key, field.zero) + sign * c
-            cols.append({k: v for k, v in col.items() if v})
-        diffs.append(cols)
-    # augmentation B_0 = Lambda (x) Lambda -> Lambda
-    aug = []
-    b0 = modules[0]
-    for idx in range(b0.dim):
-        i, j = b0.decode(idx)
-        aug.append(list(lam.mult[i][j]))
-    # d o d = 0 and the homotopy certificate
-    res = Resolution(lam, modules, diffs, aug, exactness_verified_up_to=-1)
-    for p in range(2, length + 1):
-        for idx in range(modules[p].dim):
-            dd = res.apply_differential(p - 1, res.differentials[p][idx])
-            if dd:
-                raise AlgebraSpecError("bar differential does not square to zero at p=%d" % p)
-    for idx in range(modules[1].dim):
-        col = res.differentials[1][idx]
-        acc = [field.zero] * d
-        for r, c in col.items():
-            acc = [a + c * b for a, b in zip(acc, aug[r])]
-        if any(acc):
-            raise AlgebraSpecError("augmentation does not kill d_1")
-    if verify_homotopy:
-        _verify_bar_homotopy(res)
-        res.exactness_verified_up_to = length - 1
+        outer = Matrix.identity(modules[p - 1].dim, field)
+        dp = Matrix.zeros(outer.rows, modules[p].dim, field)
+        for i in range(p + 1):
+            face = compose(outer, [ident] * i + [mu] + [ident] * (p - i))
+            dp = dp + face if i % 2 == 0 else dp - face
+        diffs.append(dp)
+    res = Resolution(lam, modules, diffs)
+    _check_complex(res, "bar resolution")
+    _verify_bar_homotopy(res)
+    res.exactness_verified_up_to = length - 1
     return res
 
 
 def _verify_bar_homotopy(res: Resolution):
-    """Check d s + s d = id on every basis element, s = insert 1 in front.
+    """Check d_{p+1} s_p + s_{p-1} d_p = id on B_p for p < length, where
+    s_p: B_p -> B_{p+1} puts the unit in front, s_{-1}: Lambda -> B_0 and
+    d_0 is the augmentation.
 
     This certifies exactness of the augmented complex at positions
     0..length-1 without any elimination.
     """
     lam = res.algebra
     field = lam.field
-    unit = lam.unit
+    unit = Matrix.column_vector(lam.unit, field)
+    ident = Matrix.identity(lam.dim, field)
 
-    def s_of(p, sparse):
-        # s: B_p -> B_{p+1}, a0(x)... -> 1(x)a0(x)...; extended to Lambda->B_0 for p=-1
-        src = res.modules[p] if p >= 0 else None
-        tgt = res.modules[p + 1]
-        out = {}
-        for idx, c in sparse.items():
-            if p >= 0:
-                tup = src.decode(idx)
-            else:
-                tup = (idx,)
-            for u, cu in enumerate(unit):
-                if cu:
-                    key = tgt.encode((u,) + tup)
-                    out[key] = out.get(key, field.zero) + c * cu
-        return out
+    def s(p):
+        return compose(Matrix.identity(lam.dim ** (p + 3), field), [unit] + [ident] * (p + 2))
 
-    for p in range(0, res.length):
-        mod = res.modules[p]
-        for idx in range(mod.dim):
-            v = {idx: field.one}
-            if p >= 1:
-                dv = res.apply_differential(p, v)
-            else:
-                col = res.augmentation[idx]
-                dv = {r: c for r, c in enumerate(col) if c}
-            sdv = s_of(p - 1, dv)
-            sv = s_of(p, v)
-            if p + 1 <= res.length:
-                dsv = res.apply_differential(p + 1, sv)
-            else:
-                dsv = {}
-            total = dict(dsv)
-            for k, c in sdv.items():
-                total[k] = total.get(k, field.zero) + c
-            total = {k: c for k, c in total.items() if c}
-            if total != {idx: field.one}:
-                raise AlgebraSpecError("bar homotopy identity fails at p=%d idx=%d" % (p, idx))
+    prev = s(-1)
+    for p in range(res.length):
+        s_p = s(p)
+        total = res.differentials[p + 1] * s_p + prev * res.differentials[p]
+        bad = _first_difference(total, Matrix.identity(res.modules[p].dim, field))
+        if bad is not None:
+            raise AlgebraSpecError("bar homotopy identity fails at p=%d idx=%d" % (p, bad))
+        prev = s_p
 
 
 def periodic_bimodule_resolution(lam: FiniteAlgebra, length: int) -> Resolution:
@@ -727,41 +621,24 @@ def periodic_bimodule_resolution(lam: FiniteAlgebra, length: int) -> Resolution:
 
     pi_elem = {(1, 0): field.one, (0, 1): -field.one} if n > 1 else {}
     tau_elem = {(i, n - 1 - i): field.one for i in range(n)}
-    mats = []
+    diffs = [lam.mult_matrix()] + [middle_mult(pi_elem if k % 2 else tau_elem) for k in range(1, length + 1)]
+    res = Resolution(lam, modules, diffs)
+    _check_complex(res, "periodic resolution")
+    # exactness by ranks
     for k in range(1, length + 1):
-        mats.append(middle_mult(pi_elem if k % 2 == 1 else tau_elem))
-    cols_list = [[dict(col) for col in m.transpose().nonzeros()] for m in mats]
-    aug = []
-    for idx in range(n * n):
-        i, j = divmod(idx, n)
-        aug.append(list(lam.mult[i][j]))
-    res = Resolution(lam, modules, [None] + cols_list, aug)
-    # d o d = 0 and exactness by ranks
-    aug_m = Matrix([[aug[j][r] for j in range(n * n)] for r in range(n)], field)
-    d1 = res.differential_matrix(1)
-    if not (aug_m * d1).is_zero():
-        raise AlgebraSpecError("periodic resolution: aug o d1 != 0")
-    if rank(d1) != n * n - rank(aug_m):
-        raise AlgebraSpecError("periodic resolution not exact at 0")
-    for k in range(2, length + 1):
-        dk = res.differential_matrix(k)
-        dk1 = res.differential_matrix(k - 1)
-        if not (dk1 * dk).is_zero():
-            raise AlgebraSpecError("periodic resolution: d^2 != 0 at %d" % k)
-        if rank(dk) != n * n - rank(dk1):
+        if rank(diffs[k]) != n * n - rank(diffs[k - 1]):
             raise AlgebraSpecError("periodic resolution not exact at %d" % (k - 1))
     res.exactness_verified_up_to = length - 1
     return res
 
 
 class SyzygyBimodule(Bimodule):
-    """ker(d_{k-1}) with its induced actions plus embedding data."""
+    """ker(d_{k-1}) with its induced actions; inclusion is the kernel's
+    RREF row basis in the ambient module."""
 
-    def __init__(self, algebra, left, right, inclusion: SubspaceBasis, position: int, ambient):
+    def __init__(self, algebra, left, right, inclusion: SubspaceBasis):
         super().__init__(algebra, left, right)
         self.inclusion = inclusion
-        self.position = position
-        self.ambient = ambient
 
 
 def syzygy(res: Resolution, k: int) -> Bimodule:
@@ -770,78 +647,23 @@ def syzygy(res: Resolution, k: int) -> Bimodule:
     k = 0 returns the diagonal bimodule itself.
     """
     lam = res.algebra
-    field = lam.field
     if k == 0:
         return diagonal_bimodule(lam)
     if k - 1 > res.length:
         raise AlgebraSpecError("resolution too short for syzygy %d" % k)
-    if k == 1:
-        aug = Matrix(
-            [[res.augmentation[j][r] for j in range(res.modules[0].dim)] for r in range(lam.dim)],
-            field,
-        )
-        ker = kernel_basis(aug)
-        mod = res.modules[0]
-    else:
-        dmat = res.differential_matrix(k - 1)
-        ker = kernel_basis(dmat)
-        mod = res.modules[k - 1]
-    return _restrict_to_kernel(lam, mod, ker, k)
+    return _restrict_to_kernel(lam, res.modules[k - 1], kernel_basis(res.differentials[k - 1]))
 
 
-def _restrict_to_kernel(lam, mod, ker: SubspaceBasis, position) -> SyzygyBimodule:
-    field = lam.field
-    d = lam.dim
-    vecs = ker.vectors()
-    m = ker.dim
-    # coordinates in an RREF row basis are the entries at its pivot columns
-    pivot_pos = {j: t for t, j in enumerate(ker.pivots)}
+def _restrict_to_kernel(lam, mod, ker: SubspaceBasis) -> SyzygyBimodule:
+    """The actions of mod induced on the submodule spanned by ker.
 
-    def coords(vec_sparse):
-        out = [field.zero] * m
-        for idx, c in vec_sparse.items():
-            t = pivot_pos.get(idx)
-            if t is not None:
-                out[t] = c
-        return out
-
-    left, right = [], []
-    if isinstance(mod, BarModule):
-        applyl = mod.apply_left_sparse
-        applyr = mod.apply_right_sparse
-    else:
-        def applyl(i, sp):
-            vec = [field.zero] * mod.dim
-            for idx, c in sp.items():
-                vec[idx] = c
-            w = mod.left[i].apply(vec)
-            return {r: c for r, c in enumerate(w) if c}
-
-        def applyr(i, sp):
-            vec = [field.zero] * mod.dim
-            for idx, c in sp.items():
-                vec[idx] = c
-            w = mod.right[i].apply(vec)
-            return {r: c for r, c in enumerate(w) if c}
-
-    sparse_vecs = [
-        {idx: c for idx, c in enumerate(v) if c} for v in vecs
-    ]
-    for i in range(d):
-        lm = [[field.zero] * m for _ in range(m)]
-        rm = [[field.zero] * m for _ in range(m)]
-        for j, sv in enumerate(sparse_vecs):
-            w = applyl(i, sv)
-            for t, c in zip(range(m), coords(w)):
-                if c:
-                    lm[t][j] = c
-            w = applyr(i, sv)
-            for t, c in zip(range(m), coords(w)):
-                if c:
-                    rm[t][j] = c
-        left.append(Matrix(lm, field, _copy=False))
-        right.append(Matrix(rm, field, _copy=False))
-    return SyzygyBimodule(lam, left, right, ker, position, mod)
+    The coordinates of a member in the RREF row basis are its entries at
+    the pivot columns, so an induced action is the action's rows at the
+    pivots times the basis vectors."""
+    basis = ker.matrix.transpose()
+    left = [a.select_rows(ker.pivots) * basis for a in mod.left]
+    right = [a.select_rows(ker.pivots) * basis for a in mod.right]
+    return SyzygyBimodule(lam, left, right, ker)
 
 
 # ---------------------------------------------------------------------------
@@ -906,31 +728,20 @@ def _strip(m: Bimodule) -> StripResult:
     lamform = _symmetrizing_form_env(lam)
     if lamform is None:
         raise AlgebraSpecError("coefficient algebra is not symmetric")
-    # rank of soc * M and a greedy choice of generators
-    soc_im = [m.apply_env_element(soc, _unit_vec(field, m.dim, j)) for j in range(m.dim)]
+    # soc . M is the column space of S = sum c_ij L_i R_j; its rank counts
+    # the free summands, and its first independent columns pick generators
+    env_mats = _env_actions(m)
+    socle_images = _combo(env_mats, soc, m.dim, field).transpose().nonzeros()
     seen = _Echelon(field)
-    sel = [j for j, w in enumerate(soc_im) if seen.add(_sparse(w)) is not None]
+    sel = [j for j, w in enumerate(socle_images) if seen.add(dict(w)) is not None]
     r = len(sel)
     if r == 0:
         return StripResult(m, 0, Matrix.identity(m.dim, field), Matrix.identity(m.dim, field))
-    # action matrices of all enveloping basis elements
-    env_mats = [m.env_action(i, j) for i in range(lam.dim) for j in range(lam.dim)]
-    # F-basis rows: b_t . m_l
-    frows = []
-    for l in sel:
-        base = _unit_vec(field, m.dim, l)
-        for t in range(d2):
-            frows.append(env_mats[t].apply(base))
-    F = Matrix(frows, field)
+    # F-basis rows: b_t . m_l, at row l*d2 + t
+    env_cols = [bt.transpose().nonzeros() for bt in env_mats]
+    F = Matrix.from_nonzeros([dict(env_cols[t][l]) for l in sel for t in range(d2)], m.dim, field)
     # dual functionals: f_l(b_t . m_l') = delta_{l l'} lamform(b_t)
-    rhs_cols = []
-    for lidx in range(r):
-        col = []
-        for l2 in range(r):
-            for t in range(d2):
-                col.append(lamform[t] if l2 == lidx else field.zero)
-        rhs_cols.append(col)
-    RHS = Matrix([[rhs_cols[l][i] for l in range(r)] for i in range(d2 * r)], field)
+    RHS = Matrix.from_nonzeros([{l: lamform[t]} for l in range(r) for t in range(d2)], r, field)
     funcs = solve_matrix(F, RHS)
     if funcs is None:
         raise AlgebraSpecError("free summand extraction failed (theory violation?)")
@@ -942,13 +753,12 @@ def _strip(m: Bimodule) -> StripResult:
     gram_inv = solve_matrix(gram, Matrix.identity(d2, field))
     if gram_inv is None:
         raise AlgebraSpecError("symmetrizing form of the enveloping algebra is degenerate")
-    # phi_l(v) = gram_inv . (f_l(b_t v))_t; Phi stacks the blocks phi_l
+    # phi_l(v) = gram_inv . (f_l(b_t v))_t; Phi stacks the blocks phi_l, so
+    # Phi = (I_r (x) gram_inv) . G with row l*d2 + t of G the row l of f o B_t
     f_rows = funcs.transpose()
-    fB = [f_rows * bt for bt in env_mats]  # row l of fB[t] is f_l o B_t
-    phi_rows = []
-    for l in range(r):
-        phi_rows.extend((gram_inv * Matrix([fbt.entries[l] for fbt in fB], field)).entries)
-    Phi = Matrix(phi_rows, field)
+    fB = [(f_rows * bt).nonzeros() for bt in env_mats]
+    G = Matrix.from_nonzeros([dict(fbt[l]) for l in range(r) for fbt in fB], m.dim, field)
+    Phi = compose(Matrix.identity(r * d2, field), [Matrix.identity(r, field), gram_inv]) * G
     # Phi is a retraction onto the free part: phi_l(b_t m_l) = b_t and
     # phi_l'(b_t m_l) = 0 for l' != l, i.e. Phi F^T is the identity
     if Phi * F.transpose() != Matrix.identity(r * d2, field):
@@ -959,34 +769,35 @@ def _strip(m: Bimodule) -> StripResult:
     if len(reducer.rows) != d2 * r:
         raise AlgebraSpecError("free part has unexpected rank")
     free_cols = [j for j in range(m.dim) if j not in reducer.rows]
+    core_dim = len(free_cols)
     # core vector for free column c: e_c - sum_k Phi[k][c] F_k
-    core_dim = m.dim - d2 * r
     sections = Phi.transpose().nonzeros()
     fnz = F.nonzeros()
     core_vecs = []
-    for cpos in free_cols:
-        v = {cpos: field.one}
-        for k, c in sections[cpos]:
-            _subtract(v, c, fnz[k])
-        core_vecs.append([v.get(j, field.zero) for j in range(m.dim)])
-    def project(vec):
-        v = reducer.reduce(_sparse(vec))
-        return [v.get(j, field.zero) for j in free_cols]
-
-    include = Matrix([[core_vecs[t][i] for t in range(core_dim)] for i in range(m.dim)], field)
-    ident = Matrix.identity(m.dim, field)
-    proj_matrix = Matrix([project(ident.column(j)) for j in range(m.dim)], field).transpose()
-    left, right = [], []
-    for i in range(lam.dim):
-        lcols = [project(m.left[i].apply(v)) for v in core_vecs]
-        rcols = [project(m.right[i].apply(v)) for v in core_vecs]
-        left.append(Matrix([[lcols[j][t] for j in range(core_dim)] for t in range(core_dim)], field))
-        right.append(Matrix([[rcols[j][t] for j in range(core_dim)] for t in range(core_dim)], field))
+    for c in free_cols:
+        v = {c: field.one}
+        for k, x in sections[c]:
+            _subtract(v, x, fnz[k])
+        core_vecs.append(v)
+    include = Matrix.from_nonzeros(core_vecs, m.dim, field).transpose()
+    # column j of the projection: e_j reduced by F, which leaves it at the
+    # free columns only
+    free_pos = {c: t for t, c in enumerate(free_cols)}
+    proj_rows = [{free_pos[c]: x for c, x in reducer.reduce({j: field.one}).items()} for j in range(m.dim)]
+    proj_matrix = Matrix.from_nonzeros(proj_rows, core_dim, field).transpose()
+    left = [proj_matrix * (a * include) for a in m.left]
+    right = [proj_matrix * (a * include) for a in m.right]
     core = Bimodule(lam, left, right)
     # the core must carry no further free summand
-    if any(any(core.apply_env_element(soc, _unit_vec(field, core_dim, j))) for j in range(core_dim)):
+    if not _combo(_env_actions(core), soc, core_dim, field).is_zero():
         raise AlgebraSpecError("stripping did not reach a projective-free core")
     return StripResult(core, r, include, proj_matrix)
+
+
+def _env_actions(m: Bimodule):
+    """The action matrices of the enveloping basis, e_i (x) e_j at i*dim+j."""
+    d = m.algebra.dim
+    return [m.env_action(i, j) for i in range(d) for j in range(d)]
 
 
 def _unit_vec(field, n, i):
@@ -1128,72 +939,37 @@ def comparison_map_to_periodic(res_bar: Resolution, k: int) -> BimoduleMap:
     lam = res_bar.algebra
     field = lam.field
     n = lam.dim
-    per = periodic_bimodule_resolution(lam, k + 1)
-    # lift id_Lambda: alpha_p on bar generators (1, j_1..j_p, 1)
-    # alpha_0: Lambda(x)Lambda -> Lambda(x)Lambda identity
-    d = lam.dim
+    per = periodic_bimodule_resolution(lam, k)
+    mu = lam.mult_matrix()
+    ident = Matrix.identity(n, field)
+    unit = Matrix.column_vector(lam.unit, field)
+    # a_0 (x) (x (x) y) (x) a_1 -> a_0 x (x) y a_1 in Lambda (x) Lambda
+    outer = compose(Matrix.identity(n * n, field), [mu, mu])
 
-    def gen_tuples(p):
-        if p == 0:
-            return [()]
-        out = [()]
-        for _ in range(p):
-            out = [t + (i,) for t in out for i in range(d)]
-        return out
-
-    unit_idx = None
-    for i, c in enumerate(lam.unit):
-        if c:
-            unit_idx = i
-
-    free = per.modules[0]
-
-    def add_outer(acc, a0, base, a1, c):
-        # acc += c * a0 . base . a1 in the free bimodule Lambda (x) Lambda
-        w = free.left[a0].apply(free.right[a1].apply(base))
-        acc[:] = [x + c * y for x, y in zip(acc, w)]
-
-    def solve_columns(m, cols, failure):
-        sol = solve_matrix(m, Matrix([[col[i] for col in cols] for i in range(m.rows)], field))
+    def solve_for(m, rhs, failure):
+        sol = solve_matrix(m, rhs)
         if sol is None:
             raise AlgebraSpecError(failure)
         return sol
 
-    # alpha_p on the generators: one solve per degree against the periodic
-    # differential, one right-hand column per generator
-    alpha = [{(): _unit_vec(field, n * n, unit_idx * n + unit_idx)}]
-    for p in range(1, k + 1):
-        prev = alpha[p - 1]
-        bar_p = res_bar.modules[p]
-        bar_pm1 = res_bar.modules[p - 1]
-        tuples = gen_tuples(p)
-        rhs_cols = []
-        for tup in tuples:
-            # value of alpha_{p-1}(d_p(generator))
-            gidx = bar_p.encode((unit_idx,) + tup + (unit_idx,))
-            rhs = [field.zero] * (n * n)
-            for idx, c in res_bar.differentials[p][gidx].items():
-                full = bar_pm1.decode(idx)
-                add_outer(rhs, full[0], prev[full[1:-1]], full[-1], c)
-            rhs_cols.append(rhs)
-        sol = solve_columns(per.differential_matrix(p), rhs_cols, "comparison lift failed at degree %d" % p)
-        alpha.append({tup: sol.column(t) for t, tup in enumerate(tuples)})
-    # restrict alpha_{k-1} (module map B_{k-1} -> P_{k-1}) to the syzygy
+    def generators(p):
+        # Lambda^(x)p -> B_p, j_1 .. j_p -> 1 (x) j_1 .. j_p (x) 1
+        return compose(Matrix.identity(n ** (p + 2), field), [unit] + [ident] * p + [unit])
+
+    # the lift alpha_p: B_p -> P_p of id_Lambda is the bimodule map
+    # A_p = outer . (I (x) G_p (x) I) with values G_p on the generators; G_0
+    # is 1 (x) 1, and G_p solves d^per_p G_p = A_{p-1} d_p (generators)
+    lift = compose(outer, [ident, generators(0), ident])
+    for p in range(1, k):
+        rhs = lift * (res_bar.differential_matrix(p) * generators(p))
+        gens = solve_for(per.differential_matrix(p), rhs, "comparison lift failed at degree %d" % p)
+        lift = compose(outer, [ident, gens, ident])
+    # restrict alpha_{k-1} to the syzygy; the image lies in ker(d^per_{k-1}),
+    # expressed through the embedding Lambda ~ ker, lambda -> d^per_k(lambda (x) 1)
     syz = syzygy(res_bar, k)
-    bar_mod = res_bar.modules[k - 1]
-    cols = []
-    for v in syz.inclusion.vectors():
-        img = [field.zero] * (n * n)
-        for idx, c in enumerate(v):
-            if c:
-                full = bar_mod.decode(idx)
-                add_outer(img, full[0], alpha[k - 1][full[1:-1]], full[-1], c)
-        cols.append(img)
-    # the image lies in ker(d^per_{k-1}); express it through the embedding
-    # Lambda ~ ker, lambda -> d^per_k(lambda (x) 1)
-    unit = Matrix.column_vector(lam.unit, field)
-    emb = compose(per.differential_matrix(k), [Matrix.identity(n, field), unit])
-    mat = solve_columns(emb, cols, "syzygy comparison does not land in the periodic syzygy")
+    cols = lift * syz.inclusion.matrix.transpose()
+    emb = compose(per.differential_matrix(k), [ident, unit])
+    mat = solve_for(emb, cols, "syzygy comparison does not land in the periodic syzygy")
     return BimoduleMap(syz, diagonal_bimodule(lam), mat)
 
 
@@ -1208,10 +984,6 @@ class LaurentAlgebra:
 
     def __init__(self, base: FiniteAlgebra):
         self.base = base
-
-    @property
-    def dim_per_degree(self):
-        return self.base.dim
 
     def element(self, coeffs, power=0):
         return (self.base.element_from(coeffs), power)

@@ -193,7 +193,7 @@ class Cochain:
         p = len(inputs)
         d = self.algebra.dim
         field = self.algebra.field
-        out = [field.zero] * d
+        out = Matrix.zeros(d, 1, field)
         comp = self.comps.get(p)
         if p > self.cap:
             raise CapTooLow("evaluation at arity %d beyond cap" % p)
@@ -204,13 +204,10 @@ class Cochain:
                 for exp, (_, j) in zip(e, inputs):
                     if exp:
                         wcoeff *= j**exp
-                if wcoeff == 0:
-                    continue
-                c = field.of(wcoeff)
-                val = compose(mat, factors).column(0)
-                out = [a + c * b for a, b in zip(out, val)]
+                if wcoeff:
+                    out = out + compose(mat, factors).scale(field.of(wcoeff))
         jout = self.iota + sum(j for _, j in inputs)
-        return out, jout
+        return out.column(0), jout
 
     def __repr__(self):
         ar = {p: len(c) for p, c in self.comps.items()}
@@ -550,13 +547,7 @@ def normalized_differential_matrix(lam, p):
         if not _is_normalized_component(dc, p + 1):
             raise AlgebraSpecError("differential left the normalized subcomplex")
         cols.append(cochain_to_vec(dc, p + 1))
-    tgt = normalized_space_dim(lam, p + 1)
-    return Matrix(
-        [[cols[j][i] for j in range(src)] for i in range(tgt)],
-        lam.field,
-        _copy=False,
-        cols=src,
-    )
+    return Matrix(cols, lam.field, cols=normalized_space_dim(lam, p + 1)).transpose()
 
 
 def _is_normalized_component(c: Cochain, p):

@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals (or a prime field).
 
-A matrix is stored dense, and keeps the list of its nonzeros per row
-beside the dense entries, built on first use like its rref.  Products,
-sums, differences, scaling, zero tests, matrix-vector products and
-equality run over those nonzeros, so the common sparse 0/±1 inputs are
-cheap without a separate sparse type.
+A matrix is stored sparse: per row, the (column, value) pairs of its
+nonzero entries, plus its shape and field.  Dense rows are converted once
+where they enter, and the dense view (entries) is built on demand and
+never kept.  Products, sums, differences, scaling, transposes, zero
+tests, matrix-vector products and equality run over the nonzeros, so the
+common sparse 0/±1 inputs stay cheap at sizes no dense grid could hold.
 
 Elimination is one row-sparse Gauss-Jordan kernel (_Echelon) over
 {column: value} rows: rref, kernel bases, solves, subspace coordinates and
@@ -24,6 +25,7 @@ bit-exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 try:  # gmpy2's mpq is a drop-in, much faster rational
@@ -147,83 +149,91 @@ def GF(p):
 
 
 class Matrix:
-    """Immutable dense matrix over an exact field."""
+    """Immutable sparse matrix over an exact field.
 
-    __slots__ = ("rows", "cols", "entries", "field", "_rref", "_nz")
+    A matrix is its shape, its field and, per row, the (column, value)
+    pairs of its nonzero entries in column order; nothing else is stored
+    but its rref, built on first use.  Dense rows are converted once where
+    they enter (Matrix(rows)), and entries builds them again on each call.
+    """
 
-    def __init__(self, entries, field=QQ, _copy=True, cols=None):
-        if _copy:
-            entries = [list(r) for r in entries]
-        self.entries = entries
+    __slots__ = ("rows", "cols", "field", "_nz", "_rref")
+
+    def __init__(self, entries, field=QQ, cols=None):
+        entries = list(entries)
         self.rows = len(entries)
         self.cols = len(entries[0]) if entries else (cols or 0)
-        for r in entries:
-            if len(r) != self.cols:
-                raise ValueError("ragged rows")
+        if any(len(r) != self.cols for r in entries):
+            raise ValueError("ragged rows")
         self.field = field
+        self._nz = [[(j, x) for j, x in enumerate(r) if x] for r in entries]
         self._rref = None
-        self._nz = None
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zeros(rows, cols, field=QQ):
-        z = field.zero
-        m = Matrix([[z] * cols for _ in range(rows)], field, _copy=False, cols=cols)
-        m._nz = [[] for _ in range(rows)]
+    def _of(nz, cols, field):
+        """Matrix from per-row (column, value) lists, sorted and nonzero."""
+        m = Matrix.__new__(Matrix)
+        m.rows, m.cols, m.field, m._nz, m._rref = len(nz), cols, field, nz, None
         return m
+
+    @staticmethod
+    def zeros(rows, cols, field=QQ):
+        return Matrix._of([[] for _ in range(rows)], cols, field)
 
     @staticmethod
     def identity(n, field=QQ):
-        z, o = field.zero, field.one
-        ent = [[o if i == j else z for j in range(n)] for i in range(n)]
-        m = Matrix(ent, field, _copy=False)
-        m._nz = [[(i, o)] for i in range(n)]
-        return m
+        one = field.one
+        return Matrix._of([[(i, one)] for i in range(n)], n, field)
 
     @staticmethod
     def from_int_rows(rows, field=QQ):
-        return Matrix([[field.of(x) for x in r] for r in rows], field, _copy=False)
+        return Matrix([[field.of(x) for x in r] for r in rows], field)
 
     @staticmethod
     def from_nonzeros(rows, cols, field=QQ):
         """Matrix from one {column: value} dict per row; zero values are dropped."""
-        z = field.zero
-        entries, nz = [], []
-        for acc in rows:
-            row_nz = [(j, acc[j]) for j in sorted(acc) if acc[j]]
-            row = [z] * cols
-            for j, x in row_nz:
-                row[j] = x
-            entries.append(row)
-            nz.append(row_nz)
-        m = Matrix(entries, field, _copy=False, cols=cols)
-        m._nz = nz
-        return m
-
-    @staticmethod
-    def row_vector(vec, field=QQ):
-        return Matrix([list(vec)], field)
+        return Matrix._of([[(j, acc[j]) for j in sorted(acc) if acc[j]] for acc in rows], cols, field)
 
     @staticmethod
     def column_vector(vec, field=QQ):
-        return Matrix([[x] for x in vec], field)
+        return Matrix([[x] for x in vec], field, cols=1)
 
     # -- basics --------------------------------------------------------
 
+    @property
+    def entries(self):
+        """The dense rows, built on each call and never stored."""
+        return [self._dense(row) for row in self._nz]
+
+    def _dense(self, pairs):
+        out = [self.field.zero] * self.cols
+        for j, x in pairs:
+            out[j] = x
+        return out
+
+    def _at(self, pairs, j):
+        k = bisect_left(pairs, (j,))
+        return pairs[k][1] if k < len(pairs) and pairs[k][0] == j else self.field.zero
+
     def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
+        i, j = ij
+        return self._at(self._nz[i], range(self.cols)[j])  # range: an IndexError as for a list
 
     def row(self, i):
-        return list(self.entries[i])
+        return self._dense(self._nz[i])
 
     def column(self, j):
-        return [r[j] for r in self.entries]
+        j = range(self.cols)[j]
+        return [self._at(row, j) for row in self._nz]
+
+    def select_rows(self, indices):
+        """The matrix of the rows at indices, in that order."""
+        return Matrix._of([self._nz[i] for i in indices], self.cols, self.field)
 
     def nonzeros(self):
         """Per row, the (column, value) pairs of its nonzero entries, by column."""
-        if self._nz is None:
-            self._nz = [[(j, x) for j, x in enumerate(r) if x] for r in self.entries]
         return self._nz
 
     def __eq__(self, other):
@@ -231,11 +241,11 @@ class Matrix:
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.nonzeros() == other.nonzeros()
+            and self._nz == other._nz
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.entries)))
+        return hash((self.rows, self.cols, tuple(map(tuple, self._nz))))
 
     def __repr__(self):
         if self.rows * self.cols > 64:
@@ -243,7 +253,7 @@ class Matrix:
         return "Matrix(%r)" % (self.entries,)
 
     def is_zero(self):
-        return not any(self.nonzeros())
+        return not any(self._nz)
 
     def _plus(self, other, negate=False):
         """self + other (self - other if negate), over the nonzeros of both."""
@@ -303,25 +313,25 @@ class Matrix:
         return out
 
     def transpose(self):
-        return Matrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.field,
-            _copy=False,
-            cols=self.rows,
-        )
+        cols = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self._nz):
+            for j, x in row:
+                cols[j].append((i, x))
+        return Matrix._of(cols, self.rows, self.field)
 
     def stack(self, other):
         """Rows of self followed by rows of other."""
         if self.cols != other.cols:
             raise ValueError("column mismatch")
-        return Matrix(self.entries + other.entries, self.field)
+        return Matrix._of(self._nz + other._nz, self.cols, self.field)
 
     def augment(self, other):
+        """Columns of self followed by columns of other."""
         if self.rows != other.rows:
             raise ValueError("row mismatch")
-        return Matrix(
-            [ra + rb for ra, rb in zip(self.entries, other.entries)], self.field
-        )
+        shift = self.cols
+        nz = [ra + [(j + shift, x) for j, x in rb] for ra, rb in zip(self._nz, other._nz)]
+        return Matrix._of(nz, self.cols + other.cols, self.field)
 
 
 def compose(m: Matrix, factors) -> Matrix:
@@ -500,7 +510,7 @@ class SubspaceBasis:
         return self.matrix.field
 
     def vectors(self):
-        return [self.matrix.row(i) for i in range(self.dim)]
+        return self.matrix.entries
 
     def __eq__(self, other):
         return (
@@ -548,7 +558,7 @@ def kernel_basis(m: Matrix) -> SubspaceBasis:
 
 def image_basis(m: Matrix) -> SubspaceBasis:
     """Column space of m, canonical form."""
-    return SubspaceBasis(m.rows, [m.column(j) for j in range(m.cols)], m.field)
+    return SubspaceBasis.from_nonzeros(m.rows, m.transpose().nonzeros(), m.field)
 
 
 def solve(m: Matrix, b) -> list | None:
@@ -557,14 +567,8 @@ def solve(m: Matrix, b) -> list | None:
     The returned solution is the one with zero free coordinates, hence
     deterministic (echelon-minimal).
     """
-    aug, piv = rref(m.augment(Matrix.column_vector(b, m.field)))
-    if piv and piv[-1] == m.cols:
-        return None
-    z = m.field.zero
-    v = [z] * m.cols
-    for i, pc in enumerate(piv):
-        v[pc] = aug.entries[i][m.cols]
-    return v
+    sol = solve_matrix(m, Matrix.column_vector(b, m.field))
+    return None if sol is None else sol.column(0)
 
 
 def solve_matrix(m: Matrix, b: Matrix) -> Matrix | None:
@@ -572,11 +576,11 @@ def solve_matrix(m: Matrix, b: Matrix) -> Matrix | None:
     aug, piv = rref(m.augment(b))
     if piv and piv[-1] >= m.cols:
         return None
-    out = Matrix.zeros(m.cols, b.cols, m.field).entries
-    for i, pc in enumerate(piv):
-        for j in range(b.cols):
-            out[pc][j] = aug.entries[i][m.cols + j]
-    return Matrix(out, m.field, _copy=False)
+    n = m.cols
+    out = [[] for _ in range(n)]
+    for pc, row in zip(piv, aug.nonzeros()):
+        out[pc] = [(j - n, x) for j, x in row if j >= n]
+    return Matrix._of(out, b.cols, m.field)
 
 
 def quotient_basis(big: SubspaceBasis, small: SubspaceBasis):
@@ -626,14 +630,7 @@ def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
         raise ValueError("ambient mismatch")
     if a.dim == 0 or b.dim == 0:
         return SubspaceBasis(a.ambient_dim, [], a.field)
-    stacked = Matrix(a.vectors() + b.vectors(), a.field)
-    ker = kernel_basis(stacked.transpose())
-    vecs = []
-    for w in ker.vectors():
-        coeffs = w[: a.dim]
-        v = [a.field.zero] * a.ambient_dim
-        for c, row in zip(coeffs, a.vectors()):
-            if c:
-                v = [x + c * y for x, y in zip(v, row)]
-        vecs.append(v)
-    return SubspaceBasis(a.ambient_dim, vecs, a.field)
+    # w in the kernel of [A; B]^T gives the common vector w_A . A = -w_B . B
+    ker = kernel_basis(a.matrix.stack(b.matrix).transpose())
+    coeffs = Matrix._of([[(j, x) for j, x in w if j < a.dim] for w in ker.matrix.nonzeros()], a.dim, a.field)
+    return SubspaceBasis.from_nonzeros(a.ambient_dim, (coeffs * a.matrix).nonzeros(), a.field)

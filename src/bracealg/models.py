@@ -62,11 +62,8 @@ class PeriodicComplex:
 
 
 def _mult_by_power(ring, k):
-    mat = Matrix.zeros(ring.dim, ring.dim, ring.field).entries
-    for j in range(ring.dim):
-        if j + k < ring.dim:
-            mat[j + k][j] = ring.field.one
-    return Matrix(mat, ring.field, _copy=False)
+    one = ring.field.one
+    return Matrix.from_nonzeros([{i - k: one} if i >= k else {} for i in range(ring.dim)], ring.dim, ring.field)
 
 
 def complete_resolution(n, a, field=QQ) -> PeriodicComplex:
@@ -244,28 +241,22 @@ def seeded_minimal_model(n, a, cap=8, field=QQ):
 
 def _cyclic_module(n, c, field):
     """R/(x^c) over R = k[x]/(x^n): the action matrix of x."""
-    mat = Matrix.zeros(c, c, field).entries
-    for j in range(c - 1):
-        mat[j + 1][j] = field.one
-    return Matrix(mat, field, _copy=False)
+    return Matrix.from_nonzeros([{i - 1: field.one} if i else {} for i in range(c)], c, field)
 
 
 def _module_homs(x_src, x_tgt, field):
     """Basis of Hom_R(M, N) as matrices commuting with the x-actions."""
     rows = []
     s, t = x_src.cols, x_tgt.rows
-    for i in range(t):
+    src_cols = x_src.transpose().nonzeros()
+    for i, tgt_row in enumerate(x_tgt.nonzeros()):
         for j in range(s):
-            row = [field.zero] * (t * s)
             # (x_tgt h - h x_src)[i][j] as linear functional of h
-            for k in range(t):
-                if x_tgt.entries[i][k]:
-                    row[k * s + j] = row[k * s + j] + x_tgt.entries[i][k]
-            for k in range(s):
-                if x_src.entries[k][j]:
-                    row[i * s + k] = row[i * s + k] - x_src.entries[k][j]
+            row = {k * s + j: x for k, x in tgt_row}
+            for k, x in src_cols[j]:
+                row[i * s + k] = row.get(i * s + k, field.zero) - x
             rows.append(row)
-    ker = kernel_basis(Matrix(rows, field, cols=t * s))
+    ker = kernel_basis(Matrix.from_nonzeros(rows, t * s, field))
     return [Matrix([[v[i * s + j] for j in range(s)] for i in range(t)], field) for v in ker.vectors()]
 
 
@@ -281,13 +272,13 @@ def stable_hom_dim(n, c_src, c_tgt, field=QQ):
     for f in through:
         for g in back:
             comp = g * f
-            pvecs.append([comp.entries[i][j] for i in range(c_tgt) for j in range(c_src)])
+            pvecs.append([x for row in comp.entries for x in row])
     from .linalg import SubspaceBasis
 
     p_span = SubspaceBasis(c_tgt * c_src, pvecs, field)
     h_span = SubspaceBasis(
         c_tgt * c_src,
-        [[h.entries[i][j] for i in range(c_tgt) for j in range(c_src)] for h in homs],
+        [[x for row in h.entries for x in row] for h in homs],
         field,
     )
     return h_span.dim - p_span.dim
@@ -336,20 +327,16 @@ def periodicity_witness(e: DGEnd):
     # find an inverse class: solve [w][w'] = [1] on representatives
     h0 = con.h_dims[0]
     field = e.field
-    cols = []
-    for t in range(h0):
-        rep = con.i[0].column(t)
-        prod = e.mul_vectors(0, w, 0, rep)
-        cols.append(con.p[0].apply(prod))
-    A = Matrix([[cols[t][i] for t in range(h0)] for i in range(h0)], field, cols=h0)
+    reps = con.i[0].transpose().entries
+    cols = [con.p[0].apply(e.mul_vectors(0, w, 0, rep)) for rep in reps]
+    A = Matrix(cols, field, cols=h0).transpose()
     unit_cls = con.p[0].apply(e.unit)
     sol = solve(A, unit_cls)
     if sol is None:
         raise NoWitness("periodicity class is not invertible in cohomology")
     inv_rep = [field.zero] * e.dim(0)
-    for cco, t in zip(sol, range(h0)):
+    for cco, rep in zip(sol, reps):
         if cco:
-            rep = con.i[0].column(t)
             inv_rep = [x + cco * y for x, y in zip(inv_rep, rep)]
     # verify the product is the unit class exactly
     prod = e.mul_vectors(0, w, 0, inv_rep)

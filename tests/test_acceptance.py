@@ -63,7 +63,7 @@ def basis_cochains(lam, p, j=0):
 
         m = Matrix.zeros(d, d**p, lam.field).entries
         m[t % d][t // d] = lam.field.one
-        out.append(H.Cochain.from_matrix(lam, p, Matrix(m, lam.field, _copy=False), j))
+        out.append(H.Cochain.from_matrix(lam, p, Matrix(m, lam.field), j))
     return out
 
 

@@ -264,6 +264,15 @@ def test_gauge_by_central_unit_group_action():
     assert all((a.op(n) - b.op(n)).is_zero() for n in (4, 6, 8))
 
 
+def test_gauge_by_central_unit_converts_plain_ints():
+    m = seeded_minimal_model(4, 2, cap=8)
+    a = gauge_by_central_unit(m, [1, 1])
+    b = gauge_by_central_unit(m, m.algebra.element_from([1, 1]))
+    assert a.arities() == b.arities()
+    assert all((a.op(n) - b.op(n)).is_zero() for n in a.arities())
+    assert not (a.op(4) - m.op(4)).is_zero()
+
+
 def test_gauge_scalar_scales_m4():
     # g = scalar c on the algebra part acts on m4 through the iota factor
     m = seeded_minimal_model(4, 2, cap=8)

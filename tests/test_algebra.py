@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from bracealg.linalg import QQ, Matrix, rank
@@ -161,11 +163,7 @@ def test_bar_resolution_kx2_rank_oracle():
     lam = kxx(2)
     res = bar_resolution(lam, 3)
     # rank of d_1 equals dim of the kernel of the augmentation
-    aug = Matrix(
-        [[res.augmentation[j][r] for j in range(res.modules[0].dim)] for r in range(lam.dim)],
-        QQ,
-    )
-    assert rank(res.differential_matrix(1)) == res.modules[0].dim - rank(aug)
+    assert rank(res.differential_matrix(1)) == res.modules[0].dim - rank(res.augmentation)
 
 
 def test_bar_differential_squares_to_zero_kx3():
@@ -175,6 +173,75 @@ def test_bar_differential_squares_to_zero_kx3():
         dp = res.differential_matrix(p)
         dpm1 = res.differential_matrix(p - 1)
         assert (dpm1 * dp).is_zero()
+
+
+# 2x2 upper-triangular matrices with basis e11, e12, e22: not commutative
+# (e11 e12 = e12, e12 e11 = 0), and the unit e11 + e22 is no basis vector
+UPPER_TRIANGULAR = {
+    "dim": 3,
+    "labels": ["e11", "e12", "e22"],
+    "unit": ["1", "0", "1"],
+    "mult": [
+        [0, 0, ["1", "0", "0"]], [0, 1, ["0", "1", "0"]],
+        [1, 2, ["0", "1", "0"]], [2, 2, ["0", "0", "1"]],
+    ],
+}
+
+
+def _bar_reference(lam, length):
+    """The bar complex from its definition, by loops over basis tuples.
+
+    Returns the augmentation, d_1..d_length and the outer actions of each
+    B_p as dense rows.  Tuples (j_0, ..., j_{p+1}) are numbered with j_0
+    most significant; face i of d_p multiplies slots i and i+1, with sign
+    (-1)^i; the left action multiplies slot 0 from the left and the right
+    action the last slot from the right."""
+    d, field = lam.dim, lam.field
+
+    def index(tup):
+        out = 0
+        for t in tup:
+            out = out * d + t
+        return out
+
+    aug = [[field.zero] * d**2 for _ in range(d)]
+    for i, j in itertools.product(range(d), repeat=2):
+        for r, c in enumerate(lam.mult[i][j]):
+            aug[r][index((i, j))] += c
+    diffs, actions = [], []
+    for p in range(length + 1):
+        dp = [[field.zero] * d ** (p + 2) for _ in range(d ** (p + 1))]
+        left = [[[field.zero] * d ** (p + 2) for _ in range(d ** (p + 2))] for _ in range(d)]
+        right = [[[field.zero] * d ** (p + 2) for _ in range(d ** (p + 2))] for _ in range(d)]
+        for col, tup in enumerate(itertools.product(range(d), repeat=p + 2)):
+            for i in range(p + 1 if p else 0):
+                for r, c in enumerate(lam.mult[tup[i]][tup[i + 1]]):
+                    dp[index(tup[:i] + (r,) + tup[i + 2 :])][col] += c if i % 2 == 0 else -c
+            for b in range(d):
+                for r, c in enumerate(lam.mult[b][tup[0]]):
+                    left[b][index((r,) + tup[1:])][col] += c
+                for r, c in enumerate(lam.mult[tup[-1]][b]):
+                    right[b][index(tup[:-1] + (r,))][col] += c
+        diffs.append(dp)
+        actions.append((left, right))
+    return aug, diffs, actions
+
+
+@pytest.mark.parametrize("lam", [k_algebra(), kxx(3), load_algebra(UPPER_TRIANGULAR)], ids=["k", "kx3", "upper"])
+def test_bar_resolution_matches_definition(lam):
+    res = bar_resolution(lam, 3)
+    aug, diffs, actions = _bar_reference(lam, 3)
+    assert res.augmentation == Matrix(aug, lam.field)
+    for p in range(1, 4):
+        assert res.differential_matrix(p) == Matrix(diffs[p], lam.field)
+    for p in range(4):
+        left, right = actions[p]
+        assert res.modules[p].left == [Matrix(a, lam.field) for a in left]
+        assert res.modules[p].right == [Matrix(a, lam.field) for a in right]
+    # Omega^k = ker d_{k-1}, with d_0 the augmentation
+    kernels = [Matrix(aug, lam.field)] + [Matrix(diffs[p], lam.field) for p in (1, 2)]
+    assert [syzygy(res, k).dim for k in (1, 2, 3)] == [m.cols - rank(m) for m in kernels]
+    assert res.exactness_verified_up_to == 2
 
 
 # -- syzygies and the periodic oracle --------------------------------------

@@ -224,7 +224,7 @@ def full_complex_dims(lam, pmax):
             m = Matrix.zeros(d, d**p, lam.field).entries
             row, col = t % d, t // d
             m[row][col] = lam.field.one
-            c = H.Cochain.from_matrix(lam, p, Matrix(m, lam.field, _copy=False), 0)
+            c = H.Cochain.from_matrix(lam, p, Matrix(m, lam.field), 0)
             dc = H.differential(c)
             mat = dc.component_matrix(p + 1)
             vec = []
@@ -390,18 +390,17 @@ def _extension_by_elimination(c, k):
     incl = syz.inclusion.vectors()
     B = Matrix([[v[i] for v in incl] for i in range(len(incl[0]))], lam.field)
     W = solve_matrix(res.differential_matrix(k), B)
-    cmat = c.component_matrix(k)
+    cmat = c.component_matrix(k).entries
     cols = []
     for t in range(syz.dim):
         acc = [lam.field.zero] * d
         for idx, coeff in enumerate(W.column(t)):
             if coeff:
-                full = res.modules[k].decode(idx)
-                col = 0
-                for t in full[1:-1]:
-                    col = col * d + t
-                val = [cmat.entries[r][col] for r in range(d)]
-                val = lam.mul(lam.mul(lam.basis_vector(full[0]), val), lam.basis_vector(full[-1]))
+                # idx encodes (j_0, ..., j_{k+1}) base d, j_0 most significant
+                first, rest = divmod(idx, d ** (k + 1))
+                col, last = divmod(rest, d)
+                val = [cmat[r][col] for r in range(d)]
+                val = lam.mul(lam.mul(lam.basis_vector(first), val), lam.basis_vector(last))
                 acc = [x + coeff * y for x, y in zip(acc, val)]
         cols.append(acc)
     return Matrix([[cols[t][r] for t in range(syz.dim)] for r in range(d)], lam.field)
@@ -534,5 +533,5 @@ def test_d_squared_exhaustive_basis_cochains(lam):
         for t in idxs:
             m = Matrix.zeros(d, d**p, lam.field).entries
             m[t % d][t // d] = lam.field.one
-            c = H.Cochain.from_matrix(lam, p, Matrix(m, lam.field, _copy=False), 0)
+            c = H.Cochain.from_matrix(lam, p, Matrix(m, lam.field), 0)
             assert H.differential(H.differential(c)).is_zero()

@@ -189,6 +189,22 @@ def _dense_coords(basis, w, field):
 def test_matrix_kernel_matches_dense_reference(case):
     field, a, b, v, c, m, factors, e = case
     z = field.zero
+    # storage: dense rows in and out, and every read against them, also on
+    # the 0-row and 0-column shapes
+    for dense, ncols in [(x, len(x[0])) for x in (a, b, m, e)] + [(a[:0], len(a[0])), ([[] for _ in a], 0)]:
+        M = Matrix(dense, field, cols=ncols)
+        assert (M.rows, M.cols) == (len(dense), ncols) and M.entries == dense
+        sparse = Matrix.from_nonzeros([dict(enumerate(row)) for row in dense], ncols, field)
+        assert sparse == M and hash(sparse) == hash(M)
+        columns = [[row[j] for row in dense] for j in range(ncols)]
+        T = M.transpose()
+        assert (T.rows, T.cols) == (ncols, len(dense)) and T.entries == columns
+        S, A2 = M.stack(sparse), M.augment(sparse)
+        assert (S.rows, S.cols) == (2 * len(dense), ncols) and S.entries == dense + dense
+        assert (A2.rows, A2.cols) == (len(dense), 2 * ncols) and A2.entries == [row + row for row in dense]
+        assert [M.row(i) for i in range(M.rows)] == dense
+        assert [M.column(j) for j in range(ncols)] == columns
+        assert [[M[i, j] for j in range(ncols)] for i in range(M.rows)] == dense
     want = _dense_mul(a, b, z)
     prod = Matrix(a, field) * Matrix(b, field)
     assert prod.entries == want
