@@ -15,6 +15,7 @@ obstruction class is nonzero.
 from __future__ import annotations
 
 import math
+from itertools import combinations_with_replacement, permutations
 
 from .algebra import (
     AlgebraSpecError,
@@ -32,20 +33,24 @@ from .hochschild import (
     EulerAdjoinedCochain,
     HHClass,
     NotACocycle,
+    WrongBidegree,
     bracket,
     brace,
     class_of,
     cup,
     differential,
+    differential_parts,
     divide_class,
     hh_context,
+    hh_isos_forward,
+    kron_sum,
     normalized_space_dim,
     restrict_j,
     solve_coboundary,
     tate_unit_check,
     vec_to_cochain,
 )
-from .linalg import Matrix, QQ, SubspaceBasis, _echelon_of, _sparse, compose, image_basis, kernel_basis, rank, solve
+from .linalg import Matrix, QQ, SubspaceBasis, _echelon_of, _sparse, compose, image_basis, kernel_basis, rank, solve, solve_matrix
 
 
 class NotLaurentForm(Exception):
@@ -92,7 +97,7 @@ class DGAlgebra:
     construction.
     """
 
-    def __init__(self, dims, unit, mult, diff, periodic=True, labels=None, check=True, field=QQ):
+    def __init__(self, dims, unit, mult, diff, periodic=True, labels=None, field=QQ):
         self.periodic = periodic
         self.dims = dict(dims)  # degree -> dimension
         self.unit = list(unit)  # vector in degree 0
@@ -101,8 +106,7 @@ class DGAlgebra:
         self.labels = labels or {}
         self.field = field
         self._mult_mats = {}
-        if check:
-            self._check()
+        self._check()
 
     def degrees(self):
         return sorted(self.dims)
@@ -277,12 +281,8 @@ class ContractionData:
             ip = self.i[deg] * self.p[deg] if self.h_dims.get(deg, 0) else Matrix.zeros(dim, dim, f)
             if dh + hd + ip != Matrix.identity(dim, f):
                 raise AlgebraSpecError("d h + h d != id - i p in degree %r" % deg)
-            if dga.dim(prev):
-                prev2 = (prev - 1) % 2 if dga.periodic else prev - 1
-                if dga.dim(prev2) or True:
-                    hh = self.h[prev] * self.h[deg]
-                    if not hh.is_zero():
-                        raise AlgebraSpecError("h^2 != 0 in degree %r" % deg)
+            if dga.dim(prev) and not (self.h[prev] * self.h[deg]).is_zero():
+                raise AlgebraSpecError("h^2 != 0 in degree %r" % deg)
             if self.h_dims.get(deg, 0):
                 if not (self.h[deg] * self.i[deg]).is_zero():
                     raise AlgebraSpecError("h i != 0 in degree %r" % deg)
@@ -339,8 +339,6 @@ def make_contraction(dga: DGAlgebra, scheme="default") -> ContractionData:
         # p and i in the decomposition im + W1 + W2
         basis_rows = im.vectors() + w1_vecs + w2_vecs
         B = Matrix(basis_rows, f).transpose() if basis_rows else Matrix.zeros(dim, 0, f)
-        from .linalg import solve_matrix
-
         Binv = solve_matrix(B, Matrix.identity(dim, f))
         if Binv is None:
             raise AlgebraSpecError("component decomposition failed")
@@ -360,10 +358,8 @@ def make_contraction(dga: DGAlgebra, scheme="default") -> ContractionData:
         A = Matrix(imgs, f).transpose() if imgs else Matrix.zeros(dim, 0, f)
         # h(v) := W2-preimage of the im-part of v
         ker, im = kers[deg], ims[deg]
-        basis_rows = im.vectors() + [v for v in _w1_of(i, deg)] + w2[deg]
+        basis_rows = im.vectors() + i[deg].transpose().entries + w2[deg]
         B = Matrix(basis_rows, f).transpose()
-        from .linalg import solve_matrix
-
         Binv = solve_matrix(B, ident)
         im_coords = Binv.select_rows(range(im.dim))
         # express im-basis vectors through d(w2[prev])
@@ -378,11 +374,6 @@ def make_contraction(dga: DGAlgebra, scheme="default") -> ContractionData:
     contraction = ContractionData(dga, p, i, h, hdims)
     contraction.verify()
     return contraction
-
-
-def _w1_of(i, deg):
-    m = i[deg]
-    return m.transpose().entries
 
 
 # ---------------------------------------------------------------------------
@@ -403,24 +394,18 @@ def cohomology_algebra(dga: DGAlgebra, scheme="default"):
         raise NotLaurentForm(
             "odd cohomology has dimension %d" % con.h_dims[1]
         )
-    h0 = con.h_dims.get(0, 0)
-    if h0 == 0:
+    if con.h_dims.get(0, 0) == 0:
         raise NotLaurentForm("zero cohomology")
-    f = dga.field
-    # induced multiplication on H0 representatives
+    return _laurent_h0(dga, con)
+
+
+def _laurent_h0(dga: DGAlgebra, con: ContractionData) -> LaurentAlgebra:
+    """H0 (x) k[i^{+-1}] with the product p(i(a) i(b)) and unit p(1); con is its witness."""
     reps = con.i[0].transpose().entries
-    mult = []
-    for a in reps:
-        row = []
-        for b in reps:
-            prod = dga.mul_vectors(0, a, 0, b)
-            row.append(con.p[0].apply(prod))
-        mult.append(row)
-    unit = con.p[0].apply(dga.unit)
-    labels = ["h%d" % t for t in range(h0)]
+    mult = [[con.p[0].apply(dga.mul_vectors(0, a, 0, b)) for b in reps] for a in reps]
+    labels = ["h%d" % t for t in range(con.h_dims[0])]
     labels[0] = "1"
-    base = FiniteAlgebra(labels, unit, mult, f)
-    lau = LaurentAlgebra(base)
+    lau = LaurentAlgebra(FiniteAlgebra(labels, con.p[0].apply(dga.unit), mult, dga.field))
     lau.witness = con
     return lau
 
@@ -504,14 +489,8 @@ def transfer(dga: DGAlgebra, con: ContractionData, N: int) -> MinimalAInfty:
     if con.h_dims.get(1, 0):
         raise NotLaurentForm("odd cohomology nonzero")
     h0 = con.h_dims[0]
-    reps = con.i[0].transpose().entries
-    mult = [[con.p[0].apply(dga.mul_vectors(0, a, 0, b)) for b in reps] for a in reps]
-    unit = con.p[0].apply(dga.unit)
-    labels = ["h%d" % t for t in range(h0)]
-    labels[0] = "1"
-    base = FiniteAlgebra(labels, unit, mult, f)
-    lau = LaurentAlgebra(base)
-    lau.witness = con
+    lau = _laurent_h0(dga, con)
+    base = lau.base
 
     def deg_psi(n):
         return (n + 1) % 2
@@ -616,77 +595,58 @@ def ainfty_map_check(f: AInftyMorphism, m: MinimalAInfty, mp: MinimalAInfty, cap
         g0, w = f.linear
         mp = gauge(mp, g0, w)
         ginv = _matrix_inverse(g0)
-        higher = {}
-        for n, c in f.higher.items():
-            higher[n] = _conjugate_cochain(c, ginv, None, m.algebra, extra_central=None)
+        higher = {n: _conjugate_cochain(c, ginv, g0, m.algebra) for n, c in f.higher.items()}
         f = AInftyMorphism(f.source, mp, higher, None)
-    lam = m.algebra
-    acc = {}
-    for n, c in f.higher.items():
-        _sum_per_arity(acc, differential(c))
-    for a, ca in f.higher.items():
-        for b, cb in f.higher.items():
-            if a + b <= cap:
-                _sum_per_arity(acc, cup(ca, cb, cap=cap))
-    # sum_{r>=0} m'{f, ..., f}
-    for k, mk in mp.ops.items():
-        _sum_per_arity(acc, mk)  # r = 0
-        args = sorted(f.higher)
-        for r in range(1, k + 1):
-            for combo in _combos_with_rep(args, r):
-                min_arity = k - r + sum(combo)
-                if min_arity > cap:
-                    continue
-                for perm in _distinct_orderings(combo):
-                    _sum_per_arity(acc, brace(mk, [f.higher[a] for a in perm], cap=cap))
-    for n, c in m.ops.items():
-        _sum_per_arity(acc, c.scale(-lam.field.one))
-    for a, ca in f.higher.items():
-        for b, cb in m.ops.items():
-            if a - 1 + b <= cap:
-                _sum_per_arity(acc, brace(ca, [cb], cap=cap).scale(-lam.field.one))
-    residuals = {}
-    for p in range(3, cap + 1):
-        residuals[p] = acc.get(p, Cochain.zero(lam))
+    acc = _morphism_residual(f.higher, m.ops, mp.ops, cap)
+    residuals = {p: acc.get(p, Cochain.zero(m.algebra)) for p in range(3, cap + 1)}
     return ResidualReport(residuals, cap)
 
 
-def _combos_with_rep(items, r):
-    from itertools import combinations_with_replacement
+def _morphism_residual(f, m_ops, mp_ops, cap):
+    """d(f) + f.f + sum_{r>=0} m'{f,...,f} - m - f{m}, as {arity: Cochain}.
 
-    return combinations_with_replacement(items, r)
-
-
-def _distinct_orderings(combo):
-    from itertools import permutations
-
-    return sorted(set(permutations(combo)))
+    f, m_ops and mp_ops map arities to the components of the morphism
+    (identity linear part), the source and the target operations.
+    """
+    acc = {}
+    for c in f.values():
+        _sum_per_arity(acc, differential(c))
+    for a, ca in f.items():
+        for b, cb in f.items():
+            if a + b <= cap:
+                _sum_per_arity(acc, cup(ca, cb, cap=cap))
+    args = sorted(f)
+    for k, mk in mp_ops.items():
+        _sum_per_arity(acc, mk)  # r = 0
+        for r in range(1, k + 1):
+            for combo in combinations_with_replacement(args, r):
+                if k - r + sum(combo) > cap:
+                    continue
+                for perm in sorted(set(permutations(combo))):
+                    _sum_per_arity(acc, brace(mk, [f[a] for a in perm], cap=cap))
+    for c in m_ops.values():
+        _sum_per_arity(acc, c.scale(-c.algebra.field.one))
+    for a, ca in f.items():
+        for b, cb in m_ops.items():
+            if a - 1 + b <= cap:
+                _sum_per_arity(acc, brace(ca, [cb], cap=cap).scale(-ca.algebra.field.one))
+    return acc
 
 
 def _matrix_inverse(m: Matrix) -> Matrix:
-    from .linalg import solve_matrix
-
     inv = solve_matrix(m, Matrix.identity(m.rows, m.field))
     if inv is None:
         raise NotUnit("matrix is not invertible")
     return inv
 
 
-def _conjugate_cochain(c: Cochain, g0inv: Matrix, g0: Matrix | None, lam, extra_central=None):
-    """g0inv o c o g0^(x)arity, with an optional central multiplier."""
-    gm = g0 if g0 is not None else _matrix_inverse(g0inv)
+def _conjugate_cochain(c: Cochain, g0inv: Matrix, g0: Matrix, lam):
+    """g0inv o c o g0^(x)arity."""
     comps = {
-        p: {e: g0inv * compose(mat, [gm] * p) for e, mat in comp.items()}
+        p: {e: g0inv * compose(mat, [g0] * p) for e, mat in comp.items()}
         for p, comp in c.comps.items()
     }
-    out = Cochain(lam, c.iota, comps, c.cap)
-    if extra_central is not None:
-        mult = lam.left_mult_of(extra_central)
-        comps2 = {
-            p: {e: mult * mat for e, mat in comp.items()} for p, comp in out.comps.items()
-        }
-        out = Cochain(lam, c.iota, comps2, c.cap)
-    return out
+    return Cochain(lam, c.iota, comps, c.cap)
 
 
 def gauge(m: MinimalAInfty, g0: Matrix, w=None) -> MinimalAInfty:
@@ -709,7 +669,7 @@ def gauge(m: MinimalAInfty, g0: Matrix, w=None) -> MinimalAInfty:
         winvq = _central_power(lam, w, -q)
         # (m*g)_n = g^{-1} o m_n o g^{(x)n}: on the iota part this is the
         # central multiplier g0^{-1}(w^{-q})
-        conj = _conjugate_cochain(c, g0inv, g0, lam, extra_central=None)
+        conj = _conjugate_cochain(c, g0inv, g0, lam)
         mult = lam.left_mult_of(g0inv.apply(winvq))
         comps2 = {p: {e: mult * mat for e, mat in comp.items()} for p, comp in conj.comps.items()}
         ops[n] = Cochain(lam, c.iota, comps2, c.cap)
@@ -783,8 +743,6 @@ class LaurentHHClass:
 
 def laurent_class_of(lam, c: Cochain, p, j) -> LaurentHHClass:
     """Decompose the class of a cocycle on L[i] via the Euler quasi-isomorphism."""
-    from .hochschild import hh_isos_forward
-
     fw = hh_isos_forward(c)
     xr = Cochain.from_matrix(lam, p, fw.plain.component_matrix(p), j, fw.plain.cap)
     er = Cochain.from_matrix(lam, p - 1, fw.euler.component_matrix(p - 1), j, fw.euler.cap)
@@ -799,8 +757,6 @@ def two_equations_solve(lam, u: HHClass):
     space of solutions has dimension zero (the constraints are linear in
     the Euler part once the x-part is pinned by the first equation).
     """
-    from .hochschild import WrongBidegree
-
     if u.bidegree != (4, 0):
         raise WrongBidegree("u must live in bidegree (4, 0)")
     u_iota = class_of(lam, u.representative.shift_iota(1), 4, 1)
@@ -869,14 +825,9 @@ def two_equations_solve(lam, u: HHClass):
 # Weighted coboundary solving (for the Euler-adjoined correction route)
 
 
-def _weight_monomials(p, max_degree=1):
-    out = [(0,) * p]
-    if max_degree >= 1:
-        for t in range(p):
-            e = [0] * p
-            e[t] = 1
-            out.append(tuple(e))
-    return out
+def _weight_monomials(p):
+    """The weights of degree <= 1 on p inputs: none, then one on each input."""
+    return [(0,) * p] + [tuple(int(u == t) for u in range(p)) for t in range(p)]
 
 
 def _weighted_to_vec(c: Cochain, p):
@@ -912,18 +863,28 @@ def _vec_to_weighted(lam, p, j, vec):
     return Cochain(lam, j, comps, math.inf)
 
 
+def _weight_moves(moves, field):
+    """The block map of one part of d: weight 0 stays, e_k goes to e_t for t in moves[k]."""
+    p = len(moves)
+    rows = [[field.zero] * (p + 1) for _ in range(p + 2)]
+    rows[0][0] = field.one
+    for k, targets in enumerate(moves):
+        for t in targets:
+            rows[t + 1][k + 1] = field.one
+    return Matrix(rows, field)
+
+
 @_per_algebra
 def _weighted_differential_matrix(lam, p):
-    """Matrix of d on the weight<=1 cochains, arity p -> p+1."""
-    src = len(_weight_monomials(p)) * lam.dim * lam.dim**p
-    cols = []
-    for t in range(src):
-        vec = [lam.field.zero] * src
-        vec[t] = lam.field.one
-        c = _vec_to_weighted(lam, p, 0, vec)
-        cols.append(_weighted_to_vec(differential(c), p + 1))
-    tgt = len(_weight_monomials(p + 1)) * lam.dim * lam.dim ** (p + 1)
-    return Matrix(cols, lam.field, cols=tgt).transpose()
+    """Matrix of d on the weight<=1 cochains, arity p -> p+1.
+
+    The parts of d over all inputs, each with one more Kronecker factor in
+    front that moves its weight blocks.
+    """
+    d, f = lam.dim, lam.field
+    parts = differential_parts(lam, p, range(d))
+    terms = [(sign, [_weight_moves(moves, f)] + factors) for sign, factors, moves in parts]
+    return kron_sum(terms, (p + 2) * d ** (p + 2), (p + 1) * d ** (p + 1), f)
 
 
 def weighted_solve_coboundary(lam, target: Cochain, p, j):
@@ -1210,36 +1171,13 @@ def transported_structure(m: MinimalAInfty, fdict, cap=None) -> MinimalAInfty:
     honest way to perturb a structure by a coboundary while keeping the
     Maurer-Cartan equation exact: transport along (id, ..., b, ...).
     """
-    lam = m.algebra
-    field = lam.field
     if cap is None:
         cap = m.cap
     f = {n: c for n, c in fdict.items() if not c.is_zero()}
     ops = {}
     for N in range(3, cap + 1):
-        acc = {}
-        for n, c in f.items():
-            _sum_per_arity(acc, differential(c))
-        for a, ca in f.items():
-            for b, cb in f.items():
-                if a + b <= cap:
-                    _sum_per_arity(acc, cup(ca, cb, cap=cap))
-        for k, mk in list(ops.items()):
-            args = sorted(f)
-            for r in range(1, k + 1):
-                for combo in _combos_with_rep(args, r):
-                    if k - r + sum(combo) > cap:
-                        continue
-                    for perm in _distinct_orderings(combo):
-                        _sum_per_arity(acc, brace(mk, [f[t] for t in perm], cap=cap))
-        for n, c in m.ops.items():
-            _sum_per_arity(acc, c.scale(-field.one))
-        for a, ca in f.items():
-            for b, cb in m.ops.items():
-                if a - 1 + b <= cap:
-                    _sum_per_arity(acc, brace(ca, [cb], cap=cap).scale(-field.one))
-        resid = acc.get(N)
+        # the r = 0 terms m''_k (k < N) of the residual never reach arity N
+        resid = _morphism_residual(f, m.ops, ops, cap).get(N)
         if resid is not None and not resid.is_zero():
-            ops[N] = resid.scale(-field.one)
-    out = MinimalAInfty(m.laurent, ops, cap)
-    return out
+            ops[N] = resid.scale(-m.algebra.field.one)
+    return MinimalAInfty(m.laurent, ops, cap)

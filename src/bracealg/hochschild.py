@@ -33,7 +33,7 @@ from .algebra import (
     is_stable_iso,
     syzygy,
 )
-from .linalg import Matrix, SubspaceBasis, compose, kernel_basis, solve
+from .linalg import Matrix, SubspaceBasis, compose, image_basis, kernel_basis, quotient_basis, solve
 
 
 class CapTooLow(Exception):
@@ -237,18 +237,6 @@ def _support_empty(comps):
 
 def _scaled(comps, c, field):
     return {p: {e: m.scale(c) for e, m in comp.items()} for p, comp in comps.items()}
-
-
-def _unit_index(algebra):
-    idx = None
-    for i, c in enumerate(algebra.unit):
-        if c == algebra.field.one:
-            if idx is not None:
-                return None
-            idx = i
-        elif c:
-            return None
-    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -498,16 +486,23 @@ def differential(c: Cochain, cap=None) -> Cochain:
 # The normalized subcomplex as finite coordinates
 
 
+def _non_unit_inputs(lam: FiniteAlgebra):
+    """The basis indices other than the unit's: the inputs of normalized cochains."""
+    support = [i for i, c in enumerate(lam.unit) if c]
+    if len(support) != 1 or lam.unit[support[0]] != lam.field.one:
+        raise AlgebraSpecError("normalized-complex coordinates need the unit to be a basis vector")
+    return [j for j in range(lam.dim) if j != support[0]]
+
+
+def _inclusion(lam: FiniteAlgebra, inputs):
+    """The dim x len(inputs) matrix whose columns are the basis vectors at inputs."""
+    f = lam.field
+    return Matrix([[f.one if i == j else f.zero for j in inputs] for i in range(lam.dim)], f, cols=len(inputs))
+
+
 def _reduced_inclusion(lam: FiniteAlgebra):
     """The dim x (dim-1) matrix whose columns are the non-unit basis vectors."""
-    uidx = _unit_index(lam)
-    if uidx is None:
-        raise AlgebraSpecError(
-            "normalized-complex coordinates need the unit to be a basis vector"
-        )
-    f = lam.field
-    red = [j for j in range(lam.dim) if j != uidx]
-    return Matrix([[f.one if i == j else f.zero for j in red] for i in range(lam.dim)], f, cols=len(red))
+    return _inclusion(lam, _non_unit_inputs(lam))
 
 
 def normalized_space_dim(lam, p):
@@ -534,20 +529,75 @@ def vec_to_cochain(lam, p, j, vec, cap=math.inf):
     return Cochain.from_matrix(lam, p, compose(reduced, [proj] * p), j, cap)
 
 
+def differential_parts(lam, p, inputs):
+    """The Hochschild differential on arity-p cochains as signed Kronecker products.
+
+    d(f) = -mu(f, 1) + (-1)^p mu(1, f) + sum_i (-1)^(p-1+i) f(..., mu_i, ...),
+    where mu_i multiplies inputs i and i+1 of d(f), counted from 0; this is
+    [m2, f] written out.  Coordinates are cochain_to_vec's, with every input
+    running over the basis indices `inputs`.  Each part is (sign, factors,
+    moves): compose(I, factors) = F_1 (x) ... (x) F_k maps arity-p
+    coordinates to arity-(p+1) ones, and moves[k] lists the inputs of d(f)
+    that an Euler weight on input k of f moves to (a face sends it to both
+    inputs it multiplies).  An outer product is one part per value of its
+    outer input; a face keeps the components of a product on `inputs`.
+    """
+    field = lam.field
+    mu = lam.mult_matrix()
+    ident = Matrix.identity(lam.dim, field)
+    incl = _inclusion(lam, inputs)
+    n = len(inputs)
+    rest = Matrix.identity(n**p, field)
+    sign = 1 if p % 2 == 0 else -1
+    parts = []
+    for a, x in enumerate(inputs):
+        at_a = Matrix.column_vector([field.one if b == a else field.zero for b in range(n)], field)
+        e_x = Matrix.column_vector(lam.basis_vector(x), field)
+        parts.append((sign, [at_a, rest, compose(mu, [e_x, ident])], [[k + 1] for k in range(p)]))
+        parts.append((-1, [rest, at_a, compose(mu, [ident, e_x])], [[k] for k in range(p)]))
+    face = compose(incl.transpose() * mu, [incl, incl]).transpose()
+    for i in range(p):
+        factors = [Matrix.identity(n**i, field), face, Matrix.identity(n ** (p - 1 - i), field), ident]
+        moves = [[k] if k < i else [i, i + 1] if k == i else [k + 1] for k in range(p)]
+        parts.append((-sign if i % 2 == 0 else sign, factors, moves))
+    return parts
+
+
+def kron_sum(parts, rows, cols, field):
+    """The rows x cols sum of sign * (F_1 (x) ... (x) F_k) over the (sign, factors) parts."""
+    total = Matrix.zeros(rows, cols, field)
+    for sign, factors in parts:
+        term = compose(Matrix.identity(rows, field), factors)
+        total = total + term if sign > 0 else total - term
+    return total
+
+
+@_per_algebra
+def _normalized_inputs(lam):
+    """The non-unit basis indices, after the unit law that keeps d normalized."""
+    inputs = _non_unit_inputs(lam)
+    mu, ident = lam.mult_matrix(), Matrix.identity(lam.dim, lam.field)
+    unit = Matrix.column_vector(lam.unit, lam.field)
+    if compose(mu, [unit, ident]) != ident or compose(mu, [ident, unit]) != ident:
+        raise AlgebraSpecError("differential left the normalized subcomplex")
+    return inputs
+
+
 @_per_algebra
 def normalized_differential_matrix(lam, p):
-    """Matrix of d on normalized cochains, arity p -> p+1, reduced coords."""
-    src = normalized_space_dim(lam, p)
-    cols = []
-    for t in range(src):
-        vec = [lam.field.zero] * src
-        vec[t] = lam.field.one
-        c = vec_to_cochain(lam, p, 0, vec)
-        dc = differential(c)
-        if not _is_normalized_component(dc, p + 1):
-            raise AlgebraSpecError("differential left the normalized subcomplex")
-        cols.append(cochain_to_vec(dc, p + 1))
-    return Matrix(cols, lam.field, cols=normalized_space_dim(lam, p + 1)).transpose()
+    """Matrix of d on normalized cochains, arity p -> p+1, reduced coords.
+
+    d keeps normalized cochains normalized.  Put the unit at input k of
+    d(f), with f normalized: every term that hands the unit to f vanishes,
+    and the two that multiply it with a neighbour (faces k-1 and k, or a
+    face and an outer product at either end) carry opposite signs and are
+    equal, because 1.x = x = x.1.  _normalized_inputs checks that unit law
+    exactly, once per algebra, and the parts are summed over the non-unit
+    inputs alone.
+    """
+    parts = differential_parts(lam, p, _normalized_inputs(lam))
+    terms = [(sign, factors) for sign, factors, _ in parts]
+    return kron_sum(terms, normalized_space_dim(lam, p + 1), normalized_space_dim(lam, p), lam.field)
 
 
 def _is_normalized_component(c: Cochain, p):
@@ -572,13 +622,9 @@ class HHContext:
         self.cocycles = kernel_basis(dmat)
         if p >= 1:
             prev = normalized_differential_matrix(lam, p - 1)
-            from .linalg import image_basis
-
             self.coboundaries = image_basis(prev)
         else:
             self.coboundaries = SubspaceBasis(normalized_space_dim(lam, p), [], lam.field)
-        from .linalg import quotient_basis
-
         self.reps, self._proj = quotient_basis(self.cocycles, self.coboundaries)
 
     @property

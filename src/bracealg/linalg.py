@@ -15,8 +15,9 @@ Matrix keeps its rref.
 
 compose(m, [F_1, ..., F_k]) = m . (F_1 (x) ... (x) F_k) is the one
 tensor-composition primitive: the brace engine, homotopy transfer, gauge
-actions and the associativity, unit and Leibniz checks all reduce to it,
-and it never forms the Kronecker product.
+actions, the bar resolution, the associativity, unit and Leibniz checks
+and the Hochschild differential matrices (sums of compose(I, [F_1...F_k]))
+all reduce to it.  Only with m = I is the Kronecker product ever formed.
 
 Every operation is a pure function of its inputs, values are never mutated
 after construction (which is what makes both caches safe), and results are

@@ -82,6 +82,24 @@ def test_malformed_spec_field_exit_2(tmp_path, capsys, field, value):
     assert err.startswith("error: " + field) and "expected a list" in err
 
 
+def test_hh_unit_not_a_basis_vector_exit_2(tmp_path, capsys):
+    # upper-triangular 2x2 matrices on the basis e11, e12, e22: the unit
+    # e11 + e22 is no basis vector, so there are no normalized coordinates
+    upper = {
+        "dim": 3,
+        "labels": ["e11", "e12", "e22"],
+        "unit": ["1", "0", "1"],
+        "mult": [
+            [0, 0, ["1", "0", "0"]], [0, 1, ["0", "1", "0"]],
+            [1, 2, ["0", "1", "0"]], [2, 2, ["0", "0", "1"]],
+        ],
+    }
+    path = tmp_path / "upper.json"
+    path.write_text(json.dumps(upper))
+    assert run(["hh", str(path), "--cap-p", "4"]) == 2
+    assert "normalized-complex coordinates need the unit to be a basis vector" in capsys.readouterr().err
+
+
 def test_cap_exceeded_exit_3(kx2_spec):
     assert run(["hh", kx2_spec, "--cap-p", "12"]) == 3
 

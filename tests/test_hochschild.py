@@ -535,3 +535,83 @@ def test_d_squared_exhaustive_basis_cochains(lam):
             m[t % d][t // d] = lam.field.one
             c = H.Cochain.from_matrix(lam, p, Matrix(m, lam.field), 0)
             assert H.differential(H.differential(c)).is_zero()
+
+
+# -- the differential matrices against the brace engine -----------------------
+
+# k[x]/(x^3) with basis x, 1, x^2: the unit is a basis vector, but not the first
+KX3_PERMUTED = {
+    "dim": 3,
+    "labels": ["x", "1", "x^2"],
+    "unit": ["0", "1", "0"],
+    "mult": [
+        [0, 0, ["0", "0", "1"]], [0, 1, ["1", "0", "0"]], [1, 0, ["1", "0", "0"]],
+        [1, 1, ["0", "1", "0"]], [1, 2, ["0", "0", "1"]], [2, 1, ["0", "0", "1"]],
+    ],
+}
+
+# upper-triangular 2x2 matrices with basis 1, e11, e12: not commutative
+# (e11 e12 = e12, e12 e11 = 0), and the unit is a basis vector
+UPPER_UNIT_BASIS = {
+    "dim": 3,
+    "labels": ["1", "e11", "e12"],
+    "unit": ["1", "0", "0"],
+    "mult": [
+        [0, 0, ["1", "0", "0"]], [0, 1, ["0", "1", "0"]], [0, 2, ["0", "0", "1"]],
+        [1, 0, ["0", "1", "0"]], [2, 0, ["0", "0", "1"]],
+        [1, 1, ["0", "1", "0"]], [1, 2, ["0", "0", "1"]],
+    ],
+}
+
+
+def _basis_vectors(n, field):
+    for t in range(n):
+        vec = [field.zero] * n
+        vec[t] = field.one
+        yield vec
+
+
+def _brace_normalized_matrix(lam, p):
+    """d on normalized cochains by running [m2, -] on each basis cochain."""
+    cols = []
+    for vec in _basis_vectors(H.normalized_space_dim(lam, p), lam.field):
+        dc = H.differential(H.vec_to_cochain(lam, p, 0, vec))
+        assert H._is_normalized_component(dc, p + 1)
+        cols.append(H.cochain_to_vec(dc, p + 1))
+    return Matrix(cols, lam.field, cols=H.normalized_space_dim(lam, p + 1)).transpose()
+
+
+def _brace_weighted_matrix(lam, p):
+    """d on the weight <= 1 cochains by running [m2, -] on each basis cochain."""
+    from bracealg.ainfty import _vec_to_weighted, _weight_monomials, _weighted_to_vec
+
+    d = lam.dim
+    src = len(_weight_monomials(p)) * d * d**p
+    cols = [_weighted_to_vec(H.differential(_vec_to_weighted(lam, p, 0, vec)), p + 1)
+            for vec in _basis_vectors(src, lam.field)]
+    return Matrix(cols, lam.field, cols=len(_weight_monomials(p + 1)) * d * d ** (p + 1)).transpose()
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [build_truncated_polynomial(1), LAM2, LAM3, load_algebra(KX3_PERMUTED), load_algebra(UPPER_UNIT_BASIS)],
+    ids=["k", "kx2", "kx3", "kx3-permuted", "upper"],
+)
+def test_differential_matrices_match_brace_reference(lam):
+    from bracealg.ainfty import _weighted_differential_matrix
+
+    for p in range(5):
+        assert H.normalized_differential_matrix(lam, p) == _brace_normalized_matrix(lam, p)
+    for p in range(4):
+        assert _weighted_differential_matrix(lam, p) == _brace_weighted_matrix(lam, p)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_normalization_check_fires_on_broken_unit_law(side):
+    # k[x]/(x^3) built valid, then edited so that 1.x (or x.1) = x + x^2
+    lam = build_truncated_polynomial(3)
+    i, j = (0, 1) if side == "left" else (1, 0)
+    lam.mult[i][j] = [QQ.zero, QQ.one, QQ.one]
+    lam._mult_mat = None
+    with pytest.raises(AlgebraSpecError, match="differential left the normalized subcomplex"):
+        H.normalized_differential_matrix(lam, 1)
