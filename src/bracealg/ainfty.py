@@ -106,6 +106,7 @@ class DGAlgebra:
         self.labels = labels or {}
         self.field = field
         self._mult_mats = {}
+        self._contractions = {}  # scheme -> verified ContractionData
         self._check()
 
     def degrees(self):
@@ -263,6 +264,7 @@ class ContractionData:
         self.i = i  # degree -> Matrix (dim x hdim)
         self.h = h  # degree -> Matrix (dim(next-lower) x dim): degree -1 map
         self.h_dims = h_classes  # degree -> cohomology dimension
+        self.h0 = None  # the LaurentAlgebra H0 it witnesses, built on first use
 
     def verify(self):
         dga = self.dga
@@ -296,8 +298,12 @@ def make_contraction(dga: DGAlgebra, scheme="default") -> ContractionData:
 
     In degree zero the unit is forced to represent its class first, so
     i(1) = 1; together with the side conditions this makes the transferred
-    operations strictly unital.
+    operations strictly unital.  It is built and verified once per DG
+    algebra and scheme; later calls return the same contraction.
     """
+    con = dga._contractions.get(scheme)
+    if con is not None:
+        return con
     f = dga.field
     p, i, h, hdims = {}, {}, {}, {}
     degs = dga.degrees()
@@ -373,6 +379,7 @@ def make_contraction(dga: DGAlgebra, scheme="default") -> ContractionData:
             h[deg] = Matrix.zeros(dga.dim(prev), dim, f)
     contraction = ContractionData(dga, p, i, h, hdims)
     contraction.verify()
+    dga._contractions[scheme] = contraction
     return contraction
 
 
@@ -396,18 +403,21 @@ def cohomology_algebra(dga: DGAlgebra, scheme="default"):
         )
     if con.h_dims.get(0, 0) == 0:
         raise NotLaurentForm("zero cohomology")
-    return _laurent_h0(dga, con)
+    return _laurent_h0(con)
 
 
-def _laurent_h0(dga: DGAlgebra, con: ContractionData) -> LaurentAlgebra:
-    """H0 (x) k[i^{+-1}] with the product p(i(a) i(b)) and unit p(1); con is its witness."""
-    reps = con.i[0].transpose().entries
-    mult = [[con.p[0].apply(dga.mul_vectors(0, a, 0, b)) for b in reps] for a in reps]
-    labels = ["h%d" % t for t in range(con.h_dims[0])]
-    labels[0] = "1"
-    lau = LaurentAlgebra(FiniteAlgebra(labels, con.p[0].apply(dga.unit), mult, dga.field))
-    lau.witness = con
-    return lau
+def _laurent_h0(con: ContractionData) -> LaurentAlgebra:
+    """H0 (x) k[i^{+-1}] with the product p(i(a) i(b)) and unit p(1); con is
+    its witness.  Built once per contraction."""
+    if con.h0 is None:
+        dga = con.dga
+        reps = con.i[0].transpose().entries
+        mult = [[con.p[0].apply(dga.mul_vectors(0, a, 0, b)) for b in reps] for a in reps]
+        labels = ["h%d" % t for t in range(con.h_dims[0])]
+        labels[0] = "1"
+        con.h0 = LaurentAlgebra(FiniteAlgebra(labels, con.p[0].apply(dga.unit), mult, dga.field))
+        con.h0.witness = con
+    return con.h0
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +499,7 @@ def transfer(dga: DGAlgebra, con: ContractionData, N: int) -> MinimalAInfty:
     if con.h_dims.get(1, 0):
         raise NotLaurentForm("odd cohomology nonzero")
     h0 = con.h_dims[0]
-    lau = _laurent_h0(dga, con)
+    lau = _laurent_h0(con)
     base = lau.base
 
     def deg_psi(n):

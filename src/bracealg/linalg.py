@@ -1,5 +1,12 @@
 """Exact linear algebra over the rationals (or a prime field).
 
+A rational is a plain int when it is integral and the backend rational
+(gmpy2.mpq, or fractions.Fraction without gmpy2) otherwise; see
+RationalField.  Sums and products of ints stay ints, which skip the gcds
+of rational arithmetic; a value becomes a rational only through a division
+(inv, or of with a denominator), and arithmetic with a rational gives a
+rational, even when the result is integral.
+
 A matrix is stored sparse: per row, the (column, value) pairs of its
 nonzero entries, plus its shape and field.  Dense rows are converted once
 where they enter, and the dense view (entries) is built on demand and
@@ -42,24 +49,33 @@ class SubspaceNotContained(Exception):
     """Raised when a quotient is requested by a non-subspace."""
 
 
+def _rational(q):
+    """q (a backend rational) as a plain int when it is integral."""
+    return int(q.numerator) if q.denominator == 1 else q
+
+
 class RationalField:
-    """The field of rationals, elements are gmpy2.mpq (or Fraction)."""
+    """The field of rationals.
+
+    An element is a plain int when it is integral and the backend rational
+    (gmpy2.mpq, or Fraction without gmpy2) otherwise.  Mixed int/rational
+    arithmetic is exact, and ==, hash, truthiness and str agree between an
+    int and an equal rational, so the two forms are interchangeable; most
+    values (0/+-1 structure constants, bar differentials, Kronecker
+    factors) never leave int.  inv divides in the backend rational, never
+    with int true division, which would give a float.
+    """
 
     name = "QQ"
 
     def of(self, num, den=1):
-        return _mpq(num, den)
+        return _rational(_mpq(num, den))
 
-    @property
-    def zero(self):
-        return _mpq(0)
-
-    @property
-    def one(self):
-        return _mpq(1)
+    zero = 0
+    one = 1
 
     def inv(self, x):
-        return 1 / x
+        return _rational(1 / _mpq(x))
 
     def to_str(self, x):
         return str(x)

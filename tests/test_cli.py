@@ -192,6 +192,30 @@ def test_model_report(tmp_path):
     assert rep["stable_end_dim"] == 2
 
 
+# sha256 of the report files; the benchmark (perfbench/run.py,
+# EXPECTED_SHA256) checks the same digests on every run
+REPORT_SHA256 = {
+    "massey": "163b84884ab8878118fd02a646a45746f5bbe8db89af3ae7795207016ae3c296",
+    "transfer": "197d563e52d523ba602c0731847008b6aede24479ed763c60b100d7ef3721295",
+    "model": "7a99ad8d71fb494caf8b833440b54f645f62d148dc96d29bffc98fcd0a661316",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["massey", "--n", "6", "--a", "3", "--cap-n", "8"],
+        ["transfer", "--n", "8", "--a", "4", "--cap-n", "8"],
+        ["model", "--n", "6", "--a", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_report_bytes_pinned(tmp_path, argv):
+    out = tmp_path / "report.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[argv[0]]
+
+
 def test_reports_byte_identical_across_threads(kx2_spec, tmp_path):
     outs = []
     for i, threads in enumerate(("1", "1", "4")):

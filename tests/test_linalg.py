@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from bracealg import linalg
 from bracealg.linalg import (
     GF,
     QQ,
@@ -23,6 +24,24 @@ def rand_matrix(rng, rows, cols, field=QQ):
         [[field.of(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)],
         field,
     )
+
+
+def test_rational_scalars_int_when_integral():
+    rational = type(linalg._mpq(1, 2))  # Fraction, or gmpy2's mpq
+    for x in (QQ.of(4, 2), QQ.of(-6, 3), QQ.of(0, 5), QQ.zero, QQ.one, QQ.inv(QQ.of(1, 2)), QQ.inv(-1)):
+        assert type(x) is int
+    for x in (QQ.of(1, 2), QQ.of(-3, 6), QQ.inv(2), QQ.inv(QQ.of(-2, 3))):
+        assert type(x) is rational
+    assert QQ.inv(2) == QQ.of(1, 2) and QQ.inv(QQ.of(-2, 3)) == QQ.of(-3, 2)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(QQ.zero)
+
+
+def test_rational_scalars_never_float():
+    values = [QQ.of(n, d) for n in range(-6, 7) for d in range(1, 5)]
+    values += [QQ.inv(x) for x in values if x]
+    values += [x * y for x in values[:40] for y in values[-40:]] + [x - y for x in values[:40] for y in values[-40:]]
+    assert not any(isinstance(x, float) for x in values)
 
 
 def test_rref_identity():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bracealg import linalg
 from bracealg.linalg import (
     GF,
     QQ,
@@ -66,6 +67,72 @@ def test_solve_is_exact_or_certifiably_inconsistent(m, b):
         assert rank(m.augment(Matrix.column_vector(b))) > rank(m)
     else:
         assert m.apply(v) == b
+
+
+class AllRationalField:
+    """The rationals with every element the backend rational, integral or
+    not: the reference for QQ, whose integral elements are plain ints."""
+
+    name = "QQ"
+
+    def of(self, num, den=1):
+        return linalg._mpq(num, den)
+
+    @property
+    def zero(self):
+        return linalg._mpq(0)
+
+    @property
+    def one(self):
+        return linalg._mpq(1)
+
+    def inv(self, x):
+        return 1 / x
+
+    def to_str(self, x):
+        return str(x)
+
+
+ALL_RATIONAL = AllRationalField()
+# integral values half the time, so both int and rational entries are common
+mixed_rational = st.one_of(st.integers(-3, 3).map(Fraction), small_rational)
+
+
+@st.composite
+def scalar_cases(draw):
+    """Fraction grids (a, a2, f1, f2, v): a and a2 are r x (k1 k2), f1 is
+    k1 x c1, f2 is k2 x c2 and v has length k1 k2."""
+    r, k1, k2, c1, c2 = (draw(st.integers(1, 3)) for _ in range(5))
+
+    def grid(rows, cols):
+        return draw(st.lists(st.lists(mixed_rational, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+    return grid(r, k1 * k2), grid(r, k1 * k2), grid(k1, c1), grid(k2, c2), grid(1, k1 * k2)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalar_cases())
+def test_int_scalars_match_all_rational_reference(case):
+    ga, ga2, gf1, gf2, gv = case
+
+    def results(field):
+        def build(grid):
+            return Matrix([[field.of(x.numerator, x.denominator) for x in row] for row in grid], field)
+
+        a, a2, f1, f2 = map(build, (ga, ga2, gf1, gf2))
+        red, piv = rref(a)
+        sol = solve(a, a.apply([field.of(x.numerator, x.denominator) for x in gv]))
+        mats = [red, kernel_basis(a).matrix, Matrix.column_vector(sol, field), compose(a, [f1, f2]), a * a2.transpose(), a + a2]
+        return piv, mats
+
+    piv, mats = results(QQ)
+    assert (piv, mats) == results(ALL_RATIONAL)
+    rational = type(linalg._mpq(1, 2))
+    assert all(type(x) in (int, rational) for m in mats for row in m.entries for x in row)  # never a float
+    # the same matrix from ints (where integral) and from Fractions
+    m_int = Matrix([[QQ.of(x.numerator, x.denominator) for x in row] for row in ga], QQ)
+    for other in (Matrix(ga, QQ), Matrix([[linalg._mpq(x) for x in row] for row in ga], QQ)):
+        assert m_int == other and other == m_int and hash(m_int) == hash(other)
 
 
 @st.composite
