@@ -3,94 +3,45 @@ A-infinity minimal models and Massey-product unit tests on small algebras.
 
 Everything is computed over an exact field (rationals by default); there is
 no floating point anywhere and all results are deterministic.
+
+The package namespace is lazy (PEP 562): a name below is imported from its
+module on first access, so a program imports only the modules it uses.
 """
 
-from .linalg import QQ, GF, Matrix, SubspaceBasis, SubspaceNotContained
-from .algebra import (
-    AlgebraSpecError,
-    FiniteAlgebra,
-    LaurentAlgebra,
-    Bimodule,
-    BimoduleMap,
-    Resolution,
-    build_truncated_polynomial,
-    enveloping,
-    bar_resolution,
-    periodic_bimodule_resolution,
-    comparison_map_to_periodic,
-    diagonal_bimodule,
-    free_rank_one_bimodule,
-    load_algebra,
-    syzygy,
-    strip_projective_summands,
-    is_stable_iso,
-    is_symmetric,
-)
-from .hochschild import (
-    CapTooLow,
-    Cochain,
-    EulerAdjoinedCochain,
-    HHClass,
-    NotACocycle,
-    WrongBidegree,
-    brace,
-    bracket,
-    class_of,
-    cohomology,
-    cocycle_to_extension,
-    cup,
-    differential,
-    divide_class,
-    euler_derivation,
-    hh_isos_backward,
-    hh_isos_forward,
-    random_cochain,
-    restrict_j,
-    solve_coboundary,
-    tate_unit_check,
-)
-from .ainfty import (
-    AInftyMorphism,
-    ClassMismatch,
-    ContractionData,
-    DGAlgebra,
-    FORMAL,
-    INCONCLUSIVE,
-    M3NonZero,
-    MinimalAInfty,
-    NOT_FORMAL,
-    NotAUnit,
-    NotCentral,
-    NotLaurentForm,
-    NotUnit,
-    ObstructionNotContractible,
-    ainfty_map_check,
-    build_iso,
-    cohomology_algebra,
-    contractible_solution,
-    extract_m4_class,
-    formality_verdict_of_model,
-    gauge,
-    gauge_by_central_unit,
-    is_formal,
-    make_contraction,
-    mc_check,
-    restricted_ump,
-    transfer,
-    transported_structure,
-    two_equations_solve,
-)
-from .models import (
-    BadParameters,
-    DGEnd,
-    NoWitness,
-    PeriodicComplex,
-    complete_resolution,
-    dg_end,
-    periodicity_witness,
-    rigidity_check,
-    seeded_minimal_model,
-    stable_endomorphism_algebra,
-)
+import importlib
 
+_EXPORTS = {
+    "linalg": "QQ GF Matrix SubspaceBasis SubspaceNotContained",
+    "algebra": """AlgebraSpecError FiniteAlgebra LaurentAlgebra Bimodule BimoduleMap Resolution
+        build_truncated_polynomial enveloping bar_resolution periodic_bimodule_resolution
+        comparison_map_to_periodic diagonal_bimodule free_rank_one_bimodule load_algebra syzygy
+        strip_projective_summands is_stable_iso is_symmetric""",
+    "hochschild": """CapTooLow Cochain EulerAdjoinedCochain HHClass NotACocycle WrongBidegree brace
+        bracket class_of cohomology cocycle_to_extension cup differential divide_class
+        euler_derivation hh_isos_backward hh_isos_forward random_cochain restrict_j
+        solve_coboundary tate_unit_check""",
+    "ainfty": """AInftyMorphism ClassMismatch ContractionData DGAlgebra FORMAL INCONCLUSIVE M3NonZero
+        MinimalAInfty NOT_FORMAL NotAUnit NotCentral NotLaurentForm NotUnit
+        ObstructionNotContractible ainfty_map_check build_iso cohomology_algebra
+        contractible_solution extract_m4_class formality_verdict_of_model gauge
+        gauge_by_central_unit is_formal make_contraction mc_check restricted_ump transfer
+        transported_structure two_equations_solve""",
+    "models": """BadParameters DGEnd NoWitness PeriodicComplex complete_resolution dg_end
+        periodicity_witness rigidity_check seeded_minimal_model stable_endomorphism_algebra""",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = [*_EXPORTS, *_MODULE_OF]
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module("." + name, __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(importlib.import_module("." + _MODULE_OF[name], __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

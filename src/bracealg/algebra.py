@@ -403,12 +403,6 @@ class Bimodule:
                 if self.left[i] * self.right[j] != self.right[j] * self.left[i]:
                     raise AlgebraSpecError("actions do not commute at (%d,%d)" % (i, j))
 
-    def apply_left(self, i, vec):
-        return self.left[i].apply(vec)
-
-    def apply_right(self, i, vec):
-        return self.right[i].apply(vec)
-
     def env_action(self, i, j):
         """Matrix of the enveloping-algebra basis element e_i (x) e_j."""
         return self.left[i] * self.right[j]

@@ -5,6 +5,10 @@ Commands: hh, transfer, massey, compare, model.  Exit codes: 0 success,
 2 invariant violation in the input, 3 cap exceeded, 4 class mismatch.
 Reports are schema-versioned JSON, byte-identical across runs and across
 thread counts (timing is printed to stderr, never into the report).
+
+Each command imports the modules it runs, so `hh` never loads the A-infinity
+layer; the exception classes behind the exit codes are looked up only when an
+exception reaches main.
 """
 
 from __future__ import annotations
@@ -13,39 +17,6 @@ import argparse
 import json
 import sys
 import time
-
-from .algebra import AlgebraSpecError, LaurentAlgebra, _get, _parse_int, _parse_matrix, load_algebra
-from .ainfty import (
-    ClassMismatch,
-    DGAlgebra,
-    MinimalAInfty,
-    NotLaurentForm,
-    ObstructionNotContractible,
-    ainfty_map_check,
-    build_iso,
-    cohomology_algebra,
-    formality_verdict_of_model,
-    make_contraction,
-    mc_check,
-    transfer,
-)
-from .hochschild import (
-    CapTooLow,
-    Cochain,
-    DEFAULT_CAP,
-    cohomology,
-    tate_unit_check,
-)
-from .linalg import GF, QQ
-from .models import (
-    BadParameters,
-    complete_resolution,
-    dg_end,
-    periodicity_witness,
-    rigidity_check,
-    seeded_minimal_model,
-    stable_endomorphism_algebra,
-)
 
 SCHEMA = "v1"
 
@@ -60,6 +31,8 @@ class ConfigError(Exception):
 
 
 def _field_of(spec, cap_n):
+    from .linalg import GF, QQ
+
     if spec in (None, "qq", "QQ"):
         return QQ
     if spec.startswith("fp:"):
@@ -112,7 +85,13 @@ def structure_to_json(m: MinimalAInfty):
     return data
 
 
-def structure_from_json(data, field=QQ) -> MinimalAInfty:
+def structure_from_json(data, field=None) -> MinimalAInfty:
+    from .ainfty import MinimalAInfty
+    from .algebra import AlgebraSpecError, LaurentAlgebra, _get, _parse_int, _parse_matrix, load_algebra
+    from .hochschild import Cochain
+    from .linalg import QQ
+
+    field = field or QQ
     lam = load_algebra(_get(data, "algebra", "structure dump"), field)
     cap = _get(data, "cap", "structure dump")
     if not isinstance(cap, int):
@@ -143,6 +122,9 @@ def structure_from_json(data, field=QQ) -> MinimalAInfty:
 
 
 def cmd_hh(args, t0):
+    from .algebra import load_algebra
+    from .hochschild import DEFAULT_CAP, CapTooLow, cohomology
+
     field = _field_of(args.field, args.cap_n)
     data = _load_json(args.input)
     lam = load_algebra(data, field)
@@ -188,13 +170,19 @@ def cmd_hh(args, t0):
 
 def _load_dga(args, field):
     if args.input:
+        from .ainfty import DGAlgebra
+
         return DGAlgebra.from_json(_load_json(args.input), field)
     if args.n is not None and args.a is not None:
+        from .models import complete_resolution, dg_end
+
         return dg_end(complete_resolution(args.n, args.a, field))
     raise ConfigError("need either an input DG dump or --n/--a model parameters")
 
 
 def cmd_transfer(args, t0):
+    from .ainfty import formality_verdict_of_model, make_contraction, mc_check, transfer
+
     field = _field_of(args.field, args.cap_n)
     dga = _load_dga(args, field)
     con = make_contraction(dga)
@@ -216,25 +204,23 @@ def cmd_transfer(args, t0):
 
 
 def cmd_massey(args, t0):
+    from .ainfty import restricted_ump
+    from .hochschild import HHClass, hh_context, normalized_space_dim, tate_unit_check
+
     field = _field_of(args.field, args.cap_n)
     if args.input:
         m = structure_from_json(_load_json(args.input), field)
     elif args.n is not None and args.a is not None:
+        from .models import seeded_minimal_model
+
         m = seeded_minimal_model(args.n, args.a, cap=args.cap_n, field=field)
     else:
         raise ConfigError("need a structure dump or --n/--a")
-    from .ainfty import restricted_ump
-
     lam = m.algebra
     if m.arities():
         cls = restricted_ump(m)
     else:
-        from .hochschild import hh_context, vec_to_cochain, normalized_space_dim, HHClass
-
-        cls = HHClass(
-            hh_context(lam, 4, 1),
-            vec_to_cochain(lam, 4, 1, [lam.field.zero] * normalized_space_dim(lam, 4)),
-        )
+        cls = HHClass(hh_context(lam, 4, 1), vec=[lam.field.zero] * normalized_space_dim(lam, 4))
     zero = cls.is_zero()
     # the Tate unit test is the stable-iso test of the syzygy map Omega^4 -> L;
     # a seeded model carries the result for its own class
@@ -258,6 +244,8 @@ def cmd_massey(args, t0):
 
 
 def cmd_compare(args, t0):
+    from .ainfty import ClassMismatch, ObstructionNotContractible, ainfty_map_check, build_iso
+
     field = _field_of(args.field, args.cap_n)
     m = structure_from_json(_load_json(args.left), field)
     mp = structure_from_json(_load_json(args.right), field)
@@ -298,6 +286,9 @@ def cmd_compare(args, t0):
 
 
 def cmd_model(args, t0):
+    from .ainfty import cohomology_algebra
+    from .models import complete_resolution, dg_end, periodicity_witness, rigidity_check, stable_endomorphism_algebra
+
     field = _field_of(args.field, args.cap_n)
     if args.n is None or args.a is None:
         raise ConfigError("model command needs --n and --a")
@@ -375,6 +366,29 @@ COMMANDS = {
 }
 
 
+# (module, exception class, exit code), tried in order after ConfigError.  A
+# class whose module was never imported cannot have been raised, so the
+# lookup imports nothing.
+_EXIT_CODES = (
+    ("algebra", "AlgebraSpecError", EXIT_INVALID_INPUT),
+    ("models", "BadParameters", EXIT_INVALID_INPUT),
+    ("ainfty", "NotLaurentForm", EXIT_INVALID_INPUT),
+    ("hochschild", "CapTooLow", EXIT_CAP_EXCEEDED),
+    ("ainfty", "ClassMismatch", EXIT_CLASS_MISMATCH),
+)
+
+
+def _exit_code(exc):
+    """The exit code for an exception that reached main, or None."""
+    if isinstance(exc, ConfigError):
+        return EXIT_INVALID_INPUT
+    for module, name, code in _EXIT_CODES:
+        mod = sys.modules.get("%s.%s" % (__package__, module))
+        if mod is not None and isinstance(exc, getattr(mod, name)):
+            return code
+    return None
+
+
 def main(argv=None):
     t0 = time.time()
     ap = build_parser()
@@ -384,15 +398,12 @@ def main(argv=None):
         return EXIT_INVALID_INPUT
     try:
         return COMMANDS[args.command](args, t0)
-    except (ConfigError, AlgebraSpecError, BadParameters, NotLaurentForm) as exc:
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except CapTooLow as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_CAP_EXCEEDED
-    except ClassMismatch as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_CLASS_MISMATCH
+        return code
 
 
 if __name__ == "__main__":

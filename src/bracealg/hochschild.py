@@ -7,7 +7,10 @@ internal degree, plus optional "weight" matrices recording polynomial
 dependence on the iota powers of individual inputs.  iota-linear cochains
 have no weights; the fractional Euler derivation is the basic example of
 a weight-one cochain.  Braces, cup product, Lie bracket and the
-differential are computed exactly in this representation.
+differential are computed exactly in this representation.  Products of
+cohomology classes skip it: a class keeps the reduced coordinates of a
+normalized representative, and its cup and bracket are compositions of
+those coordinate matrices.
 
 Sign convention: Koszul signs with respect to the total degree shifted by
 -1 (the bar convention).  The binary product cochain is minus the algebra
@@ -134,9 +137,6 @@ class Cochain:
     def shift_iota(self, delta):
         return Cochain(self.algebra, self.iota + delta, self.comps, self.cap)
 
-    def total_degree(self, p):
-        return p - 2 * self.iota
-
     # -- linear structure -------------------------------------------------
 
     def _merged(self, other, sign):
@@ -243,11 +243,6 @@ def _scaled(comps, c, field):
 # The brace engine
 
 
-def _bar_degree(p, iota):
-    # total degree p - 2*iota, shifted by -1; only the parity matters
-    return (p + 1) % 2
-
-
 def _expand_weight_power(qk, positions, exponent):
     """(qk + sum_{u in positions} j_u)^exponent as {monomial-dict: int}."""
     terms = {(): 1}
@@ -346,7 +341,8 @@ def brace(x0: Cochain, args, cap=None) -> Cochain:
                     else:
                         slotpos[t] = pos
                         pos += 1
-                sign_exp = sum(_bar_degree(pks[k], 0) * ik[k] for k in range(n))
+                # y_k has total degree p_k - 2 iota, shifted by -1: parity p_k + 1
+                sign_exp = sum((pks[k] + 1) * ik[k] for k in range(n))
                 sgn = field.one if sign_exp % 2 == 0 else -field.one
                 for e0, mat0 in comp0.items():
                     _brace_term(out, lam, P, p0, slots, choice, e0, mat0,
@@ -517,16 +513,24 @@ def cochain_to_vec(c: Cochain, p):
     for e, m in c.comps.get(p, {}).items():
         if any(e) and not m.is_zero():
             raise AlgebraSpecError("cochain has Euler weights; not in the iota-linear model")
-    reduced = compose(c.component_matrix(p), [_reduced_inclusion(c.algebra)] * p)
+    return _vec_of(compose(c.component_matrix(p), [_reduced_inclusion(c.algebra)] * p))
+
+
+def _vec_of(reduced):
+    """The coordinates of a dim x (dim-1)^p reduced matrix, column by column."""
     return [x for col in reduced.transpose().entries for x in col]
+
+
+def _reduced_matrix(lam, p, vec):
+    """The reduced matrix with coordinates vec: the inverse of _vec_of."""
+    d = lam.dim
+    return Matrix([vec[row::d] for row in range(d)], lam.field, cols=(d - 1) ** p)
 
 
 def vec_to_cochain(lam, p, j, vec, cap=math.inf):
     """Normalized cochain from reduced coordinates (zero on unit inputs)."""
-    d = lam.dim
     proj = _reduced_inclusion(lam).transpose()
-    reduced = Matrix([vec[row::d] for row in range(d)], lam.field, cols=proj.rows**p)
-    return Cochain.from_matrix(lam, p, compose(reduced, [proj] * p), j, cap)
+    return Cochain.from_matrix(lam, p, compose(_reduced_matrix(lam, p, vec), [proj] * p), j, cap)
 
 
 def differential_parts(lam, p, inputs):
@@ -611,6 +615,21 @@ def _is_normalized_component(c: Cochain, p):
 # Cohomology classes
 
 
+@_per_algebra
+def _cohomology_at(lam, p):
+    """(cocycles, coboundaries, reps, proj) of the normalized complex at arity p.
+
+    None of it depends on the internal degree, so every j shares one
+    factorisation per arity.
+    """
+    cocycles = kernel_basis(normalized_differential_matrix(lam, p))
+    if p >= 1:
+        coboundaries = image_basis(normalized_differential_matrix(lam, p - 1))
+    else:
+        coboundaries = SubspaceBasis(normalized_space_dim(lam, p), [], lam.field)
+    return (cocycles, coboundaries, *quotient_basis(cocycles, coboundaries))
+
+
 class HHContext:
     """Cocycles and coboundaries of the normalized complex at (p, -2j)."""
 
@@ -618,14 +637,7 @@ class HHContext:
         self.algebra = lam
         self.p = p
         self.j = j
-        dmat = normalized_differential_matrix(lam, p)
-        self.cocycles = kernel_basis(dmat)
-        if p >= 1:
-            prev = normalized_differential_matrix(lam, p - 1)
-            self.coboundaries = image_basis(prev)
-        else:
-            self.coboundaries = SubspaceBasis(normalized_space_dim(lam, p), [], lam.field)
-        self.reps, self._proj = quotient_basis(self.cocycles, self.coboundaries)
+        self.cocycles, self.coboundaries, self.reps, self._proj = _cohomology_at(lam, p)
 
     @property
     def dim(self):
@@ -638,10 +650,7 @@ class HHContext:
         return self._proj(vec)
 
     def basis_classes(self):
-        return [
-            HHClass(self, vec_to_cochain(self.algebra, self.p, self.j, v))
-            for v in self.reps
-        ]
+        return [HHClass(self, vec=v) for v in self.reps]
 
 
 @_per_algebra
@@ -652,13 +661,30 @@ def hh_context(lam, p, j) -> HHContext:
 
 
 class HHClass:
-    """A Hochschild cohomology class with a normalized representative."""
+    """A Hochschild cohomology class with a normalized representative.
 
-    def __init__(self, context: HHContext, representative: Cochain):
-        self.context = context
-        self.representative = representative
-        vec = cochain_to_vec(representative, context.p)
+    The class is kept as the reduced coordinates vec of its representative
+    (cochain_to_vec's).  A representative handed in as a cochain is checked
+    to be normalized here, once; products and linear combinations work on
+    the coordinates, and a class made from coordinates builds its
+    representative only when asked for it.
+    """
+
+    def __init__(self, context: HHContext, representative: Cochain = None, vec=None):
+        """The class of a normalized representative, or of reduced coordinates vec."""
+        if representative is not None:
+            if not _is_normalized_component(representative, context.p):
+                raise AlgebraSpecError("expected a normalized cochain")
+            vec = cochain_to_vec(representative, context.p)
+        self.context, self.vec, self._representative = context, vec, representative
         self.coords = context.classify(vec)
+
+    @property
+    def representative(self) -> Cochain:
+        if self._representative is None:
+            ctx = self.context
+            self._representative = vec_to_cochain(ctx.algebra, ctx.p, ctx.j, self.vec)
+        return self._representative
 
     @property
     def bidegree(self):
@@ -678,31 +704,56 @@ class HHClass:
         )
 
     def scale(self, c):
-        return HHClass(self.context, self.representative.scale(c))
+        return HHClass(self.context, vec=[c * x for x in self.vec])
+
+    def _plus(self, other, sign):
+        if other.context.p != self.context.p:
+            raise WrongBidegree("cannot add classes of arities %d and %d" % (self.context.p, other.context.p))
+        return HHClass(self.context, vec=[x + sign * y for x, y in zip(self.vec, other.vec)])
 
     def __add__(self, other):
-        return HHClass(self.context, self.representative + other.representative)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return HHClass(self.context, self.representative - other.representative)
+        return self._plus(other, -1)
+
+    def _reduced(self):
+        return _reduced_matrix(self.context.algebra, self.context.p, self.vec)
 
     def cup_cls(self, other) -> "HHClass":
+        """The class of cup(f, g) = (-1)^(pq) mu(f, g), on the reduced matrices."""
         lam = self.context.algebra
-        prod = cup(self.representative, other.representative)
-        ctx = hh_context(lam, self.context.p + other.context.p, self.context.j + other.context.j)
-        return HHClass(ctx, _normalized_projection(prod, ctx.p))
+        p, q = self.context.p, other.context.p
+        prod = compose(lam.mult_matrix(), [self._reduced(), other._reduced()])
+        ctx = hh_context(lam, p + q, self.context.j + other.context.j)
+        return HHClass(ctx, vec=_vec_of(-prod if p * q % 2 else prod))
+
+    def _brace(self, other):
+        """The reduced matrix of f{g} = sum_s (-1)^((q+1)s) f(..., g, ...), g at input s.
+
+        f's inputs in reduced coordinates are the non-unit basis vectors, so
+        g enters through its rows at those vectors (incl^T g)."""
+        lam = self.context.algebra
+        p, q = self.context.p, other.context.p
+        n = lam.dim - 1
+        f, g = self._reduced(), other._reduced().select_rows(_non_unit_inputs(lam))
+        total = Matrix.zeros(lam.dim, n ** (p + q - 1), lam.field)
+        for s in range(p):
+            term = compose(f, [Matrix.identity(n**s, lam.field), g, Matrix.identity(n ** (p - 1 - s), lam.field)])
+            total = total - term if (q + 1) * s % 2 else total + term
+        return total
 
     def bracket_cls(self, other) -> "HHClass":
+        """The class of [f, g] = f{g} - (-1)^((p-1)(q-1)) g{f}."""
         lam = self.context.algebra
-        p = self.context.p + other.context.p - 1
-        j = self.context.j + other.context.j
-        if p < 0:
+        p, q = self.context.p, other.context.p
+        ctx = hh_context(lam, max(p + q - 1, 0), self.context.j + other.context.j)
+        if p + q == 0:
             # bracket of two 0-cochains vanishes identically
-            ctx0 = hh_context(lam, 0, j)
-            return HHClass(ctx0, vec_to_cochain(lam, 0, j, [lam.field.zero] * lam.dim))
-        br = bracket(self.representative, other.representative)
-        ctx = hh_context(lam, p, j)
-        return HHClass(ctx, _normalized_projection(br, ctx.p))
+            return HHClass(ctx, vec=[lam.field.zero] * lam.dim)
+        first, second = self._brace(other), other._brace(self)
+        br = first + second if (p - 1) * (q - 1) % 2 else first - second
+        return HHClass(ctx, vec=_vec_of(br))
 
     def __repr__(self):
         return "HHClass(p=%d, q=%d, coords=%r)" % (
@@ -712,16 +763,10 @@ class HHClass:
         )
 
 
-def _normalized_projection(c: Cochain, p):
-    """The cochain itself; products of normalized cochains stay normalized."""
-    if not _is_normalized_component(c, p):
-        raise AlgebraSpecError("expected a normalized cochain")
-    return Cochain.from_matrix(c.algebra, p, c.component_matrix(p), c.iota, c.cap)
-
-
 def class_of(lam, c: Cochain, p, j) -> HHClass:
+    """The class of c's arity-p component, a normalized cocycle."""
     ctx = hh_context(lam, p, j)
-    return HHClass(ctx, _normalized_projection(c, p))
+    return HHClass(ctx, Cochain.from_matrix(lam, p, c.component_matrix(p), c.iota, c.cap))
 
 
 def cohomology(lam, p, j):
@@ -751,26 +796,14 @@ def divide_class(x_cls: HHClass, u_cls: HHClass) -> HHClass:
     if p <= 0:
         raise WrongBidegree("class division only implemented in positive degrees")
     ctx = hh_context(lam, p, j)
-    cols = []
-    for b in ctx.basis_classes():
-        prod = u_cls.cup_cls(b)
-        cols.append(prod.coords)
+    cols = [u_cls.cup_cls(b).coords for b in ctx.basis_classes()]
     if not cols:
         raise NotACocycle("empty source space in class division")
-    mat = Matrix(
-        [[cols[jj][i] for jj in range(len(cols))] for i in range(len(cols[0]))],
-        lam.field,
-        cols=len(cols),
-    )
-    sol = solve(mat, x_cls.coords)
+    sol = solve(Matrix(cols, lam.field).transpose(), x_cls.coords)
     if sol is None:
         raise NotACocycle("class is not divisible by the unit class")
-    rep = Cochain.zero(lam, j)
-    basis = ctx.basis_classes()
-    for c, b in zip(sol, basis):
-        if c:
-            rep = rep + b.representative.scale(c)
-    return HHClass(ctx, rep if rep.comps else vec_to_cochain(lam, p, j, [lam.field.zero] * normalized_space_dim(lam, p)))
+    vec = [sum((c * v[t] for c, v in zip(sol, ctx.reps)), lam.field.zero) for t in range(normalized_space_dim(lam, p))]
+    return HHClass(ctx, vec=vec)
 
 
 # ---------------------------------------------------------------------------

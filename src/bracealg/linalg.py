@@ -63,13 +63,16 @@ class RationalField:
     int and an equal rational, so the two forms are interchangeable; most
     values (0/+-1 structure constants, bar differentials, Kronecker
     factors) never leave int.  inv divides in the backend rational, never
-    with int true division, which would give a float.
+    with int true division, which would give a float.  canonical turns an
+    integral rational back into an int, for kernels that scale by inverses.
     """
 
     name = "QQ"
 
     def of(self, num, den=1):
         return _rational(_mpq(num, den))
+
+    canonical = staticmethod(_rational)
 
     zero = 0
     one = 1
@@ -144,6 +147,9 @@ class PrimeField:
 
     def inv(self, x):
         return self._cls(pow(int(x), -1, self.p))
+
+    def canonical(self, x):
+        return x
 
     def to_str(self, x):
         return str(x)
@@ -413,7 +419,8 @@ class _Echelon:
     column.  Sorted by pivot, the rows are therefore the unique RREF of
     their span.  A row is reduced only at the pivot columns where it is
     nonzero, and cancelled entries are dropped, so the work follows the
-    nonzeros.
+    nonzeros.  A row scaled to its pivot keeps its scalars canonical (over
+    QQ, integral entries stay ints).
     """
 
     __slots__ = ("field", "rows")
@@ -439,8 +446,8 @@ class _Echelon:
         pc = min(row)
         lead = row[pc]
         if lead != self.field.one:
-            inv = self.field.inv(lead)
-            row = {j: x * inv for j, x in row.items()}
+            inv, canonical = self.field.inv(lead), self.field.canonical
+            row = {j: canonical(x * inv) for j, x in row.items()}
         for other in self.rows.values():
             c = other.get(pc)
             if c is not None:

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import bracealg
 from bracealg.algebra import build_truncated_polynomial
 from bracealg.ainfty import MinimalAInfty, gauge_by_central_unit
 from bracealg.cli import main, structure_from_json, structure_to_json
@@ -43,6 +46,36 @@ def test_hh_product_tables_pinned(tmp_path):
     rep = json.loads(open(out).read())
     tables = json.dumps([rep["cup_table"], rep["bracket_table"]], sort_keys=True)
     assert hashlib.sha256(tables.encode()).hexdigest() == HH_X3_TABLES_SHA256
+
+
+# k[x]/(x^3) with basis x, 1, x^2: the unit is a basis vector, but not the first
+KX3_PERMUTED = {
+    "dim": 3,
+    "labels": ["x", "1", "x^2"],
+    "unit": ["0", "1", "0"],
+    "mult": [
+        [0, 0, ["0", "0", "1"]], [0, 1, ["1", "0", "0"]], [1, 0, ["1", "0", "0"]],
+        [1, 1, ["0", "1", "0"]], [1, 2, ["0", "0", "1"]], [2, 1, ["0", "0", "1"]],
+    ],
+}
+
+# sha256 of the whole hh report on k[x]/(x^3) at --cap-p 5, read from
+# kx3.json in the working directory, recorded before the class products
+# left the brace engine
+HH_X3_REPORT_SHA256 = {
+    ("monomial", "fp:101"): "f7e024960131832f67b73392ba1e8c1616921e4ce7d015b653d8213b68f87565",
+    ("permuted", "qq"): "d03ae3299deaa35213bed04c390723462f58ea6432317ac6332469339d09b1d9",
+    ("permuted", "fp:101"): "e3a2207fad2d7d9082537ea8160efaf964ea5a8ef4def62cd783c5ea0534b84e",
+}
+
+
+@pytest.mark.parametrize("basis,field", sorted(HH_X3_REPORT_SHA256), ids=["%s-%s" % k for k in sorted(HH_X3_REPORT_SHA256)])
+def test_hh_report_pinned(tmp_path, monkeypatch, basis, field):
+    spec = KX3_PERMUTED if basis == "permuted" else build_truncated_polynomial(3).to_json()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kx3.json").write_text(json.dumps(spec))
+    assert run(["hh", "kx3.json", "--cap-p", "5", "--field", field, "--out", "hh.json"]) == 0
+    assert hashlib.sha256((tmp_path / "hh.json").read_bytes()).hexdigest() == HH_X3_REPORT_SHA256[basis, field]
 
 
 def test_hh_all_zero_for_k(tmp_path):
@@ -313,3 +346,82 @@ def test_malformed_dump_exit_2(tmp_path, kind, edit):
     edit(data)
     path.write_text(json.dumps(data))
     assert run(["transfer", str(path), "--cap-n", "6"]) == 2
+
+
+# -- per-command imports, checked in a fresh interpreter ------------------------
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(bracealg.__file__)))
+
+
+def _python(args, cwd):
+    """Run the interpreter on args with this package on its path."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_hh_imports_neither_ainfty_nor_models(kx2_spec, tmp_path):
+    code = (
+        "import sys; from bracealg.cli import main; code = main(sys.argv[1:]); "
+        "print(code, *sorted(m for m in sys.modules if m.startswith('bracealg')))"
+    )
+    proc = _python(["-c", code, "hh", kx2_spec, "--cap-p", "4", "--out", str(tmp_path / "hh.json")], tmp_path)
+    code, *loaded = proc.stdout.split()
+    assert code == "0" and "bracealg.hochschild" in loaded
+    assert "bracealg.ainfty" not in loaded and "bracealg.models" not in loaded
+
+
+# the names `from bracealg import *` gave while the package imported every
+# module eagerly
+STAR_NAMES = """
+    AInftyMorphism AlgebraSpecError BadParameters Bimodule BimoduleMap CapTooLow ClassMismatch Cochain
+    ContractionData DGAlgebra DGEnd EulerAdjoinedCochain FORMAL FiniteAlgebra GF HHClass INCONCLUSIVE
+    LaurentAlgebra M3NonZero Matrix MinimalAInfty NOT_FORMAL NoWitness NotACocycle NotAUnit NotCentral
+    NotLaurentForm NotUnit ObstructionNotContractible PeriodicComplex QQ Resolution SubspaceBasis
+    SubspaceNotContained WrongBidegree ainfty ainfty_map_check algebra bar_resolution brace bracket build_iso
+    build_truncated_polynomial class_of cocycle_to_extension cohomology cohomology_algebra
+    comparison_map_to_periodic complete_resolution contractible_solution cup dg_end diagonal_bimodule
+    differential divide_class enveloping euler_derivation extract_m4_class formality_verdict_of_model
+    free_rank_one_bimodule gauge gauge_by_central_unit hh_isos_backward hh_isos_forward hochschild is_formal
+    is_stable_iso is_symmetric linalg load_algebra make_contraction mc_check models
+    periodic_bimodule_resolution periodicity_witness random_cochain restrict_j restricted_ump rigidity_check
+    seeded_minimal_model solve_coboundary stable_endomorphism_algebra strip_projective_summands syzygy
+    tate_unit_check transfer transported_structure two_equations_solve
+"""
+
+
+def test_star_import_names_unchanged(tmp_path):
+    code = "ns = {}; exec('from bracealg import *', ns); print(*sorted(set(ns) - {'__builtins__'}))"
+    assert _python(["-c", code], tmp_path).stdout.split() == sorted(STAR_NAMES.split())
+
+
+def _bad_parameters(tmp_path):
+    return ["model", "--n", "3", "--a", "5"]
+
+
+def _odd_cohomology(tmp_path):
+    # k[e]/(e^2) with e odd and d = 0: H^1 is not zero, so no Laurent form
+    dga = {
+        "periodic": True, "dims": {"0": 1, "1": 1}, "unit": ["1"], "diff": {},
+        "mult": {"0,0": [[["1"]]], "0,1": [[["1"]]], "1,0": [[["1"]]], "1,1": [[["0"]]]},
+    }
+    (tmp_path / "odd.json").write_text(json.dumps(dga))
+    return ["transfer", "odd.json", "--cap-n", "6"]
+
+
+def _class_mismatch(tmp_path):
+    m = seeded_minimal_model(4, 2, cap=8)
+    (tmp_path / "m.json").write_text(json.dumps(structure_to_json(m)))
+    (tmp_path / "z.json").write_text(json.dumps(structure_to_json(MinimalAInfty(m.laurent, {}, 8))))
+    return ["compare", "m.json", "z.json", "--cap-n", "8"]
+
+
+@pytest.mark.parametrize(
+    "make_argv,code",
+    [(_bad_parameters, 2), (_odd_cohomology, 2), (_class_mismatch, 4)],
+    ids=["bad-parameters", "not-laurent-form", "class-mismatch"],
+)
+def test_exit_codes_in_fresh_interpreter(tmp_path, make_argv, code):
+    proc = _python(["-m", "bracealg.cli", *make_argv(tmp_path), "--out", "report.json"], tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -11,7 +11,7 @@ from bracealg.algebra import (
     strip_projective_summands,
     syzygy,
 )
-from bracealg.linalg import Matrix, QQ, kernel_basis, rank, solve_matrix
+from bracealg.linalg import GF, Matrix, QQ, kernel_basis, rank, solve_matrix
 from bracealg import hochschild as H
 
 
@@ -615,3 +615,46 @@ def test_normalization_check_fires_on_broken_unit_law(side):
     lam._mult_mat = None
     with pytest.raises(AlgebraSpecError, match="differential left the normalized subcomplex"):
         H.normalized_differential_matrix(lam, 1)
+
+
+# -- the class products against the brace engine ------------------------------
+
+
+def _brace_class(lam, product, p, j):
+    """The old route: a product of representatives, checked normalized, then class_of."""
+    assert H._is_normalized_component(product, p)
+    return H.class_of(lam, product, p, j)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["qq", "fp101"])
+@pytest.mark.parametrize(
+    "spec", [1, 2, 3, KX3_PERMUTED, UPPER_UNIT_BASIS], ids=["k", "kx2", "kx3", "kx3-permuted", "upper"]
+)
+def test_class_products_match_brace_reference(spec, field):
+    lam = build_truncated_polynomial(spec, field) if isinstance(spec, int) else load_algebra(spec, field)
+    gens = [cls for p in range(5) for cls in H.cohomology(lam, p, (p + 1) // 2)]
+    for x in gens:
+        for y in gens:
+            p, q = x.context.p, y.context.p
+            j = x.context.j + y.context.j
+            cup = x.cup_cls(y)
+            ref = _brace_class(lam, H.cup(x.representative, y.representative), p + q, j)
+            assert cup == ref and cup.vec == ref.vec
+            br = x.bracket_cls(y)
+            if p + q == 0:
+                assert br.bidegree == (0, -2 * j) and br.is_zero()
+                continue
+            ref = _brace_class(lam, H.bracket(x.representative, y.representative), p + q - 1, j)
+            assert br == ref and br.vec == ref.vec
+
+
+def test_non_normalized_representative_refused():
+    # the 1-cochain 1 -> x, x -> 0 on k[x]/(x^2): its reduced coordinates
+    # (the values on x alone) are zero, a cocycle, so only the
+    # normalization check can refuse it
+    ctx = H.hh_context(LAM2, 1, 0)
+    rep = H.Cochain.from_matrix(LAM2, 1, Matrix([[0, 0], [1, 0]], QQ), 0)
+    with pytest.raises(AlgebraSpecError, match="expected a normalized cochain"):
+        H.HHClass(ctx, rep)
+    with pytest.raises(AlgebraSpecError, match="expected a normalized cochain"):
+        H.class_of(LAM2, rep, 1, 0)

@@ -89,6 +89,9 @@ class AllRationalField:
     def inv(self, x):
         return 1 / x
 
+    def canonical(self, x):
+        return x
+
     def to_str(self, x):
         return str(x)
 
@@ -133,6 +136,13 @@ def test_int_scalars_match_all_rational_reference(case):
     m_int = Matrix([[QQ.of(x.numerator, x.denominator) for x in row] for row in ga], QQ)
     for other in (Matrix(ga, QQ), Matrix([[linalg._mpq(x) for x in row] for row in ga], QQ)):
         assert m_int == other and other == m_int and hash(m_int) == hash(other)
+    # a row scaled to a pivot (lead not one) keeps its integral entries ints
+    ech = linalg._Echelon(QQ)
+    for row in m_int.nonzeros():
+        reduced = ech.reduce(dict(row))
+        if reduced and reduced[min(reduced)] != 1:
+            pivot = ech.rows[ech.insert(reduced)]
+            assert all(type(x) is int for x in pivot.values() if x.denominator == 1)
 
 
 @st.composite
