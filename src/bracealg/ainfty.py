@@ -164,6 +164,8 @@ class DGAlgebra:
         # basis vectors, pairs and triples
         if self.dim(0) == 0:
             raise AlgebraSpecError("need a degree-0 component containing the unit")
+        if len(self.unit) != self.dim(0):
+            raise AlgebraSpecError("unit: expected %d entries, got %d" % (self.dim(0), len(self.unit)))
         unit = Matrix.column_vector(self.unit, f)
         ident = {deg: Matrix.identity(self.dim(deg), f) for deg in self.degrees()}
         for deg in self.degrees():
@@ -394,8 +396,7 @@ def cohomology_algebra(dga: DGAlgebra, scheme="default"):
     input is not 2-periodic (a bounded algebra can never have Laurent
     cohomology), or when the unit class dies.
     """
-    if not dga.periodic:
-        raise NotLaurentForm("bounded DG algebras do not have Laurent cohomology")
+    _require_periodic(dga)
     con = make_contraction(dga, scheme)
     if con.h_dims.get(1, 0):
         raise NotLaurentForm(
@@ -404,6 +405,11 @@ def cohomology_algebra(dga: DGAlgebra, scheme="default"):
     if con.h_dims.get(0, 0) == 0:
         raise NotLaurentForm("zero cohomology")
     return _laurent_h0(con)
+
+
+def _require_periodic(dga: DGAlgebra):
+    if not dga.periodic:
+        raise NotLaurentForm("bounded DG algebras do not have Laurent cohomology")
 
 
 def _laurent_h0(con: ContractionData) -> LaurentAlgebra:
@@ -494,8 +500,10 @@ def transfer(dga: DGAlgebra, con: ContractionData, N: int) -> MinimalAInfty:
     b2(x, y) = (-1)^(parity(x)+1) x y in shifted coordinates; all other
     Koszul signs vanish because the intermediate maps have degree zero.
     The Maurer-Cartan equation (checked on construction) pins the signs.
+    The recursion runs on parities, so a bounded algebra raises NotLaurentForm.
     """
     f = dga.field
+    _require_periodic(dga)
     if con.h_dims.get(1, 0):
         raise NotLaurentForm("odd cohomology nonzero")
     h0 = con.h_dims[0]

@@ -45,11 +45,8 @@ class FiniteAlgebra:
         self.field = field
         self.dim = len(labels)
         self.basis_labels = list(labels)
-        self.unit = [field.of(x) if isinstance(x, int) else x for x in unit]
-        self.mult = [
-            [[field.of(x) if isinstance(x, int) else x for x in vec] for vec in row]
-            for row in mult
-        ]
+        self.unit = field.elements(unit)
+        self.mult = [[field.elements(vec) for vec in row] for row in mult]
         if len(self.unit) != self.dim or len(self.mult) != self.dim:
             raise AlgebraSpecError("dimension mismatch in algebra data")
         for i, row in enumerate(self.mult):
@@ -133,11 +130,7 @@ class FiniteAlgebra:
         return _combo([self.left_mult_matrix(i) for i in range(self.dim)], vec, self.dim, self.field)
 
     def is_commutative(self):
-        return all(
-            self.mult[i][j] == self.mult[j][i]
-            for i in range(self.dim)
-            for j in range(i)
-        )
+        return all(self.mult[i][j] == self.mult[j][i] for i in range(self.dim) for j in range(i))
 
     def center_basis(self):
         """Basis of the centre, as a SubspaceBasis of k^dim."""
@@ -185,14 +178,10 @@ class FiniteAlgebra:
         return sol
 
     def is_central(self, vec):
-        for j in range(self.dim):
-            ej = self.basis_vector(j)
-            if self.mul(vec, ej) != self.mul(ej, vec):
-                return False
-        return True
+        return all(self.mul(vec, e) == self.mul(e, vec) for e in map(self.basis_vector, range(self.dim)))
 
     def element_from(self, coeffs):
-        return [self.field.of(c) if isinstance(c, int) else c for c in coeffs]
+        return self.field.elements(coeffs)
 
     # -- serialization --------------------------------------------------
 
@@ -455,47 +444,55 @@ class BimoduleMap:
 
 
 # ---------------------------------------------------------------------------
-# The bar resolution, built from compose
+# The normalized bar resolution, built from compose
 
 
 class BarModule:
-    """B_p = Lambda^(x)(p+2), free over the enveloping algebra.
+    """B_p = Lambda (x) M^(x)p (x) Lambda, free over the enveloping algebra on
+    1 (x) M^(x)p (x) 1, with M = Lambda / k.1 (bar_resolution) or Lambda of dim mid.
 
-    Basis indices encode tuples (j_0, ..., j_{p+1}) base dim(Lambda), the
-    first position most significant.  The outer actions are built on first
-    use: a syzygy needs them on one module of a resolution only.
+    Basis indices encode tuples (j_0, m_1, ..., m_p, j_{p+1}), the first
+    position most significant.  The outer actions are built on first use: a
+    syzygy needs them on one module of a resolution only.
     """
 
-    def __init__(self, algebra: FiniteAlgebra, p: int):
+    def __init__(self, algebra: FiniteAlgebra, p: int, mid: int):
         self.algebra = algebra
         self.p = p
-        self.dim = algebra.dim ** (p + 2)
+        self.dim = algebra.dim**2 * mid**p
 
     @functools.cached_property
     def left(self):
-        return _outer_actions(self.algebra, self.p, "left")
+        return _outer_actions(self.algebra, self.dim, "left")
 
     @functools.cached_property
     def right(self):
-        return _outer_actions(self.algebra, self.p, "right")
+        return _outer_actions(self.algebra, self.dim, "right")
+
+    @functools.cached_property
+    def generators(self):
+        """The inclusion M^(x)p -> B_p, m_1 .. m_p -> 1 (x) m_1 .. m_p (x) 1."""
+        unit = Matrix.column_vector(self.algebra.unit, self.algebra.field)
+        middle = Matrix.identity(self.dim // self.algebra.dim**2, self.algebra.field)
+        return compose(Matrix.identity(self.dim, self.algebra.field), [unit, middle, unit])
 
     def __repr__(self):
         return "BarModule(p=%d, dim=%d)" % (self.p, self.dim)
 
 
-def _outer_actions(lam: FiniteAlgebra, p, side):
-    """The action of each basis element on Lambda^(x)(p+2): L_b in the first
-    slot (side "left") or R_b in the last (side "right")."""
-    inner = [Matrix.identity(lam.dim, lam.field)] * (p + 1)
-    outer = Matrix.identity(lam.dim ** (p + 2), lam.field)
+def _outer_actions(lam: FiniteAlgebra, dim, side):
+    """L_b in the first slot (side "left") or R_b in the last, for each basis
+    element b, on Lambda (x) R (x) Lambda of dimension dim."""
+    rest = Matrix.identity(dim // lam.dim, lam.field)
+    outer = Matrix.identity(dim, lam.field)
     if side == "left":
-        return [compose(outer, [lam.left_mult_matrix(b)] + inner) for b in range(lam.dim)]
-    return [compose(outer, inner + [lam.right_mult_matrix(b)]) for b in range(lam.dim)]
+        return [compose(outer, [lam.left_mult_matrix(b), rest]) for b in range(lam.dim)]
+    return [compose(outer, [rest, lam.right_mult_matrix(b)]) for b in range(lam.dim)]
 
 
 def free_rank_one_bimodule(lam: FiniteAlgebra) -> Bimodule:
     """Lambda (x) Lambda with outer actions; basis (i,j) at i*dim+j."""
-    free = BarModule(lam, 0)
+    free = BarModule(lam, 0, lam.dim)
     return Bimodule(lam, free.left, free.right)
 
 
@@ -532,60 +529,76 @@ def _check_complex(res: Resolution, what):
             raise AlgebraSpecError("%s: d_%d o d_%d != 0" % (what, k - 1, k))
 
 
-def bar_resolution(lam: FiniteAlgebra, length: int) -> Resolution:
-    """The bar resolution B_p = Lambda^(x)(p+2) up to B_length.
+def _normalizing_maps(lam: FiniteAlgebra):
+    """(J, P) for Lambda-bar = Lambda / k.1, on the basis indices other than u,
+    the first index in the unit's support.
 
-    With mu the product and I the identity of Lambda, face i of d_p
-    multiplies slots i and i+1: d_p = sum_i (-1)^i I^(x)i (x) mu (x) I^(x)(p-i),
-    and the augmentation is mu.  Exactness at every position is certified
-    by the standard contracting homotopy s(a_0 (x) ...) = 1 (x) a_0 (x) ...,
-    as one exact matrix identity d s + s d = id per degree.
+    J: Lambda-bar -> Lambda includes those basis vectors, and P: Lambda ->
+    Lambda-bar keeps them and sends e_u to -(1/c_u) sum_{j != u} c_j e_j,
+    where 1 = sum_j c_j e_j; so P.1 = 0, P.J = I and I - J.P maps into k.1.
     """
+    field = lam.field
+    u = next(i for i, c in enumerate(lam.unit) if c)
+    rest = [j for j in range(lam.dim) if j != u]
+    scale = -field.inv(lam.unit[u])
+    P = Matrix.from_nonzeros([{j: field.one, u: scale * lam.unit[j]} for j in rest], lam.dim, field)
+    J = Matrix.from_nonzeros([{j: field.one} for j in rest], lam.dim, field).transpose()
+    return J, P
+
+
+def bar_resolution(lam: FiniteAlgebra, length: int) -> Resolution:
+    """The normalized bar resolution B_p = Lambda (x) Lambda-bar^(x)p (x) Lambda
+    up to B_length, Lambda-bar = Lambda / k.1 (Loday, Cyclic Homology, ch. 1):
+    stably the same syzygies as the unnormalized bar, and smaller (Omega^4 of
+    k[x]/(x^3) has 48 dimensions there, not 183).
+
+    With J, P as in _normalizing_maps and mu the product, face 0 of d_p is
+    mu(I (x) J), the inner faces are P mu(J (x) J) and the last is mu(J (x) I),
+    with signs (-1)^i; the augmentation is mu.  The contracting homotopy
+    s(a_0 (x) ...) = 1 (x) P(a_0) (x) ... certifies exactness, as one exact
+    identity d s + s d = id per degree.
+    """
+    return _bar(lam, length, *_normalizing_maps(lam))
+
+
+def _bar(lam: FiniteAlgebra, length: int, J: Matrix, P: Matrix) -> Resolution:
+    """The bar complex with middle factor M, given J: M -> Lambda and
+    P: Lambda -> M with P J = I and I - J P mapping into k.1; J = P = I gives
+    the unnormalized bar Lambda^(x)(p+2)."""
     if length < 1:
         raise AlgebraSpecError("length must be >= 1")
     field = lam.field
     mu = lam.mult_matrix()
     ident = Matrix.identity(lam.dim, field)
-    modules = [BarModule(lam, p) for p in range(length + 1)]
+    mid = Matrix.identity(J.cols, field)
+    first, inner, last = compose(mu, [ident, J]), P * compose(mu, [J, J]), compose(mu, [J, ident])
+    modules = [BarModule(lam, p, J.cols) for p in range(length + 1)]
     diffs = [mu]
     for p in range(1, length + 1):
+        # face i maps slots i and i+1 of (j_0, m_1, ..., m_p, j_{p+1}) to one
+        slots = [ident] + [mid] * p + [ident]
         outer = Matrix.identity(modules[p - 1].dim, field)
         dp = Matrix.zeros(outer.rows, modules[p].dim, field)
         for i in range(p + 1):
-            face = compose(outer, [ident] * i + [mu] + [ident] * (p - i))
+            face = compose(outer, slots[:i] + [first if i == 0 else last if i == p else inner] + slots[i + 2 :])
             dp = dp + face if i % 2 == 0 else dp - face
         diffs.append(dp)
     res = Resolution(lam, modules, diffs)
     _check_complex(res, "bar resolution")
-    _verify_bar_homotopy(res)
-    res.exactness_verified_up_to = length - 1
-    return res
-
-
-def _verify_bar_homotopy(res: Resolution):
-    """Check d_{p+1} s_p + s_{p-1} d_p = id on B_p for p < length, where
-    s_p: B_p -> B_{p+1} puts the unit in front, s_{-1}: Lambda -> B_0 and
-    d_0 is the augmentation.
-
-    This certifies exactness of the augmented complex at positions
-    0..length-1 without any elimination.
-    """
-    lam = res.algebra
-    field = lam.field
+    # d_{p+1} s_p + s_{p-1} d_p = id on B_p for p < length certifies exactness
+    # at 0..length-1 without elimination: s_p(a_0 (x) rest) = 1 (x) P(a_0) (x) rest,
+    # s_{-1}: Lambda -> B_0 puts the unit in front, d_0 is the augmentation
     unit = Matrix.column_vector(lam.unit, field)
-    ident = Matrix.identity(lam.dim, field)
-
-    def s(p):
-        return compose(Matrix.identity(lam.dim ** (p + 3), field), [unit] + [ident] * (p + 2))
-
-    prev = s(-1)
-    for p in range(res.length):
-        s_p = s(p)
-        total = res.differentials[p + 1] * s_p + prev * res.differentials[p]
-        bad = _first_difference(total, Matrix.identity(res.modules[p].dim, field))
+    prev = compose(Matrix.identity(lam.dim**2, field), [unit, ident])
+    for p in range(length):
+        rest = Matrix.identity(modules[p].dim // lam.dim, field)
+        s_p = compose(Matrix.identity(modules[p + 1].dim, field), [unit, P, rest])
+        bad = _first_difference(diffs[p + 1] * s_p + prev * diffs[p], Matrix.identity(modules[p].dim, field))
         if bad is not None:
             raise AlgebraSpecError("bar homotopy identity fails at p=%d idx=%d" % (p, bad))
         prev = s_p
+    res.exactness_verified_up_to = length - 1
+    return res
 
 
 def periodic_bimodule_resolution(lam: FiniteAlgebra, length: int) -> Resolution:
@@ -676,15 +689,6 @@ class StripResult(tuple):
         return self
 
 
-def _symmetrizing_form_env(lam: FiniteAlgebra):
-    lamform = is_symmetric(lam)
-    if lamform is None:
-        return None
-    d = lam.dim
-    # product form on Lambda (x) Lambda^op
-    return [lamform[i] * lamform[j] for i in range(d) for j in range(d)]
-
-
 def strip_projective_summands(m: Bimodule) -> StripResult:
     """Split off a maximal projective (= free) direct summand.
 
@@ -719,9 +723,10 @@ def _strip(m: Bimodule) -> StripResult:
         raise AlgebraSpecError(
             "projective stripping implemented for semisimple or local symmetric enveloping algebras"
         )
-    lamform = _symmetrizing_form_env(lam)
-    if lamform is None:
+    form = is_symmetric(lam)
+    if form is None:
         raise AlgebraSpecError("coefficient algebra is not symmetric")
+    lamform = [x * y for x in form for y in form]  # the product form on Lambda (x) Lambda^op
     # soc . M is the column space of S = sum c_ij L_i R_j; its rank counts
     # the free summands, and its first independent columns pick generators
     env_mats = _env_actions(m)
@@ -792,12 +797,6 @@ def _env_actions(m: Bimodule):
     """The action matrices of the enveloping basis, e_i (x) e_j at i*dim+j."""
     d = m.algebra.dim
     return [m.env_action(i, j) for i in range(d) for j in range(d)]
-
-
-def _unit_vec(field, n, i):
-    v = [field.zero] * n
-    v[i] = field.one
-    return v
 
 
 def _form_value(env, form, vec):
@@ -876,7 +875,7 @@ def is_symmetric(a: FiniteAlgebra):
     if rows:
         space = kernel_basis(Matrix(rows, field))
     else:
-        space = SubspaceBasis(d, [_unit_vec(field, d, i) for i in range(d)], field)
+        space = SubspaceBasis(d, [a.basis_vector(i) for i in range(d)], field)
     if space.dim == 0:
         return None
 
@@ -924,8 +923,9 @@ def is_symmetric(a: FiniteAlgebra):
 def comparison_map_to_periodic(res_bar: Resolution, k: int) -> BimoduleMap:
     """Chain-map comparison of the bar syzygy with the periodic oracle.
 
-    Lifts the identity of Lambda through the bar resolution and the
-    explicit 2-periodic resolution, restricts to the k-th syzygy, and
+    Lifts the identity of Lambda through the bar resolution (normalized or
+    not: the lift is fixed by its values on each module's generators) and
+    the explicit 2-periodic resolution, restricts to the k-th syzygy, and
     composes with the explicit isomorphism of the periodic syzygy with
     Lambda.  The output (syzygy -> diagonal bimodule) is the comparison
     map whose stable invertibility witnesses the periodicity.
@@ -946,16 +946,14 @@ def comparison_map_to_periodic(res_bar: Resolution, k: int) -> BimoduleMap:
             raise AlgebraSpecError(failure)
         return sol
 
-    def generators(p):
-        # Lambda^(x)p -> B_p, j_1 .. j_p -> 1 (x) j_1 .. j_p (x) 1
-        return compose(Matrix.identity(n ** (p + 2), field), [unit] + [ident] * p + [unit])
-
     # the lift alpha_p: B_p -> P_p of id_Lambda is the bimodule map
-    # A_p = outer . (I (x) G_p (x) I) with values G_p on the generators; G_0
-    # is 1 (x) 1, and G_p solves d^per_p G_p = A_{p-1} d_p (generators)
-    lift = compose(outer, [ident, generators(0), ident])
+    # A_p = outer . (I (x) G_p (x) I) with values G_p on the generators
+    # 1 (x) M^(x)p (x) 1 of B_p; G_0 is 1 (x) 1, and G_p solves
+    # d^per_p G_p = A_{p-1} d_p (generators)
+    mods = res_bar.modules
+    lift = compose(outer, [ident, mods[0].generators, ident])
     for p in range(1, k):
-        rhs = lift * (res_bar.differential_matrix(p) * generators(p))
+        rhs = lift * (res_bar.differential_matrix(p) * mods[p].generators)
         gens = solve_for(per.differential_matrix(p), rhs, "comparison lift failed at degree %d" % p)
         lift = compose(outer, [ident, gens, ident])
     # restrict alpha_{k-1} to the syzygy; the image lies in ker(d^per_{k-1}),

@@ -30,6 +30,7 @@ from .algebra import (
     BimoduleMap,
     FiniteAlgebra,
     _env_of,
+    _normalizing_maps,
     _per_algebra,
     bar_resolution,
     diagonal_bimodule,
@@ -87,8 +88,7 @@ class Cochain:
     @staticmethod
     def unit_cochain(algebra):
         """The unit of L as a 0-cochain."""
-        m = Matrix([[c] for c in algebra.unit], algebra.field)
-        return Cochain.from_matrix(algebra, 0, m, 0)
+        return Cochain.iota_cochain(algebra, 0)
 
     @staticmethod
     def iota_cochain(algebra, power=1):
@@ -263,11 +263,7 @@ def _expand_weight_power(qk, positions, exponent):
 
 
 def _mono_encode(d):
-    out = []
-    for k in sorted(d):
-        if d[k]:
-            out.extend((k, d[k]))
-    return tuple(out)
+    return tuple(x for k in sorted(d) if d[k] for x in (k, d[k]))
 
 
 def _min_possible_arity(c: Cochain):
@@ -464,10 +460,7 @@ def bracket(x: Cochain, y: Cochain, cap=None) -> Cochain:
             first = brace(xs, [ys], cap=cap)
             second = brace(ys, [xs], cap=cap)
             sgn = (p - 1) * (q - 1)  # iota powers are even and drop mod 2
-            if sgn % 2 == 0:
-                out = out + first - second
-            else:
-                out = out + first + second
+            out = out + first - second if sgn % 2 == 0 else out + first + second
     out.cap = min(out.cap, limit)
     return out
 
@@ -606,9 +599,9 @@ def normalized_differential_matrix(lam, p):
 
 def _is_normalized_component(c: Cochain, p):
     """Does the arity-p component vanish whenever an input is the unit?"""
-    incl = _reduced_inclusion(c.algebra)
+    J, P = _normalizing_maps(c.algebra)
     mat = c.component_matrix(p)
-    return compose(mat, [incl * incl.transpose()] * p) == mat
+    return compose(mat, [J * P] * p) == mat
 
 
 # ---------------------------------------------------------------------------
@@ -892,36 +885,41 @@ def hh_isos_backward(e: EulerAdjoinedCochain) -> Cochain:
 
 @_per_algebra
 def _bar_syzygy(lam, k):
-    """Omega^k(L) = ker d_{k-1} in the bar resolution of length k.
-
-    Length k makes bar_resolution verify the homotopy identity
-    d_k s + s d_{k-1} = id on B_{k-1}, which cocycle_to_extension uses.
-    """
+    """Omega^k(L) = ker d_{k-1} in the normalized bar resolution of length k,
+    whose homotopy identity then holds on B_{k-1}."""
     return syzygy(bar_resolution(lam, k), k)
 
 
 def cocycle_to_extension(c: Cochain, degree=4) -> BimoduleMap:
-    """The bimodule map Omega^degree(L) -> L induced by a cocycle.
+    """The bimodule map Omega^degree(L) -> L induced by a normalized cocycle.
 
-    A cocycle c of arity k is the bimodule map phi on bar_k with
-    phi(a_0 (x) ... (x) a_{k+1}) = a_0 c(a_1, ..., a_k) a_{k+1}; it vanishes
-    on the image of d_{k+1}, so it factors through Omega^k = ker d_{k-1}
-    via d_k.  A syzygy vector v lifts through the contracting homotopy
-    s = 1 (x) -: d_k s v = v - s d_{k-1} v = v.  The value phi(s v) does not
-    depend on the lift, since lifts differ by ker d_k = im d_{k+1}.
+    A normalized cocycle c of arity k is the bimodule map phi on the
+    normalized bar, phi(a_0 (x) a_1 .. a_k (x) a_{k+1}) = a_0 c(a_1, ..., a_k) a_{k+1};
+    it vanishes on im d_{k+1}, so it factors through Omega^k = ker d_{k-1}
+    via d_k, and phi(s v) for the contracting homotopy s is its value on v.
     Cohomologous cocycles give maps equal up to one factoring through a
-    projective.
+    projective.  Non-cocycles raise NotACocycle, then cocycles that are not
+    normalized (phi is not defined on the normalized bar) AlgebraSpecError.
     """
     lam = c.algebra
-    field = lam.field
     if not c.is_iota_linear():
         raise NotACocycle("extension dictionary needs an iota-linear cochain")
     dc = differential(c)
     if not dc.is_zero(up_to=degree + 1 if dc.cap >= degree + 1 else None):
         raise NotACocycle("not a cocycle")
-    syz = _bar_syzygy(lam, degree)
-    # s puts the unit in front: phi(s(a_0 (x) ... (x) a_k)) = c(a_0, ..., a_{k-1}) a_k
-    phi_s = compose(lam.mult_matrix(), [c.component_matrix(degree), Matrix.identity(lam.dim, field)])
+    if not _is_normalized_component(c, degree):
+        raise AlgebraSpecError("the extension map needs a normalized cocycle")
+    J, _ = _normalizing_maps(lam)
+    return _extension(lam, compose(c.component_matrix(degree), [J] * degree), degree)
+
+
+def _extension(lam, reduced, k):
+    """phi o s on Omega^k, for the cocycle with values reduced on Lambda-bar^(x)k:
+    phi(s(a_0 (x) a_1 .. a_{k-1} (x) a_k)) = reduced(P a_0, a_1, ..., a_{k-1}) a_k."""
+    syz = _bar_syzygy(lam, k)
+    _, P = _normalizing_maps(lam)
+    head = compose(reduced, [P, Matrix.identity(P.rows ** (k - 1), lam.field)])
+    phi_s = compose(lam.mult_matrix(), [head, Matrix.identity(lam.dim, lam.field)])
     return BimoduleMap(syz, diagonal_bimodule(lam), phi_s * syz.inclusion.matrix.transpose())
 
 
@@ -941,15 +939,15 @@ class TateUnitResult(int):
 def tate_unit_check(cls: HHClass) -> TateUnitResult:
     """Is the class a unit in Hochschild--Tate cohomology?
 
-    Criterion: the induced map Omega^4(L) -> L is a stable isomorphism.
-    The result does not depend on the representative (tested).
+    Criterion: the map Omega^4(L) -> L induced by the class, built from its
+    reduced coordinates (vec), is a stable isomorphism.  The result does not
+    depend on the representative (tested).
     """
     if cls.bidegree != (4, -2):
         raise WrongBidegree("tate unit check needs bidegree (4, -2), got %r" % (cls.bidegree,))
     lam = cls.context.algebra
     separable = _env_of(lam).radical_basis().dim == 0
-    fmap = cocycle_to_extension(cls.representative, 4)
-    return TateUnitResult(is_stable_iso(fmap), separable)
+    return TateUnitResult(is_stable_iso(_extension(lam, cls._reduced(), 4)), separable)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,7 @@ class RationalField:
         return _rational(_mpq(num, den))
 
     canonical = staticmethod(_rational)
+    elements = staticmethod(list)  # an int is already canonical: no lifting
 
     zero = 0
     one = 1
@@ -150,6 +151,10 @@ class PrimeField:
 
     def canonical(self, x):
         return x
+
+    def elements(self, values):
+        """values as a list of field elements, raw ints lifted into F_p."""
+        return [self.of(x) if isinstance(x, int) else x for x in values]
 
     def to_str(self, x):
         return str(x)

@@ -2,8 +2,10 @@ import itertools
 
 import pytest
 
-from bracealg.linalg import QQ, Matrix, rank
+from bracealg.linalg import GF, QQ, Matrix, compose, rank
 from bracealg.algebra import (
+    _bar,
+    _normalizing_maps,
     AlgebraSpecError,
     Bimodule,
     BimoduleMap,
@@ -26,6 +28,13 @@ from bracealg import hochschild as H
 
 def k_algebra():
     return build_truncated_polynomial(1)
+
+
+def unnormalized_bar(lam, length):
+    """The bar resolution Lambda^(x)(p+2) that bar_resolution normalizes: the
+    same construction, _bar, with middle maps J = P = I."""
+    ident = Matrix.identity(lam.dim, lam.field)
+    return _bar(lam, length, ident, ident)
 
 
 def kxx(n):
@@ -59,6 +68,15 @@ def test_truncated_polynomial_n4_constructor_checks():
     # constructor runs the 64-triple associativity check
     a = kxx(4)
     assert a.dim == 4
+
+
+def test_raw_int_structure_constants_lift_into_prime_field():
+    f5 = GF(5)
+    a = FiniteAlgebra(["1", "t"], [1, 0], [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]], f5)  # t^2 = -1
+    fp = type(f5.one)
+    assert all(type(x) is fp for x in a.unit + [x for row in a.mult for v in row for x in v])
+    assert a.mult[1][1] == [4, 0] and a.element_from([6, -2]) == [1, 3]
+    assert all(type(x) is fp for x in a.element_from([6, -2]))
 
 
 def test_associativity_violation_rejected():
@@ -149,13 +167,18 @@ def test_radical_and_socle():
 
 
 def test_bar_resolution_over_k():
-    res = bar_resolution(k_algebra(), 3)
+    res = unnormalized_bar(k_algebra(), 3)
     assert [m.dim for m in res.modules] == [1, 1, 1, 1]
     # differentials alternate id/0 over k
     d1 = res.differential_matrix(1)
     d2 = res.differential_matrix(2)
     assert d1.is_zero() or rank(d1) == 1
     assert (d1 * d2).is_zero()
+    assert res.exactness_verified_up_to == 2
+    # normalized: k-bar = k / k.1 = 0, so B_0 = k (x) k and nothing above it
+    res = bar_resolution(k_algebra(), 3)
+    assert [m.dim for m in res.modules] == [1, 0, 0, 0]
+    assert res.differential_matrix(1).rows == 1 and res.differential_matrix(1).cols == 0
     assert res.exactness_verified_up_to == 2
 
 
@@ -188,20 +211,44 @@ UPPER_TRIANGULAR = {
 }
 
 
-def _bar_reference(lam, length):
+# k x k on the basis f0 = (1, 0), f1 = (1, 2): the unit (f0 + f1)/2 is no
+# basis vector and f1 f1 = 2 f1 - f0 has a component along f0, the pivot of
+# the unit, so the normalized bar's inner faces reduce it modulo k.1
+SKEW_K_TIMES_K = {
+    "dim": 2,
+    "labels": ["f0", "f1"],
+    "unit": ["1/2", "1/2"],
+    "mult": [[0, 0, ["1", "0"]], [0, 1, ["1", "0"]], [1, 0, ["1", "0"]], [1, 1, ["-1", "2"]]],
+}
+
+
+def _bar_reference(lam, length, normalized):
     """The bar complex from its definition, by loops over basis tuples.
 
     Returns the augmentation, d_1..d_length and the outer actions of each
-    B_p as dense rows.  Tuples (j_0, ..., j_{p+1}) are numbered with j_0
-    most significant; face i of d_p multiplies slots i and i+1, with sign
-    (-1)^i; the left action multiplies slot 0 from the left and the right
-    action the last slot from the right."""
+    B_p as matrices.  Tuples (j_0, m_1, ..., m_p, j_{p+1}) are numbered
+    with j_0 most significant.  The middle entries run over Lambda's basis,
+    or, normalized, over its basis without u, the first index in the unit's
+    support.  Face i of d_p multiplies slots i and i+1, with sign (-1)^i; in
+    the normalized bar an inner face writes its product modulo k.1, where
+    e_u = -(1/c_u) sum_{j != u} c_j e_j for the unit sum_j c_j e_j.  The left
+    action multiplies slot 0 from the left and the right action the last
+    slot from the right."""
     d, field = lam.dim, lam.field
+    u = next(i for i, c in enumerate(lam.unit) if c)
+    mids = [j for j in range(d) if j != u] if normalized else list(range(d))
+    n = len(mids)
+
+    def modulo_unit(r):
+        """e_r in middle coordinates, as (position, coefficient) pairs."""
+        if r in mids:
+            return [(mids.index(r), field.one)]
+        return [(t, -lam.unit[j] * field.inv(lam.unit[u])) for t, j in enumerate(mids) if lam.unit[j]]
 
     def index(tup):
         out = 0
-        for t in tup:
-            out = out * d + t
+        for pos, t in enumerate(tup):
+            out = out * (d if pos in (0, len(tup) - 1) else n) + t
         return out
 
     aug = [[field.zero] * d**2 for _ in range(d)]
@@ -210,38 +257,52 @@ def _bar_reference(lam, length):
             aug[r][index((i, j))] += c
     diffs, actions = [], []
     for p in range(length + 1):
-        dp = [[field.zero] * d ** (p + 2) for _ in range(d ** (p + 1))]
-        left = [[[field.zero] * d ** (p + 2) for _ in range(d ** (p + 2))] for _ in range(d)]
-        right = [[[field.zero] * d ** (p + 2) for _ in range(d ** (p + 2))] for _ in range(d)]
-        for col, tup in enumerate(itertools.product(range(d), repeat=p + 2)):
+        size, below = d * d * n**p, d * d * n ** (p - 1) if p else d
+        dp = [[field.zero] * size for _ in range(below)]
+        left = [[[field.zero] * size for _ in range(size)] for _ in range(d)]
+        right = [[[field.zero] * size for _ in range(size)] for _ in range(d)]
+        for col, tup in enumerate(itertools.product(range(d), *[range(n)] * p, range(d))):
+            values = (tup[0],) + tuple(mids[m] for m in tup[1:-1]) + (tup[-1],)
             for i in range(p + 1 if p else 0):
-                for r, c in enumerate(lam.mult[tup[i]][tup[i + 1]]):
-                    dp[index(tup[:i] + (r,) + tup[i + 2 :])][col] += c if i % 2 == 0 else -c
+                for r, c in enumerate(lam.mult[values[i]][values[i + 1]]):
+                    for new, x in [(r, field.one)] if i in (0, p) else modulo_unit(r):
+                        dp[index(tup[:i] + (new,) + tup[i + 2 :])][col] += c * x if i % 2 == 0 else -c * x
             for b in range(d):
                 for r, c in enumerate(lam.mult[b][tup[0]]):
                     left[b][index((r,) + tup[1:])][col] += c
                 for r, c in enumerate(lam.mult[tup[-1]][b]):
                     right[b][index(tup[:-1] + (r,))][col] += c
-        diffs.append(dp)
-        actions.append((left, right))
-    return aug, diffs, actions
+        diffs.append(Matrix(dp, field, cols=size))
+        actions.append(([Matrix(a, field, cols=size) for a in left], [Matrix(a, field, cols=size) for a in right]))
+    return Matrix(aug, field), diffs, actions
 
 
-@pytest.mark.parametrize("lam", [k_algebra(), kxx(3), load_algebra(UPPER_TRIANGULAR)], ids=["k", "kx3", "upper"])
+@pytest.mark.parametrize(
+    "lam",
+    [k_algebra(), kxx(3), load_algebra(UPPER_TRIANGULAR), load_algebra(SKEW_K_TIMES_K)],
+    ids=["k", "kx3", "upper", "skew-kxk"],
+)
 def test_bar_resolution_matches_definition(lam):
-    res = bar_resolution(lam, 3)
-    aug, diffs, actions = _bar_reference(lam, 3)
-    assert res.augmentation == Matrix(aug, lam.field)
-    for p in range(1, 4):
-        assert res.differential_matrix(p) == Matrix(diffs[p], lam.field)
-    for p in range(4):
-        left, right = actions[p]
-        assert res.modules[p].left == [Matrix(a, lam.field) for a in left]
-        assert res.modules[p].right == [Matrix(a, lam.field) for a in right]
-    # Omega^k = ker d_{k-1}, with d_0 the augmentation
-    kernels = [Matrix(aug, lam.field)] + [Matrix(diffs[p], lam.field) for p in (1, 2)]
-    assert [syzygy(res, k).dim for k in (1, 2, 3)] == [m.cols - rank(m) for m in kernels]
-    assert res.exactness_verified_up_to == 2
+    for res, normalized in [(unnormalized_bar(lam, 3), False), (bar_resolution(lam, 3), True)]:
+        aug, diffs, actions = _bar_reference(lam, 3, normalized)
+        assert res.augmentation == aug
+        for p in range(1, 4):
+            assert res.differential_matrix(p) == diffs[p]
+        for p in range(4):
+            assert (res.modules[p].left, res.modules[p].right) == actions[p]
+        # Omega^k = ker d_{k-1}, with d_0 the augmentation
+        kernels = [aug, diffs[1], diffs[2]]
+        assert [syzygy(res, k).dim for k in (1, 2, 3)] == [m.cols - rank(m) for m in kernels]
+        assert res.exactness_verified_up_to == 2
+
+
+def test_normalizing_maps_on_non_basis_unit():
+    # the unit e11 + e22 of the upper-triangular algebra: P kills it, P J = I
+    lam = load_algebra(UPPER_TRIANGULAR)
+    J, P = _normalizing_maps(lam)
+    assert P * J == Matrix.identity(2)
+    assert P * Matrix.column_vector(lam.unit) == Matrix.zeros(2, 1)
+    assert J == Matrix.from_int_rows([[0, 0], [1, 0], [0, 1]])
 
 
 # -- syzygies and the periodic oracle --------------------------------------
@@ -256,10 +317,13 @@ def test_syzygy_zero_is_diagonal():
 
 def test_syzygy_dims_kx2():
     lam = kxx(2)
-    res = bar_resolution(lam, 4)
+    res = unnormalized_bar(lam, 4)
     assert syzygy(res, 1).dim == 2
     assert syzygy(res, 2).dim == 6
     assert syzygy(res, 4).dim == 22
+    # normalized: every B_p is Lambda (x) k.x^(x)p (x) Lambda, of dimension 4
+    res = bar_resolution(lam, 4)
+    assert [syzygy(res, k).dim for k in (1, 2, 4)] == [2, 2, 2]
 
 
 def test_periodic_resolution_is_exact():
@@ -268,9 +332,10 @@ def test_periodic_resolution_is_exact():
     assert res.exactness_verified_up_to == 4
 
 
-# The comparison maps Omega^k -> Lambda, pinned as (shape, positions of
-# their entries, all equal to 1), as the per-generator elimination that
-# preceded the one-solve-per-degree lift computed them.
+# The comparison maps Omega^k -> Lambda out of the unnormalized bar, pinned
+# as (shape, positions of their entries, all equal to 1), as the
+# per-generator elimination that preceded the one-solve-per-degree lift
+# computed them.
 COMPARISON_MAPS = {
     (2, 2): ((2, 6), [(0, 2), (1, 5)]),
     (2, 4): ((2, 22), [(0, 10), (1, 21)]),
@@ -286,28 +351,75 @@ COMPARISON_MAPS = {
 }
 
 
+# The same out of the normalized bar, as the normalized bar gave them first.
+NORMALIZED_COMPARISON_MAPS = {
+    (2, 2): ((2, 2), [(0, 0), (1, 1)]),
+    (2, 4): ((2, 2), [(0, 0), (1, 1)]),
+    (3, 2): ((3, 12), [(0, 1), (0, 2), (1, 3), (1, 5), (1, 6), (2, 7), (2, 9), (2, 10)]),
+    (3, 4): (
+        (3, 48),
+        [
+            (0, 5), (0, 6), (0, 9), (0, 10),
+            (1, 7), (1, 11), (1, 13), (1, 14), (1, 21), (1, 22), (1, 25), (1, 26),
+            (2, 15), (2, 23), (2, 27), (2, 29), (2, 30), (2, 37), (2, 38), (2, 41), (2, 42),
+        ],
+    ),
+}
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_comparison_maps_pinned(n):
-    res = bar_resolution(kxx(n), 4)
-    for k in (2, 4):
-        (rows, cols), ones = COMPARISON_MAPS[(n, k)]
-        want = [[0] * cols for _ in range(rows)]
-        for i, j in ones:
-            want[i][j] = 1
-        assert comparison_map_to_periodic(res, k).matrix == Matrix.from_int_rows(want)
+    bars = [(unnormalized_bar(kxx(n), 4), COMPARISON_MAPS), (bar_resolution(kxx(n), 4), NORMALIZED_COMPARISON_MAPS)]
+    for res, pins in bars:
+        for k in (2, 4):
+            (rows, cols), ones = pins[(n, k)]
+            want = [[0] * cols for _ in range(rows)]
+            for i, j in ones:
+                want[i][j] = 1
+            assert comparison_map_to_periodic(res, k).matrix == Matrix.from_int_rows(want)
 
 
 def test_exact_check_rejects_corrupted_omega4_action():
     lam = kxx(3)
-    syz = H._bar_syzygy(lam, 4)
-    assert syz.dim == 183
-    Bimodule(lam, syz.left, syz.right)  # the syzygy itself passes
-    ent = [list(r) for r in syz.left[1].entries]
-    ent[0][0] = ent[0][0] + 1
-    left = list(syz.left)
-    left[1] = Matrix(ent, QQ)
-    with pytest.raises(AlgebraSpecError):
-        Bimodule(lam, left, syz.right)
+    unnormalized = syzygy(unnormalized_bar(lam, 4), 4)
+    assert unnormalized.dim == 183
+    assert H._bar_syzygy(lam, 4).dim == 48
+    for syz in (unnormalized, H._bar_syzygy(lam, 4)):
+        Bimodule(lam, syz.left, syz.right)  # the syzygy itself passes
+        ent = [list(r) for r in syz.left[1].entries]
+        ent[0][0] = ent[0][0] + 1
+        left = list(syz.left)
+        left[1] = Matrix(ent, QQ)
+        with pytest.raises(AlgebraSpecError):
+            Bimodule(lam, left, syz.right)
+
+
+def _core_dim_and_verdict(res, k):
+    """The core dimension of Omega^k and the comparison map's stable-iso
+    verdict, or the error that refuses it (odd k: no map to Lambda)."""
+    core = strip_projective_summands(syzygy(res, k)).core.dim
+    try:
+        return core, is_stable_iso(comparison_map_to_periodic(res, k))
+    except AlgebraSpecError as exc:
+        return core, type(exc)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_normalized_syzygies_stably_equal_unnormalized(n):
+    lam = kxx(n)
+    full, norm = unnormalized_bar(lam, 4), bar_resolution(lam, 4)
+    _, P = _normalizing_maps(lam)
+    ident = Matrix.identity(n)
+    for k in range(1, 5):
+        assert _core_dim_and_verdict(norm, k) == _core_dim_and_verdict(full, k)
+        # the quotient B_{k-1} -> B-bar_{k-1}, I (x) P^(x)(k-1) (x) I, maps
+        # Omega^k onto Omega-bar^k, and that map is a stable isomorphism
+        src, tgt = syzygy(full, k), syzygy(norm, k)
+        quotient = compose(Matrix.identity(tgt.inclusion.matrix.cols), [ident] + [P] * (k - 1) + [ident])
+        image = quotient * src.inclusion.matrix.transpose()
+        coords = image.select_rows(tgt.inclusion.pivots)
+        assert tgt.inclusion.matrix.transpose() * coords == image
+        assert is_stable_iso(BimoduleMap(src, tgt, coords))
 
 
 @pytest.mark.parametrize("n,k", [(2, 2), (2, 4), (3, 2), (3, 4)])

@@ -409,6 +409,23 @@ def _odd_cohomology(tmp_path):
     return ["transfer", "odd.json", "--cap-n", "6"]
 
 
+def _bounded_dump(tmp_path):
+    # k in degree 0, not 2-periodic: no Laurent form, so transfer refuses it
+    dga = {"periodic": False, "dims": {"0": 1}, "unit": ["1"], "mult": {"0,0": [[["1"]]]}, "diff": {}}
+    (tmp_path / "bounded.json").write_text(json.dumps(dga))
+    return ["transfer", "bounded.json", "--cap-n", "6"]
+
+
+def _unit_length_mismatch(tmp_path):
+    # two unit entries for a one-dimensional degree 0
+    dga = {
+        "periodic": True, "dims": {"0": 1, "1": 1}, "unit": ["1", "0"], "diff": {},
+        "mult": {"0,0": [[["1"]]], "0,1": [[["1"]]], "1,0": [[["1"]]], "1,1": [[["0"]]]},
+    }
+    (tmp_path / "unit.json").write_text(json.dumps(dga))
+    return ["transfer", "unit.json", "--cap-n", "6"]
+
+
 def _class_mismatch(tmp_path):
     m = seeded_minimal_model(4, 2, cap=8)
     (tmp_path / "m.json").write_text(json.dumps(structure_to_json(m)))
@@ -418,8 +435,8 @@ def _class_mismatch(tmp_path):
 
 @pytest.mark.parametrize(
     "make_argv,code",
-    [(_bad_parameters, 2), (_odd_cohomology, 2), (_class_mismatch, 4)],
-    ids=["bad-parameters", "not-laurent-form", "class-mismatch"],
+    [(_bad_parameters, 2), (_odd_cohomology, 2), (_bounded_dump, 2), (_unit_length_mismatch, 2), (_class_mismatch, 4)],
+    ids=["bad-parameters", "not-laurent-form", "bounded-dg-dump", "dg-unit-length", "class-mismatch"],
 )
 def test_exit_codes_in_fresh_interpreter(tmp_path, make_argv, code):
     proc = _python(["-m", "bracealg.cli", *make_argv(tmp_path), "--out", "report.json"], tmp_path)

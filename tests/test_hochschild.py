@@ -3,15 +3,18 @@ import random
 import pytest
 
 from bracealg.algebra import (
+    _bar,
+    _normalizing_maps,
     AlgebraSpecError,
     BimoduleMap,
     bar_resolution,
     build_truncated_polynomial,
+    diagonal_bimodule,
     load_algebra,
     strip_projective_summands,
     syzygy,
 )
-from bracealg.linalg import GF, Matrix, QQ, kernel_basis, rank, solve_matrix
+from bracealg.linalg import GF, Matrix, QQ, compose, kernel_basis, rank, solve_matrix
 from bracealg import hochschild as H
 
 
@@ -381,29 +384,44 @@ def test_coboundary_gives_non_stable_iso():
     assert not is_stable_iso(fmap)
 
 
-def _extension_by_elimination(c, k):
-    """Reference for cocycle_to_extension: lift Omega^k through d_k by elimination."""
-    lam = c.algebra
-    d = lam.dim
-    res = bar_resolution(lam, k)
+def _unnormalized_bar(lam, length):
+    ident = Matrix.identity(lam.dim, lam.field)
+    return _bar(lam, length, ident, ident)
+
+
+def _extension_by_elimination(c, res, J):
+    """Reference for cocycle_to_extension on the bar res of length k with
+    middle inclusion J: lift Omega^k through d_k by elimination and evaluate
+    a_0 (x) m_1 .. m_k (x) a_{k+1} -> a_0 c(J m_1, ..., J m_k) a_{k+1}."""
+    lam, k = c.algebra, res.length
+    d, n = lam.dim, J.cols
     syz = syzygy(res, k)
     incl = syz.inclusion.vectors()
     B = Matrix([[v[i] for v in incl] for i in range(len(incl[0]))], lam.field)
     W = solve_matrix(res.differential_matrix(k), B)
-    cmat = c.component_matrix(k).entries
+    cmat = compose(c.component_matrix(k), [J] * k).entries
     cols = []
     for t in range(syz.dim):
         acc = [lam.field.zero] * d
         for idx, coeff in enumerate(W.column(t)):
             if coeff:
-                # idx encodes (j_0, ..., j_{k+1}) base d, j_0 most significant
-                first, rest = divmod(idx, d ** (k + 1))
+                # idx encodes (j_0, m_1, ..., m_k, j_{k+1}), j_0 most significant
+                first, rest = divmod(idx, n**k * d)
                 col, last = divmod(rest, d)
                 val = [cmat[r][col] for r in range(d)]
                 val = lam.mul(lam.mul(lam.basis_vector(first), val), lam.basis_vector(last))
                 acc = [x + coeff * y for x, y in zip(acc, val)]
         cols.append(acc)
     return Matrix([[cols[t][r] for t in range(syz.dim)] for r in range(d)], lam.field)
+
+
+def _unnormalized_extension(c, k):
+    """cocycle_to_extension out of the unnormalized bar: phi o s with s = 1 (x) -,
+    phi(s(a_0 (x) ... (x) a_k)) = c(a_0, ..., a_{k-1}) a_k."""
+    lam = c.algebra
+    syz = syzygy(_unnormalized_bar(lam, k), k)
+    phi_s = compose(lam.mult_matrix(), [c.component_matrix(k), Matrix.identity(lam.dim, lam.field)])
+    return BimoduleMap(syz, diagonal_bimodule(lam), phi_s * syz.inclusion.matrix.transpose())
 
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -414,8 +432,49 @@ def test_homotopy_lift_matches_elimination(k):
     perturbed = reps[0] + H.differential(b)
     reps.append(H.Cochain.from_matrix(LAM2, k, perturbed.component_matrix(k), 1))
     assert not (reps[-1] - reps[0]).is_zero()
+    ident = Matrix.identity(LAM2.dim)
+    J, _ = _normalizing_maps(LAM2)
     for c in reps:
-        assert H.cocycle_to_extension(c, k).matrix == _extension_by_elimination(c, k)
+        full = _unnormalized_extension(c, k).matrix
+        assert full == _extension_by_elimination(c, _unnormalized_bar(LAM2, k), ident)
+        assert H.cocycle_to_extension(c, k).matrix == _extension_by_elimination(c, bar_resolution(LAM2, k), J)
+
+
+# 2x2 upper-triangular matrices on the basis e11, e12, e22: the unit e11 + e22
+# is no basis vector
+UPPER_TRIANGULAR = {
+    "dim": 3,
+    "labels": ["e11", "e12", "e22"],
+    "unit": ["1", "0", "1"],
+    "mult": [
+        [0, 0, ["1", "0", "0"]], [0, 1, ["0", "1", "0"]],
+        [1, 2, ["0", "1", "0"]], [2, 2, ["0", "0", "1"]],
+    ],
+}
+
+
+def test_extension_on_non_basis_unit_matches_elimination():
+    # the coboundary of a normalized 3-cochain (one that vanishes on the unit, through J P)
+    lam = load_algebra(UPPER_TRIANGULAR)
+    J, P = _normalizing_maps(lam)
+    rng = random.Random(21)
+    raw = Matrix([[QQ.of(rng.randint(-3, 3)) for _ in range(27)] for _ in range(3)], QQ)
+    b = H.Cochain.from_matrix(lam, 3, compose(raw, [J * P] * 3), 1)
+    c = H.Cochain.from_matrix(lam, 4, H.differential(b).component_matrix(4), 1)
+    assert not c.component_matrix(4).is_zero()
+    assert H.cocycle_to_extension(c, 4).matrix == _extension_by_elimination(c, bar_resolution(lam, 4), J)
+
+
+def test_cocycle_to_extension_refuses_non_normalized_cocycle():
+    # u + d(b) with b not normalized is a cocycle that does not vanish on the unit
+    rng = random.Random(22)
+    u = H.cohomology(LAM2, 4, 1)[0].representative
+    b = rc(LAM2, 3, 1, rng, norm=False)
+    c = H.Cochain.from_matrix(LAM2, 4, (u + H.differential(b)).component_matrix(4), 1)
+    assert H.differential(c).is_zero(up_to=5)
+    assert not H._is_normalized_component(c, 4)
+    with pytest.raises(AlgebraSpecError, match="normalized cocycle"):
+        H.cocycle_to_extension(c)
 
 
 def test_store_shared_by_equal_algebras():
@@ -435,12 +494,15 @@ def test_extension_maps_share_omega():
 
 def test_exact_check_rejects_corrupted_extension_map():
     u = H.cohomology(LAM3, 4, 1)[0]
+    unnormalized = _unnormalized_extension(u.representative, 4)
+    assert unnormalized.source.dim == 183
     f = H.cocycle_to_extension(u.representative)
-    assert f.source.dim == 183
-    ent = [list(r) for r in f.matrix.entries]
-    ent[0][0] = ent[0][0] + 1
-    with pytest.raises(AlgebraSpecError):
-        BimoduleMap(f.source, f.target, Matrix(ent, QQ))
+    assert f.source.dim == 48
+    for f in (unnormalized, f):
+        ent = [list(r) for r in f.matrix.entries]
+        ent[0][0] = ent[0][0] + 1
+        with pytest.raises(AlgebraSpecError):
+            BimoduleMap(f.source, f.target, Matrix(ent, QQ))
 
 
 def test_tate_unit_check_periodicity_class():

@@ -37,6 +37,17 @@ def test_rational_scalars_int_when_integral():
         QQ.inv(QQ.zero)
 
 
+def test_field_elements_lift_only_into_prime_fields():
+    # over QQ an int is canonical and is kept as it is; F_p lifts raw ints
+    half = QQ.of(1, 2)
+    values = [3, -1, 0, half]
+    got = QQ.elements(values)
+    assert got == values and got is not values and all(a is b for a, b in zip(got, values))
+    f5 = GF(5)
+    lifted = f5.elements([7, -1, 0])
+    assert lifted == [2, 4, 0] and all(type(x) is type(f5.one) for x in lifted)
+
+
 def test_rational_scalars_never_float():
     values = [QQ.of(n, d) for n in range(-6, 7) for d in range(1, 5)]
     values += [QQ.inv(x) for x in values if x]
