@@ -1,12 +1,11 @@
-"""Finite-dimensional algebras, bimodules, bar resolutions and syzygies.
+"""Bimodules, bar resolutions and syzygies over finite-dimensional algebras.
 
-Algebras are given by structure constants and checked at construction
-(associativity, unit laws).  Bimodules over an algebra L are the same
-thing as left modules over its enveloping algebra L (x) L^op; the stable
-category machinery (stripping projective summands, stable isomorphism)
-is implemented for enveloping algebras of the commutative local test
-beds, where the socle criterion makes projective summands visible by
-plain rank computations.
+Bimodules over an algebra L are the same thing as left modules over its
+enveloping algebra L (x) L^op; the stable category machinery (stripping
+projective summands, stable isomorphism) is implemented for enveloping
+algebras of the commutative local test beds, where the socle criterion
+makes projective summands visible by plain rank computations.  The
+algebras themselves are in `finite`, re-exported here.
 """
 
 from __future__ import annotations
@@ -14,8 +13,10 @@ from __future__ import annotations
 import functools
 import random
 
-from .linalg import (
-    QQ,
+# load_algebra and solve are re-exported for callers that import them from here
+from .finite import AlgebraSpecError, FiniteAlgebra, _combo, _first_difference, _normalizing_maps, _per_algebra
+from .finite import build_truncated_polynomial, load_algebra  # noqa: F401
+from .linalg import (  # noqa: F401
     Matrix,
     SubspaceBasis,
     compose,
@@ -27,296 +28,6 @@ from .linalg import (
     solve,
     solve_matrix,
 )
-
-
-class AlgebraSpecError(ValueError):
-    """Malformed or inconsistent algebra description."""
-
-
-class FiniteAlgebra:
-    """An associative unital algebra by structure constants.
-
-    mult[i][j] is the coordinate vector of e_i * e_j.  Associativity and
-    the unit laws are verified on all basis triples when the algebra is
-    constructed; everything downstream relies on them.
-    """
-
-    def __init__(self, labels, unit, mult, field=QQ):
-        self.field = field
-        self.dim = len(labels)
-        self.basis_labels = list(labels)
-        self.unit = field.elements(unit)
-        self.mult = [[field.elements(vec) for vec in row] for row in mult]
-        if len(self.unit) != self.dim or len(self.mult) != self.dim:
-            raise AlgebraSpecError("dimension mismatch in algebra data")
-        for i, row in enumerate(self.mult):
-            if len(row) != self.dim:
-                raise AlgebraSpecError("mult row %d has wrong length" % i)
-            for j, vec in enumerate(row):
-                if len(vec) != self.dim:
-                    raise AlgebraSpecError("mult[%d][%d] has wrong length" % (i, j))
-        self._left_mats = None
-        self._right_mats = None
-        self._mult_mat = None
-        self._rad = None
-        self._check_axioms()
-
-    # -- construction helpers -----------------------------------------
-
-    def _check_axioms(self):
-        """Unit laws and associativity as matrix identities on all basis
-        vectors and triples; an error names the first failing one."""
-        d = self.dim
-        mult = self.mult_matrix()
-        ident = Matrix.identity(d, self.field)
-        unit = Matrix.column_vector(self.unit, self.field)
-        left = _first_difference(compose(mult, [unit, ident]), ident)
-        right = _first_difference(compose(mult, [ident, unit]), ident)
-        if left is not None and (right is None or left <= right):
-            raise AlgebraSpecError("left unit law fails on basis %d" % left)
-        if right is not None:
-            raise AlgebraSpecError("right unit law fails on basis %d" % right)
-        col = _first_difference(compose(mult, [mult, ident]), compose(mult, [ident, mult]))
-        if col is not None:
-            raise AlgebraSpecError(
-                "associativity fails on basis triple (%d,%d,%d)" % (col // (d * d), col // d % d, col % d)
-            )
-
-    def basis_vector(self, i):
-        v = [self.field.zero] * self.dim
-        v[i] = self.field.one
-        return v
-
-    def mul(self, u, v):
-        acc = [self.field.zero] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            row = self.mult[i]
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                c = a * b
-                vec = row[j]
-                acc = [s + c * t for s, t in zip(acc, vec)]
-        return acc
-
-    def mult_matrix(self):
-        """The product as a dim x dim^2 matrix; column i*dim+j is e_i e_j."""
-        if self._mult_mat is None:
-            d = self.dim
-            self._mult_mat = Matrix(
-                [[self.mult[i][j][r] for i in range(d) for j in range(d)] for r in range(d)], self.field
-            )
-        return self._mult_mat
-
-    def left_mult_matrix(self, i):
-        if self._left_mats is None:
-            self._left_mats = [
-                Matrix([[self.mult[i][j][r] for j in range(self.dim)] for r in range(self.dim)], self.field)
-                for i in range(self.dim)
-            ]
-        return self._left_mats[i]
-
-    def right_mult_matrix(self, i):
-        if self._right_mats is None:
-            self._right_mats = [
-                Matrix([[self.mult[j][i][r] for j in range(self.dim)] for r in range(self.dim)], self.field)
-                for i in range(self.dim)
-            ]
-        return self._right_mats[i]
-
-    def left_mult_of(self, vec):
-        return _combo([self.left_mult_matrix(i) for i in range(self.dim)], vec, self.dim, self.field)
-
-    def is_commutative(self):
-        return all(self.mult[i][j] == self.mult[j][i] for i in range(self.dim) for j in range(i))
-
-    def center_basis(self):
-        """Basis of the centre, as a SubspaceBasis of k^dim."""
-        rows = Matrix.zeros(0, self.dim, self.field)
-        for j in range(self.dim):
-            rows = rows.stack(self.left_mult_matrix(j) - self.right_mult_matrix(j))
-        return kernel_basis(rows)
-
-    def radical_basis(self):
-        """Jacobson radical via the trace form (characteristic zero)."""
-        if self._rad is not None:
-            return self._rad
-
-        def trace(m):
-            return sum((x for k, row in enumerate(m.nonzeros()) for j, x in row if j == k), self.field.zero)
-
-        lmats = [self.left_mult_matrix(i) for i in range(self.dim)]
-        self._rad = kernel_basis(Matrix([[trace(a * b) for b in lmats] for a in lmats], self.field))
-        return self._rad
-
-    def socle_generator(self):
-        """Generator of soc(A) when 1-dimensional, else None.
-
-        soc here is the left socle {a : rad * a = 0}; for the symmetric
-        local algebras used as coefficients it is simple.
-        """
-        radb = self.radical_basis()
-        if radb.dim == 0:
-            return None
-        rows = Matrix.zeros(0, self.dim, self.field)
-        for v in radb.vectors():
-            rows = rows.stack(self.left_mult_of(v))
-        soc = kernel_basis(rows)
-        if soc.dim != 1:
-            return None
-        return soc.vectors()[0]
-
-    def is_unit(self, vec):
-        return rank(self.left_mult_of(vec)) == self.dim
-
-    def inverse(self, vec):
-        sol = solve(self.left_mult_of(vec), self.unit)
-        if sol is None:
-            raise ValueError("element is not invertible")
-        return sol
-
-    def is_central(self, vec):
-        return all(self.mul(vec, e) == self.mul(e, vec) for e in map(self.basis_vector, range(self.dim)))
-
-    def element_from(self, coeffs):
-        return self.field.elements(coeffs)
-
-    # -- serialization --------------------------------------------------
-
-    def to_json(self):
-        ser = self.field.to_str
-        return {
-            "dim": self.dim,
-            "labels": self.basis_labels,
-            "unit": [ser(x) for x in self.unit],
-            "mult": [
-                [i, j, [ser(x) for x in self.mult[i][j]]]
-                for i in range(self.dim)
-                for j in range(self.dim)
-            ],
-        }
-
-    @staticmethod
-    def from_json(data, field=QQ):
-        return load_algebra(data, field)
-
-    def __repr__(self):
-        return "FiniteAlgebra(dim=%d, %s)" % (self.dim, ",".join(map(str, self.basis_labels[:6])))
-
-
-def _first_difference(a: Matrix, b: Matrix):
-    """The first column in which a and b differ, or None."""
-    cols = [j for ra, rb in zip(a.nonzeros(), b.nonzeros()) for j, _ in set(ra) ^ set(rb)]
-    return min(cols, default=None)
-
-
-def _parse_scalar(field, txt, where):
-    try:
-        if isinstance(txt, int):
-            return field.of(txt)
-        if isinstance(txt, str):
-            if "/" in txt:
-                num, den = txt.split("/")
-                return field.of(int(num), int(den))
-            return field.of(int(txt))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise AlgebraSpecError("%s: bad scalar %r (%s)" % (where, txt, exc)) from exc
-    raise AlgebraSpecError("%s: bad scalar %r" % (where, txt))
-
-
-def _parse_int(txt, where):
-    try:
-        return int(txt)
-    except (TypeError, ValueError) as exc:
-        raise AlgebraSpecError("%s: bad integer %r" % (where, txt)) from exc
-
-
-def _parse_matrix(field, rows, cols, where):
-    """A Matrix from a dump's rows of scalars, each of length cols."""
-    out = []
-    for r, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != cols:
-            raise AlgebraSpecError("%s: row %d must be a list of %d scalars" % (where, r, cols))
-        out.append([_parse_scalar(field, x, "%s[%d][%d]" % (where, r, c)) for c, x in enumerate(row)])
-    return Matrix(out, field, cols=cols)
-
-
-def _get(obj, key, where):
-    """obj[key] from a dump, or an AlgebraSpecError naming the missing key."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise AlgebraSpecError("%s: missing key %r" % (where, key))
-    return obj[key]
-
-
-def _list(value, where):
-    """value if it is a JSON list, else an AlgebraSpecError naming the field."""
-    if not isinstance(value, list):
-        raise AlgebraSpecError("%s: expected a list, got %r" % (where, value))
-    return value
-
-
-def load_algebra(data, field=QQ):
-    """Load an algebra spec {dim, labels, unit, mult} with precise errors.
-
-    mult is a list of triples [i, j, coeffs]; absent pairs default to 0.
-    All invariant checks re-run on load.
-    """
-    if not isinstance(data, dict):
-        raise AlgebraSpecError("algebra spec must be an object")
-    for key in ("dim", "labels", "unit", "mult"):
-        if key not in data:
-            raise AlgebraSpecError("algebra spec missing key %r" % key)
-    dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise AlgebraSpecError("dim: must be a positive integer")
-    labels = _list(data["labels"], "labels")
-    if len(labels) != dim:
-        raise AlgebraSpecError("labels: expected %d entries, got %d" % (dim, len(labels)))
-    unit = _list(data["unit"], "unit")
-    if len(unit) != dim:
-        raise AlgebraSpecError("unit: expected %d entries, got %d" % (dim, len(unit)))
-    unit = [_parse_scalar(field, x, "unit[%d]" % k) for k, x in enumerate(unit)]
-    z = field.zero
-    mult = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
-    for pos, triple in enumerate(_list(data["mult"], "mult")):
-        where = "mult[%d]" % pos
-        if len(_list(triple, where)) != 3:
-            raise AlgebraSpecError("%s: expected [i, j, coeffs]" % where)
-        i, j, coeffs = triple
-        if not (isinstance(i, int) and 0 <= i < dim):
-            raise AlgebraSpecError("%s: row index %r out of range" % (where, i))
-        if not (isinstance(j, int) and 0 <= j < dim):
-            raise AlgebraSpecError("%s: column index %r out of range" % (where, j))
-        if len(_list(coeffs, where + " coeffs")) != dim:
-            raise AlgebraSpecError("%s: coeffs length %d != dim %d" % (where, len(coeffs), dim))
-        mult[i][j] = [_parse_scalar(field, c, "%s[%d]" % (where, k)) for k, c in enumerate(coeffs)]
-    try:
-        return FiniteAlgebra(labels, unit, mult, field)
-    except AlgebraSpecError:
-        raise
-    except Exception as exc:  # pragma: no cover
-        raise AlgebraSpecError(str(exc)) from exc
-
-
-def build_truncated_polynomial(n, field=QQ):
-    """k[x]/(x^n) with basis 1, x, ..., x^(n-1)."""
-    if n < 1:
-        raise AlgebraSpecError("n must be >= 1")
-    z, o = field.zero, field.one
-    labels = ["1"] + ["x^%d" % i if i > 1 else "x" for i in range(1, n)]
-    unit = [o] + [z] * (n - 1)
-    mult = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            vec = [z] * n
-            if i + j < n:
-                vec[i + j] = o
-            row.append(vec)
-        mult.append(row)
-    return FiniteAlgebra(labels, unit, mult, field)
 
 
 def enveloping(a: FiniteAlgebra) -> FiniteAlgebra:
@@ -400,22 +111,10 @@ class Bimodule:
         return "Bimodule(dim=%d over %r)" % (self.dim, self.algebra)
 
 
-def _combo(mats, coeffs, dim, field):
-    """sum_i coeffs[i] * mats[i] for dim x dim matrices, over their nonzeros."""
-    terms = [(c, m.nonzeros()) for c, m in zip(coeffs, mats) if c]
-    rows = []
-    for r in range(dim):
-        acc = {}
-        for c, nz in terms:
-            for j, b in nz[r]:
-                s = acc.get(j)
-                acc[j] = c * b if s is None else s + c * b
-        rows.append(acc)
-    return Matrix.from_nonzeros(rows, dim, field)
-
-
+@_per_algebra
 def diagonal_bimodule(lam: FiniteAlgebra) -> Bimodule:
-    """Lambda itself with the regular actions."""
+    """Lambda itself with the regular actions; built (and stripped) once per
+    algebra."""
     mats_l = [lam.left_mult_matrix(i) for i in range(lam.dim)]
     mats_r = [lam.right_mult_matrix(i) for i in range(lam.dim)]
     return Bimodule(lam, mats_l, mats_r)
@@ -529,23 +228,6 @@ def _check_complex(res: Resolution, what):
             raise AlgebraSpecError("%s: d_%d o d_%d != 0" % (what, k - 1, k))
 
 
-def _normalizing_maps(lam: FiniteAlgebra):
-    """(J, P) for Lambda-bar = Lambda / k.1, on the basis indices other than u,
-    the first index in the unit's support.
-
-    J: Lambda-bar -> Lambda includes those basis vectors, and P: Lambda ->
-    Lambda-bar keeps them and sends e_u to -(1/c_u) sum_{j != u} c_j e_j,
-    where 1 = sum_j c_j e_j; so P.1 = 0, P.J = I and I - J.P maps into k.1.
-    """
-    field = lam.field
-    u = next(i for i, c in enumerate(lam.unit) if c)
-    rest = [j for j in range(lam.dim) if j != u]
-    scale = -field.inv(lam.unit[u])
-    P = Matrix.from_nonzeros([{j: field.one, u: scale * lam.unit[j]} for j in rest], lam.dim, field)
-    J = Matrix.from_nonzeros([{j: field.one} for j in rest], lam.dim, field).transpose()
-    return J, P
-
-
 def bar_resolution(lam: FiniteAlgebra, length: int) -> Resolution:
     """The normalized bar resolution B_p = Lambda (x) Lambda-bar^(x)p (x) Lambda
     up to B_length, Lambda-bar = Lambda / k.1 (Loday, Cyclic Homology, ch. 1):
@@ -601,12 +283,14 @@ def _bar(lam: FiniteAlgebra, length: int, J: Matrix, P: Matrix) -> Resolution:
     return res
 
 
+@_per_algebra
 def periodic_bimodule_resolution(lam: FiniteAlgebra, length: int) -> Resolution:
     """The explicit 2-periodic resolution of k[x]/(x^n) by rank-one frees.
 
     Differentials alternate multiplication by x(x)1 - 1(x)x and by
     sum_i x^i (x) x^(n-1-i); exactness is verified by rank computations
     at every position (the modules have dimension n^2, so this is cheap).
+    Built once per algebra and length.
     """
     n = lam.dim
     field = lam.field
@@ -803,37 +487,6 @@ def _form_value(env, form, vec):
     return sum((c * f for c, f in zip(vec, form) if c), env.field.zero)
 
 
-def _structure_key(lam: FiniteAlgebra):
-    return (
-        lam.field,
-        lam.dim,
-        tuple(tuple(x for x in lam.unit)),
-        tuple(tuple(tuple(v) for v in row) for row in lam.mult),
-    )
-
-
-# The per-algebra store: everything built once per algebra (enveloping
-# algebra, differential matrices, Hochschild contexts, bar syzygies) lives
-# here for the life of the process, keyed on the algebra's structure so
-# that equal algebras built separately share entries.  Nothing in the
-# package runs concurrently, so it needs no lock.
-_store = {}
-
-
-def _per_algebra(build):
-    """Decorator: keep build(lam, *args) in the store, built on first use."""
-
-    @functools.wraps(build)
-    def memo(lam, *args):
-        key = (_structure_key(lam), build.__qualname__, args)
-        value = _store.get(key)
-        if value is None:
-            value = _store[key] = build(lam, *args)
-        return value
-
-    return memo
-
-
 _env_of = _per_algebra(enveloping)
 
 
@@ -964,28 +617,3 @@ def comparison_map_to_periodic(res_bar: Resolution, k: int) -> BimoduleMap:
     mat = solve_for(emb, cols, "syzygy comparison does not land in the periodic syzygy")
     return BimoduleMap(syz, diagonal_bimodule(lam), mat)
 
-
-class LaurentAlgebra:
-    """L[i^{+-1}]: the base algebra with a formal central unit of degree -2.
-
-    Every homogeneous element of degree -2j is a pair (l, j) with l in the
-    base; the generator iota is central and invertible by construction.
-    """
-
-    generator_degree = -2
-
-    def __init__(self, base: FiniteAlgebra):
-        self.base = base
-
-    def element(self, coeffs, power=0):
-        return (self.base.element_from(coeffs), power)
-
-    def mul(self, a, b):
-        (la, ja), (lb, jb) = a, b
-        return (self.base.mul(la, lb), ja + jb)
-
-    def __repr__(self):
-        return "LaurentAlgebra(%r)" % (self.base,)
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentAlgebra) and _structure_key(self.base) == _structure_key(other.base)

@@ -87,7 +87,7 @@ def structure_to_json(m: MinimalAInfty):
 
 def structure_from_json(data, field=None) -> MinimalAInfty:
     from .ainfty import MinimalAInfty
-    from .algebra import AlgebraSpecError, LaurentAlgebra, _get, _parse_int, _parse_matrix, load_algebra
+    from .finite import AlgebraSpecError, LaurentAlgebra, _get, _parse_int, _parse_matrix, load_algebra
     from .hochschild import Cochain
     from .linalg import QQ
 
@@ -122,7 +122,7 @@ def structure_from_json(data, field=None) -> MinimalAInfty:
 
 
 def cmd_hh(args, t0):
-    from .algebra import load_algebra
+    from .finite import load_algebra
     from .hochschild import DEFAULT_CAP, CapTooLow, cohomology
 
     field = _field_of(args.field, args.cap_n)
@@ -170,7 +170,7 @@ def cmd_hh(args, t0):
 
 def _load_dga(args, field):
     if args.input:
-        from .ainfty import DGAlgebra
+        from .dg import DGAlgebra
 
         return DGAlgebra.from_json(_load_json(args.input), field)
     if args.n is not None and args.a is not None:
@@ -181,7 +181,8 @@ def _load_dga(args, field):
 
 
 def cmd_transfer(args, t0):
-    from .ainfty import formality_verdict_of_model, make_contraction, mc_check, transfer
+    from .ainfty import formality_verdict_of_model, mc_check, transfer
+    from .dg import make_contraction
 
     field = _field_of(args.field, args.cap_n)
     dga = _load_dga(args, field)
@@ -286,7 +287,7 @@ def cmd_compare(args, t0):
 
 
 def cmd_model(args, t0):
-    from .ainfty import cohomology_algebra
+    from .dg import cohomology_algebra
     from .models import complete_resolution, dg_end, periodicity_witness, rigidity_check, stable_endomorphism_algebra
 
     field = _field_of(args.field, args.cap_n)
@@ -370,9 +371,9 @@ COMMANDS = {
 # class whose module was never imported cannot have been raised, so the
 # lookup imports nothing.
 _EXIT_CODES = (
-    ("algebra", "AlgebraSpecError", EXIT_INVALID_INPUT),
+    ("finite", "AlgebraSpecError", EXIT_INVALID_INPUT),
     ("models", "BadParameters", EXIT_INVALID_INPUT),
-    ("ainfty", "NotLaurentForm", EXIT_INVALID_INPUT),
+    ("dg", "NotLaurentForm", EXIT_INVALID_INPUT),
     ("hochschild", "CapTooLow", EXIT_CAP_EXCEEDED),
     ("ainfty", "ClassMismatch", EXIT_CLASS_MISMATCH),
 )

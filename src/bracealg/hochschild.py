@@ -25,18 +25,7 @@ from __future__ import annotations
 import math
 from itertools import combinations, product
 
-from .algebra import (
-    AlgebraSpecError,
-    BimoduleMap,
-    FiniteAlgebra,
-    _env_of,
-    _normalizing_maps,
-    _per_algebra,
-    bar_resolution,
-    diagonal_bimodule,
-    is_stable_iso,
-    syzygy,
-)
+from .finite import AlgebraSpecError, FiniteAlgebra, _normalizing_maps, _per_algebra
 from .linalg import Matrix, SubspaceBasis, compose, image_basis, kernel_basis, quotient_basis, solve
 
 
@@ -880,13 +869,16 @@ def hh_isos_backward(e: EulerAdjoinedCochain) -> Cochain:
 
 
 # ---------------------------------------------------------------------------
-# Cocycle -> bimodule extension and the Tate unit test
+# Cocycle -> bimodule extension and the Tate unit test; only these import the
+# bimodule layer, so computing cohomology never compiles it
 
 
 @_per_algebra
 def _bar_syzygy(lam, k):
     """Omega^k(L) = ker d_{k-1} in the normalized bar resolution of length k,
     whose homotopy identity then holds on B_{k-1}."""
+    from .algebra import bar_resolution, syzygy
+
     return syzygy(bar_resolution(lam, k), k)
 
 
@@ -916,6 +908,8 @@ def cocycle_to_extension(c: Cochain, degree=4) -> BimoduleMap:
 def _extension(lam, reduced, k):
     """phi o s on Omega^k, for the cocycle with values reduced on Lambda-bar^(x)k:
     phi(s(a_0 (x) a_1 .. a_{k-1} (x) a_k)) = reduced(P a_0, a_1, ..., a_{k-1}) a_k."""
+    from .algebra import BimoduleMap, diagonal_bimodule
+
     syz = _bar_syzygy(lam, k)
     _, P = _normalizing_maps(lam)
     head = compose(reduced, [P, Matrix.identity(P.rows ** (k - 1), lam.field)])
@@ -945,6 +939,8 @@ def tate_unit_check(cls: HHClass) -> TateUnitResult:
     """
     if cls.bidegree != (4, -2):
         raise WrongBidegree("tate unit check needs bidegree (4, -2), got %r" % (cls.bidegree,))
+    from .algebra import _env_of, is_stable_iso
+
     lam = cls.context.algebra
     separable = _env_of(lam).radical_basis().dim == 0
     return TateUnitResult(is_stable_iso(_extension(lam, cls._reduced(), 4)), separable)

@@ -478,11 +478,13 @@ class _Echelon:
 
 def _echelon_of(field, rows):
     """An _Echelon of rows given as {column: value} dicts or (column, value)
-    pairs; the rows are copied."""
+    pairs; the rows are copied.  They go in by descending leading column, so
+    a new pivot usually lies left of the existing ones and insert has little
+    to clear; the result, the unique RREF of the span, does not depend on
+    the order."""
     ech = _Echelon(field)
-    for row in rows:
-        if row:
-            ech.add(dict(row))
+    for row in sorted((dict(r) for r in rows if r), key=min, reverse=True):
+        ech.add(row)
     return ech
 
 

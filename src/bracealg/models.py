@@ -24,8 +24,8 @@ cohomology, and the Laurent form are re-verified by the constructor.
 
 from __future__ import annotations
 
-from .ainfty import DGAlgebra, cohomology_algebra, make_contraction
-from .algebra import AlgebraSpecError, FiniteAlgebra, build_truncated_polynomial
+from .dg import DGAlgebra, cohomology_algebra, make_contraction
+from .finite import AlgebraSpecError, FiniteAlgebra, build_truncated_polynomial
 from .linalg import Matrix, QQ, kernel_basis, rank, solve
 
 
@@ -207,15 +207,17 @@ def seeded_minimal_model(n, a, cap=8, field=QQ):
 
     L = stableEnd(k[x]/(x^a)) over k[x]/(x^n).  The single operation m4 is
     the normalized representative of the degree-4 periodicity class (the
-    Tate unit); because the representative is normalized and iota-linear,
-    m4{m4} vanishes identically and the Maurer-Cartan equation holds with
-    m6 = m8 = ... = 0, which the constructor verifies.  This realises the
-    iota-linear unit-Massey-product minimal model directly; no finite
-    2-periodic DG algebra can produce it by transfer (see the ledger).
+    Tate unit).  When min(a, n-a) <= 3, m4{m4} vanishes and the
+    Maurer-Cartan equation holds with m6 = m8 = ... = 0, which the
+    constructor verifies; above that, m4{m4} is nonzero at arity 7, so the
+    constructor refuses the model ("Maurer-Cartan equation fails: [7]",
+    an AlgebraSpecError) until the higher operations are solved.  This
+    realises the iota-linear unit-Massey-product minimal model directly; no
+    finite 2-periodic DG algebra can produce it by transfer (see the ledger).
     """
     from .ainfty import MinimalAInfty
+    from .finite import LaurentAlgebra
     from .hochschild import cohomology, tate_unit_check
-    from .algebra import LaurentAlgebra
 
     m = min(a, n - a)
     if not (1 <= a <= n - 1):

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from bracealg.algebra import build_truncated_polynomial
+from bracealg.finite import build_truncated_polynomial
 from bracealg.linalg import QQ
 from bracealg import hochschild as H
 from bracealg.ainfty import (
@@ -23,17 +23,16 @@ from bracealg.ainfty import (
     MinimalAInfty,
     ainfty_map_check,
     build_iso,
-    cohomology_algebra,
     formality_verdict_of_model,
     gauge_by_central_unit,
     is_formal,
-    make_contraction,
     mc_check,
     restricted_ump,
     transfer,
     transported_structure,
     two_equations_solve,
 )
+from bracealg.dg import cohomology_algebra, make_contraction
 from bracealg.models import complete_resolution, dg_end, seeded_minimal_model, stable_endomorphism_algebra
 
 LAM2 = build_truncated_polynomial(2)

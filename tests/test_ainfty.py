@@ -2,36 +2,33 @@ import random
 
 import pytest
 
-from bracealg.algebra import AlgebraSpecError, build_truncated_polynomial
+from bracealg.finite import AlgebraSpecError, build_truncated_polynomial
 from bracealg.linalg import Matrix, QQ
 from bracealg import hochschild as H
 from bracealg.ainfty import (
     AInftyMorphism,
     ClassMismatch,
-    DGAlgebra,
     FORMAL,
     INCONCLUSIVE,
     M3NonZero,
     MinimalAInfty,
     NOT_FORMAL,
-    NotLaurentForm,
     NotUnit,
     ainfty_map_check,
     build_iso,
-    cohomology_algebra,
     contractible_solution,
     extract_m4_class,
     formality_verdict_of_model,
     gauge,
     gauge_by_central_unit,
     is_formal,
-    make_contraction,
     mc_check,
     restricted_ump,
     transfer,
     transported_structure,
     two_equations_solve,
 )
+from bracealg.dg import DGAlgebra, NotLaurentForm, cohomology_algebra, make_contraction
 from bracealg.models import complete_resolution, dg_end, seeded_minimal_model
 
 

@@ -7,10 +7,10 @@ import sys
 import pytest
 
 import bracealg
-from bracealg.algebra import build_truncated_polynomial
+from bracealg.finite import build_truncated_polynomial
 from bracealg.ainfty import MinimalAInfty, gauge_by_central_unit
 from bracealg.cli import main, structure_from_json, structure_to_json
-from bracealg.models import seeded_minimal_model
+from bracealg.models import complete_resolution, dg_end, seeded_minimal_model
 
 
 @pytest.fixture
@@ -360,17 +360,6 @@ def _python(args, cwd):
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
 
 
-def test_hh_imports_neither_ainfty_nor_models(kx2_spec, tmp_path):
-    code = (
-        "import sys; from bracealg.cli import main; code = main(sys.argv[1:]); "
-        "print(code, *sorted(m for m in sys.modules if m.startswith('bracealg')))"
-    )
-    proc = _python(["-c", code, "hh", kx2_spec, "--cap-p", "4", "--out", str(tmp_path / "hh.json")], tmp_path)
-    code, *loaded = proc.stdout.split()
-    assert code == "0" and "bracealg.hochschild" in loaded
-    assert "bracealg.ainfty" not in loaded and "bracealg.models" not in loaded
-
-
 # the names `from bracealg import *` gave while the package imported every
 # module eagerly
 STAR_NAMES = """
@@ -442,3 +431,51 @@ def test_exit_codes_in_fresh_interpreter(tmp_path, make_argv, code):
     proc = _python(["-m", "bracealg.cli", *make_argv(tmp_path), "--out", "report.json"], tmp_path)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# Each command compiles only the layers it runs: hh and compare never load the
+# bimodule layer (algebra), and model loads neither hochschild nor ainfty.
+LOADED = """
+import sys
+from bracealg.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(m[len("bracealg."):] for m in sys.modules if m.startswith("bracealg.")))
+"""
+
+
+def _dg_dump(tmp_path):
+    (tmp_path / "dg.json").write_text(json.dumps(dg_end(complete_resolution(4, 2)).to_json()))
+    return ["transfer", "dg.json", "--cap-n", "6"]
+
+
+def _structure_pair(tmp_path):
+    (tmp_path / "m.json").write_text(json.dumps(structure_to_json(seeded_minimal_model(4, 2, cap=8))))
+    return ["compare", "m.json", "m.json", "--cap-n", "8"]
+
+
+def _kx2(tmp_path):
+    (tmp_path / "kx2.json").write_text(json.dumps(build_truncated_polynomial(2).to_json()))
+    return ["hh", "kx2.json", "--cap-p", "4"]
+
+
+@pytest.mark.parametrize(
+    "make_argv,modules",
+    [
+        (lambda tmp_path: ["--help"], "cli"),
+        (_kx2, "cli finite hochschild linalg"),
+        (lambda tmp_path: ["model", "--n", "4", "--a", "2"], "cli dg finite linalg models"),
+        (_dg_dump, "ainfty cli dg finite hochschild linalg"),
+        (_structure_pair, "ainfty cli finite hochschild linalg"),
+        (lambda tmp_path: ["massey", "--n", "4", "--a", "2"], "ainfty algebra cli dg finite hochschild linalg models"),
+    ],
+    ids=["help", "hh", "model", "transfer", "compare", "massey"],
+)
+def test_commands_load_only_their_layers(tmp_path, make_argv, modules):
+    argv = make_argv(tmp_path)
+    proc = _python(["-c", LOADED, *argv] + (["--out", "report.json"] if argv != ["--help"] else []), tmp_path)
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    assert code == "0", proc.stderr
+    assert loaded == modules.split()

@@ -559,7 +559,7 @@ def test_cochain_json_dump():
 
 
 def test_euler_derivation_operation():
-    from bracealg.algebra import LaurentAlgebra
+    from bracealg.finite import LaurentAlgebra
 
     lau = LaurentAlgebra(LAM2)
     e = H.euler_derivation(lau)

@@ -1,7 +1,9 @@
 import pytest
 
 from bracealg.linalg import QQ, kernel_basis, rank
-from bracealg.ainfty import cohomology_algebra, make_contraction, mc_check, transfer
+from bracealg.ainfty import mc_check, transfer
+from bracealg.dg import cohomology_algebra, make_contraction
+from bracealg.finite import AlgebraSpecError
 from bracealg.hochschild import tate_unit_check
 from bracealg.models import (
     BadParameters,
@@ -105,6 +107,18 @@ def test_seeded_minimal_model_63():
     m = seeded_minimal_model(6, 3, cap=8)
     assert mc_check(m).ok
     assert m.algebra.dim == 3
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AlgebraSpecError,
+    reason="for min(a, n-a) >= 4 the normalized Tate-unit representative has "
+    "m4{m4} != 0 at arity 7, so m4 alone fails the Maurer-Cartan equation; "
+    "the model needs higher operations solved arity by arity",
+)
+def test_seeded_minimal_model_84():
+    m = seeded_minimal_model(8, 4, cap=8)
+    assert mc_check(m).ok
 
 
 def test_transfer_from_models_mc():

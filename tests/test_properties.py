@@ -20,7 +20,7 @@ from bracealg.linalg import (
     solve,
     solve_matrix,
 )
-from bracealg.algebra import build_truncated_polynomial
+from bracealg.finite import build_truncated_polynomial
 from bracealg import hochschild as H
 
 
@@ -49,6 +49,25 @@ def test_rref_idempotent(m):
     red, piv = rref(m)
     red2, piv2 = rref(red)
     assert red2 == red and piv2 == piv
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rref_independent_of_row_order(data):
+    # sparse rows, so that leading columns vary and tie, in any order:
+    # eliminating them one by one in that order, or handing them to rref,
+    # gives the same RREF and pivots
+    cols = data.draw(st.integers(1, 6))
+    entry = st.one_of(st.just(Fraction(0)), small_rational)
+    rows = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=7))
+    m = Matrix([[QQ.of(x.numerator, x.denominator) for x in r] for r in rows], QQ, cols=cols)
+    order = data.draw(st.permutations(range(m.rows)))
+    ech = linalg._Echelon(QQ)
+    for i in order:
+        if m.nonzeros()[i]:
+            ech.add(dict(m.nonzeros()[i]))
+    assert ech.matrix(m.rows, cols)._rref == rref(m)
+    assert rref(m.select_rows(order)) == rref(m)
 
 
 @settings(max_examples=40, deadline=None)
