@@ -25,6 +25,7 @@ from .hochschild import (
     NotACocycle,
     WrongBidegree,
     bracket,
+    bracket_table,
     brace,
     class_of,
     cup,
@@ -33,14 +34,13 @@ from .hochschild import (
     divide_class,
     hh_context,
     hh_isos_forward,
-    kron_sum,
     normalized_space_dim,
     restrict_j,
     solve_coboundary,
     tate_unit_check,
     vec_to_cochain,
 )
-from .linalg import Matrix, compose, kernel_basis, rank, solve, solve_matrix
+from .linalg import Matrix, compose, kernel_basis, kron_sum, rank, solve, solve_matrix
 
 
 class M3NonZero(Exception):
@@ -617,7 +617,7 @@ def contractible_solution(a: Cochain, u: HHClass, q: int):
     ctx = hh_context(lam, p - 3, q - 1)
     basis = ctx.basis_classes()
     if basis:
-        cols = [u_shift.bracket_cls(b).coords for b in basis]
+        cols = [cls.coords for cls in bracket_table([u_shift], basis)[0]]
         A = Matrix(
             [[cols[t][i] for t in range(len(basis))] for i in range(len(xi.coords))],
             field,

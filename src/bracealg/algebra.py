@@ -21,6 +21,8 @@ from .linalg import (  # noqa: F401
     SubspaceBasis,
     compose,
     kernel_basis,
+    kron,
+    kron_sum,
     rank,
     _Echelon,
     _echelon_of,
@@ -173,7 +175,7 @@ class BarModule:
         """The inclusion M^(x)p -> B_p, m_1 .. m_p -> 1 (x) m_1 .. m_p (x) 1."""
         unit = Matrix.column_vector(self.algebra.unit, self.algebra.field)
         middle = Matrix.identity(self.dim // self.algebra.dim**2, self.algebra.field)
-        return compose(Matrix.identity(self.dim, self.algebra.field), [unit, middle, unit])
+        return kron([unit, middle, unit])
 
     def __repr__(self):
         return "BarModule(p=%d, dim=%d)" % (self.p, self.dim)
@@ -183,10 +185,9 @@ def _outer_actions(lam: FiniteAlgebra, dim, side):
     """L_b in the first slot (side "left") or R_b in the last, for each basis
     element b, on Lambda (x) R (x) Lambda of dimension dim."""
     rest = Matrix.identity(dim // lam.dim, lam.field)
-    outer = Matrix.identity(dim, lam.field)
     if side == "left":
-        return [compose(outer, [lam.left_mult_matrix(b), rest]) for b in range(lam.dim)]
-    return [compose(outer, [rest, lam.right_mult_matrix(b)]) for b in range(lam.dim)]
+        return [kron([lam.left_mult_matrix(b), rest]) for b in range(lam.dim)]
+    return [kron([rest, lam.right_mult_matrix(b)]) for b in range(lam.dim)]
 
 
 def free_rank_one_bimodule(lam: FiniteAlgebra) -> Bimodule:
@@ -259,22 +260,21 @@ def _bar(lam: FiniteAlgebra, length: int, J: Matrix, P: Matrix) -> Resolution:
     for p in range(1, length + 1):
         # face i maps slots i and i+1 of (j_0, m_1, ..., m_p, j_{p+1}) to one
         slots = [ident] + [mid] * p + [ident]
-        outer = Matrix.identity(modules[p - 1].dim, field)
-        dp = Matrix.zeros(outer.rows, modules[p].dim, field)
-        for i in range(p + 1):
-            face = compose(outer, slots[:i] + [first if i == 0 else last if i == p else inner] + slots[i + 2 :])
-            dp = dp + face if i % 2 == 0 else dp - face
-        diffs.append(dp)
+        faces = [
+            (-1 if i % 2 else 1, slots[:i] + [first if i == 0 else last if i == p else inner] + slots[i + 2 :])
+            for i in range(p + 1)
+        ]
+        diffs.append(kron_sum(faces, modules[p - 1].dim, modules[p].dim, field))
     res = Resolution(lam, modules, diffs)
     _check_complex(res, "bar resolution")
     # d_{p+1} s_p + s_{p-1} d_p = id on B_p for p < length certifies exactness
     # at 0..length-1 without elimination: s_p(a_0 (x) rest) = 1 (x) P(a_0) (x) rest,
     # s_{-1}: Lambda -> B_0 puts the unit in front, d_0 is the augmentation
     unit = Matrix.column_vector(lam.unit, field)
-    prev = compose(Matrix.identity(lam.dim**2, field), [unit, ident])
+    prev = kron([unit, ident])
     for p in range(length):
         rest = Matrix.identity(modules[p].dim // lam.dim, field)
-        s_p = compose(Matrix.identity(modules[p + 1].dim, field), [unit, P, rest])
+        s_p = kron([unit, P, rest])
         bad = _first_difference(diffs[p + 1] * s_p + prev * diffs[p], Matrix.identity(modules[p].dim, field))
         if bad is not None:
             raise AlgebraSpecError("bar homotopy identity fails at p=%d idx=%d" % (p, bad))
@@ -304,11 +304,8 @@ def periodic_bimodule_resolution(lam: FiniteAlgebra, length: int) -> Resolution:
     def middle_mult(celem):
         # bimodule endomorphism of Lambda(x)Lambda inserting celem in the
         # middle: a (x) b -> sum coeff * a c1 (x) c2 b
-        outer = Matrix.identity(n * n, field)
-        m = Matrix.zeros(n * n, n * n, field)
-        for (c1, c2), coeff in celem.items():
-            m = m + compose(outer, [lam.right_mult_matrix(c1), lam.left_mult_matrix(c2)]).scale(coeff)
-        return m
+        parts = [(coeff, [lam.right_mult_matrix(c1), lam.left_mult_matrix(c2)]) for (c1, c2), coeff in celem.items()]
+        return kron_sum(parts, n * n, n * n, field)
 
     pi_elem = {(1, 0): field.one, (0, 1): -field.one} if n > 1 else {}
     tau_elem = {(i, n - 1 - i): field.one for i in range(n)}
@@ -441,7 +438,7 @@ def _strip(m: Bimodule) -> StripResult:
     f_rows = funcs.transpose()
     fB = [(f_rows * bt).nonzeros() for bt in env_mats]
     G = Matrix.from_nonzeros([dict(fbt[l]) for l in range(r) for fbt in fB], m.dim, field)
-    Phi = compose(Matrix.identity(r * d2, field), [Matrix.identity(r, field), gram_inv]) * G
+    Phi = kron([Matrix.identity(r, field), gram_inv]) * G
     # Phi is a retraction onto the free part: phi_l(b_t m_l) = b_t and
     # phi_l'(b_t m_l) = 0 for l' != l, i.e. Phi F^T is the identity
     if Phi * F.transpose() != Matrix.identity(r * d2, field):
@@ -581,17 +578,19 @@ def comparison_map_to_periodic(res_bar: Resolution, k: int) -> BimoduleMap:
     the explicit 2-periodic resolution, restricts to the k-th syzygy, and
     composes with the explicit isomorphism of the periodic syzygy with
     Lambda.  The output (syzygy -> diagonal bimodule) is the comparison
-    map whose stable invertibility witnesses the periodicity.
+    map whose stable invertibility witnesses the periodicity.  The
+    periodic resolution is built as long as the bar's (and at least k), so
+    every k on one bar resolution shares it.
     """
     lam = res_bar.algebra
     field = lam.field
     n = lam.dim
-    per = periodic_bimodule_resolution(lam, k)
+    per = periodic_bimodule_resolution(lam, max(k, res_bar.length))
     mu = lam.mult_matrix()
     ident = Matrix.identity(n, field)
     unit = Matrix.column_vector(lam.unit, field)
     # a_0 (x) (x (x) y) (x) a_1 -> a_0 x (x) y a_1 in Lambda (x) Lambda
-    outer = compose(Matrix.identity(n * n, field), [mu, mu])
+    outer = kron([mu, mu])
 
     def solve_for(m, rhs, failure):
         sol = solve_matrix(m, rhs)

@@ -123,7 +123,7 @@ def structure_from_json(data, field=None) -> MinimalAInfty:
 
 def cmd_hh(args, t0):
     from .finite import load_algebra
-    from .hochschild import DEFAULT_CAP, CapTooLow, cohomology
+    from .hochschild import DEFAULT_CAP, CapTooLow, bracket_table, cohomology, cup_table
 
     field = _field_of(args.field, args.cap_n)
     data = _load_json(args.input)
@@ -136,33 +136,33 @@ def cmd_hh(args, t0):
         return max(0, (p + 1) // 2)
 
     table = {str(p): len(cohomology(lam, p, _j_for(p))) for p in range(0, cap_p + 1)}
-    # cup and bracket tables on generators of low bidegrees
-    gens = []
-    for p in range(0, min(cap_p, 4) + 1):
-        for cls in cohomology(lam, p, _j_for(p)):
-            gens.append(((p, -2 * _j_for(p)), cls))
-    cup_table = []
-    bracket_table = []
-    for (bi1, c1) in gens:
-        for (bi2, c2) in gens:
-            if bi1[0] + bi2[0] <= min(cap_p, DEFAULT_CAP - 1):
-                prod = c1.cup_cls(c2)
-                cup_table.append(
-                    {"left": list(bi1), "right": list(bi2), "coords": [field.to_str(x) for x in prod.coords]}
-                )
-            if bi1[0] + bi2[0] - 1 <= min(cap_p, DEFAULT_CAP - 1) and bi1[0] + bi2[0] >= 1:
-                br = c1.bracket_cls(c2)
-                bracket_table.append(
-                    {"left": list(bi1), "right": list(bi2), "coords": [field.to_str(x) for x in br.coords]}
-                )
+    # cup and bracket tables on generators of low bidegrees: one table per
+    # pair of arities, listed generator pair by generator pair
+    gens = [(p, cohomology(lam, p, _j_for(p))) for p in range(0, min(cap_p, 4) + 1)]
+    top = min(cap_p, DEFAULT_CAP - 1)
+    cups = {(p, q): cup_table(xs, ys) for p, xs in gens for q, ys in gens if p + q <= top}
+    brackets = {(p, q): bracket_table(xs, ys) for p, xs in gens for q, ys in gens if 1 <= p + q <= top + 1}
+    pairs = [(p, i, q, k) for p, xs in gens for i in range(len(xs)) for q, ys in gens for k in range(len(ys))]
+
+    def entries(tables):
+        return [
+            {
+                "left": [p, -2 * _j_for(p)],
+                "right": [q, -2 * _j_for(q)],
+                "coords": [field.to_str(x) for x in tables[p, q][i][k].coords],
+            }
+            for p, i, q, k in pairs
+            if (p, q) in tables
+        ]
+
     report = {
         "schema": SCHEMA,
         "command": "hh",
         "config": {"input": args.input, "cap_p": cap_p, "field": args.field or "qq"},
         "algebra": {"dim": lam.dim, "labels": lam.basis_labels},
         "hh_dimensions": table,
-        "cup_table": cup_table,
-        "bracket_table": bracket_table,
+        "cup_table": entries(cups),
+        "bracket_table": entries(brackets),
     }
     _emit(report, args.out, t0)
     return EXIT_OK

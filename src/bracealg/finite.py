@@ -21,7 +21,9 @@ class FiniteAlgebra:
 
     mult[i][j] is the coordinate vector of e_i * e_j.  Associativity and
     the unit laws are verified on all basis triples when the algebra is
-    constructed; everything downstream relies on them.
+    constructed; everything downstream relies on them.  mult and unit are
+    not changed afterwards: the products and the per-algebra store key are
+    built from them once.
     """
 
     def __init__(self, labels, unit, mult, field=QQ):
@@ -41,6 +43,7 @@ class FiniteAlgebra:
         self._left_mats = None
         self._right_mats = None
         self._mult_mat = None
+        self._key = None  # _structure_key, built on first use
         self._rad = None
         self._check_axioms()
 
@@ -337,12 +340,16 @@ def _normalizing_maps(lam: FiniteAlgebra):
 
 
 def _structure_key(lam: FiniteAlgebra):
-    return (
-        lam.field,
-        lam.dim,
-        tuple(tuple(x for x in lam.unit)),
-        tuple(tuple(tuple(v) for v in row) for row in lam.mult),
-    )
+    """The field and structure constants of lam as one hashable value, kept
+    on lam: equal algebras built separately have equal keys."""
+    if lam._key is None:
+        lam._key = (
+            lam.field,
+            lam.dim,
+            tuple(lam.unit),
+            tuple(tuple(tuple(v) for v in row) for row in lam.mult),
+        )
+    return lam._key
 
 
 # The per-algebra store: everything built once per algebra (enveloping

@@ -9,8 +9,8 @@ have no weights; the fractional Euler derivation is the basic example of
 a weight-one cochain.  Braces, cup product, Lie bracket and the
 differential are computed exactly in this representation.  Products of
 cohomology classes skip it: a class keeps the reduced coordinates of a
-normalized representative, and its cup and bracket are compositions of
-those coordinate matrices.
+normalized representative, and the cup and bracket tables of two lists of
+classes are compositions of their coordinate matrices set side by side.
 
 Sign convention: Koszul signs with respect to the total degree shifted by
 -1 (the bar convention).  The binary product cochain is minus the algebra
@@ -26,7 +26,7 @@ import math
 from itertools import combinations, product
 
 from .finite import AlgebraSpecError, FiniteAlgebra, _normalizing_maps, _per_algebra
-from .linalg import Matrix, SubspaceBasis, compose, image_basis, kernel_basis, quotient_basis, solve
+from .linalg import Matrix, SubspaceBasis, compose, image_basis, kernel_basis, kron_sum, quotient_basis, solve
 
 
 class CapTooLow(Exception):
@@ -522,8 +522,9 @@ def differential_parts(lam, p, inputs):
     where mu_i multiplies inputs i and i+1 of d(f), counted from 0; this is
     [m2, f] written out.  Coordinates are cochain_to_vec's, with every input
     running over the basis indices `inputs`.  Each part is (sign, factors,
-    moves): compose(I, factors) = F_1 (x) ... (x) F_k maps arity-p
-    coordinates to arity-(p+1) ones, and moves[k] lists the inputs of d(f)
+    moves): kron(factors) = F_1 (x) ... (x) F_k maps arity-p coordinates to
+    arity-(p+1) ones (linalg.kron_sum adds the signed parts into the matrix
+    of d), and moves[k] lists the inputs of d(f)
     that an Euler weight on input k of f moves to (a face sends it to both
     inputs it multiplies).  An outer product is one part per value of its
     outer input; a face keeps the components of a product on `inputs`.
@@ -547,15 +548,6 @@ def differential_parts(lam, p, inputs):
         moves = [[k] if k < i else [i, i + 1] if k == i else [k + 1] for k in range(p)]
         parts.append((-sign if i % 2 == 0 else sign, factors, moves))
     return parts
-
-
-def kron_sum(parts, rows, cols, field):
-    """The rows x cols sum of sign * (F_1 (x) ... (x) F_k) over the (sign, factors) parts."""
-    total = Matrix.zeros(rows, cols, field)
-    for sign, factors in parts:
-        term = compose(Matrix.identity(rows, field), factors)
-        total = total + term if sign > 0 else total - term
-    return total
 
 
 @_per_algebra
@@ -649,7 +641,8 @@ class HHClass:
     (cochain_to_vec's).  A representative handed in as a cochain is checked
     to be normalized here, once; products and linear combinations work on
     the coordinates, and a class made from coordinates builds its
-    representative only when asked for it.
+    representative only when asked for it.  cup_cls and bracket_cls are the
+    1 x 1 case of cup_table and bracket_table.
     """
 
     def __init__(self, context: HHContext, representative: Cochain = None, vec=None):
@@ -703,39 +696,12 @@ class HHClass:
         return _reduced_matrix(self.context.algebra, self.context.p, self.vec)
 
     def cup_cls(self, other) -> "HHClass":
-        """The class of cup(f, g) = (-1)^(pq) mu(f, g), on the reduced matrices."""
-        lam = self.context.algebra
-        p, q = self.context.p, other.context.p
-        prod = compose(lam.mult_matrix(), [self._reduced(), other._reduced()])
-        ctx = hh_context(lam, p + q, self.context.j + other.context.j)
-        return HHClass(ctx, vec=_vec_of(-prod if p * q % 2 else prod))
-
-    def _brace(self, other):
-        """The reduced matrix of f{g} = sum_s (-1)^((q+1)s) f(..., g, ...), g at input s.
-
-        f's inputs in reduced coordinates are the non-unit basis vectors, so
-        g enters through its rows at those vectors (incl^T g)."""
-        lam = self.context.algebra
-        p, q = self.context.p, other.context.p
-        n = lam.dim - 1
-        f, g = self._reduced(), other._reduced().select_rows(_non_unit_inputs(lam))
-        total = Matrix.zeros(lam.dim, n ** (p + q - 1), lam.field)
-        for s in range(p):
-            term = compose(f, [Matrix.identity(n**s, lam.field), g, Matrix.identity(n ** (p - 1 - s), lam.field)])
-            total = total - term if (q + 1) * s % 2 else total + term
-        return total
+        """The class of cup(f, g) = (-1)^(pq) mu(f, g)."""
+        return cup_table([self], [other])[0][0]
 
     def bracket_cls(self, other) -> "HHClass":
         """The class of [f, g] = f{g} - (-1)^((p-1)(q-1)) g{f}."""
-        lam = self.context.algebra
-        p, q = self.context.p, other.context.p
-        ctx = hh_context(lam, max(p + q - 1, 0), self.context.j + other.context.j)
-        if p + q == 0:
-            # bracket of two 0-cochains vanishes identically
-            return HHClass(ctx, vec=[lam.field.zero] * lam.dim)
-        first, second = self._brace(other), other._brace(self)
-        br = first + second if (p - 1) * (q - 1) % 2 else first - second
-        return HHClass(ctx, vec=_vec_of(br))
+        return bracket_table([self], [other])[0][0]
 
     def __repr__(self):
         return "HHClass(p=%d, q=%d, coords=%r)" % (
@@ -743,6 +709,105 @@ class HHClass:
             -2 * self.context.j,
             [str(c) for c in self.coords],
         )
+
+
+def _stack(classes):
+    """The reduced matrices of classes of one bidegree side by side: a
+    dim x (a n^p) matrix, n = dim - 1, whose columns put the class index
+    before the p inputs, so that it is one multilinear map with a leading
+    input that picks the class."""
+    ctx = classes[0].context
+    if any((c.context.p, c.context.j) != (ctx.p, ctx.j) for c in classes):
+        raise WrongBidegree("stacked classes must share one bidegree")
+    stack = classes[0]._reduced()
+    for cls in classes[1:]:
+        stack = stack.augment(cls._reduced())
+    return stack
+
+
+def _unstack(term, sign, b, head, tail, vecs, swap):
+    """Add sign * term into the coordinate lists vecs[c1][c2] (vecs[c2][c1]
+    if swap), for a term whose columns are (c1, h, c2, t), h < head, c2 < b,
+    t < tail: the product of stacked classes c1 and c2 at reduced column
+    h * tail + t.  vec is column-major, index column * dim + row."""
+    d = term.rows
+    for r, row in enumerate(term.nonzeros()):
+        for col, x in row:
+            rest, t = divmod(col, tail)
+            rest, c2 = divmod(rest, b)
+            c1, h = divmod(rest, head)
+            vec = vecs[c2][c1] if swap else vecs[c1][c2]
+            k = (h * tail + t) * d + r
+            vec[k] = vec[k] + sign * x
+
+
+def _table(ctx, a, b):
+    """An a x b table of zero coordinate lists for classes of ctx."""
+    lam = ctx.algebra
+    size = normalized_space_dim(lam, ctx.p)
+    return [[[lam.field.zero] * size for _ in range(b)] for _ in range(a)]
+
+
+def _classes(ctx, vecs):
+    return [[HHClass(ctx, vec=vec) for vec in row] for row in vecs]
+
+
+def cup_table(xs, ys):
+    """[[x.cup_cls(y) for y in ys] for x in xs], from one composition.
+
+    cup(f, g) = (-1)^(pq) mu(f, g) on the reduced matrices.  With xs and ys
+    stacked, mu(X, Y) holds every pair's product, its columns being (x,
+    the inputs of f, y, the inputs of g).  Each product is classified, so
+    each is checked to be a cocycle.
+    """
+    if not xs or not ys:
+        return [[] for _ in xs]
+    lam = xs[0].context.algebra
+    p, q = xs[0].context.p, ys[0].context.p
+    ctx = hh_context(lam, p + q, xs[0].context.j + ys[0].context.j)
+    n = lam.dim - 1
+    vecs = _table(ctx, len(xs), len(ys))
+    prod = compose(lam.mult_matrix(), [_stack(xs), _stack(ys)])
+    _unstack(prod, -1 if p * q % 2 else 1, len(ys), n**p, n**q, vecs, False)
+    return _classes(ctx, vecs)
+
+
+def _brace_into(vecs, fs, gs, sign, swap):
+    """Add sign * f{g} into vecs[f][g] (vecs[g][f] if swap) for every f in fs
+    and g in gs: f{g} = sum_s (-1)^((q+1)s) f(..., g, ...), g at input s.
+
+    f's inputs in reduced coordinates are the non-unit basis vectors, so g
+    enters through its rows at those vectors (incl^T g).  With fs stacked
+    as F and gs as G, the term at s is compose(F, [I_a, I^s, incl^T G,
+    I^(p-1-s)]) for every pair at once, its columns being (f, s inputs, g,
+    the other q + p-1-s inputs)."""
+    lam = fs[0].context.algebra
+    field = lam.field
+    p, q = fs[0].context.p, gs[0].context.p
+    n = lam.dim - 1
+    F, G = _stack(fs), _stack(gs).select_rows(_non_unit_inputs(lam))
+    for s in range(p):
+        factors = [Matrix.identity(len(fs), field), Matrix.identity(n**s, field), G, Matrix.identity(n ** (p - 1 - s), field)]
+        term_sign = -sign if (q + 1) * s % 2 else sign
+        _unstack(compose(F, factors), term_sign, len(gs), n**s, n ** (q + p - 1 - s), vecs, swap)
+
+
+def bracket_table(xs, ys):
+    """[[x.bracket_cls(y) for y in ys] for x in xs], from p + q compositions.
+
+    [f, g] = f{g} - (-1)^((p-1)(q-1)) g{f}; the bracket of two 0-cochains
+    vanishes identically.  Each product is classified, so each is checked
+    to be a cocycle.
+    """
+    if not xs or not ys:
+        return [[] for _ in xs]
+    lam = xs[0].context.algebra
+    p, q = xs[0].context.p, ys[0].context.p
+    ctx = hh_context(lam, max(p + q - 1, 0), xs[0].context.j + ys[0].context.j)
+    vecs = _table(ctx, len(xs), len(ys))
+    _brace_into(vecs, xs, ys, 1, False)
+    _brace_into(vecs, ys, xs, 1 if (p - 1) * (q - 1) % 2 else -1, True)
+    return _classes(ctx, vecs)
 
 
 def class_of(lam, c: Cochain, p, j) -> HHClass:
@@ -778,7 +843,7 @@ def divide_class(x_cls: HHClass, u_cls: HHClass) -> HHClass:
     if p <= 0:
         raise WrongBidegree("class division only implemented in positive degrees")
     ctx = hh_context(lam, p, j)
-    cols = [u_cls.cup_cls(b).coords for b in ctx.basis_classes()]
+    cols = [cls.coords for cls in cup_table([u_cls], ctx.basis_classes())[0]]
     if not cols:
         raise NotACocycle("empty source space in class division")
     sol = solve(Matrix(cols, lam.field).transpose(), x_cls.coords)

@@ -21,10 +21,14 @@ basis that is used for many vectors is factored once and kept, as a
 Matrix keeps its rref.
 
 compose(m, [F_1, ..., F_k]) = m . (F_1 (x) ... (x) F_k) is the one
-tensor-composition primitive: the brace engine, homotopy transfer, gauge
-actions, the bar resolution, the associativity, unit and Leibniz checks
-and the Hochschild differential matrices (sums of compose(I, [F_1...F_k]))
-all reduce to it.  Only with m = I is the Kronecker product ever formed.
+tensor-composition primitive: the brace engine, the products of
+cohomology classes, homotopy transfer, gauge actions and the
+associativity, unit and Leibniz checks all reduce to it, without forming
+the Kronecker product.  Where the Kronecker product itself is the matrix
+wanted (the bar and periodic resolutions, the outer bimodule actions and
+the Hochschild differential matrices, sums of signed products), kron
+builds it in one pass over the factors' nonzeros and kron_sum adds such
+products into one matrix.
 
 Every operation is a pure function of its inputs, values are never mutated
 after construction (which is what makes both caches safe), and results are
@@ -373,7 +377,8 @@ def compose(m: Matrix, factors) -> Matrix:
     the partial composition of multilinear maps: a brace inserts cochains
     into some inputs of another (identities elsewhere), a change of basis
     transforms every input, and a product M is associative exactly when
-    compose(M, [M, I]) == compose(M, [I, M]).
+    compose(M, [M, I]) == compose(M, [I, M]).  With m the identity it
+    equals kron(factors), which is the cheaper way to build that.
     """
     width = cols = 1
     for f in factors:
@@ -402,6 +407,41 @@ def compose(m: Matrix, factors) -> Matrix:
             rows[t] = acc
         suffix *= f.cols
     return Matrix.from_nonzeros(rows, cols, m.field)
+
+
+def kron(factors) -> Matrix:
+    """F_1 (x) ... (x) F_k, with row and column tuples encoded first position
+    most significant, as in compose.
+
+    Row (i_1, ..., i_k) is the product of the factors' rows i_t: its pairs
+    come out in column order when the first factor's columns vary slowest,
+    and a product of nonzeros is nonzero, so the rows need no dict and no
+    sort.
+    """
+    first, *rest = factors
+    rows, cols = first.nonzeros(), first.cols
+    for f in rest:
+        fnz, fc = f.nonzeros(), f.cols
+        rows = [[(c * fc + j, v * x) for c, v in row for j, x in frow] for row in rows for frow in fnz]
+        cols *= fc
+    return Matrix._of(rows, cols, first.field)
+
+
+def kron_sum(parts, rows, cols, field) -> Matrix:
+    """The rows x cols sum of c * (F_1 (x) ... (x) F_k) over the (c, factors)
+    parts, c a scalar (a sign, for the differentials).  Every part is added
+    into one {column: value} dict per row, and the sum is sorted once."""
+    out = [{} for _ in range(rows)]
+    for c, factors in parts:
+        term = kron(factors)
+        if (term.rows, term.cols) != (rows, cols):
+            raise ValueError("kron_sum: a %dx%d part in a %dx%d sum" % (term.rows, term.cols, rows, cols))
+        for acc, row in zip(out, term.nonzeros()):
+            for j, x in row:
+                x = c * x
+                s = acc.get(j)
+                acc[j] = x if s is None else s + x
+    return Matrix.from_nonzeros(out, cols, field)
 
 
 def _subtract(acc, c, row):
@@ -468,10 +508,13 @@ class _Echelon:
 
     def matrix(self, nrows, ncols):
         """The pivot rows by pivot column, then zero rows up to nrows, as a
-        Matrix whose rref is itself."""
+        Matrix whose rref is itself.  Its scalars are canonical: a
+        subtraction in the backend rational can leave an integral value
+        that is not an int, and it leaves here as an int."""
         pivots = sorted(self.rows)
-        rows = [self.rows[pc] for pc in pivots] + [{}] * (nrows - len(pivots))
-        out = Matrix.from_nonzeros(rows, ncols, self.field)
+        canonical = self.field.canonical
+        rows = [[(j, canonical(row[j])) for j in sorted(row)] for row in map(self.rows.get, pivots)]
+        out = Matrix._of(rows + [[] for _ in range(nrows - len(pivots))], ncols, self.field)
         out._rref = (out, pivots)
         return out
 
@@ -637,13 +680,13 @@ def quotient_basis(big: SubspaceBasis, small: SubspaceBasis):
     n = big.ambient_dim
     ech = _Echelon(field)
     reps = []
-    for i, v in enumerate(small.vectors() + big.vectors()):
-        row = ech.reduce(_sparse(v))
+    for i, v in enumerate(small.matrix.nonzeros() + big.matrix.nonzeros()):
+        row = ech.reduce(dict(v))
         if any(j < n for j in row):  # v is not in the span so far: it joins base
             row[n + len(ech.rows)] = field.one
             ech.insert(row)
             if i >= small.dim:
-                reps.append(v)
+                reps.append(big.matrix.row(i - small.dim))
     zero = field.zero
 
     def proj(vec):

@@ -379,6 +379,25 @@ def test_comparison_maps_pinned(n):
             assert comparison_map_to_periodic(res, k).matrix == Matrix.from_int_rows(want)
 
 
+def test_comparison_maps_share_one_periodic_resolution(monkeypatch):
+    # k = 2 and k = 4 on one length-4 bar ask for the same periodic
+    # resolution, the bar's length, so it is built and checked once
+    from bracealg import algebra
+
+    lengths = []
+    build = algebra.periodic_bimodule_resolution
+
+    def counted(lam, length):
+        lengths.append(length)
+        return build(lam, length)
+
+    monkeypatch.setattr(algebra, "periodic_bimodule_resolution", counted)
+    res = bar_resolution(kxx(3), 4)
+    for k in (2, 4):
+        comparison_map_to_periodic(res, k)
+    assert lengths == [4, 4]
+
+
 def test_exact_check_rejects_corrupted_omega4_action():
     lam = kxx(3)
     unnormalized = syzygy(unnormalized_bar(lam, 4), 4)

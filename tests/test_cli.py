@@ -78,6 +78,52 @@ def test_hh_report_pinned(tmp_path, monkeypatch, basis, field):
     assert hashlib.sha256((tmp_path / "hh.json").read_bytes()).hexdigest() == HH_X3_REPORT_SHA256[basis, field]
 
 
+def _benchmark_inputs():
+    """perfbench/inputs.py, read from the repository as a plain module."""
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# sha256 of the whole hh report at --cap-p 5 on the benchmark's seeded
+# k[x]/(x^3) (perfbench/inputs.hh_spec), read from algebra.json in the working
+# directory, recorded before the class products were computed as tables;
+# the benchmark itself checks only hh_dimensions
+HH_SEEDED_REPORT_SHA256 = {
+    1: "dc9c8b79b016073b2c3ab4af1c4a188edb19e78e01ead461e1d85b1c83a1d2b8",
+    2: "dc9c8b79b016073b2c3ab4af1c4a188edb19e78e01ead461e1d85b1c83a1d2b8",
+    3: "dc9c8b79b016073b2c3ab4af1c4a188edb19e78e01ead461e1d85b1c83a1d2b8",
+    4: "845d295ca596c03abf9f2e886cb2b8e48fcf56823607b4ef5116e803519940a6",
+    5: "38e5e5c911f7841441e67907c0be134f0a4e7eb0bdffb2073a68fd42a669a551",
+    6: "34ed5aeeb21d9d5ff2845c748dbf47f56e1dbd5d2cce1b599a1925f08fdccb2f",
+    7: "c48a3c399effcb467298fdd11fd695ea9c11dc58fe3756c393fb4a892553a7a3",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(HH_SEEDED_REPORT_SHA256))
+def test_hh_seeded_report_pinned(tmp_path, monkeypatch, seed):
+    inputs = _benchmark_inputs()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "algebra.json").write_text(inputs.dump_text(inputs.hh_spec(seed)))
+    assert run(["hh", "algebra.json", "--cap-p", "5", "--out", "hh.json"]) == 0
+    assert hashlib.sha256((tmp_path / "hh.json").read_bytes()).hexdigest() == HH_SEEDED_REPORT_SHA256[seed]
+
+
+# the same on k[x]/(x^4) at --cap-p 6, read from kx4.json
+HH_X4_REPORT_SHA256 = "946cb265d368f06eec8b56e0ec179631b8e3ef51ffd10e1b3e31c8d9b2cd107f"
+
+
+def test_hh_x4_report_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kx4.json").write_text(json.dumps(build_truncated_polynomial(4).to_json()))
+    assert run(["hh", "kx4.json", "--cap-p", "6", "--out", "hh.json"]) == 0
+    assert hashlib.sha256((tmp_path / "hh.json").read_bytes()).hexdigest() == HH_X4_REPORT_SHA256
+
+
 def test_hh_all_zero_for_k(tmp_path):
     path = tmp_path / "k.json"
     path.write_text(json.dumps(build_truncated_polynomial(1).to_json()))

@@ -679,6 +679,17 @@ def test_normalization_check_fires_on_broken_unit_law(side):
         H.normalized_differential_matrix(lam, 1)
 
 
+def test_equal_algebras_share_the_store():
+    # the store key is kept on the algebra and built from its structure, so
+    # an algebra built again finds the entries of the first
+    from bracealg.finite import _structure_key
+
+    a, b = build_truncated_polynomial(3, GF(101)), build_truncated_polynomial(3, GF(101))
+    assert a is not b and _structure_key(a) is _structure_key(a)
+    assert H.normalized_differential_matrix(a, 2) is H.normalized_differential_matrix(b, 2)
+    assert H.hh_context(a, 2, 1) is H.hh_context(b, 2, 1)
+
+
 # -- the class products against the brace engine ------------------------------
 
 
@@ -708,6 +719,42 @@ def test_class_products_match_brace_reference(spec, field):
                 continue
             ref = _brace_class(lam, H.bracket(x.representative, y.representative), p + q - 1, j)
             assert br == ref and br.vec == ref.vec
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["qq", "fp101"])
+@pytest.mark.parametrize("spec", [2, 3, KX3_PERMUTED, UPPER_UNIT_BASIS], ids=["kx2", "kx3", "kx3-permuted", "upper"])
+def test_class_product_tables_match_brace_reference(spec, field):
+    # whole a x b tables per pair of arities, and their 1 x k rows, against
+    # the brace engine pair by pair
+    lam = build_truncated_polynomial(spec, field) if isinstance(spec, int) else load_algebra(spec, field)
+    gens = [H.cohomology(lam, p, (p + 1) // 2) for p in range(5)]
+    for xs in gens:
+        for ys in gens:
+            if not xs or not ys:
+                continue
+            p, q = xs[0].context.p, ys[0].context.p
+            j = xs[0].context.j + ys[0].context.j
+            cups, brackets = H.cup_table(xs, ys), H.bracket_table(xs, ys)
+            assert [len(row) for row in cups] == [len(row) for row in brackets] == [len(ys)] * len(xs)
+            for x, cup_row, bracket_row in zip(xs, cups, brackets):
+                assert H.cup_table([x], ys) == [cup_row] and H.bracket_table([x], ys) == [bracket_row]
+                for y, cup, br in zip(ys, cup_row, bracket_row):
+                    ref = _brace_class(lam, H.cup(x.representative, y.representative), p + q, j)
+                    assert cup == ref and cup.vec == ref.vec
+                    if p + q == 0:
+                        assert br.bidegree == (0, -2 * j) and br.is_zero()
+                        continue
+                    ref = _brace_class(lam, H.bracket(x.representative, y.representative), p + q - 1, j)
+                    assert br == ref and br.vec == ref.vec
+
+
+def test_class_product_tables_of_empty_and_mixed_stacks():
+    ones, twos = H.cohomology(LAM3, 1, 1), H.cohomology(LAM3, 2, 1)
+    assert ones and twos
+    for table in (H.cup_table, H.bracket_table):
+        assert table([], twos) == [] and table(twos, []) == [[] for _ in twos]
+        with pytest.raises(H.WrongBidegree, match="one bidegree"):
+            table(ones + twos, twos)
 
 
 def test_non_normalized_representative_refused():

@@ -199,6 +199,42 @@ def products(draw):
     return field, block(r, k), block(k, c), block(1, k)[0], block(r, k), m, factors, e
 
 
+@st.composite
+def kron_factors(draw):
+    """(field, factors): one to three blocks of at most 3 x 3 over QQ or
+    GF(101), mostly zero, so zero rows and 1 x 1 factors are common."""
+    field = draw(st.sampled_from([QQ, GF(101)]))
+    entry = st.sampled_from([(0, 1)] * 3 + [(1, 1), (-1, 1), (5, 1), (1, 3)])
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        factors.append(Matrix([[field.of(*draw(entry)) for _ in range(cols)] for _ in range(rows)], field))
+    return field, factors
+
+
+@settings(max_examples=80, deadline=None)
+@given(kron_factors())
+# a 1 x 1 factor, and a zero row in front of and behind it
+@example((QQ, [Matrix([[QQ.zero, QQ.zero], [QQ.one, QQ.of(1, 2)]], QQ), Matrix([[QQ.of(-3)]], QQ)]))
+@example((GF(101), [Matrix([[GF(101).of(7)]], GF(101)), Matrix([[GF(101).zero], [GF(101).of(-1)]], GF(101))]))
+def test_kron_matches_compose_with_identity(case):
+    field, factors = case
+    n = 1
+    for f in factors:
+        n *= f.rows
+    got = linalg.kron(factors)
+    assert got == compose(Matrix.identity(n, field), factors)
+    # rows as compose hands them out: nonzero values, in column order
+    assert all(x for row in got.nonzeros() for _, x in row)
+    assert all(a[0] < b[0] for row in got.nonzeros() for a, b in zip(row, row[1:]))
+    # kron_sum: scaled parts add into one matrix, and cancel to zero
+    total = linalg.kron_sum([(field.of(3), factors), (-1, factors)], got.rows, got.cols, field)
+    assert total == got.scale(field.of(2))
+    assert linalg.kron_sum([(1, factors), (-1, factors)], got.rows, got.cols, field).is_zero()
+    with pytest.raises(ValueError, match="kron_sum"):
+        linalg.kron_sum([(1, factors)], got.rows + 1, got.cols, field)
+
+
 def _dense_mul(a, b, z):
     return [[sum((a[i][t] * b[t][j] for t in range(len(b))), z) for j in range(len(b[0]))] for i in range(len(a))]
 
