@@ -4,13 +4,15 @@ A cochain lives on the Laurent extension L[i^{\\pm 1}] of the coefficient
 algebra L (|i| = -2) but is stored finitely: a component of arity p is a
 matrix dim(L) x dim(L)^p together with a single iota power recording the
 internal degree, plus optional "weight" matrices recording polynomial
-dependence on the iota powers of individual inputs.  iota-linear cochains
-have no weights; the fractional Euler derivation is the basic example of
-a weight-one cochain.  Braces, cup product, Lie bracket and the
-differential are computed exactly in this representation.  Products of
-cohomology classes skip it: a class keeps the reduced coordinates of a
-normalized representative, and the cup and bracket tables of two lists of
-classes are compositions of their coordinate matrices set side by side.
+dependence on the iota powers of individual inputs, keyed by exponent
+tuples.  iota-linear cochains have no weights; the fractional Euler
+derivation is the basic example of a weight-one cochain.  One engine,
+brace, computes on this representation, weighted or not; cup product, Lie
+bracket and differential are braces, and the weight rule is stated once,
+in brace's docstring.  Products of cohomology classes skip it: a class
+keeps the reduced coordinates of a normalized representative, and the cup
+and bracket tables of two lists of classes are compositions of their
+coordinate matrices set side by side.
 
 Sign convention: Koszul signs with respect to the total degree shifted by
 -1 (the bar convention).  The binary product cochain is minus the algebra
@@ -232,29 +234,6 @@ def _scaled(comps, c, field):
 # The brace engine
 
 
-def _expand_weight_power(qk, positions, exponent):
-    """(qk + sum_{u in positions} j_u)^exponent as {monomial-dict: int}."""
-    terms = {(): 1}
-    for _ in range(exponent):
-        new = {}
-        for mono, coeff in terms.items():
-            base = dict(zip(mono[::2], mono[1::2]))
-            if qk:
-                me = _mono_encode(base)
-                new[me] = new.get(me, 0) + coeff * qk
-            for u in positions:
-                b2 = dict(base)
-                b2[u] = b2.get(u, 0) + 1
-                me = _mono_encode(b2)
-                new[me] = new.get(me, 0) + coeff
-        terms = new
-    return terms
-
-
-def _mono_encode(d):
-    return tuple(x for k in sorted(d) if d[k] for x in (k, d[k]))
-
-
 def _min_possible_arity(c: Cochain):
     """Smallest arity at which c can be nonzero (inf for the exact zero)."""
     m = c.min_arity()
@@ -263,13 +242,34 @@ def _min_possible_arity(c: Cochain):
     return c.cap + 1 if c.cap != math.inf else math.inf
 
 
+def _times_linear(poly, q, positions):
+    """poly * (q + sum_{u in positions} j_u), for poly a {weight: int} dict
+    with brace's exponent-tuple weights."""
+    out = {}
+    for e, c in poly.items():
+        out[e] = out.get(e, 0) + c * q
+        for u in positions:
+            f = e[:u] + (e[u] + 1,) + e[u + 1:]
+            out[f] = out.get(f, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
 def brace(x0: Cochain, args, cap=None) -> Cochain:
     """The brace x0{y_1, ..., y_n}; vanishes when arity(x0) < n.
 
-    The result arity-P component collects every way of inserting the
-    arguments, in order, into distinct slots of an x0 component; the sign
-    of a term is the Koszul sign for moving each y_k past the inputs that
-    precede its block, all degrees shifted by -1.
+    The result's arity-P component collects every way of inserting the
+    arguments, in order, into distinct inputs (slots) of an x0 component;
+    the sign of a term is the Koszul sign for moving each y_k past the
+    inputs that precede its block, all degrees shifted by -1.
+
+    The weight rule: a weight is an exponent tuple (e_0, ..., e_{P-1}),
+    standing for the monomial prod_u j_u^e_u in the iota powers j_u of the
+    result's inputs.  y_k's weights move to its block.  x0's weight at a
+    free slot moves to that slot's position; at the slot of y_k it sees the
+    iota power of the inserted value, q_k + sum_{u in block} j_u with q_k
+    the iota of y_k, so each unit of its exponent multiplies the weight
+    polynomial by that linear form.  Each weight of each component is then
+    the sum of its signed, weighted terms, added up once (kron_sum).
     """
     args = list(args)
     n = len(args)
@@ -292,114 +292,51 @@ def brace(x0: Cochain, args, cap=None) -> Cochain:
         limit -= 1
     if cap is not None:
         limit = min(limit, cap)
-    out = {}
+    ident = Matrix.identity(lam.dim, field)
+    choices = [[(pk, ek, mk) for pk, comp in a.comps.items() if pk <= a.cap for ek, mk in comp.items()] for a in args]
+    parts = {}  # P -> {weight: [(scalar, [term])]}
     for p0, comp0 in x0.comps.items():
         if p0 < n or p0 > x0.cap:
             continue
-        arg_choices = []
-        for a in args:
-            arg_choices.append(
-                [
-                    (pk, ek, mk, a.iota)
-                    for pk, compk in a.comps.items()
-                    if pk <= a.cap
-                    for ek, mk in compk.items()
-                ]
-            )
         for slots in combinations(range(p0), n):
-            for choice in product(*arg_choices):
-                pks = [c[0] for c in choice]
-                P = p0 - n + sum(pks)
+            for choice in product(*choices):
+                P = p0 - n + sum(pk for pk, _, _ in choice)
                 if P > limit:
                     continue
-                block_start = {}
-                ik = []
-                pos = 0
-                bcount = 0
-                slotpos = {}
+                at = dict(zip(slots, choice))
+                starts, pos = [], 0  # where each input of x0 lands
                 for t in range(p0):
-                    if bcount < n and t == slots[bcount]:
-                        block_start[bcount] = pos
-                        ik.append(pos)
-                        pos += pks[bcount]
-                        bcount += 1
-                    else:
-                        slotpos[t] = pos
-                        pos += 1
+                    starts.append(pos)
+                    pos += at[t][0] if t in at else 1
+                blocks = [range(starts[s], starts[s] + pk) for s, (pk, _, _) in zip(slots, choice)]
                 # y_k has total degree p_k - 2 iota, shifted by -1: parity p_k + 1
-                sign_exp = sum((pks[k] + 1) * ik[k] for k in range(n))
-                sgn = field.one if sign_exp % 2 == 0 else -field.one
+                sgn = -1 if sum((len(b) + 1) * b.start for b in blocks) % 2 else 1
+                base = [0] * P
+                for block, (_, ek, _) in zip(blocks, choice):
+                    for u, x in zip(block, ek):
+                        base[u] += x
+                factors = [at[t][2] if t in at else ident for t in range(p0)]
                 for e0, mat0 in comp0.items():
-                    _brace_term(out, lam, P, p0, slots, choice, e0, mat0,
-                                block_start, slotpos, sgn)
+                    w = list(base)
+                    for t in range(p0):
+                        if t not in at:
+                            w[starts[t]] += e0[t]
+                    poly = {tuple(w): 1}
+                    for block, s, y in zip(blocks, slots, args):
+                        for _ in range(e0[s]):
+                            poly = _times_linear(poly, y.iota, block)
+                    if not poly or (term := compose(mat0, factors)).is_zero():
+                        continue
+                    bucket = parts.setdefault(P, {})
+                    for e, c in poly.items():
+                        bucket.setdefault(e, []).append((field.of(sgn * c), [term]))
     comps = {}
-    for p, comp in out.items():
-        kept = {e: m for e, m in comp.items() if not m.is_zero()}
+    for P, bucket in parts.items():
+        sums = {e: kron_sum(terms, lam.dim, lam.dim**P, field) for e, terms in bucket.items()}
+        kept = {e: m for e, m in sums.items() if not m.is_zero()}
         if kept:
-            comps[p] = kept
+            comps[P] = kept
     return Cochain(lam, iota, comps, limit)
-
-
-def _brace_term(out, lam, P, p0, slots, choice, e0, mat0, block_start, slotpos, sgn):
-    """Accumulate one (slots, argument components) combination into out[P]."""
-    field = lam.field
-    d = lam.dim
-    pks = [c[0] for c in choice]
-    # weights of the inserted cochains transfer to their global positions
-    base_mono = {}
-    for k, (pk, ek, mk, qk) in enumerate(choice):
-        for u, exp in enumerate(ek):
-            if exp:
-                g = block_start[k] + u
-                base_mono[g] = base_mono.get(g, 0) + exp
-    # x0's weight at a free slot moves to its position; at an inserted slot
-    # it sees the iota power of the inserted value, q_k plus the block's
-    # input powers, and expands multinomially.
-    weight_terms = {_mono_encode(base_mono): 1}
-    for t in range(p0):
-        exp = e0[t]
-        if not exp:
-            continue
-        if t in slotpos:
-            g = slotpos[t]
-            new = {}
-            for mono, coeff in weight_terms.items():
-                md = dict(zip(mono[::2], mono[1::2]))
-                md[g] = md.get(g, 0) + exp
-                me = _mono_encode(md)
-                new[me] = new.get(me, 0) + coeff
-            weight_terms = new
-        else:
-            k = slots.index(t)
-            blockpos = list(range(block_start[k], block_start[k] + pks[k]))
-            expanded = _expand_weight_power(choice[k][3], blockpos, exp)
-            new = {}
-            for mono, coeff in weight_terms.items():
-                md0 = dict(zip(mono[::2], mono[1::2]))
-                for mono2, c2 in expanded.items():
-                    md = dict(md0)
-                    for g, ee in zip(mono2[::2], mono2[1::2]):
-                        md[g] = md.get(g, 0) + ee
-                    me = _mono_encode(md)
-                    new[me] = new.get(me, 0) + coeff * c2
-            weight_terms = new
-    weight_terms = {m: c for m, c in weight_terms.items() if c}
-    if not weight_terms:
-        return
-    # matrix of the term: x0 with the chosen components in its slots
-    factors = [Matrix.identity(d, field)] * p0
-    for k, slot in enumerate(slots):
-        factors[slot] = choice[k][2]
-    term = compose(mat0, factors)
-    if term.is_zero():
-        return
-    bucket = out.setdefault(P, {})
-    for mono, wc in weight_terms.items():
-        md = dict(zip(mono[::2], mono[1::2]))
-        e = tuple(md.get(g, 0) for g in range(P))
-        add = term.scale(sgn * field.of(wc))
-        cur = bucket.get(e)
-        bucket[e] = cur + add if cur is not None else add
 
 
 # ---------------------------------------------------------------------------

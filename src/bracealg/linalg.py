@@ -28,7 +28,8 @@ the Kronecker product.  Where the Kronecker product itself is the matrix
 wanted (the bar and periodic resolutions, the outer bimodule actions and
 the Hochschild differential matrices, sums of signed products), kron
 builds it in one pass over the factors' nonzeros and kron_sum adds such
-products into one matrix.
+products into one matrix; a brace sums its scaled terms, one-factor
+products, the same way.
 
 Every operation is a pure function of its inputs, values are never mutated
 after construction (which is what makes both caches safe), and results are
@@ -429,8 +430,9 @@ def kron(factors) -> Matrix:
 
 def kron_sum(parts, rows, cols, field) -> Matrix:
     """The rows x cols sum of c * (F_1 (x) ... (x) F_k) over the (c, factors)
-    parts, c a scalar (a sign, for the differentials).  Every part is added
-    into one {column: value} dict per row, and the sum is sorted once."""
+    parts, c a scalar (a sign for the differentials, a signed weight
+    coefficient for a brace's terms).  Every part is added into one
+    {column: value} dict per row, and the sum is sorted once."""
     out = [{} for _ in range(rows)]
     for c, factors in parts:
         term = kron(factors)
@@ -613,9 +615,6 @@ class SubspaceBasis:
     def contains(self, vec):
         return self.coordinates(vec) is not None
 
-    def contains_subspace(self, other):
-        return all(self.contains(v) for v in other.vectors())
-
 
 def kernel_basis(m: Matrix) -> SubspaceBasis:
     """Basis of {v : m v = 0}, canonical (RREF) form."""
@@ -670,12 +669,11 @@ def quotient_basis(big: SubspaceBasis, small: SubspaceBasis):
     once: its rows are eliminated with an identity block appended, as in
     rref([base | I]), so each pivot row is (R, T) with R = T . base.  A
     vector v then reduces to (v - c . base, -c), and its coordinates c are
-    read off the identity block.
+    read off the identity block.  The rows inserted span small + big, which
+    has the dimension of big exactly when small lies in big.
     """
     if big.ambient_dim != small.ambient_dim:
         raise SubspaceNotContained("ambient dimensions differ")
-    if not big.contains_subspace(small):
-        raise SubspaceNotContained("quotient by a non-subspace")
     field = big.field
     n = big.ambient_dim
     ech = _Echelon(field)
@@ -687,6 +685,8 @@ def quotient_basis(big: SubspaceBasis, small: SubspaceBasis):
             ech.insert(row)
             if i >= small.dim:
                 reps.append(big.matrix.row(i - small.dim))
+    if len(ech.rows) != big.dim:
+        raise SubspaceNotContained("quotient by a non-subspace")
     zero = field.zero
 
     def proj(vec):

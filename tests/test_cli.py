@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +28,7 @@ def run(argv):
 def test_hh_report(kx2_spec, tmp_path):
     out = str(tmp_path / "hh.json")
     assert run(["hh", kx2_spec, "--cap-p", "5", "--out", out]) == 0
-    rep = json.loads(open(out).read())
+    rep = json.loads(Path(out).read_text())
     assert rep["schema"] == "v1"
     assert rep["hh_dimensions"] == {"0": 2, "1": 1, "2": 1, "3": 1, "4": 1, "5": 1}
 
@@ -43,7 +44,7 @@ def test_hh_product_tables_pinned(tmp_path):
     path.write_text(json.dumps(build_truncated_polynomial(3).to_json()))
     out = str(tmp_path / "hh.json")
     assert run(["hh", str(path), "--cap-p", "5", "--out", out]) == 0
-    rep = json.loads(open(out).read())
+    rep = json.loads(Path(out).read_text())
     tables = json.dumps([rep["cup_table"], rep["bracket_table"]], sort_keys=True)
     assert hashlib.sha256(tables.encode()).hexdigest() == HH_X3_TABLES_SHA256
 
@@ -129,7 +130,7 @@ def test_hh_all_zero_for_k(tmp_path):
     path.write_text(json.dumps(build_truncated_polynomial(1).to_json()))
     out = str(tmp_path / "hh.json")
     assert run(["hh", str(path), "--cap-p", "4", "--out", out]) == 0
-    rep = json.loads(open(out).read())
+    rep = json.loads(Path(out).read_text())
     assert rep["hh_dimensions"] == {"0": 1, "1": 0, "2": 0, "3": 0, "4": 0}
 
 
@@ -186,7 +187,7 @@ def test_cap_exceeded_exit_3(kx2_spec):
 def test_transfer_21_formal(tmp_path):
     out = str(tmp_path / "tr.json")
     assert run(["transfer", "--n", "2", "--a", "1", "--cap-n", "8", "--out", out]) == 0
-    rep = json.loads(open(out).read())
+    rep = json.loads(Path(out).read_text())
     assert rep["formality"] == "FORMAL"
     assert rep["h0_dim"] == 1
     assert rep["mc_residual_digest"]["nonzero_arities"] == []
@@ -195,12 +196,12 @@ def test_transfer_21_formal(tmp_path):
 def test_transfer_consumes_model_dump(tmp_path):
     path = tmp_path / "dg.json"
     assert run(["model", "--n", "4", "--a", "2", "--out", str(path)]) == 0
-    data = json.loads(open(path).read())["dga"]
+    data = json.loads(Path(path).read_text())["dga"]
     good = tmp_path / "dga.json"
     good.write_text(json.dumps(data))
     out = str(tmp_path / "tr.json")
     assert run(["transfer", str(good), "--cap-n", "6", "--out", out]) == 0
-    rep = json.loads(open(out).read())
+    rep = json.loads(Path(out).read_text())
     assert rep["h0_dim"] == 2
     assert rep["mc_residual_digest"]["nonzero_arities"] == []
 
@@ -208,7 +209,7 @@ def test_transfer_consumes_model_dump(tmp_path):
 def test_transfer_corrupted_dg_spec_exit_2(tmp_path):
     path = tmp_path / "dg.json"
     assert run(["model", "--n", "4", "--a", "2", "--out", str(path)]) == 0
-    data = json.loads(open(path).read())["dga"]
+    data = json.loads(Path(path).read_text())["dga"]
     data["diff"]["0"][0][0] = "1"  # break d^2 = 0 / Leibniz
     bad = tmp_path / "bad_dg.json"
     bad.write_text(json.dumps(data))
@@ -221,7 +222,7 @@ def test_transfer_corrupted_dg_spec_exit_2(tmp_path):
 def test_massey_42(tmp_path):
     out = str(tmp_path / "ma.json")
     assert run(["massey", "--n", "4", "--a", "2", "--cap-n", "8", "--out", out]) == 0
-    rep = json.loads(open(out).read())
+    rep = json.loads(Path(out).read_text())
     assert rep["tate_unit"] is True
     assert rep["restricted_class"]["is_zero"] is False
     assert rep["omega4_stable_iso_certificate"] is True
@@ -230,7 +231,7 @@ def test_massey_42(tmp_path):
 def test_massey_semisimple_flag(tmp_path):
     out = str(tmp_path / "ma.json")
     assert run(["massey", "--n", "2", "--a", "1", "--cap-n", "8", "--out", out]) == 0
-    rep = json.loads(open(out).read())
+    rep = json.loads(Path(out).read_text())
     assert rep["restricted_class"]["is_zero"] is True
     assert rep["tate_unit"] is True and rep["separable_coefficient"] is True
 
@@ -245,14 +246,14 @@ def test_compare_pipeline(tmp_path):
     pz.write_text(json.dumps(structure_to_json(zero)))
     out = str(tmp_path / "cmp.json")
     assert run(["compare", str(pm), str(pmp), "--cap-n", "8", "--out", out]) == 0
-    rep = json.loads(open(out).read())
+    rep = json.loads(Path(out).read_text())
     assert rep["result"] == "isomorphism"
     assert rep["residual_digest"]["nonzero_arities"] == []
     # mismatched classes -> exit 4
     assert run(["compare", str(pm), str(pz), "--cap-n", "8", "--out", out]) == 4
     # self-compare -> identity (no higher components)
     assert run(["compare", str(pm), str(pm), "--cap-n", "8", "--out", out]) == 0
-    rep = json.loads(open(out).read())
+    rep = json.loads(Path(out).read_text())
     assert rep["morphism"]["components"] == {}
 
 
@@ -265,7 +266,7 @@ def test_structure_dump_roundtrip():
 def test_model_report(tmp_path):
     out = str(tmp_path / "model.json")
     assert run(["model", "--n", "4", "--a", "2", "--out", out]) == 0
-    rep = json.loads(open(out).read())
+    rep = json.loads(Path(out).read_text())
     assert rep["h0_dim"] == 2
     assert rep["rigid"] is False
     assert rep["stable_end_dim"] == 2
@@ -300,14 +301,14 @@ def test_reports_byte_identical_across_threads(kx2_spec, tmp_path):
     for i, threads in enumerate(("1", "1", "4")):
         out = str(tmp_path / ("h%d.json" % i))
         assert run(["hh", kx2_spec, "--cap-p", "5", "--threads", threads, "--out", out]) == 0
-        outs.append(open(out, "rb").read())
+        outs.append(Path(out).read_bytes())
     assert outs[0] == outs[1] == outs[2]
 
 
 def test_field_option_fp(kx2_spec, tmp_path):
     out = str(tmp_path / "hh.json")
     assert run(["hh", kx2_spec, "--cap-p", "4", "--field", "fp:23", "--out", out]) == 0
-    rep = json.loads(open(out).read())
+    rep = json.loads(Path(out).read_text())
     assert rep["hh_dimensions"]["0"] == 2
     # p must exceed 2 * cap
     assert run(["hh", kx2_spec, "--cap-p", "4", "--field", "fp:5"]) == 2
@@ -388,7 +389,7 @@ def test_malformed_dump_exit_2(tmp_path, kind, edit):
         return
     path = tmp_path / "dg.json"
     assert run(["model", "--n", "4", "--a", "2", "--out", str(path)]) == 0
-    data = json.loads(open(path).read())["dga"]
+    data = json.loads(Path(path).read_text())["dga"]
     edit(data)
     path.write_text(json.dumps(data))
     assert run(["transfer", str(path), "--cap-n", "6"]) == 2

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import math
 import random
 
 import pytest
@@ -24,6 +27,15 @@ LAM3 = build_truncated_polynomial(3)
 
 def rc(lam, p, j, rng, norm=False):
     return H.random_cochain(lam, p, j, rng, normalized=norm)
+
+
+def rwc(lam, p, j, rng):
+    """rc plus up to three Euler-weighted components, exponents 0-2."""
+    c = rc(lam, p, j, rng)
+    for _ in range(rng.randint(0, 3)):
+        e = tuple(rng.randint(0, 2) for _ in range(p))
+        c.comps[p][e] = rc(lam, p, j, rng).component_matrix(p)
+    return c
 
 
 def total(c):
@@ -111,14 +123,21 @@ def brace_relation_holds(lam, x, ys, zs):
     return (lhs - rhs).is_zero()
 
 
-@pytest.mark.parametrize("pq", [(1, 1), (1, 2), (2, 1), (2, 2)])
-def test_brace_relation(pq):
+PQ = [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+@pytest.mark.parametrize(
+    "pq, gen",
+    [(pq, rc) for pq in PQ] + [(pq, rwc) for pq in PQ],
+    ids=["pq%d" % i for i in range(4)] + ["pq%d-weighted" % i for i in range(4)],
+)
+def test_brace_relation(pq, gen):
     p, q = pq
     rng = random.Random(100 + 10 * p + q)
     for _ in range(3):
-        x = rc(LAM2, rng.randint(max(p, 1), 3), rng.choice([0, 1]), rng)
-        ys = [rc(LAM2, rng.randint(0, 2), 0, rng) for _ in range(p)]
-        zs = [rc(LAM2, rng.randint(0, 2), 0, rng) for _ in range(q)]
+        x = gen(LAM2, rng.randint(max(p, 1), 3), rng.choice([0, 1]), rng)
+        ys = [gen(LAM2, rng.randint(0, 2), 0, rng) for _ in range(p)]
+        zs = [gen(LAM2, rng.randint(0, 2), 0, rng) for _ in range(q)]
         assert brace_relation_holds(LAM2, x, ys, zs)
 
 
@@ -141,12 +160,16 @@ def lemma_differential_holds(lam, x0, xs):
     return (lhs - rhs).is_zero()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_lemma_braces_vs_differential(n):
+@pytest.mark.parametrize(
+    "n, gen",
+    [(n, rc) for n in (1, 2, 3)] + [(n, rwc) for n in (1, 2, 3)],
+    ids=["1", "2", "3", "1-weighted", "2-weighted", "3-weighted"],
+)
+def test_lemma_braces_vs_differential(n, gen):
     rng = random.Random(200 + n)
     for _ in range(4):
-        x0 = rc(LAM2, rng.randint(n, 3), rng.choice([0, 1]), rng)
-        xs = [rc(LAM2, rng.randint(0, 2), rng.choice([0, 1]), rng) for _ in range(n)]
+        x0 = gen(LAM2, rng.randint(n, 3), rng.choice([0, 1]), rng)
+        xs = [gen(LAM2, rng.randint(0, 2), rng.choice([0, 1]), rng) for _ in range(n)]
         assert lemma_differential_holds(LAM2, x0, xs)
 
 
@@ -178,6 +201,46 @@ def test_cup_unit_laws_and_associativity():
     assert (H.cup(c, u) - c).is_zero()
     a, b, d = rc(LAM2, 1, 0, rng), rc(LAM2, 2, 0, rng), rc(LAM2, 1, 1, rng)
     assert (H.cup(H.cup(a, b), d) - H.cup(a, H.cup(b, d))).is_zero()
+
+
+# sha256 of the to_json of _engine_outputs(), recorded before the brace
+# engine was rewritten on exponent-tuple weights
+ENGINE_OUTPUTS_SHA256 = "b32a7626e51f561538d382cd178d5d96897654bf03ab3c63286eeec0ffe058a0"
+
+
+def _engine_outputs():
+    """Seeded brace, cup, bracket and differential outputs on k[x]/(x^2) and
+    k[x]/(x^3): weighted (exponents 0-2) and two-arity inputs of iota -1 to
+    2, some with an iota-power summand, some capped, braces with 1-3
+    arguments, some with a cap of their own."""
+    rng = random.Random(1313)
+
+    def draw(lam, lo, hi):
+        j = rng.choice([-1, 0, 1, 2])
+        c = rwc(lam, rng.randint(lo, hi), j, rng)
+        if rng.random() < 0.5:
+            c = c + rwc(lam, rng.randint(lo, hi), j, rng)
+        if rng.random() < 0.3:
+            c = c + H.Cochain.iota_cochain(lam, j)
+        return c.with_cap(rng.choice([math.inf, math.inf, hi, hi + 1]))
+
+    outs = []
+    for lam in (LAM2, LAM3):
+        for n in (1, 2, 3):
+            for _ in range(12):
+                x0 = draw(lam, n, 3)
+                ys = [draw(lam, 0, 2) for _ in range(n)]
+                outs.append(H.brace(x0, ys, cap=rng.choice([None, 3, 4])))
+        for _ in range(10):
+            x, y = draw(lam, 0, 2), draw(lam, 0, 2)
+            cap = rng.choice([None, 4])
+            outs += [H.cup(x, y, cap=cap), H.bracket(x, y, cap=cap), H.differential(x, cap=cap)]
+    return [c.to_json() for c in outs]
+
+
+def test_engine_outputs_pinned():
+    outs = json.dumps(_engine_outputs(), sort_keys=True)
+    assert hashlib.sha256(outs.encode()).hexdigest() == ENGINE_OUTPUTS_SHA256
 
 
 def test_bracket_even_square():
