@@ -24,6 +24,8 @@ from .hochschild import (
     HHClass,
     NotACocycle,
     WrongBidegree,
+    _reduced_matrix,
+    _vec_of,
     bracket,
     bracket_table,
     brace,
@@ -333,11 +335,16 @@ def gauge(m: MinimalAInfty, g0: Matrix, w=None) -> MinimalAInfty:
         winvq = _central_power(lam, w, -q)
         # (m*g)_n = g^{-1} o m_n o g^{(x)n}: on the iota part this is the
         # central multiplier g0^{-1}(w^{-q})
-        conj = _conjugate_cochain(c, g0inv, g0, lam)
-        mult = lam.left_mult_of(g0inv.apply(winvq))
-        comps2 = {p: {e: mult * mat for e, mat in comp.items()} for p, comp in conj.comps.items()}
-        ops[n] = Cochain(lam, c.iota, comps2, c.cap)
+        ops[n] = _left_multiply(_conjugate_cochain(c, g0inv, g0, lam), g0inv.apply(winvq))
     return MinimalAInfty(m.laurent, ops, m.cap)
+
+
+def _left_multiply(c: Cochain, z):
+    """z . c: every component of c left-multiplied by the central element z."""
+    lam = c.algebra
+    mult = lam.left_mult_of(z)
+    comps = {p: {e: mult * mat for e, mat in comp.items()} for p, comp in c.comps.items()}
+    return Cochain(lam, c.iota, comps, c.cap)
 
 
 def _central_power(lam, w, k):
@@ -495,36 +502,23 @@ def _weight_monomials(p):
 
 
 def _weighted_to_vec(c: Cochain, p):
-    lam = c.algebra
-    d = lam.dim
-    out = []
-    for e in _weight_monomials(p):
-        # the block of e lists the matrix column by column
-        block = [lam.field.zero] * (d * d**p)
-        for r, row in enumerate(c.component_matrix(p, e).nonzeros()):
-            for col, x in row:
-                block[col * d + r] = x
-        out.extend(block)
-    # ensure no higher weights are silently dropped
+    """The coordinates of the weight blocks of _weight_monomials(p), one
+    after another, each in hochschild's column-by-column layout."""
     for e, mat in c.comps.get(p, {}).items():
         if sum(e) > 1 and not mat.is_zero():
             raise AlgebraSpecError("weighted solve supports weight degree <= 1")
-    return out
+    return [x for e in _weight_monomials(p) for x in _vec_of(c.component_matrix(p, e))]
 
 
 def _vec_to_weighted(lam, p, j, vec):
-    d = lam.dim
-    comps = {}
-    stride = d * d**p
+    """The cochain whose weight blocks have coordinates vec: the inverse of _weighted_to_vec."""
+    stride = lam.dim ** (p + 1)
     comp = {}
     for t, e in enumerate(_weight_monomials(p)):
-        block = vec[t * stride : (t + 1) * stride]
-        mm = Matrix([block[r::d] for r in range(d)], lam.field, cols=d**p)
+        mm = _reduced_matrix(lam, vec[t * stride : (t + 1) * stride])
         if not mm.is_zero():
             comp[e] = mm
-    if comp:
-        comps[p] = comp
-    return Cochain(lam, j, comps, math.inf)
+    return Cochain(lam, j, {p: comp} if comp else {}, math.inf)
 
 
 def _weight_moves(moves, field):
@@ -546,7 +540,8 @@ def _weighted_differential_matrix(lam, p):
     front that moves its weight blocks.
     """
     d, f = lam.dim, lam.field
-    parts = differential_parts(lam, p, range(d))
+    ident = Matrix.identity(d, f)
+    parts = differential_parts(lam, p, ident, ident)
     terms = [(sign, [_weight_moves(moves, f)] + factors) for sign, factors, moves in parts]
     return kron_sum(terms, (p + 2) * d ** (p + 2), (p + 1) * d ** (p + 1), f)
 
@@ -594,11 +589,13 @@ def contractible_solution(a: Cochain, u: HHClass, q: int):
         total = a + differential(c_up, cap=p + 1) + bracket(m4_rep, lowc, cap=p)
         return total.is_zero(up_to=p)
 
+    def primitive(target):
+        """c with d(c) = -target, in the weight<=1 space if target has weights, or None."""
+        solver = solve_coboundary if target.is_iota_linear() else weighted_solve_coboundary
+        return solver(lam, target.scale(-field.one), p, q)
+
     # route 1: direct coboundary solve
-    if a.is_iota_linear():
-        direct = solve_coboundary(lam, a.scale(-field.one), p, q)
-    else:
-        direct = weighted_solve_coboundary(lam, a.scale(-field.one), p, q)
+    direct = primitive(a)
     if direct is not None:
         return zero_pair, direct
     # hypothesis: the obstruction class commutes with the periodicity class
@@ -631,11 +628,7 @@ def contractible_solution(a: Cochain, u: HHClass, q: int):
                     gamma = gamma + b.representative.scale(cc)
             if not gamma.comps:
                 gamma = vec_to_cochain(lam, p - 3, q - 1, [field.zero] * normalized_space_dim(lam, p - 3))
-            r = a + bracket(m4_rep, gamma, cap=p)
-            if r.is_iota_linear():
-                c_up = solve_coboundary(lam, r.scale(-field.one), p, q)
-            else:
-                c_up = weighted_solve_coboundary(lam, r.scale(-field.one), p, q)
+            c_up = primitive(a + bracket(m4_rep, gamma, cap=p))
             if c_up is not None:
                 pair = EulerAdjoinedCochain(gamma, Cochain.zero(lam, q - 1))
                 if verified(pair, c_up):
@@ -682,13 +675,9 @@ def build_iso(m: MinimalAInfty, mp: MinimalAInfty, N: int) -> AInftyMorphism:
         mp_adj = gauge_by_central_unit(mp, uvec)
         core = build_iso(m, mp_adj, N)
         # f = (g_u as linear part; g_u o core_n as higher components)
-        higher = {}
-        for n, c in core.higher.items():
-            wq = _central_power(lam, lam.inverse(uvec), -c.iota)
-            mult = lam.left_mult_of(wq)
-            comps2 = {p: {e: mult * mat for e, mat in comp.items()} for p, comp in c.comps.items()}
-            higher[n] = Cochain(lam, c.iota, comps2, c.cap)
-        return AInftyMorphism(m, mp, higher, linear=(Matrix.identity(lam.dim, field), lam.inverse(uvec)))
+        winv = lam.inverse(uvec)
+        higher = {n: _left_multiply(c, _central_power(lam, winv, -c.iota)) for n, c in core.higher.items()}
+        return AInftyMorphism(m, mp, higher, linear=(Matrix.identity(lam.dim, field), winv))
     # stage 1: d(f3) = m4 - m4'
     diff4 = m.op(4) - mp.op(4)
     f3 = solve_coboundary(lam, diff4, 4, 1)

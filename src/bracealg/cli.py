@@ -250,40 +250,28 @@ def cmd_compare(args, t0):
     field = _field_of(args.field, args.cap_n)
     m = structure_from_json(_load_json(args.left), field)
     mp = structure_from_json(_load_json(args.right), field)
-    try:
-        f = build_iso(m, mp, args.cap_n)
-    except ClassMismatch as exc:
-        report = {
-            "schema": SCHEMA,
-            "command": "compare",
-            "config": {"left": args.left, "right": args.right, "cap_n": args.cap_n},
-            "result": "class_mismatch",
-            "detail": str(exc),
-        }
-        _emit(report, args.out, t0)
-        return EXIT_CLASS_MISMATCH
-    except ObstructionNotContractible as exc:
-        report = {
-            "schema": SCHEMA,
-            "command": "compare",
-            "config": {"left": args.left, "right": args.right, "cap_n": args.cap_n},
-            "result": "obstruction",
-            "obstruction_arity": exc.arity,
-        }
-        _emit(report, args.out, t0)
-        return EXIT_OK
-    rep = ainfty_map_check(f, m, mp, cap=args.cap_n)
     report = {
         "schema": SCHEMA,
         "command": "compare",
         "config": {"left": args.left, "right": args.right, "cap_n": args.cap_n},
-        "result": "isomorphism",
-        "linear_part": "identity" if f.linear is None else "central-unit gauge",
-        "morphism": f.to_json(),
-        "residual_digest": rep.digest(),
     }
+    code = EXIT_OK
+    try:
+        f = build_iso(m, mp, args.cap_n)
+    except ClassMismatch as exc:
+        report.update(result="class_mismatch", detail=str(exc))
+        code = EXIT_CLASS_MISMATCH
+    except ObstructionNotContractible as exc:
+        report.update(result="obstruction", obstruction_arity=exc.arity)
+    else:
+        report.update(
+            result="isomorphism",
+            linear_part="identity" if f.linear is None else "central-unit gauge",
+            morphism=f.to_json(),
+            residual_digest=ainfty_map_check(f, m, mp, cap=args.cap_n).digest(),
+        )
     _emit(report, args.out, t0)
-    return EXIT_OK
+    return code
 
 
 def cmd_model(args, t0):

@@ -253,7 +253,7 @@ def make_contraction(dga: DGAlgebra, scheme="default") -> ContractionData:
             ims[deg] = image_basis(dga.d_matrix(prev))
         else:
             ims[deg] = SubspaceBasis(dga.dim(deg), [], f)
-    w2 = {}
+    w2, im_coords = {}, {}
     for deg in degs:
         dim = dga.dim(deg)
         ker, im = kers[deg], ims[deg]
@@ -287,6 +287,7 @@ def make_contraction(dga: DGAlgebra, scheme="default") -> ContractionData:
         nim = im.dim
         i[deg] = Matrix([[w1_vecs[t][r] for t in range(len(w1_vecs))] for r in range(dim)], f, cols=len(w1_vecs))
         p[deg] = Binv.select_rows(range(nim, nim + len(w1_vecs)))
+        im_coords[deg] = Binv.select_rows(range(nim))
     for deg in degs:
         # h on degree deg: inverse of d restricted to W2 of the previous degree
         prev = (deg - 1) % 2 if dga.periodic else deg - 1
@@ -296,21 +297,16 @@ def make_contraction(dga: DGAlgebra, scheme="default") -> ContractionData:
             continue
         dm = dga.d_matrix(prev)
         imgs = [dm.apply(v) for v in w2[prev]]
-        ident = Matrix.identity(dim, f)
         A = Matrix(imgs, f).transpose() if imgs else Matrix.zeros(dim, 0, f)
         # h(v) := W2-preimage of the im-part of v
-        ker, im = kers[deg], ims[deg]
-        basis_rows = im.vectors() + i[deg].transpose().entries + w2[deg]
-        B = Matrix(basis_rows, f).transpose()
-        Binv = solve_matrix(B, ident)
-        im_coords = Binv.select_rows(range(im.dim))
+        im = ims[deg]
         # express im-basis vectors through d(w2[prev])
         if im.dim:
             T = solve_matrix(A, im.matrix.transpose())
             if T is None:
                 raise AlgebraSpecError("image not spanned by d of the complement")
             W2prev = Matrix(w2[prev], f).transpose()
-            h[deg] = W2prev * (T * im_coords)
+            h[deg] = W2prev * (T * im_coords[deg])
         else:
             h[deg] = Matrix.zeros(dga.dim(prev), dim, f)
     contraction = ContractionData(dga, p, i, h, hdims)

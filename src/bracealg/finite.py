@@ -320,25 +320,6 @@ def _combo(mats, coeffs, dim, field):
     return Matrix.from_nonzeros(rows, dim, field)
 
 
-
-def _normalizing_maps(lam: FiniteAlgebra):
-    """(J, P) for Lambda-bar = Lambda / k.1, on the basis indices other than u,
-    the first index in the unit's support.
-
-    J: Lambda-bar -> Lambda includes those basis vectors, and P: Lambda ->
-    Lambda-bar keeps them and sends e_u to -(1/c_u) sum_{j != u} c_j e_j,
-    where 1 = sum_j c_j e_j; so P.1 = 0, P.J = I and I - J.P maps into k.1.
-    """
-    field = lam.field
-    u = next(i for i, c in enumerate(lam.unit) if c)
-    rest = [j for j in range(lam.dim) if j != u]
-    scale = -field.inv(lam.unit[u])
-    P = Matrix.from_nonzeros([{j: field.one, u: scale * lam.unit[j]} for j in rest], lam.dim, field)
-    J = Matrix.from_nonzeros([{j: field.one} for j in rest], lam.dim, field).transpose()
-    return J, P
-
-
-
 def _structure_key(lam: FiniteAlgebra):
     """The field and structure constants of lam as one hashable value, kept
     on lam: equal algebras built separately have equal keys."""
@@ -354,10 +335,10 @@ def _structure_key(lam: FiniteAlgebra):
 
 # The per-algebra store: everything built once per algebra (enveloping
 # algebra, diagonal bimodule, periodic resolutions, differential matrices,
-# Hochschild contexts, bar syzygies) lives here for the life of the process,
-# keyed on the algebra's structure so that equal algebras built separately
-# share entries.  Nothing in the package runs concurrently, so it needs no
-# lock.
+# Hochschild contexts, bar syzygies, normalizing maps) lives here for the
+# life of the process, keyed on the algebra's structure so that equal
+# algebras built separately share entries.  Nothing in the package runs
+# concurrently, so it needs no lock.
 _store = {}
 
 
@@ -373,6 +354,28 @@ def _per_algebra(build):
         return value
 
     return memo
+
+
+@_per_algebra
+def _normalizing_maps(lam: FiniteAlgebra):
+    """(J, P) for Lambda-bar = Lambda / k.1, on the basis indices other than u,
+    the first index in the unit's support.
+
+    J: Lambda-bar -> Lambda includes those basis vectors, and P: Lambda ->
+    Lambda-bar keeps them and sends e_u to -(1/c_u) sum_{j != u} c_j e_j,
+    where 1 = sum_j c_j e_j; so P.1 = 0, P.J = I and I - J.P maps into k.1.
+
+    The one definition of Lambda-bar: the normalized bar resolution (algebra)
+    and the normalized Hochschild complex (hochschild) are both built on it,
+    so a unit need not be a basis vector.
+    """
+    field = lam.field
+    u = next(i for i, c in enumerate(lam.unit) if c)
+    rest = [j for j in range(lam.dim) if j != u]
+    scale = -field.inv(lam.unit[u])
+    P = Matrix.from_nonzeros([{j: field.one, u: scale * lam.unit[j]} for j in rest], lam.dim, field)
+    J = Matrix.from_nonzeros([{j: field.one} for j in rest], lam.dim, field).transpose()
+    return J, P
 
 
 class LaurentAlgebra:

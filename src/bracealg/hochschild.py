@@ -401,85 +401,71 @@ def differential(c: Cochain, cap=None) -> Cochain:
 # The normalized subcomplex as finite coordinates
 
 
-def _non_unit_inputs(lam: FiniteAlgebra):
-    """The basis indices other than the unit's: the inputs of normalized cochains."""
-    support = [i for i, c in enumerate(lam.unit) if c]
-    if len(support) != 1 or lam.unit[support[0]] != lam.field.one:
-        raise AlgebraSpecError("normalized-complex coordinates need the unit to be a basis vector")
-    return [j for j in range(lam.dim) if j != support[0]]
-
-
-def _inclusion(lam: FiniteAlgebra, inputs):
-    """The dim x len(inputs) matrix whose columns are the basis vectors at inputs."""
-    f = lam.field
-    return Matrix([[f.one if i == j else f.zero for j in inputs] for i in range(lam.dim)], f, cols=len(inputs))
-
-
-def _reduced_inclusion(lam: FiniteAlgebra):
-    """The dim x (dim-1) matrix whose columns are the non-unit basis vectors."""
-    return _inclusion(lam, _non_unit_inputs(lam))
-
-
 def normalized_space_dim(lam, p):
     return lam.dim * (lam.dim - 1) ** p
 
 
 def cochain_to_vec(c: Cochain, p):
-    """Coordinates of the arity-p component on reduced input tuples.
+    """Coordinates of the arity-p component on Lambda-bar^(x)p: the
+    component composed with J (x) ... (x) J, J as in _normalizing_maps.
 
     Requires an iota-linear component (no weights).
     """
     for e, m in c.comps.get(p, {}).items():
         if any(e) and not m.is_zero():
             raise AlgebraSpecError("cochain has Euler weights; not in the iota-linear model")
-    return _vec_of(compose(c.component_matrix(p), [_reduced_inclusion(c.algebra)] * p))
+    J, _ = _normalizing_maps(c.algebra)
+    return _vec_of(compose(c.component_matrix(p), [J] * p))
 
 
 def _vec_of(reduced):
-    """The coordinates of a dim x (dim-1)^p reduced matrix, column by column."""
+    """The coordinates of a dim x m matrix, column by column: the one layout
+    of cochain coordinates, index column * dim + row."""
     return [x for col in reduced.transpose().entries for x in col]
 
 
-def _reduced_matrix(lam, p, vec):
-    """The reduced matrix with coordinates vec: the inverse of _vec_of."""
+def _reduced_matrix(lam, vec):
+    """The dim x (len(vec) / dim) matrix with coordinates vec: the inverse of _vec_of."""
     d = lam.dim
-    return Matrix([vec[row::d] for row in range(d)], lam.field, cols=(d - 1) ** p)
+    return Matrix([vec[row::d] for row in range(d)], lam.field, cols=len(vec) // d)
 
 
 def vec_to_cochain(lam, p, j, vec, cap=math.inf):
-    """Normalized cochain from reduced coordinates (zero on unit inputs)."""
-    proj = _reduced_inclusion(lam).transpose()
-    return Cochain.from_matrix(lam, p, compose(_reduced_matrix(lam, p, vec), [proj] * p), j, cap)
+    """Normalized cochain from reduced coordinates: the reduced matrix composed
+    with P (x) ... (x) P, which vanishes on unit inputs since P.1 = 0."""
+    _, P = _normalizing_maps(lam)
+    return Cochain.from_matrix(lam, p, compose(_reduced_matrix(lam, vec), [P] * p), j, cap)
 
 
-def differential_parts(lam, p, inputs):
+def differential_parts(lam, p, J, P):
     """The Hochschild differential on arity-p cochains as signed Kronecker products.
 
     d(f) = -mu(f, 1) + (-1)^p mu(1, f) + sum_i (-1)^(p-1+i) f(..., mu_i, ...),
     where mu_i multiplies inputs i and i+1 of d(f), counted from 0; this is
-    [m2, f] written out.  Coordinates are cochain_to_vec's, with every input
-    running over the basis indices `inputs`.  Each part is (sign, factors,
-    moves): kron(factors) = F_1 (x) ... (x) F_k maps arity-p coordinates to
-    arity-(p+1) ones (linalg.kron_sum adds the signed parts into the matrix
-    of d), and moves[k] lists the inputs of d(f)
+    [m2, f] written out.  Every input runs over M, given J: M -> Lambda and
+    P: Lambda -> M as for algebra._bar: the J, P of _normalizing_maps give
+    M = Lambda-bar and cochain_to_vec's coordinates, and J = P = I give
+    M = Lambda.
+    Each part is (sign, factors, moves): kron(factors) = F_1 (x) ... (x) F_k
+    maps arity-p coordinates to arity-(p+1) ones (linalg.kron_sum adds the
+    signed parts into the matrix of d), and moves[k] lists the inputs of d(f)
     that an Euler weight on input k of f moves to (a face sends it to both
-    inputs it multiplies).  An outer product is one part per value of its
-    outer input; a face keeps the components of a product on `inputs`.
+    inputs it multiplies).  An outer product is one part per basis vector a
+    of M, multiplying by column a of J; a face is the bar's inner face
+    P mu(J (x) J).
     """
     field = lam.field
     mu = lam.mult_matrix()
     ident = Matrix.identity(lam.dim, field)
-    incl = _inclusion(lam, inputs)
-    n = len(inputs)
+    n = J.cols
     rest = Matrix.identity(n**p, field)
     sign = 1 if p % 2 == 0 else -1
     parts = []
-    for a, x in enumerate(inputs):
+    for a in range(n):
         at_a = Matrix.column_vector([field.one if b == a else field.zero for b in range(n)], field)
-        e_x = Matrix.column_vector(lam.basis_vector(x), field)
-        parts.append((sign, [at_a, rest, compose(mu, [e_x, ident])], [[k + 1] for k in range(p)]))
-        parts.append((-1, [rest, at_a, compose(mu, [ident, e_x])], [[k] for k in range(p)]))
-    face = compose(incl.transpose() * mu, [incl, incl]).transpose()
+        parts.append((sign, [at_a, rest, compose(mu, [J * at_a, ident])], [[k + 1] for k in range(p)]))
+        parts.append((-1, [rest, at_a, compose(mu, [ident, J * at_a])], [[k] for k in range(p)]))
+    face = compose(P * mu, [J, J]).transpose()
     for i in range(p):
         factors = [Matrix.identity(n**i, field), face, Matrix.identity(n ** (p - 1 - i), field), ident]
         moves = [[k] if k < i else [i, i + 1] if k == i else [k + 1] for k in range(p)]
@@ -488,29 +474,28 @@ def differential_parts(lam, p, inputs):
 
 
 @_per_algebra
-def _normalized_inputs(lam):
-    """The non-unit basis indices, after the unit law that keeps d normalized."""
-    inputs = _non_unit_inputs(lam)
+def _normalized_maps(lam):
+    """_normalizing_maps(lam), after the unit law that keeps d normalized."""
     mu, ident = lam.mult_matrix(), Matrix.identity(lam.dim, lam.field)
     unit = Matrix.column_vector(lam.unit, lam.field)
     if compose(mu, [unit, ident]) != ident or compose(mu, [ident, unit]) != ident:
         raise AlgebraSpecError("differential left the normalized subcomplex")
-    return inputs
+    return _normalizing_maps(lam)
 
 
 @_per_algebra
 def normalized_differential_matrix(lam, p):
-    """Matrix of d on normalized cochains, arity p -> p+1, reduced coords.
+    """Matrix of d on normalized cochains, arity p -> p+1, in the coordinates
+    on Lambda-bar^(x)p of cochain_to_vec.
 
     d keeps normalized cochains normalized.  Put the unit at input k of
     d(f), with f normalized: every term that hands the unit to f vanishes,
     and the two that multiply it with a neighbour (faces k-1 and k, or a
     face and an outer product at either end) carry opposite signs and are
-    equal, because 1.x = x = x.1.  _normalized_inputs checks that unit law
-    exactly, once per algebra, and the parts are summed over the non-unit
-    inputs alone.
+    equal, because 1.x = x = x.1.  _normalized_maps checks that unit law
+    exactly, once per algebra, and the parts are summed over Lambda-bar.
     """
-    parts = differential_parts(lam, p, _normalized_inputs(lam))
+    parts = differential_parts(lam, p, *_normalized_maps(lam))
     terms = [(sign, factors) for sign, factors, _ in parts]
     return kron_sum(terms, normalized_space_dim(lam, p + 1), normalized_space_dim(lam, p), lam.field)
 
@@ -630,7 +615,7 @@ class HHClass:
         return self._plus(other, -1)
 
     def _reduced(self):
-        return _reduced_matrix(self.context.algebra, self.context.p, self.vec)
+        return _reduced_matrix(self.context.algebra, self.vec)
 
     def cup_cls(self, other) -> "HHClass":
         """The class of cup(f, g) = (-1)^(pq) mu(f, g)."""
@@ -713,16 +698,18 @@ def _brace_into(vecs, fs, gs, sign, swap):
     """Add sign * f{g} into vecs[f][g] (vecs[g][f] if swap) for every f in fs
     and g in gs: f{g} = sum_s (-1)^((q+1)s) f(..., g, ...), g at input s.
 
-    f's inputs in reduced coordinates are the non-unit basis vectors, so g
-    enters through its rows at those vectors (incl^T g).  With fs stacked
-    as F and gs as G, the term at s is compose(F, [I_a, I^s, incl^T G,
-    I^(p-1-s)]) for every pair at once, its columns being (f, s inputs, g,
-    the other q + p-1-s inputs)."""
+    f's inputs in reduced coordinates lie in Lambda-bar: a normalized f is
+    its reduced matrix composed with P on each input, P as in
+    _normalizing_maps, so g enters as P g.  With fs stacked as F and gs as
+    G, the term at s is
+    compose(F, [I_a, I^s, P G, I^(p-1-s)]) for every pair at once, its
+    columns being (f, s inputs, g, the other q + p-1-s inputs)."""
     lam = fs[0].context.algebra
     field = lam.field
     p, q = fs[0].context.p, gs[0].context.p
     n = lam.dim - 1
-    F, G = _stack(fs), _stack(gs).select_rows(_non_unit_inputs(lam))
+    _, P = _normalizing_maps(lam)
+    F, G = _stack(fs), P * _stack(gs)
     for s in range(p):
         factors = [Matrix.identity(len(fs), field), Matrix.identity(n**s, field), G, Matrix.identity(n ** (p - 1 - s), field)]
         term_sign = -sign if (q + 1) * s % 2 else sign

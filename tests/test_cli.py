@@ -162,9 +162,19 @@ def test_malformed_spec_field_exit_2(tmp_path, capsys, field, value):
     assert err.startswith("error: " + field) and "expected a list" in err
 
 
-def test_hh_unit_not_a_basis_vector_exit_2(tmp_path, capsys):
+def _hh_dimensions(tmp_path, name, spec):
+    path = tmp_path / (name + ".json")
+    path.write_text(json.dumps(spec))
+    out = tmp_path / (name + "-hh.json")
+    assert run(["hh", str(path), "--cap-p", "4", "--out", str(out)]) == 0
+    return json.loads(out.read_text())["hh_dimensions"]
+
+
+def test_hh_unit_not_a_basis_vector(tmp_path):
     # upper-triangular 2x2 matrices on the basis e11, e12, e22: the unit
-    # e11 + e22 is no basis vector, so there are no normalized coordinates
+    # e11 + e22 is no basis vector.  They are the path algebra of the A2
+    # quiver, hereditary with a tree quiver, so HH^0 = k and HH^n = 0 for
+    # n >= 1 (Happel, 1989)
     upper = {
         "dim": 3,
         "labels": ["e11", "e12", "e22"],
@@ -174,10 +184,22 @@ def test_hh_unit_not_a_basis_vector_exit_2(tmp_path, capsys):
             [1, 2, ["0", "1", "0"]], [2, 2, ["0", "0", "1"]],
         ],
     }
-    path = tmp_path / "upper.json"
-    path.write_text(json.dumps(upper))
-    assert run(["hh", str(path), "--cap-p", "4"]) == 2
-    assert "normalized-complex coordinates need the unit to be a basis vector" in capsys.readouterr().err
+    assert _hh_dimensions(tmp_path, "upper", upper) == {"0": 1, "1": 0, "2": 0, "3": 0, "4": 0}
+
+
+def test_hh_dimensions_on_a_basis_without_the_unit(tmp_path):
+    # k[x]/(x^3) on the basis 1+x, x, x^2, whose unit is (1+x) - x
+    shifted = {
+        "dim": 3,
+        "labels": ["1+x", "x", "x^2"],
+        "unit": ["1", "-1", "0"],
+        "mult": [
+            [0, 0, ["1", "1", "1"]], [0, 1, ["0", "1", "1"]], [1, 0, ["0", "1", "1"]],
+            [0, 2, ["0", "0", "1"]], [2, 0, ["0", "0", "1"]], [1, 1, ["0", "0", "1"]],
+        ],
+    }
+    monomial = _hh_dimensions(tmp_path, "monomial", build_truncated_polynomial(3).to_json())
+    assert _hh_dimensions(tmp_path, "shifted", shifted) == monomial == {"0": 3, "1": 2, "2": 2, "3": 2, "4": 2}
 
 
 def test_cap_exceeded_exit_3(kx2_spec):

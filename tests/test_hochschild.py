@@ -688,6 +688,54 @@ UPPER_UNIT_BASIS = {
     ],
 }
 
+# the same algebra on the basis e11, e12, e22: the unit e11 + e22 is no
+# basis vector
+UPPER_T2 = {
+    "dim": 3,
+    "labels": ["e11", "e12", "e22"],
+    "unit": ["1", "0", "1"],
+    "mult": [
+        [0, 0, ["1", "0", "0"]], [0, 1, ["0", "1", "0"]],
+        [1, 2, ["0", "1", "0"]], [2, 2, ["0", "0", "1"]],
+    ],
+}
+
+# k[x]/(x^2) and k[x]/(x^3) with bases 1+x, x(, x^2): the unit is (1+x) - x
+KX2_SHIFTED = {
+    "dim": 2,
+    "labels": ["1+x", "x"],
+    "unit": ["1", "-1"],
+    "mult": [[0, 0, ["1", "1"]], [0, 1, ["0", "1"]], [1, 0, ["0", "1"]]],
+}
+KX3_SHIFTED = {
+    "dim": 3,
+    "labels": ["1+x", "x", "x^2"],
+    "unit": ["1", "-1", "0"],
+    "mult": [
+        [0, 0, ["1", "1", "1"]], [0, 1, ["0", "1", "1"]], [1, 0, ["0", "1", "1"]],
+        [0, 2, ["0", "0", "1"]], [2, 0, ["0", "0", "1"]], [1, 1, ["0", "0", "1"]],
+    ],
+}
+
+# k[x]/(x^2) on the basis x, 1+x: (1+x)^2 = (1+x) + x has a component on
+# x, the basis vector that Lambda-bar leaves out
+KX2_X_FIRST = {
+    "dim": 2,
+    "labels": ["x", "1+x"],
+    "unit": ["-1", "1"],
+    "mult": [[0, 1, ["1", "0"]], [1, 0, ["1", "0"]], [1, 1, ["1", "1"]]],
+}
+
+
+@pytest.mark.parametrize("spec", [KX2_SHIFTED, KX2_X_FIRST, KX3_SHIFTED], ids=["kx2-shifted", "kx2-x-first", "kx3-shifted"])
+def test_tate_unit_check_on_a_basis_without_the_unit(spec):
+    # the same flags as on the monomial basis: HH^{4,-2} of k[x]/(x^2) is
+    # spanned by the periodicity unit, and k[x]/(x^3) has one unit and one
+    # non-unit among its basis classes
+    lam = load_algebra(spec)
+    flags = [bool(H.tate_unit_check(u)) for u in H.cohomology(lam, 4, 1)]
+    assert flags == ([True] if lam.dim == 2 else [False, True])
+
 
 def _basis_vectors(n, field):
     for t in range(n):
@@ -719,8 +767,11 @@ def _brace_weighted_matrix(lam, p):
 
 @pytest.mark.parametrize(
     "lam",
-    [build_truncated_polynomial(1), LAM2, LAM3, load_algebra(KX3_PERMUTED), load_algebra(UPPER_UNIT_BASIS)],
-    ids=["k", "kx2", "kx3", "kx3-permuted", "upper"],
+    [
+        build_truncated_polynomial(1), LAM2, LAM3, load_algebra(KX3_PERMUTED), load_algebra(UPPER_UNIT_BASIS),
+        load_algebra(UPPER_T2), load_algebra(KX3_SHIFTED), load_algebra(KX2_X_FIRST),
+    ],
+    ids=["k", "kx2", "kx3", "kx3-permuted", "upper", "upper-t2", "kx3-shifted", "kx2-x-first"],
 )
 def test_differential_matrices_match_brace_reference(lam):
     from bracealg.ainfty import _weighted_differential_matrix
@@ -764,7 +815,9 @@ def _brace_class(lam, product, p, j):
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["qq", "fp101"])
 @pytest.mark.parametrize(
-    "spec", [1, 2, 3, KX3_PERMUTED, UPPER_UNIT_BASIS], ids=["k", "kx2", "kx3", "kx3-permuted", "upper"]
+    "spec",
+    [1, 2, 3, KX3_PERMUTED, UPPER_UNIT_BASIS, KX2_SHIFTED],
+    ids=["k", "kx2", "kx3", "kx3-permuted", "upper", "kx2-shifted"],
 )
 def test_class_products_match_brace_reference(spec, field):
     lam = build_truncated_polynomial(spec, field) if isinstance(spec, int) else load_algebra(spec, field)
@@ -785,7 +838,11 @@ def test_class_products_match_brace_reference(spec, field):
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["qq", "fp101"])
-@pytest.mark.parametrize("spec", [2, 3, KX3_PERMUTED, UPPER_UNIT_BASIS], ids=["kx2", "kx3", "kx3-permuted", "upper"])
+@pytest.mark.parametrize(
+    "spec",
+    [2, 3, KX3_PERMUTED, UPPER_UNIT_BASIS, KX2_SHIFTED],
+    ids=["kx2", "kx3", "kx3-permuted", "upper", "kx2-shifted"],
+)
 def test_class_product_tables_match_brace_reference(spec, field):
     # whole a x b tables per pair of arities, and their 1 x k rows, against
     # the brace engine pair by pair
