@@ -31,16 +31,15 @@ from .hochschild import (
     brace,
     class_of,
     cup,
+    cup_table,
     differential,
     differential_parts,
     divide_class,
     hh_context,
     hh_isos_forward,
-    normalized_space_dim,
     restrict_j,
     solve_coboundary,
     tate_unit_check,
-    vec_to_cochain,
 )
 from .linalg import Matrix, compose, kernel_basis, kron_sum, rank, solve, solve_matrix
 
@@ -81,18 +80,18 @@ class MinimalAInfty:
 
     Every operation is an iota-linear cochain on the degree-zero part; the
     operation of arity n has iota power (n-2)/2, so odd arities vanish on
-    the evenly graded algebras handled here.  The Maurer-Cartan equation
-    is verified up to the arity cap at construction.
+    the evenly graded algebras handled here.  The Maurer-Cartan residuals
+    up to the arity cap are computed at construction and kept as `report`;
+    `check` decides whether a failure raises.
     """
 
     def __init__(self, laurent: LaurentAlgebra, ops, cap, check=True):
         self.laurent = laurent
         self.ops = {n: c for n, c in ops.items() if not c.is_zero()}
         self.cap = cap
-        if check:
-            report = mc_check(self)
-            if not report.ok:
-                raise AlgebraSpecError("Maurer-Cartan equation fails: %r" % report.failures())
+        self.report = mc_check(self)
+        if check and not self.report.ok:
+            raise AlgebraSpecError("Maurer-Cartan equation fails: %r" % self.report.failures())
 
     @property
     def algebra(self):
@@ -108,11 +107,10 @@ class MinimalAInfty:
         return sorted(self.ops)
 
     def to_json(self):
-        rep = mc_check(self)
         return {
             "cap": self.cap,
             "ops": {str(n): c.to_json() for n, c in sorted(self.ops.items())},
-            "mc_residual_digest": rep.digest(),
+            "mc_residual_digest": self.report.digest(),
         }
 
 
@@ -233,7 +231,8 @@ class AInftyMorphism:
     the graded automorphism x -> g0(x) w^j on the degree -2j part.  The
     higher components are cochains of total degree 1 (arity n has iota
     power (n-1)/2; Euler-adjoined components are stored as honest weighted
-    cochains).
+    cochains).  build_iso sets `residual` to the ResidualReport of the
+    check that accepted the morphism.
     """
 
     def __init__(self, source: MinimalAInfty, target: MinimalAInfty, higher, linear=None):
@@ -241,6 +240,7 @@ class AInftyMorphism:
         self.target = target
         self.higher = {n: c for n, c in higher.items() if not c.is_zero()}
         self.linear = linear
+        self.residual = None
 
     def to_json(self):
         return {
@@ -384,9 +384,12 @@ def extract_m4_class(m: MinimalAInfty) -> HHClass:
 
 
 def restricted_ump(m: MinimalAInfty) -> HHClass:
-    """j*[m_4]: same representative, viewed with coefficients L . iota."""
-    cls = extract_m4_class(m)
-    return class_of(m.algebra, restrict_j(cls.representative), 4, 1)
+    """j*[m_4]: same representative, viewed with coefficients L . iota.
+
+    class_of reads only the weight-zero component of m_4, which is j*(m_4),
+    so this is the class extract_m4_class already built.
+    """
+    return extract_m4_class(m)
 
 
 # ---------------------------------------------------------------------------
@@ -471,21 +474,16 @@ def two_equations_solve(lam, u: HHClass):
                 raise AlgebraSpecError("constraint is not affine-linear (unexpected)")
     rhs = [-v for v in (list(c0.x_part.coords) + list(c0.e_part.coords))]
     if basis:
-        A = Matrix([[cols[t][i] for t in range(len(basis))] for i in range(len(cols[0]))], lam.field, cols=len(basis))
+        A = Matrix(cols, lam.field).transpose()
         sol = solve(A, rhs)
         if sol is None:
             raise AlgebraSpecError("no solution to the Maurer-Cartan constraint (unexpected)")
         sol_dim = kernel_basis(A).dim
+    elif any(rhs):
+        raise AlgebraSpecError("no solution to the Maurer-Cartan constraint (unexpected)")
     else:
-        sol = []
-        sol_dim = 0 if not any(rhs) else None
-        if sol_dim is None:
-            raise AlgebraSpecError("no solution to the Maurer-Cartan constraint (unexpected)")
-    beta = Cochain.zero(lam, 1)
-    for c, b in zip(sol, basis):
-        if c:
-            beta = beta + b.representative.scale(c)
-    solved = LaurentHHClass(u_iota, class_of(lam, beta if beta.comps else vec_to_cochain(lam, 3, 1, [lam.field.zero] * normalized_space_dim(lam, 3)), 3, 1))
+        sol, sol_dim = [], 0
+    solved = LaurentHHClass(u_iota, ctx3.combination(sol))
     if solved != m_class:
         raise AlgebraSpecError("closed formula and enumeration disagree")
     m_class.solution_space_dim = sol_dim
@@ -615,19 +613,9 @@ def contractible_solution(a: Cochain, u: HHClass, q: int):
     basis = ctx.basis_classes()
     if basis:
         cols = [cls.coords for cls in bracket_table([u_shift], basis)[0]]
-        A = Matrix(
-            [[cols[t][i] for t in range(len(basis))] for i in range(len(xi.coords))],
-            field,
-            cols=len(basis),
-        )
-        sol = solve(A, [-c for c in xi.coords])
+        sol = solve(Matrix(cols, field).transpose(), [-c for c in xi.coords])
         if sol is not None:
-            gamma = Cochain.zero(lam, q - 1)
-            for cc, b in zip(sol, basis):
-                if cc:
-                    gamma = gamma + b.representative.scale(cc)
-            if not gamma.comps:
-                gamma = vec_to_cochain(lam, p - 3, q - 1, [field.zero] * normalized_space_dim(lam, p - 3))
+            gamma = ctx.combination(sol).representative
             c_up = primitive(a + bracket(m4_rep, gamma, cap=p))
             if c_up is not None:
                 pair = EulerAdjoinedCochain(gamma, Cochain.zero(lam, q - 1))
@@ -677,7 +665,9 @@ def build_iso(m: MinimalAInfty, mp: MinimalAInfty, N: int) -> AInftyMorphism:
         # f = (g_u as linear part; g_u o core_n as higher components)
         winv = lam.inverse(uvec)
         higher = {n: _left_multiply(c, _central_power(lam, winv, -c.iota)) for n, c in core.higher.items()}
-        return AInftyMorphism(m, mp, higher, linear=(Matrix.identity(lam.dim, field), winv))
+        f = AInftyMorphism(m, mp, higher, linear=(Matrix.identity(lam.dim, field), winv))
+        f.residual = ainfty_map_check(f, m, mp, cap=N)
+        return f
     # stage 1: d(f3) = m4 - m4'
     diff4 = m.op(4) - mp.op(4)
     f3 = solve_coboundary(lam, diff4, 4, 1)
@@ -710,10 +700,10 @@ def build_iso(m: MinimalAInfty, mp: MinimalAInfty, N: int) -> AInftyMorphism:
             f[2 * n + 1] = newtop
         n += 1
     morph = AInftyMorphism(m, mp, f, None)
-    final = ainfty_map_check(morph, m, mp, cap=N)
-    if not final.ok:
+    morph.residual = ainfty_map_check(morph, m, mp, cap=N)
+    if not morph.residual.ok:
         raise ObstructionNotContractible(
-            "constructed morphism has nonzero residual", arity=final.failures()[0]
+            "constructed morphism has nonzero residual", arity=morph.residual.failures()[0]
         )
     return morph
 
@@ -726,34 +716,23 @@ def _search_compensating_unit(lam, target: HHClass, current: HHClass):
     solve over the centre followed by a unit check.
     """
     field = lam.field
-    centre = lam.center_basis()
-    cols = []
-    zs = centre.vectors()
-    for z in zs:
-        zc = Cochain.from_matrix(lam, 0, Matrix([[x] for x in z], field), 0)
-        prod = cup(zc, current.representative)
-        cls = class_of(lam, Cochain.from_matrix(lam, 4, prod.component_matrix(4), 1), 4, 1)
-        cols.append(cls.coords)
-    A = Matrix([[cols[t][i] for t in range(len(cols))] for i in range(len(target.coords))], field, cols=len(cols))
+    zs = lam.center_basis().vectors()
+    ctx0 = hh_context(lam, 0, 0)
+    cols = [row[0].coords for row in cup_table([HHClass(ctx0, vec=z) for z in zs], [current])]
+    A = Matrix(cols, field).transpose()
     sol = solve(A, list(target.coords))
     if sol is None:
         return None
-    u = [field.zero] * lam.dim
-    for c, z in zip(sol, zs):
-        if c:
-            u = [a + c * b for a, b in zip(u, z)]
-    if not lam.is_unit(u):
-        # homogeneous freedom may restore unit-ness
-        ker = kernel_basis(A)
-        for kv in ker.vectors():
-            cand = list(u)
-            for c, z in zip(kv, zs):
-                if c:
-                    cand = [a + c * b for a, b in zip(cand, z)]
-            if lam.is_unit(cand):
-                return cand
-        return None
-    return u
+    centre = Matrix(zs, field).transpose()
+    u = centre.apply(sol)
+    if lam.is_unit(u):
+        return u
+    # homogeneous freedom may restore unit-ness
+    for kv in kernel_basis(A).vectors():
+        cand = [a + b for a, b in zip(u, centre.apply(kv))]
+        if lam.is_unit(cand):
+            return cand
+    return None
 
 
 FORMAL = "FORMAL"

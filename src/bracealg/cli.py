@@ -123,7 +123,7 @@ def structure_from_json(data, field=None) -> MinimalAInfty:
 
 def cmd_hh(args, t0):
     from .finite import load_algebra
-    from .hochschild import DEFAULT_CAP, CapTooLow, bracket_table, cohomology, cup_table
+    from .hochschild import DEFAULT_CAP, CapTooLow, bracket_table, cohomology, cup_table, hh_context
 
     field = _field_of(args.field, args.cap_n)
     data = _load_json(args.input)
@@ -135,7 +135,7 @@ def cmd_hh(args, t0):
     def _j_for(p):
         return max(0, (p + 1) // 2)
 
-    table = {str(p): len(cohomology(lam, p, _j_for(p))) for p in range(0, cap_p + 1)}
+    table = {str(p): hh_context(lam, p, _j_for(p)).dim for p in range(0, cap_p + 1)}
     # cup and bracket tables on generators of low bidegrees: one table per
     # pair of arities, listed generator pair by generator pair
     gens = [(p, cohomology(lam, p, _j_for(p))) for p in range(0, min(cap_p, 4) + 1)]
@@ -181,14 +181,13 @@ def _load_dga(args, field):
 
 
 def cmd_transfer(args, t0):
-    from .ainfty import formality_verdict_of_model, mc_check, transfer
+    from .ainfty import formality_verdict_of_model, transfer
     from .dg import make_contraction
 
     field = _field_of(args.field, args.cap_n)
     dga = _load_dga(args, field)
     con = make_contraction(dga)
     m = transfer(dga, con, args.cap_n)
-    rep = mc_check(m)
     verdict = formality_verdict_of_model(m, args.cap_n)
     report = {
         "schema": SCHEMA,
@@ -196,7 +195,7 @@ def cmd_transfer(args, t0):
         "config": {"input": args.input, "n": args.n, "a": args.a, "cap_n": args.cap_n, "field": args.field or "qq"},
         "h0_dim": m.algebra.dim,
         "structure": structure_to_json(m),
-        "mc_residual_digest": rep.digest(),
+        "mc_residual_digest": m.report.digest(),
         "formality": verdict.verdict,
         "hypothesis_flags": getattr(dga, "hypothesis_flags", {}),
     }
@@ -206,7 +205,7 @@ def cmd_transfer(args, t0):
 
 def cmd_massey(args, t0):
     from .ainfty import restricted_ump
-    from .hochschild import HHClass, hh_context, normalized_space_dim, tate_unit_check
+    from .hochschild import hh_context, tate_unit_check
 
     field = _field_of(args.field, args.cap_n)
     if args.input:
@@ -221,7 +220,7 @@ def cmd_massey(args, t0):
     if m.arities():
         cls = restricted_ump(m)
     else:
-        cls = HHClass(hh_context(lam, 4, 1), vec=[lam.field.zero] * normalized_space_dim(lam, 4))
+        cls = hh_context(lam, 4, 1).combination([])
     zero = cls.is_zero()
     # the Tate unit test is the stable-iso test of the syzygy map Omega^4 -> L;
     # a seeded model carries the result for its own class
@@ -245,7 +244,7 @@ def cmd_massey(args, t0):
 
 
 def cmd_compare(args, t0):
-    from .ainfty import ClassMismatch, ObstructionNotContractible, ainfty_map_check, build_iso
+    from .ainfty import ClassMismatch, ObstructionNotContractible, build_iso
 
     field = _field_of(args.field, args.cap_n)
     m = structure_from_json(_load_json(args.left), field)
@@ -268,7 +267,7 @@ def cmd_compare(args, t0):
             result="isomorphism",
             linear_part="identity" if f.linear is None else "central-unit gauge",
             morphism=f.to_json(),
-            residual_digest=ainfty_map_check(f, m, mp, cap=args.cap_n).digest(),
+            residual_digest=f.residual.digest(),
         )
     _emit(report, args.out, t0)
     return code
@@ -303,46 +302,49 @@ def cmd_model(args, t0):
     return EXIT_OK
 
 
-def build_parser():
+_N_A = [("--n", {"type": int}), ("--a", {"type": int})]
+
+
+def _dump_or_n_a(what):
+    return [("input", {"nargs": "?", "help": what})] + _N_A
+
+
+# (name, help, arguments) per subcommand; each also takes the _COMMON options
+_SUBCOMMANDS = (
+    ("hh", "cohomology dimension table with cup/bracket tables", [("input", {"help": "algebra spec JSON"})]),
+    ("transfer", "DG input -> minimal model dump + MC residuals", _dump_or_n_a("DG algebra dump JSON")),
+    ("massey", "restricted class, Tate unit test, syzygy certificate", _dump_or_n_a("structure dump JSON")),
+    ("compare", "two structure dumps -> isomorphism or obstruction", [("left", {}), ("right", {})]),
+    ("model", "emit the DG model for (n, a)", _N_A),
+)
+
+_COMMON = [
+    ("--cap-p", {"type": int, "default": 6, "help": "horizontal cap for cohomology tables"}),
+    ("--cap-n", {"type": int, "default": 8, "help": "arity cap for A-infinity operations"}),
+    ("--field", {"help": "qq (default) or fp:<prime>"}),
+    ("--out", {"help": "write the JSON report here"}),
+    ("--threads", {"type": int, "default": 1, "help": "accepted; all work runs in one thread"}),
+    ("--verbose", {"action": "store_true"}),
+]
+
+
+def build_parser(command):
+    """The parser for a command line whose first token is `command`.
+
+    Every subcommand is listed, but only the one named `command` gets its
+    arguments, since a run parses only its own; for any other token the
+    top-level help or error reads as with all of them built.
+    """
     ap = argparse.ArgumentParser(
         prog="bracealg",
         description="Exact Hochschild/A-infinity pipelines on small algebras",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, inputs=True):
-        p.add_argument("--cap-p", type=int, default=6, help="horizontal cap for cohomology tables")
-        p.add_argument("--cap-n", type=int, default=8, help="arity cap for A-infinity operations")
-        p.add_argument("--field", default=None, help="qq (default) or fp:<prime>")
-        p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument("--threads", type=int, default=1, help="accepted; all work runs in one thread")
-        p.add_argument("--verbose", action="store_true")
-
-    p_hh = sub.add_parser("hh", help="cohomology dimension table with cup/bracket tables")
-    p_hh.add_argument("input", help="algebra spec JSON")
-    common(p_hh)
-
-    p_tr = sub.add_parser("transfer", help="DG input -> minimal model dump + MC residuals")
-    p_tr.add_argument("input", nargs="?", default=None, help="DG algebra dump JSON")
-    p_tr.add_argument("--n", type=int, default=None)
-    p_tr.add_argument("--a", type=int, default=None)
-    common(p_tr)
-
-    p_ma = sub.add_parser("massey", help="restricted class, Tate unit test, syzygy certificate")
-    p_ma.add_argument("input", nargs="?", default=None, help="structure dump JSON")
-    p_ma.add_argument("--n", type=int, default=None)
-    p_ma.add_argument("--a", type=int, default=None)
-    common(p_ma)
-
-    p_cp = sub.add_parser("compare", help="two structure dumps -> isomorphism or obstruction")
-    p_cp.add_argument("left")
-    p_cp.add_argument("right")
-    common(p_cp)
-
-    p_mo = sub.add_parser("model", help="emit the DG model for (n, a)")
-    p_mo.add_argument("--n", type=int, default=None)
-    p_mo.add_argument("--a", type=int, default=None)
-    common(p_mo)
+    for name, help_text, arguments in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            for flag, options in arguments + _COMMON:
+                p.add_argument(flag, **options)
     return ap
 
 
@@ -380,8 +382,9 @@ def _exit_code(exc):
 
 def main(argv=None):
     t0 = time.time()
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     if args.cap_n < 4 or args.cap_p < 4:
         print("error: caps must be at least 4", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -257,7 +257,9 @@ def make_contraction(dga: DGAlgebra, scheme="default") -> ContractionData:
     for deg in degs:
         dim = dga.dim(deg)
         ker, im = kers[deg], ims[deg]
-        # candidates ordering defines the scheme
+        # candidates ordering defines the scheme; "reverse" stays because
+        # test_transfer_model_independence_of_class transfers along it to
+        # show that [m4] does not depend on the contraction
         cands = list(range(dim))
         if scheme == "reverse":
             cands = cands[::-1]
@@ -320,7 +322,7 @@ def make_contraction(dga: DGAlgebra, scheme="default") -> ContractionData:
 
 
 def cohomology_algebra(dga: DGAlgebra, scheme="default"):
-    """H(dga) as a Laurent algebra H0 (x) k[i^{+-1}], with witness data.
+    """H(dga) as a Laurent algebra H0 (x) k[i^{+-1}].
 
     Fails with NotLaurentForm when the odd cohomology is nonzero, when the
     input is not 2-periodic (a bounded algebra can never have Laurent
@@ -343,8 +345,8 @@ def _require_periodic(dga: DGAlgebra):
 
 
 def _laurent_h0(con: ContractionData) -> LaurentAlgebra:
-    """H0 (x) k[i^{+-1}] with the product p(i(a) i(b)) and unit p(1); con is
-    its witness.  Built once per contraction."""
+    """H0 (x) k[i^{+-1}] with the product p(i(a) i(b)) and unit p(1), for the
+    contraction con.  Built once per contraction."""
     if con.h0 is None:
         dga = con.dga
         reps = con.i[0].transpose().entries
@@ -352,5 +354,4 @@ def _laurent_h0(con: ContractionData) -> LaurentAlgebra:
         labels = ["h%d" % t for t in range(con.h_dims[0])]
         labels[0] = "1"
         con.h0 = LaurentAlgebra(FiniteAlgebra(labels, con.p[0].apply(dga.unit), mult, dga.field))
-        con.h0.witness = con
     return con.h0

@@ -548,6 +548,12 @@ class HHContext:
     def basis_classes(self):
         return [HHClass(self, vec=v) for v in self.reps]
 
+    def combination(self, coeffs):
+        """The class of sum_t coeffs[t] reps[t]; the zero class for []."""
+        zero = self.algebra.field.zero
+        vec = [sum((c * v[t] for c, v in zip(coeffs, self.reps)), zero) for t in range(self.cocycles.ambient_dim)]
+        return HHClass(self, vec=vec)
+
 
 @_per_algebra
 def hh_context(lam, p, j) -> HHContext:
@@ -773,8 +779,7 @@ def divide_class(x_cls: HHClass, u_cls: HHClass) -> HHClass:
     sol = solve(Matrix(cols, lam.field).transpose(), x_cls.coords)
     if sol is None:
         raise NotACocycle("class is not divisible by the unit class")
-    vec = [sum((c * v[t] for c, v in zip(sol, ctx.reps)), lam.field.zero) for t in range(normalized_space_dim(lam, p))]
-    return HHClass(ctx, vec=vec)
+    return ctx.combination(sol)
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,7 @@ def test_transfer_42_mc_exact():
     e = dg_end(complete_resolution(4, 2))
     m = transfer(e, make_contraction(e), 8)
     assert mc_check(m).ok
+    assert m.report.digest() == mc_check(m).digest()
 
 
 def test_transfer_model_independence_of_class():
@@ -225,6 +226,8 @@ def test_mc_detects_corruption():
     rep = mc_check(bad)
     assert not rep.ok
     assert 5 in rep.failures()  # d(m4) != 0 shows at arity 5
+    # the unchecked structure keeps the residuals its constructor computed
+    assert not bad.report.ok and 5 in bad.report.failures()
 
 
 def test_map_check_identity_morphism():
@@ -434,6 +437,7 @@ def test_build_iso_gauge_pair():
     rep = ainfty_map_check(f, m, mp, cap=9)
     assert rep.ok
     assert 3 in f.higher
+    assert f.linear is None and f.residual.digest() == rep.digest()
 
 
 def test_build_iso_perturbed():
@@ -466,6 +470,7 @@ def test_build_iso_scaled_class_uses_gauge():
     assert f.linear is not None
     rep = ainfty_map_check(f, m, scaled, cap=8)
     assert rep.ok
+    assert f.residual.digest() == rep.digest()
 
 
 def test_transported_structure_identity():

@@ -10,7 +10,7 @@ import pytest
 import bracealg
 from bracealg.finite import build_truncated_polynomial
 from bracealg.ainfty import MinimalAInfty, gauge_by_central_unit
-from bracealg.cli import main, structure_from_json, structure_to_json
+from bracealg.cli import build_parser, main, structure_from_json, structure_to_json
 from bracealg.models import complete_resolution, dg_end, seeded_minimal_model
 
 
@@ -338,6 +338,41 @@ def test_field_option_fp(kx2_spec, tmp_path):
 
 def test_caps_validated():
     assert run(["transfer", "--n", "2", "--a", "1", "--cap-n", "3"]) == 2
+
+
+# The namespaces of the README's and the benchmark's command lines, as the
+# parser gave them when it built every subparser's arguments on each run.
+_DEFAULTS = {"cap_p": 6, "cap_n": 8, "field": None, "out": None, "threads": 1, "verbose": False}
+_N_A = {"input": None, "n": None, "a": None}
+
+
+@pytest.mark.parametrize(
+    "line,expected",
+    [
+        ("hh algebra.json --cap-p 6 --out report.json", {"input": "algebra.json", "out": "report.json"}),
+        ("model --n 4 --a 2 --out model42.json", {"n": 4, "a": 2, "out": "model42.json"}),
+        ("transfer --n 2 --a 1 --cap-n 8 --out transfer21.json", {**_N_A, "n": 2, "a": 1, "out": "transfer21.json"}),
+        ("transfer model42_dga.json --cap-n 8", {**_N_A, "input": "model42_dga.json"}),
+        ("massey --n 4 --a 2 --out massey42.json", {**_N_A, "n": 4, "a": 2, "out": "massey42.json"}),
+        ("compare m.json m_prime.json --cap-n 8", {"left": "m.json", "right": "m_prime.json"}),
+        ("hh algebra.json --cap-p 5 --threads 2", {"input": "algebra.json", "cap_p": 5, "threads": 2}),
+        ("massey --n 6 --a 3 --cap-n 8", {**_N_A, "n": 6, "a": 3}),
+        ("transfer --n 8 --a 4 --cap-n 8", {**_N_A, "n": 8, "a": 4}),
+        ("model --n 6 --a 3", {"n": 6, "a": 3}),
+        ("compare base.json gauged.json --cap-n 9", {"left": "base.json", "right": "gauged.json", "cap_n": 9}),
+    ],
+)
+def test_parser_namespaces_pinned(line, expected):
+    argv = line.split()
+    assert vars(build_parser(argv[0]).parse_args(argv)) == {"command": argv[0], **_DEFAULTS, **expected}
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([c, "--help"] for c in ("hh", "transfer", "massey", "compare", "model"))])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bracealg " + " ".join(argv[:-1]))
 
 
 def test_field_option_bad_prime_exit_2(kx2_spec):

@@ -614,6 +614,21 @@ def test_divide_class():
     assert u.cup_cls(v) == x6
 
 
+def test_combination_is_the_class_of_the_sum():
+    rng = random.Random(15)
+    for p in (0, 2, 3, 4):
+        ctx = H.hh_context(LAM3, p, (p + 1) // 2)
+        coeffs = [QQ.of(rng.randint(-3, 3), rng.randint(1, 3)) for _ in ctx.reps]
+        total = H.Cochain.zero(LAM3, ctx.j)
+        for c, b in zip(coeffs, ctx.basis_classes()):
+            total = total + b.representative.scale(c)
+        cls = ctx.combination(coeffs)
+        assert cls == H.class_of(LAM3, total, p, ctx.j)
+        assert cls.coords == coeffs
+    zero = ctx.combination([])
+    assert zero.is_zero() and zero.vec == [QQ.zero] * H.normalized_space_dim(LAM3, 4)
+
+
 def test_cochain_json_dump():
     rng = random.Random(17)
     c = rc(LAM2, 2, 1, rng, norm=True)

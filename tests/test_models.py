@@ -98,6 +98,7 @@ def test_seeded_minimal_model_42():
     m = seeded_minimal_model(4, 2, cap=8)
     assert m.arities() == [4]
     assert mc_check(m).ok
+    assert m.report.digest() == mc_check(m).digest()
     from bracealg.ainfty import restricted_ump
 
     assert tate_unit_check(restricted_ump(m))
