@@ -156,37 +156,22 @@ def transfer(dga: DGAlgebra, con: ContractionData, N: int) -> MinimalAInfty:
     lau = _laurent_h0(con)
     base = lau.base
 
-    def deg_psi(n):
-        return (n + 1) % 2
-
-    def deg_theta(n):
-        return n % 2
-
     psi = {1: con.i[0]}
     ops = {}
-    m2_expected = Cochain.multiplication(base)
     for n in range(2, N + 1):
-        dth = deg_theta(n)
+        dth = n % 2
         theta = Matrix.zeros(dga.dim(dth), h0**n, f)
         for k in range(1, n):
-            term = compose(dga.mult_matrix(deg_psi(k), deg_psi(n - k)), [psi[k], psi[n - k]])
+            term = compose(dga.mult_matrix((k + 1) % 2, (n - k + 1) % 2), [psi[k], psi[n - k]])
             theta = theta + term if k % 2 == 0 else theta - term
-        bn = con.p[dth] * theta if con.h_dims.get(dth, 0) else Matrix.zeros(con.h_dims.get(dth, 0), h0**n, f)
         psi[n] = con.h[dth] * theta
+        if dth:
+            continue  # odd arity: lands in odd cohomology, which vanishes
+        bn = con.p[0] * theta
         if n == 2:
-            m2 = Cochain.from_matrix(base, 2, bn, 0)
-            if not (m2 - m2_expected).is_zero():
+            if bn != Cochain.multiplication(base).component_matrix(2):
                 raise AlgebraSpecError("transferred binary product disagrees with the algebra")
-            continue
-        if dth == 1:
-            # odd arity: lands in odd cohomology, which vanishes
-            if con.h_dims.get(1, 0):
-                raise NotLaurentForm("odd cohomology nonzero")
-            continue
-        if (n - 2) % 2 != 0:
-            continue
-        c = Cochain.from_matrix(base, n, bn, (n - 2) // 2, cap=math.inf)
-        if not c.is_zero():
+        elif not bn.is_zero():
             ops[n] = Cochain.from_matrix(base, n, bn, (n - 2) // 2, cap=N)
     return MinimalAInfty(lau, ops, N)
 

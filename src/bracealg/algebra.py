@@ -34,33 +34,12 @@ from .linalg import (  # noqa: F401
 
 def enveloping(a: FiniteAlgebra) -> FiniteAlgebra:
     """A (x) A^op; basis (i,j) at index i*dim+j, (a(x)b)(c(x)d)=ac(x)db."""
-    d = a.dim
-    field = a.field
-    z = field.zero
-    labels = [
-        "%s(x)%s" % (a.basis_labels[i], a.basis_labels[j])
-        for i in range(d)
-        for j in range(d)
-    ]
-    unit = [z] * (d * d)
-    for i in range(d):
-        for j in range(d):
-            unit[i * d + j] = a.unit[i] * a.unit[j]
-    mult = [[None] * (d * d) for _ in range(d * d)]
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                ik = a.mult[i][k]
-                for l in range(d):
-                    lj = a.mult[l][j]  # op side: (i,j)*(k,l) -> (ik, lj)
-                    vec = [z] * (d * d)
-                    for r, c1 in enumerate(ik):
-                        if c1:
-                            for s, c2 in enumerate(lj):
-                                if c2:
-                                    vec[r * d + s] = vec[r * d + s] + c1 * c2
-                    mult[i * d + j][k * d + l] = vec
-    return FiniteAlgebra(labels, unit, mult, field)
+    d = range(a.dim)
+    labels = ["%s(x)%s" % (a.basis_labels[i], a.basis_labels[j]) for i in d for j in d]
+    unit = [x * y for x in a.unit for y in a.unit]
+    # op side: (i,j)*(k,l) -> (ik, lj)
+    mult = [[[x * y for x in a.mult[i][k] for y in a.mult[l][j]] for k in d for l in d] for i in d for j in d]
+    return FiniteAlgebra(labels, unit, mult, a.field)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ along it is in `ainfty`.
 from __future__ import annotations
 
 from .finite import AlgebraSpecError, FiniteAlgebra, LaurentAlgebra, _get, _parse_int, _parse_matrix, _parse_scalar
-from .linalg import Matrix, QQ, SubspaceBasis, _echelon_of, _sparse, compose, image_basis, kernel_basis, solve_matrix
+from .linalg import Matrix, QQ, SubspaceBasis, _echelon_of, _sparse, compose, kernel_basis, solve_matrix
 
 
 class NotLaurentForm(Exception):
@@ -232,42 +232,43 @@ class ContractionData:
 def make_contraction(dga: DGAlgebra, scheme="default") -> ContractionData:
     """Echelon-pivot contraction; `scheme` varies the complement choices.
 
-    In degree zero the unit is forced to represent its class first, so
-    i(1) = 1; together with the side conditions this makes the transferred
-    operations strictly unital.  It is built and verified once per DG
-    algebra and scheme; later calls return the same contraction.
+    Each component splits as im d + W1 + W2, with W2 a complement of the
+    kernel and W1 one of the image in the kernel.  d is injective on W2 and
+    maps it onto the image, so d(W2 of the previous degree) is the basis of
+    im d used, and h inverts d there.  In degree zero the unit is forced to
+    represent its class first, so i(1) = 1; together with the side
+    conditions this makes the transferred operations strictly unital.  It
+    is built and verified once per DG algebra and scheme; later calls
+    return the same contraction.
     """
+    # candidates ordering defines the scheme; "reverse" stays because
+    # test_transfer_model_independence_of_class transfers along it to
+    # show that [m4] does not depend on the contraction
+    if scheme not in ("default", "reverse"):
+        raise AlgebraSpecError("unknown contraction scheme %r" % scheme)
     con = dga._contractions.get(scheme)
     if con is not None:
         return con
     f = dga.field
     p, i, h, hdims = {}, {}, {}, {}
     degs = dga.degrees()
-    kers, ims = {}, {}
-    for deg in degs:
-        dm = dga.d_matrix(deg)
-        kers[deg] = kernel_basis(dm) if dga.dim(deg) else SubspaceBasis(0, [], f)
-    for deg in degs:
-        prev = (deg - 1) % 2 if dga.periodic else deg - 1
-        if dga.dim(prev):
-            ims[deg] = image_basis(dga.d_matrix(prev))
-        else:
-            ims[deg] = SubspaceBasis(dga.dim(deg), [], f)
-    w2, im_coords = {}, {}
+    kers, w2 = {}, {}
     for deg in degs:
         dim = dga.dim(deg)
-        ker, im = kers[deg], ims[deg]
-        # candidates ordering defines the scheme; "reverse" stays because
-        # test_transfer_model_independence_of_class transfers along it to
-        # show that [m4] does not depend on the contraction
-        cands = list(range(dim))
-        if scheme == "reverse":
-            cands = cands[::-1]
-        elif scheme != "default":
-            raise AlgebraSpecError("unknown contraction scheme %r" % scheme)
+        kers[deg] = kernel_basis(dga.d_matrix(deg)) if dim else SubspaceBasis(0, [], f)
+        # W2: complement of ker in the whole component
+        cands = range(dim)[::-1] if scheme == "reverse" else range(dim)
+        span = _echelon_of(f, kers[deg].matrix.nonzeros())
+        w2[deg] = [e for e in (_basis(f, dim, c) for c in cands) if span.add(_sparse(e)) is not None]
+    for deg in degs:
+        dim = dga.dim(deg)
+        ker = kers[deg]
+        prev = (deg - 1) % 2 if dga.periodic else deg - 1
+        w2_prev = w2.get(prev, [])
+        im = [dga.d_matrix(prev).apply(v) for v in w2_prev]
         # W1: complement of im in ker (unit first in degree 0)
         w1_vecs = []
-        span = _echelon_of(f, im.matrix.nonzeros())
+        span = _echelon_of(f, [_sparse(v) for v in im])
         if deg == 0:
             if not ker.contains(dga.unit):
                 raise NotLaurentForm("unit is not a cocycle")
@@ -275,42 +276,18 @@ def make_contraction(dga: DGAlgebra, scheme="default") -> ContractionData:
                 raise NotLaurentForm("unit class vanishes in cohomology")
             w1_vecs.append(list(dga.unit))
         w1_vecs += [v for v in ker.vectors() if span.add(_sparse(v)) is not None]
-        # W2: complement of ker in the whole component
-        span2 = _echelon_of(f, ker.matrix.nonzeros())
-        w2_vecs = [e for e in (_basis(f, dim, c) for c in cands) if span2.add(_sparse(e)) is not None]
         hdims[deg] = len(w1_vecs)
-        w2[deg] = w2_vecs
-        # p and i in the decomposition im + W1 + W2
-        basis_rows = im.vectors() + w1_vecs + w2_vecs
-        B = Matrix(basis_rows, f).transpose() if basis_rows else Matrix.zeros(dim, 0, f)
+        # p and h from the decomposition im + W1 + W2
+        basis_rows = im + w1_vecs + w2[deg]
+        B = Matrix(basis_rows, f, cols=dim).transpose()
         Binv = solve_matrix(B, Matrix.identity(dim, f))
         if Binv is None:
             raise AlgebraSpecError("component decomposition failed")
-        nim = im.dim
-        i[deg] = Matrix([[w1_vecs[t][r] for t in range(len(w1_vecs))] for r in range(dim)], f, cols=len(w1_vecs))
+        nim = len(im)
+        i[deg] = Matrix(w1_vecs, f, cols=dim).transpose()
         p[deg] = Binv.select_rows(range(nim, nim + len(w1_vecs)))
-        im_coords[deg] = Binv.select_rows(range(nim))
-    for deg in degs:
-        # h on degree deg: inverse of d restricted to W2 of the previous degree
-        prev = (deg - 1) % 2 if dga.periodic else deg - 1
-        dim = dga.dim(deg)
-        if dga.dim(prev) == 0 or dim == 0:
-            h[deg] = Matrix.zeros(dga.dim(prev), dim, f)
-            continue
-        dm = dga.d_matrix(prev)
-        imgs = [dm.apply(v) for v in w2[prev]]
-        A = Matrix(imgs, f).transpose() if imgs else Matrix.zeros(dim, 0, f)
         # h(v) := W2-preimage of the im-part of v
-        im = ims[deg]
-        # express im-basis vectors through d(w2[prev])
-        if im.dim:
-            T = solve_matrix(A, im.matrix.transpose())
-            if T is None:
-                raise AlgebraSpecError("image not spanned by d of the complement")
-            W2prev = Matrix(w2[prev], f).transpose()
-            h[deg] = W2prev * (T * im_coords[deg])
-        else:
-            h[deg] = Matrix.zeros(dga.dim(prev), dim, f)
+        h[deg] = Matrix(w2_prev, f, cols=dga.dim(prev)).transpose() * Binv.select_rows(range(nim))
     contraction = ContractionData(dga, p, i, h, hdims)
     contraction.verify()
     dga._contractions[scheme] = contraction

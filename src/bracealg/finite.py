@@ -74,18 +74,7 @@ class FiniteAlgebra:
         return v
 
     def mul(self, u, v):
-        acc = [self.field.zero] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            row = self.mult[i]
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                c = a * b
-                vec = row[j]
-                acc = [s + c * t for s, t in zip(acc, vec)]
-        return acc
+        return self.left_mult_of(u).apply(v)
 
     def mult_matrix(self):
         """The product as a dim x dim^2 matrix; column i*dim+j is e_i e_j."""

@@ -28,7 +28,7 @@ import math
 from itertools import combinations, product
 
 from .finite import AlgebraSpecError, FiniteAlgebra, _normalizing_maps, _per_algebra
-from .linalg import Matrix, SubspaceBasis, compose, image_basis, kernel_basis, kron_sum, quotient_basis, solve
+from .linalg import Matrix, SubspaceBasis, SubspaceNotContained, compose, image_basis, kernel_basis, kron_sum, quotient_basis, solve
 
 
 class CapTooLow(Exception):
@@ -54,7 +54,8 @@ class Cochain:
     is sum_e (prod_i j_i^{e_i}) M_e(l_1,...,l_p) * i^{iota + sum j_i}.  Column
     (i_1 ... i_p) in base dim, first input most significant, is the value on
     the basis inputs e_{i_1}, ..., e_{i_p}: the order of linalg.compose.
-    Components with arity > cap are unknown rather than zero.
+    Components with arity > cap are unknown rather than zero, and a sum
+    keeps none of them.
     """
 
     __slots__ = ("algebra", "iota", "comps", "cap")
@@ -134,19 +135,18 @@ class Cochain:
         if self.algebra is not other.algebra and self.algebra.mult != other.algebra.mult:
             raise AlgebraSpecError("cochain algebra mismatch")
         if self.iota != other.iota:
-            if _support_empty(self.comps):
-                return Cochain(other.algebra, other.iota, _scaled(other.comps, sign, other.algebra.field), min(self.cap, other.cap))
-            if _support_empty(other.comps):
-                return Cochain(self.algebra, self.iota, {p: dict(c) for p, c in self.comps.items()}, min(self.cap, other.cap))
             raise AlgebraSpecError("cannot add cochains of different internal degree")
-        comps = {p: dict(c) for p, c in self.comps.items()}
+        cap = min(self.cap, other.cap)
+        comps = self.with_cap(cap).comps
         for p, comp in other.comps.items():
+            if p > cap:
+                continue
             tgt = comps.setdefault(p, {})
             for e, mat in comp.items():
                 cur = tgt.get(e)
                 new = mat.scale(sign) if sign != self.algebra.field.one else mat
                 tgt[e] = cur + new if cur is not None else new
-        return Cochain(self.algebra, self.iota, comps, min(self.cap, other.cap))
+        return Cochain(self.algebra, self.iota, comps, cap)
 
     def __add__(self, other):
         return self._merged(other, self.algebra.field.one)
@@ -155,7 +155,8 @@ class Cochain:
         return self._merged(other, -self.algebra.field.one)
 
     def scale(self, c):
-        return Cochain(self.algebra, self.iota, _scaled(self.comps, c, self.algebra.field), self.cap)
+        comps = {p: {e: m.scale(c) for e, m in comp.items()} for p, comp in self.comps.items()}
+        return Cochain(self.algebra, self.iota, comps, self.cap)
 
     def is_zero(self, up_to=None):
         bound = self.cap if up_to is None else min(up_to, self.cap)
@@ -220,14 +221,6 @@ class Cochain:
             "cap": None if self.cap == math.inf else self.cap,
             "components": comps,
         }
-
-
-def _support_empty(comps):
-    return all(mat.is_zero() for comp in comps.values() for mat in comp.values())
-
-
-def _scaled(comps, c, field):
-    return {p: {e: m.scale(c) for e, m in comp.items()} for p, comp in comps.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +336,11 @@ def brace(x0: Cochain, args, cap=None) -> Cochain:
 # Cup, bracket, differential
 
 
-def _arity_slice(c: Cochain, p):
-    comp = c.comps.get(p)
-    return Cochain(c.algebra, c.iota, {p: comp} if comp else {}, math.inf)
+def _slices(c: Cochain):
+    """(p, the arity-p part of c) for each component, each with c's cap;
+    [(0, c)] if c has none.  Bracing the slices, brace's reliable range
+    gives the sums of cup and bracket their caps."""
+    return [(p, Cochain(c.algebra, c.iota, {p: comp}, c.cap)) for p, comp in c.comps.items() if comp] or [(0, c)]
 
 
 def cup(x: Cochain, y: Cochain, cap=None) -> Cochain:
@@ -353,41 +348,21 @@ def cup(x: Cochain, y: Cochain, cap=None) -> Cochain:
     lam = x.algebra
     m2 = Cochain.multiplication(lam)
     out = Cochain.zero(lam, x.iota + y.iota)
-    limit = math.inf
-    if x.cap != math.inf:
-        limit = min(limit, x.cap + _min_possible_arity(y))
-    if y.cap != math.inf:
-        limit = min(limit, y.cap + _min_possible_arity(x))
-    if cap is not None:
-        limit = min(limit, cap)
-    for p in x.arities():
+    for p, xs in _slices(x):
         sgn = lam.field.one if (p - 2 * x.iota - 1) % 2 == 0 else -lam.field.one
-        term = brace(m2, [_arity_slice(x, p), y], cap=cap).scale(sgn)
-        out = out + term
-    out.cap = min(out.cap, limit)
+        out = out + brace(m2, [xs, y], cap=cap).scale(sgn)
     return out
 
 
 def bracket(x: Cochain, y: Cochain, cap=None) -> Cochain:
     """Gerstenhaber bracket [x,y] = x{y} - (-1)^(|x|-1)(|y|-1) y{x}."""
-    lam = x.algebra
-    out = Cochain.zero(lam, x.iota + y.iota)
-    limit = math.inf
-    if x.cap != math.inf:
-        limit = min(limit, x.cap + _min_possible_arity(y) - 1)
-    if y.cap != math.inf:
-        limit = min(limit, y.cap + _min_possible_arity(x) - 1)
-    if cap is not None:
-        limit = min(limit, cap)
-    for p in x.arities():
-        xs = _arity_slice(x, p)
-        for q in y.arities():
-            ys = _arity_slice(y, q)
+    out = Cochain.zero(x.algebra, x.iota + y.iota)
+    for p, xs in _slices(x):
+        for q, ys in _slices(y):
             first = brace(xs, [ys], cap=cap)
             second = brace(ys, [xs], cap=cap)
             sgn = (p - 1) * (q - 1)  # iota powers are even and drop mod 2
             out = out + first - second if sgn % 2 == 0 else out + first + second
-    out.cap = min(out.cap, limit)
     return out
 
 
@@ -541,9 +516,10 @@ class HHContext:
 
     def classify(self, vec):
         """Quotient coordinates of a cocycle vector."""
-        if not self.cocycles.contains(vec):
-            raise NotACocycle("vector is not a cocycle at (%d, %d)" % (self.p, -2 * self.j))
-        return self._proj(vec)
+        try:
+            return self._proj(vec)
+        except SubspaceNotContained:
+            raise NotACocycle("vector is not a cocycle at (%d, %d)" % (self.p, -2 * self.j)) from None
 
     def basis_classes(self):
         return [HHClass(self, vec=v) for v in self.reps]

@@ -339,10 +339,7 @@ def periodicity_witness(e: DGEnd):
     sol = solve(A, unit_cls)
     if sol is None:
         raise NoWitness("periodicity class is not invertible in cohomology")
-    inv_rep = [field.zero] * e.dim(0)
-    for cco, rep in zip(sol, reps):
-        if cco:
-            inv_rep = [x + cco * y for x, y in zip(inv_rep, rep)]
+    inv_rep = con.i[0].apply(sol)
     # verify the product is the unit class exactly
     prod = e.mul_vectors(0, w, 0, inv_rep)
     if con.p[0].apply(prod) != unit_cls:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -53,6 +55,15 @@ def odd_clifford_dga():
     }
     diff = {0: Matrix.zeros(1, 1, QQ), 1: Matrix.zeros(1, 1, QQ)}
     return DGAlgebra(dims, one, mult, diff, periodic=True)
+
+
+def bounded_dga():
+    """k[x]/(x^2) concentrated in degree 0 (bounded, not periodic)."""
+    lam = build_truncated_polynomial(2)
+    dims = {0: lam.dim}
+    mult = {(0, 0): lam.mult}
+    diff = {0: Matrix.zeros(0, lam.dim, QQ)}
+    return DGAlgebra(dims, lam.unit, mult, diff, periodic=False)
 
 
 # -- DG algebra constructor ---------------------------------------------------
@@ -137,13 +148,8 @@ def test_cohomology_algebra_rejects_odd():
 
 
 def test_cohomology_algebra_rejects_bounded():
-    lam = build_truncated_polynomial(2)
-    dims = {0: lam.dim}
-    mult = {(0, 0): lam.mult}
-    diff = {0: Matrix.zeros(0, lam.dim, QQ)}
-    a = DGAlgebra(dims, lam.unit, mult, diff, periodic=False)
     with pytest.raises(NotLaurentForm):
-        cohomology_algebra(a)
+        cohomology_algebra(bounded_dga())
 
 
 def test_contraction_zero_differential():
@@ -172,6 +178,27 @@ def test_contraction_schemes_differ_but_verify():
     con1 = make_contraction(e, scheme="default")
     con2 = make_contraction(e, scheme="reverse")
     assert con1.h_dims == con2.h_dims
+
+
+# sha256 of the (p, i, h) entries of every contraction below under both
+# schemes, recorded before make_contraction took the image basis from
+# d(W2); every transferred operation of the test suite is zero, so this is
+# what pins h
+CONTRACTIONS_SHA256 = "96cc757cd0c0f3e4e92ade352d1007f9376fd993dc9651e866efd850f0577d3e"
+
+
+def test_contraction_maps_pinned():
+    dgas = [dg_end(complete_resolution(n, a)) for n, a in ((2, 1), (3, 1), (4, 2), (6, 3), (8, 4))]
+    dgas += [bounded_dga(), odd_clifford_dga(), trivial_laurent_dga(build_truncated_polynomial(3))]
+    maps = []
+    for dga in dgas:
+        for scheme in ("default", "reverse"):
+            con = make_contraction(dga, scheme)
+            maps.append({
+                name: {str(deg): [[QQ.to_str(x) for x in row] for row in m.entries] for deg, m in sorted(part.items())}
+                for name, part in (("p", con.p), ("i", con.i), ("h", con.h))
+            })
+    assert hashlib.sha256(json.dumps(maps).encode()).hexdigest() == CONTRACTIONS_SHA256
 
 
 # -- transfer ------------------------------------------------------------------

@@ -125,6 +125,27 @@ def test_hh_x4_report_pinned(tmp_path, monkeypatch):
     assert hashlib.sha256((tmp_path / "hh.json").read_bytes()).hexdigest() == HH_X4_REPORT_SHA256
 
 
+# sha256 of the compare report at --cap-n 9 on the benchmark's seeded (4,2)
+# pairs (perfbench/inputs.write_ainfty_dumps), read from base.json and the
+# partner's dump in the working directory; the benchmark itself checks
+# only the verdict
+COMPARE_REPORT_SHA256 = {
+    (1, "gauged"): "cc74edc1736d48350518e7a9086d83c805757a2ed91232893ef82ffd92d09571",
+    (1, "perturbed"): "d3de0d52dc4945770d605c4a29e1c24561ccc3a48b23a163d449f132d724a1f6",
+    (7, "gauged"): "1f0404a3a462789cad1305f39755a9f42e68d964b53beab1321dcc47b0986ce2",
+    (7, "perturbed"): "75e4fe9631bee7d01f4538215d93fee3c0912ca653f3f8f81df99019582185ba",
+}
+
+
+@pytest.mark.parametrize("seed,partner", sorted(COMPARE_REPORT_SHA256))
+def test_compare_seeded_report_pinned(tmp_path, monkeypatch, seed, partner):
+    monkeypatch.chdir(tmp_path)
+    _benchmark_inputs().write_ainfty_dumps(seed, ".")
+    assert run(["compare", "base.json", partner + ".json", "--cap-n", "9", "--out", "cmp.json"]) == 0
+    digest = hashlib.sha256((tmp_path / "cmp.json").read_bytes()).hexdigest()
+    assert digest == COMPARE_REPORT_SHA256[seed, partner]
+
+
 def test_hh_all_zero_for_k(tmp_path):
     path = tmp_path / "k.json"
     path.write_text(json.dumps(build_truncated_polynomial(1).to_json()))

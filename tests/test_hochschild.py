@@ -243,6 +243,75 @@ def test_engine_outputs_pinned():
     assert hashlib.sha256(outs.encode()).hexdigest() == ENGINE_OUTPUTS_SHA256
 
 
+def _cup_cap(x, y, cap):
+    """The cup's reliable range as cup once computed it itself."""
+    limit = math.inf
+    if x.cap != math.inf:
+        limit = min(limit, x.cap + H._min_possible_arity(y))
+    if y.cap != math.inf:
+        limit = min(limit, y.cap + H._min_possible_arity(x))
+    return limit if cap is None else min(limit, cap)
+
+
+def _bracket_cap(x, y, cap):
+    """The bracket's reliable range as bracket once computed it itself."""
+    limit = math.inf
+    if x.cap != math.inf:
+        limit = min(limit, x.cap + H._min_possible_arity(y) - 1)
+    if y.cap != math.inf:
+        limit = min(limit, y.cap + H._min_possible_arity(x) - 1)
+    return limit if cap is None else min(limit, cap)
+
+
+# sha256 of the to_json of the outputs of test_cochain_sums_keep_the_reliable_range,
+# each cut at its cap, recorded while cup and bracket still computed their
+# caps themselves
+CAPPED_OUTPUTS_SHA256 = "fb63af902779565de3e85d204c65d6fae0f7cc37fd9bad5afa044e9a06a8f60d"
+
+
+def test_cochain_sums_keep_the_reliable_range():
+    # cup, bracket and differential give the caps of the explicit formulas
+    # above, and their sums keep no component above the cap; the inputs
+    # include cochains with no components but a finite cap, arity-0 parts,
+    # iota summands, and components above the cap
+    rng = random.Random(2718)
+
+    def draw(lam):
+        j = rng.choice([-1, 0, 1, 2])
+        cap = rng.choice([math.inf, 1, 2, 3, 4])
+        if rng.random() < 0.15:
+            return H.Cochain.zero(lam, j).with_cap(cap)
+        c = rc(lam, rng.randint(0, 2), j, rng)
+        if rng.random() < 0.5:
+            c = c + rc(lam, rng.randint(0, 2), j, rng)
+        if rng.random() < 0.3:
+            c = c + H.Cochain.iota_cochain(lam, j)
+        return c.with_cap(cap) if rng.random() < 0.7 else H.Cochain(lam, c.iota, c.comps, cap)
+
+    outs = []
+    for lam in (LAM2, LAM3):
+        m2 = H.Cochain.multiplication(lam)
+        for _ in range(25):
+            x, y = draw(lam), draw(lam)
+            cap = rng.choice([None, 2, 3, 5])
+            for got, want in (
+                (H.cup(x, y, cap=cap), _cup_cap(x, y, cap)),
+                (H.bracket(x, y, cap=cap), _bracket_cap(x, y, cap)),
+                (H.differential(x, cap=cap), _bracket_cap(m2, x, cap)),
+            ):
+                assert got.cap == want
+                assert all(p <= got.cap for p in got.comps)
+                outs.append(got.with_cap(got.cap).to_json())
+    digest = hashlib.sha256(json.dumps(outs, sort_keys=True).encode()).hexdigest()
+    assert digest == CAPPED_OUTPUTS_SHA256
+
+
+def test_sum_of_different_internal_degrees_refused():
+    c = H.Cochain.iota_cochain(LAM2, 1)
+    with pytest.raises(AlgebraSpecError, match="cannot add cochains of different internal degree"):
+        H.Cochain.zero(LAM2, 0) + c
+
+
 def test_bracket_even_square():
     rng = random.Random(5)
     x = rc(LAM2, 2, 0, rng)  # even total degree
@@ -890,6 +959,14 @@ def test_class_product_tables_of_empty_and_mixed_stacks():
         assert table([], twos) == [] and table(twos, []) == [[] for _ in twos]
         with pytest.raises(H.WrongBidegree, match="one bidegree"):
             table(ones + twos, twos)
+
+
+def test_class_of_a_non_cocycle_refused():
+    ctx = H.hh_context(LAM3, 2, 1)
+    d = H.normalized_differential_matrix(LAM3, 2)
+    v = next(v for v in _basis_vectors(d.cols, QQ) if any(d.apply(v)))
+    with pytest.raises(H.NotACocycle, match=r"^vector is not a cocycle at \(2, -2\)$"):
+        H.HHClass(ctx, vec=v)
 
 
 def test_non_normalized_representative_refused():
