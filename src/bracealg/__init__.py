@@ -23,9 +23,8 @@ _EXPORTS = {
     "dg": "ContractionData DGAlgebra NotLaurentForm cohomology_algebra make_contraction",
     "ainfty": """AInftyMorphism ClassMismatch FORMAL INCONCLUSIVE M3NonZero MinimalAInfty NOT_FORMAL
         NotAUnit NotCentral NotUnit ObstructionNotContractible ainfty_map_check build_iso
-        contractible_solution extract_m4_class formality_verdict_of_model gauge
-        gauge_by_central_unit is_formal mc_check restricted_ump transfer
-        transported_structure two_equations_solve""",
+        contractible_solution extract_m4_class formality_verdict_of_model gauge_by_central_unit
+        is_formal mc_check restricted_ump transfer transported_structure two_equations_solve""",
     "models": """BadParameters DGEnd NoWitness PeriodicComplex complete_resolution dg_end
         periodicity_witness rigidity_check seeded_minimal_model stable_endomorphism_algebra""",
 }

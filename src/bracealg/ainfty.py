@@ -41,7 +41,7 @@ from .hochschild import (
     solve_coboundary,
     tate_unit_check,
 )
-from .linalg import Matrix, compose, kernel_basis, kron_sum, rank, solve, solve_matrix
+from .linalg import Matrix, compose, kernel_basis, kron_sum, solve
 
 
 class M3NonZero(Exception):
@@ -65,10 +65,9 @@ class ClassMismatch(Exception):
 
 
 class ObstructionNotContractible(Exception):
-    def __init__(self, message, arity=None, class_data=None):
+    def __init__(self, message, arity=None):
         super().__init__(message)
         self.arity = arity
-        self.class_data = class_data
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +211,15 @@ def mc_check(m: MinimalAInfty) -> ResidualReport:
 class AInftyMorphism:
     """(f_1; f_2, f_3, ...) between minimal structures.
 
-    linear is None for identity linear part, else a pair (g0, w) encoding
-    the graded automorphism x -> g0(x) w^j on the degree -2j part.  The
-    higher components are cochains of total degree 1 (arity n has iota
-    power (n-1)/2; Euler-adjoined components are stored as honest weighted
-    cochains).  build_iso sets `residual` to the ResidualReport of the
-    check that accepted the morphism.
+    linear is None for identity linear part.  Otherwise it is a central
+    unit u of the degree-zero algebra, and the morphism m -> m' is stored
+    as the pair (u; f): f is an identity-part morphism m -> m' * g_u (see
+    gauge_by_central_unit), followed by the strict isomorphism g_u:
+    m' * g_u -> m'.  to_json names such a linear part "twisted"; u itself
+    is not written.  The higher components are cochains of total degree 1
+    (arity n has iota power (n-1)/2; Euler-adjoined components are stored
+    as honest weighted cochains).  build_iso sets `residual` to the
+    ResidualReport of the check that accepted the morphism.
     """
 
     def __init__(self, source: MinimalAInfty, target: MinimalAInfty, higher, linear=None):
@@ -237,17 +239,13 @@ class AInftyMorphism:
 def ainfty_map_check(f: AInftyMorphism, m: MinimalAInfty, mp: MinimalAInfty, cap=None) -> ResidualReport:
     """Residual of the morphism equation, per arity.
 
-    d(f) + f.f + sum_r m'{f,...,f} - m - f{m}; for a non-identity linear
-    part the check is reduced to the identity-part morphism into m' * f1.
+    d(f) + f.f + sum_r m'{f,...,f} - m - f{m}; for a linear part g_u the
+    higher components are checked as an identity-part morphism into m' * g_u.
     """
     if cap is None:
         cap = min(m.cap, mp.cap)
     if f.linear is not None:
-        g0, w = f.linear
-        mp = gauge(mp, g0, w)
-        ginv = _matrix_inverse(g0)
-        higher = {n: _conjugate_cochain(c, ginv, g0, m.algebra) for n, c in f.higher.items()}
-        f = AInftyMorphism(f.source, mp, higher, None)
+        mp = gauge_by_central_unit(mp, f.linear)
     acc = _morphism_residual(f.higher, m.ops, mp.ops, cap)
     residuals = {p: acc.get(p, Cochain.zero(m.algebra)) for p in range(3, cap + 1)}
     return ResidualReport(residuals, cap)
@@ -284,46 +282,6 @@ def _morphism_residual(f, m_ops, mp_ops, cap):
     return acc
 
 
-def _matrix_inverse(m: Matrix) -> Matrix:
-    inv = solve_matrix(m, Matrix.identity(m.rows, m.field))
-    if inv is None:
-        raise NotUnit("matrix is not invertible")
-    return inv
-
-
-def _conjugate_cochain(c: Cochain, g0inv: Matrix, g0: Matrix, lam):
-    """g0inv o c o g0^(x)arity."""
-    comps = {
-        p: {e: g0inv * compose(mat, [g0] * p) for e, mat in comp.items()}
-        for p, comp in c.comps.items()
-    }
-    return Cochain(lam, c.iota, comps, c.cap)
-
-
-def gauge(m: MinimalAInfty, g0: Matrix, w=None) -> MinimalAInfty:
-    """m * g for the graded automorphism g = (g0 on degree 0, iota -> w iota)."""
-    lam = m.algebra
-    if w is None:
-        w = lam.unit
-    # g0 must be an algebra automorphism: g0 . mult = mult . (g0 (x) g0)
-    if rank(g0) != lam.dim:
-        raise NotUnit("linear part is not invertible")
-    mult = lam.mult_matrix()
-    if g0 * mult != compose(mult, [g0, g0]):
-        raise AlgebraSpecError("linear part is not an algebra map")
-    if not lam.is_central(w) or not lam.is_unit(w):
-        raise NotCentral("iota multiplier must be a central unit")
-    g0inv = _matrix_inverse(g0)
-    ops = {}
-    for n, c in m.ops.items():
-        q = c.iota
-        winvq = _central_power(lam, w, -q)
-        # (m*g)_n = g^{-1} o m_n o g^{(x)n}: on the iota part this is the
-        # central multiplier g0^{-1}(w^{-q})
-        ops[n] = _left_multiply(_conjugate_cochain(c, g0inv, g0, lam), g0inv.apply(winvq))
-    return MinimalAInfty(m.laurent, ops, m.cap)
-
-
 def _left_multiply(c: Cochain, z):
     """z . c: every component of c left-multiplied by the central element z."""
     lam = c.algebra
@@ -352,7 +310,9 @@ def gauge_by_central_unit(m: MinimalAInfty, u) -> MinimalAInfty:
         raise NotCentral("u is not central")
     if not lam.is_unit(u):
         raise NotUnit("u is not a unit")
-    return gauge(m, Matrix.identity(lam.dim, lam.field), lam.inverse(u))
+    # (m * g_u)_n = g_u^{-1} o m_n o g_u^{(x)n} is u^q . m_n on iota power q
+    ops = {n: _left_multiply(c, _central_power(lam, u, c.iota)) for n, c in m.ops.items()}
+    return MinimalAInfty(m.laurent, ops, m.cap)
 
 
 # ---------------------------------------------------------------------------
@@ -582,15 +542,8 @@ def contractible_solution(a: Cochain, u: HHClass, q: int):
     if direct is not None:
         return zero_pair, direct
     # hypothesis: the obstruction class commutes with the periodicity class
-    if p + 4 <= DEFAULT_CAP:
-        comm = bracket(m4_rep, a)
-        comm_cls = laurent_class_of(lam, comm, p + 3, q + 1)
-        if not comm_cls.is_zero():
-            raise ObstructionNotContractible(
-                "obstruction does not commute with the periodicity class",
-                arity=p,
-                class_data=comm_cls,
-            )
+    if p + 4 <= DEFAULT_CAP and not laurent_class_of(lam, bracket(m4_rep, a), p + 3, q + 1).is_zero():
+        raise ObstructionNotContractible("obstruction does not commute with the periodicity class", arity=p)
     xi = class_of(lam, restrict_j(a), p, q)
     u_shift = class_of(lam, u.representative.shift_iota(1), 4, 1)
     # route 2: iota-linear correction from the bracket image
@@ -615,11 +568,7 @@ def contractible_solution(a: Cochain, u: HHClass, q: int):
         c_up = weighted_solve_coboundary(lam, r.scale(-field.one), p, q)
         if c_up is not None and verified(c_low, c_up):
             return c_low, c_up
-    raise ObstructionNotContractible(
-        "no exact correction found for the obstruction class",
-        arity=p,
-        class_data=laurent_class_of(lam, a, p, q) if a.is_iota_linear() else None,
-    )
+    raise ObstructionNotContractible("no exact correction found for the obstruction class", arity=p)
 
 
 # ---------------------------------------------------------------------------
@@ -645,13 +594,9 @@ def build_iso(m: MinimalAInfty, mp: MinimalAInfty, N: int) -> AInftyMorphism:
         uvec = _search_compensating_unit(lam, r1, r2)
         if uvec is None:
             raise ClassMismatch("restricted Massey classes differ even after gauge search")
-        mp_adj = gauge_by_central_unit(mp, uvec)
-        core = build_iso(m, mp_adj, N)
-        # f = (g_u as linear part; g_u o core_n as higher components)
-        winv = lam.inverse(uvec)
-        higher = {n: _left_multiply(c, _central_power(lam, winv, -c.iota)) for n, c in core.higher.items()}
-        f = AInftyMorphism(m, mp, higher, linear=(Matrix.identity(lam.dim, field), winv))
-        f.residual = ainfty_map_check(f, m, mp, cap=N)
+        core = build_iso(m, gauge_by_central_unit(mp, uvec), N)
+        f = AInftyMorphism(m, mp, core.higher, linear=uvec)
+        f.residual = core.residual
         return f
     # stage 1: d(f3) = m4 - m4'
     diff4 = m.op(4) - mp.op(4)
@@ -764,8 +709,6 @@ def formality_verdict_of_model(m: MinimalAInfty, N: int) -> FormalityVerdict:
         return FormalityVerdict(FORMAL)
     except ObstructionNotContractible as exc:
         return FormalityVerdict(INCONCLUSIVE, obstruction_arity=exc.arity)
-    except NotUnit:
-        return FormalityVerdict(INCONCLUSIVE)
 
 
 def is_formal(dga: DGAlgebra, N: int) -> FormalityVerdict:

@@ -298,7 +298,7 @@ def make_contraction(dga: DGAlgebra, scheme="default") -> ContractionData:
 # Cohomology algebra and Laurent form
 
 
-def cohomology_algebra(dga: DGAlgebra, scheme="default"):
+def cohomology_algebra(dga: DGAlgebra):
     """H(dga) as a Laurent algebra H0 (x) k[i^{+-1}].
 
     Fails with NotLaurentForm when the odd cohomology is nonzero, when the
@@ -306,7 +306,7 @@ def cohomology_algebra(dga: DGAlgebra, scheme="default"):
     cohomology), or when the unit class dies.
     """
     _require_periodic(dga)
-    con = make_contraction(dga, scheme)
+    con = make_contraction(dga)
     if con.h_dims.get(1, 0):
         raise NotLaurentForm(
             "odd cohomology has dimension %d" % con.h_dims[1]

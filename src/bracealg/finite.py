@@ -115,7 +115,13 @@ class FiniteAlgebra:
         return kernel_basis(rows)
 
     def radical_basis(self):
-        """Jacobson radical via the trace form (characteristic zero)."""
+        """Jacobson radical as the kernel of the trace form tr(L_a L_b).
+
+        The trace-form criterion is proven in characteristic zero and in
+        characteristic p > dim.  Below that the kernel can hold the unit
+        (tr L_1 = dim may vanish mod p, as for k[x]/(x^3) over GF(3)), and
+        such a kernel is refused instead of returned.
+        """
         if self._rad is not None:
             return self._rad
 
@@ -123,8 +129,14 @@ class FiniteAlgebra:
             return sum((x for k, row in enumerate(m.nonzeros()) for j, x in row if j == k), self.field.zero)
 
         lmats = [self.left_mult_matrix(i) for i in range(self.dim)]
-        self._rad = kernel_basis(Matrix([[trace(a * b) for b in lmats] for a in lmats], self.field))
-        return self._rad
+        rad = kernel_basis(Matrix([[trace(a * b) for b in lmats] for a in lmats], self.field))
+        if rad.contains(self.unit):
+            raise AlgebraSpecError(
+                "the trace form over %r vanishes on the unit, so it does not give the radical "
+                "(needs characteristic 0 or above dim %d)" % (self.field, self.dim)
+            )
+        self._rad = rad
+        return rad
 
     def socle_generator(self):
         """Generator of soc(A) when 1-dimensional, else None.
@@ -370,21 +382,13 @@ def _normalizing_maps(lam: FiniteAlgebra):
 class LaurentAlgebra:
     """L[i^{+-1}]: the base algebra with a formal central unit of degree -2.
 
-    Every homogeneous element of degree -2j is a pair (l, j) with l in the
-    base; the generator iota is central and invertible by construction.
+    Every homogeneous element of degree -2j is l iota^j with l in the base;
+    the generator iota is central and invertible by construction, so only
+    the base is stored.
     """
-
-    generator_degree = -2
 
     def __init__(self, base: FiniteAlgebra):
         self.base = base
-
-    def element(self, coeffs, power=0):
-        return (self.base.element_from(coeffs), power)
-
-    def mul(self, a, b):
-        (la, ja), (lb, jb) = a, b
-        return (self.base.mul(la, lb), ja + jb)
 
     def __repr__(self):
         return "LaurentAlgebra(%r)" % (self.base,)

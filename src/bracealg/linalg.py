@@ -22,9 +22,9 @@ Matrix keeps its rref.
 
 compose(m, [F_1, ..., F_k]) = m . (F_1 (x) ... (x) F_k) is the one
 tensor-composition primitive: the brace engine, the products of
-cohomology classes, homotopy transfer, gauge actions and the
-associativity, unit and Leibniz checks all reduce to it, without forming
-the Kronecker product.  Where the Kronecker product itself is the matrix
+cohomology classes, homotopy transfer and the associativity, unit and
+Leibniz checks all reduce to it, without forming the Kronecker product.
+Where the Kronecker product itself is the matrix
 wanted (the bar and periodic resolutions, the outer bimodule actions and
 the Hochschild differential matrices, sums of signed products), kron
 builds it in one pass over the factors' nonzeros and kron_sum adds such

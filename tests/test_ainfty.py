@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bracealg.finite import AlgebraSpecError, build_truncated_polynomial
+from bracealg.finite import AlgebraSpecError, LaurentAlgebra, build_truncated_polynomial
 from bracealg.linalg import Matrix, QQ
 from bracealg import hochschild as H
 from bracealg.ainfty import (
@@ -21,7 +21,6 @@ from bracealg.ainfty import (
     contractible_solution,
     extract_m4_class,
     formality_verdict_of_model,
-    gauge,
     gauge_by_central_unit,
     is_formal,
     mc_check,
@@ -276,8 +275,7 @@ def test_map_check_detects_distinct_structures():
 
 def test_gauge_identity():
     m = seeded_minimal_model(4, 2, cap=8)
-    g = Matrix.identity(2, QQ)
-    m2 = gauge(m, g)
+    m2 = gauge_by_central_unit(m, m.algebra.unit)
     assert all((m2.op(n) - m.op(n)).is_zero() for n in m.arities())
 
 
@@ -361,6 +359,17 @@ def test_two_equations_unique_solution():
     cls = two_equations_solve(lam, u)
     assert cls.solution_space_dim == 0
     assert cls.e_part.is_zero()  # [u, u] = 0 here, so m = u . iota
+
+
+def test_two_equations_pairwise_linearity_on_two_class_basis():
+    # on k[x]/(x^3), HH^{3,-2} has two classes, so the solver checks the
+    # constraint's affine-linearity on a pair
+    lam = build_truncated_polynomial(3)
+    assert len(H.hh_context(lam, 3, 1).basis_classes()) == 2
+    us = H.cohomology(lam, 4, 0)
+    assert two_equations_solve(lam, us[1]).solution_space_dim == 0
+    with pytest.raises(NotUnit):
+        two_equations_solve(lam, us[0])
 
 
 def test_two_equations_rejects_non_unit():
@@ -500,6 +509,38 @@ def test_build_iso_scaled_class_uses_gauge():
     assert f.residual.digest() == rep.digest()
 
 
+def scaled_and_perturbed_pair(seed):
+    """The (4,2) model and a partner with m4 scaled by 2, transported along a seeded b5."""
+    m = seeded_minimal_model(4, 2, cap=9)
+    scaled = MinimalAInfty(m.laurent, {4: m.op(4).scale(QQ.of(2))}, 9)
+    b5 = H.random_cochain(m.algebra, 5, 2, random.Random(seed), normalized=True)
+    return m, transported_structure(scaled, {5: b5}, cap=9)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_build_iso_gauged_morphism_with_higher_parts(seed):
+    # the compensating unit's morphism carries nonzero higher components;
+    # its residual, and the map check against (m, m'), vanish to the cap
+    m, mp = scaled_and_perturbed_pair(seed)
+    f = build_iso(m, mp, 9)
+    assert f.linear is not None and f.higher
+    assert f.residual.ok
+    assert ainfty_map_check(f, m, mp, cap=9).ok
+
+
+def test_compare_gauged_morphism_residual_zero(tmp_path, monkeypatch):
+    from bracealg.cli import main, structure_to_json
+
+    monkeypatch.chdir(tmp_path)
+    m, mp = scaled_and_perturbed_pair(1)
+    (tmp_path / "m.json").write_text(json.dumps(structure_to_json(m)))
+    (tmp_path / "mp.json").write_text(json.dumps(structure_to_json(mp)))
+    assert main(["compare", "m.json", "mp.json", "--cap-n", "9", "--out", "cmp.json"]) == 0
+    rep = json.loads((tmp_path / "cmp.json").read_text())
+    assert rep["result"] == "isomorphism" and rep["linear_part"] == "central-unit gauge"
+    assert rep["residual_digest"]["nonzero_arities"] == []
+
+
 def test_transported_structure_identity():
     m = seeded_minimal_model(4, 2, cap=8)
     m2 = transported_structure(m, {}, cap=8)
@@ -523,6 +564,17 @@ def test_not_formal_verdict_on_unit_class_model():
     v = formality_verdict_of_model(m, 8)
     assert v == NOT_FORMAL
     assert v.certificate is not None and not v.certificate.is_zero()
+
+
+def test_formal_verdict_through_build_iso():
+    # the zero structure transported along a seeded b5 has an m6 and [m4] = 0,
+    # so the verdict needs build_iso to reach the zero structure
+    lam = build_truncated_polynomial(2)
+    zero = MinimalAInfty(LaurentAlgebra(lam), {}, 8)
+    b5 = H.random_cochain(lam, 5, 2, random.Random(0), normalized=True)
+    m = transported_structure(zero, {5: b5}, cap=8)
+    assert 6 in m.arities() and restricted_ump(m).is_zero()
+    assert formality_verdict_of_model(m, 8) == FORMAL
 
 
 def test_m4_class_invariant_under_identity_part_isomorphism():

@@ -163,6 +163,17 @@ def test_radical_and_socle():
     assert e.socle_generator() is not None
 
 
+def test_radical_by_trace_form_over_large_prime():
+    assert build_truncated_polynomial(3, GF(7)).radical_basis().dim == 2
+
+
+@pytest.mark.parametrize("n,p", [(3, 3), (5, 5)])
+def test_radical_refuses_trace_form_vanishing_on_unit(n, p):
+    # tr L_1 = n vanishes mod p, so the trace form's kernel is all of k[x]/(x^n)
+    with pytest.raises(AlgebraSpecError, match=r"GF\(%d\)" % p):
+        build_truncated_polynomial(n, GF(p)).radical_basis()
+
+
 # -- bar resolution --------------------------------------------------------
 
 

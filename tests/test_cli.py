@@ -485,8 +485,8 @@ def _python(args, cwd):
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
 
 
-# the names `from bracealg import *` gave while the package imported every
-# module eagerly
+# the names `from bracealg import *` gives, pinned since the package imported
+# every module eagerly
 STAR_NAMES = """
     AInftyMorphism AlgebraSpecError BadParameters Bimodule BimoduleMap CapTooLow ClassMismatch Cochain
     ContractionData DGAlgebra DGEnd EulerAdjoinedCochain FORMAL FiniteAlgebra GF HHClass INCONCLUSIVE
@@ -496,7 +496,7 @@ STAR_NAMES = """
     build_truncated_polynomial class_of cocycle_to_extension cohomology cohomology_algebra
     comparison_map_to_periodic complete_resolution contractible_solution cup dg_end diagonal_bimodule
     differential divide_class enveloping euler_derivation extract_m4_class formality_verdict_of_model
-    free_rank_one_bimodule gauge gauge_by_central_unit hh_isos_backward hh_isos_forward hochschild is_formal
+    free_rank_one_bimodule gauge_by_central_unit hh_isos_backward hh_isos_forward hochschild is_formal
     is_stable_iso is_symmetric linalg load_algebra make_contraction mc_check models
     periodic_bimodule_resolution periodicity_witness random_cochain restrict_j restricted_ump rigidity_check
     seeded_minimal_model solve_coboundary stable_endomorphism_algebra strip_projective_summands syzygy
