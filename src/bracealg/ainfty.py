@@ -159,10 +159,11 @@ def transfer(dga: DGAlgebra, con: ContractionData, N: int) -> MinimalAInfty:
     ops = {}
     for n in range(2, N + 1):
         dth = n % 2
-        theta = Matrix.zeros(dga.dim(dth), h0**n, f)
+        terms = []
         for k in range(1, n):
             term = compose(dga.mult_matrix((k + 1) % 2, (n - k + 1) % 2), [psi[k], psi[n - k]])
-            theta = theta + term if k % 2 == 0 else theta - term
+            terms.append((-f.one if k % 2 else f.one, [term]))
+        theta = kron_sum(terms, dga.dim(dth), h0**n, f)
         psi[n] = con.h[dth] * theta
         if dth:
             continue  # odd arity: lands in odd cohomology, which vanishes

@@ -14,7 +14,7 @@ import functools
 import random
 
 # load_algebra and solve are re-exported for callers that import them from here
-from .finite import AlgebraSpecError, FiniteAlgebra, _combo, _first_difference, _normalizing_maps, _per_algebra
+from .finite import AlgebraSpecError, FiniteAlgebra, _first_difference, _generators, _normalizing_maps, _per_algebra
 from .finite import build_truncated_polynomial, load_algebra  # noqa: F401
 from .linalg import (  # noqa: F401
     Matrix,
@@ -49,9 +49,13 @@ def enveloping(a: FiniteAlgebra) -> FiniteAlgebra:
 class Bimodule:
     """A Lambda-bimodule with explicit action matrices per algebra basis.
 
-    Both actions are unital and associative and commute with each other;
-    this is verified with exact matrix equality on all pairs of basis
-    elements.
+    The actions are checked exactly, by compose identities of the action maps
+    l: Lambda (x) M -> M and r: M (x) Lambda -> M: the unit laws, l(mu (x) 1) =
+    l(1 (x) l) and r(1 (x) mu) = r(r (x) 1) with the outer algebra input on a
+    generating set G (finite._generators), and l(1 (x) r) = r(l (x) 1) on
+    G x G.  That suffices, as the a with L_ab = L_a L_b for every b form a
+    unital subalgebra, and likewise on the right and for commutation.  An
+    error names the first failing pair of basis elements.
     """
 
     def __init__(self, algebra: FiniteAlgebra, left, right):
@@ -63,26 +67,30 @@ class Bimodule:
         self._check()
 
     def _check(self):
-        a = self.algebra
-        d = a.dim
+        lam, m = self.algebra, self.dim
+        d, field, gens = lam.dim, lam.field, _generators(lam)
         if len(self.left) != d or len(self.right) != d:
             raise AlgebraSpecError("need one action matrix per algebra basis element")
-        field = a.field
-        ident = Matrix.identity(self.dim, field)
-        lu = _combo(self.left, a.unit, self.dim, field)
-        ru = _combo(self.right, a.unit, self.dim, field)
-        if lu != ident or ru != ident:
-            raise AlgebraSpecError("bimodule actions are not unital")
-        for i in range(d):
-            for j in range(d):
-                lij = _combo(self.left, a.mult[i][j], self.dim, field)
-                if lij != self.left[i] * self.left[j]:
-                    raise AlgebraSpecError("left action not associative at (%d,%d)" % (i, j))
-                rij = _combo(self.right, a.mult[i][j], self.dim, field)
-                if rij != self.right[j] * self.right[i]:
-                    raise AlgebraSpecError("right action not associative at (%d,%d)" % (i, j))
-                if self.left[i] * self.right[j] != self.right[j] * self.left[i]:
-                    raise AlgebraSpecError("actions do not commute at (%d,%d)" % (i, j))
+        k, mu, unit = len(gens), lam.mult_matrix(), Matrix.column_vector(lam.unit, field)
+        basis, ident, ik = Matrix.identity(d, field), Matrix.identity(m, field), Matrix.identity(k, field)
+        G = basis.select_rows(gens).transpose()  # d x k: the generators as columns
+        l, r = _action_maps(self, range(d))
+        lg, rg = _action_maps(self, gens)
+        col = _first_difference(compose(l, [unit, ident]), ident)
+        if col is not None:
+            raise AlgebraSpecError("left action is not unital at basis %d" % col)
+        col = _first_difference(compose(r, [ident, unit]), ident)
+        if col is not None:
+            raise AlgebraSpecError("right action is not unital at basis %d" % col)
+        col = _first_difference(compose(l, [compose(mu, [G, basis]), ident]), compose(lg, [ik, l]))
+        if col is not None:  # column (g, b, v)
+            raise AlgebraSpecError("left action not associative at (%d,%d)" % (gens[col // (d * m)], col // m % d))
+        col = _first_difference(compose(r, [ident, compose(mu, [basis, G])]), compose(rg, [r, ik]))
+        if col is not None:  # column (v, b, g)
+            raise AlgebraSpecError("right action not associative at (%d,%d)" % (col // k % d, gens[col % k]))
+        col = _first_difference(compose(lg, [ik, rg]), compose(rg, [lg, ik]))
+        if col is not None:  # column (g, v, h)
+            raise AlgebraSpecError("actions do not commute at (%d,%d)" % (gens[col // (m * k)], gens[col % k]))
 
     def env_action(self, i, j):
         """Matrix of the enveloping-algebra basis element e_i (x) e_j."""
@@ -90,6 +98,16 @@ class Bimodule:
 
     def __repr__(self):
         return "Bimodule(dim=%d over %r)" % (self.dim, self.algebra)
+
+
+def _action_maps(mod: Bimodule, idx):
+    """The action maps of mod on the k algebra basis elements idx: l, whose
+    column t*m + v is e_idx[t] . v, and r, whose column v*k + t is v . e_idx[t]."""
+    k, m, field = len(idx), mod.dim, mod.algebra.field
+    basis = Matrix.identity(k, field)
+    l = kron_sum([(field.one, [basis.select_rows([t]), mod.left[i]]) for t, i in enumerate(idx)], m, k * m, field)
+    r = kron_sum([(field.one, [mod.right[i], basis.select_rows([t])]) for t, i in enumerate(idx)], m, m * k, field)
+    return l, r
 
 
 @_per_algebra
@@ -102,7 +120,9 @@ def diagonal_bimodule(lam: FiniteAlgebra) -> Bimodule:
 
 
 class BimoduleMap:
-    """A map of bimodules given by its matrix; checked to be equivariant."""
+    """A map f of bimodules given by its matrix; checked to be equivariant,
+    exactly, by f l = l'(1 (x) f) and f r = r'(f (x) 1) on the generating set
+    G of Lambda, as in Bimodule.  An error names the first failing generator."""
 
     def __init__(self, source: Bimodule, target: Bimodule, matrix: Matrix):
         self.source = source
@@ -113,11 +133,15 @@ class BimoduleMap:
         self._check()
 
     def _check(self):
-        for i in range(self.source.algebra.dim):
-            if self.matrix * self.source.left[i] != self.target.left[i] * self.matrix:
-                raise AlgebraSpecError("map does not commute with left action %d" % i)
-            if self.matrix * self.source.right[i] != self.target.right[i] * self.matrix:
-                raise AlgebraSpecError("map does not commute with right action %d" % i)
+        f, gens = self.matrix, _generators(self.source.algebra)
+        ik = Matrix.identity(len(gens), f.field)
+        (l, r), (tl, tr) = _action_maps(self.source, gens), _action_maps(self.target, gens)
+        col = _first_difference(f * l, compose(tl, [ik, f]))
+        if col is not None:  # column (g, v)
+            raise AlgebraSpecError("map does not commute with left action %d" % gens[col // self.source.dim])
+        col = _first_difference(f * r, compose(tr, [f, ik]))
+        if col is not None:  # column (v, g)
+            raise AlgebraSpecError("map does not commute with right action %d" % gens[col % len(gens)])
 
     def __repr__(self):
         return "BimoduleMap(%d -> %d)" % (self.source.dim, self.target.dim)
@@ -387,16 +411,21 @@ def _strip(m: Bimodule) -> StripResult:
     if form is None:
         raise AlgebraSpecError("coefficient algebra is not symmetric")
     lamform = [x * y for x in form for y in form]  # the product form on Lambda (x) Lambda^op
-    # soc . M is the column space of S = sum c_ij L_i R_j; its rank counts
-    # the free summands, and its first independent columns pick generators
-    env_mats = _env_actions(m)
-    socle_images = _combo(env_mats, soc, m.dim, field).transpose().nonzeros()
+
+    def socle_action(mod):  # S = sum c_ij L_i R_j
+        parts = [(c, [mod.env_action(*divmod(t, lam.dim))]) for t, c in enumerate(soc) if c]
+        return kron_sum(parts, mod.dim, mod.dim, field)
+
+    # soc . M is the column space of S; its rank counts the free summands,
+    # and its first independent columns pick generators
+    socle_images = socle_action(m).transpose().nonzeros()
     seen = _Echelon(field)
     sel = [j for j, w in enumerate(socle_images) if seen.add(dict(w)) is not None]
     r = len(sel)
     if r == 0:
         return StripResult(m, 0, Matrix.identity(m.dim, field), Matrix.identity(m.dim, field))
     # F-basis rows: b_t . m_l, at row l*d2 + t
+    env_mats = [m.env_action(*divmod(t, lam.dim)) for t in range(d2)]  # e_i (x) e_j at i*dim+j
     env_cols = [bt.transpose().nonzeros() for bt in env_mats]
     F = Matrix.from_nonzeros([dict(env_cols[t][l]) for l in sel for t in range(d2)], m.dim, field)
     # dual functionals: f_l(b_t . m_l') = delta_{l l'} lamform(b_t)
@@ -448,15 +477,9 @@ def _strip(m: Bimodule) -> StripResult:
     right = [proj_matrix * (a * include) for a in m.right]
     core = Bimodule(lam, left, right)
     # the core must carry no further free summand
-    if not _combo(_env_actions(core), soc, core_dim, field).is_zero():
+    if not socle_action(core).is_zero():
         raise AlgebraSpecError("stripping did not reach a projective-free core")
     return StripResult(core, r, include, proj_matrix)
-
-
-def _env_actions(m: Bimodule):
-    """The action matrices of the enveloping basis, e_i (x) e_j at i*dim+j."""
-    d = m.algebra.dim
-    return [m.env_action(i, j) for i in range(d) for j in range(d)]
 
 
 def _form_value(env, form, vec):
@@ -501,10 +524,7 @@ def is_symmetric(a: FiniteAlgebra):
             diff = [x - y for x, y in zip(a.mult[i][j], a.mult[j][i])]
             if any(diff):
                 rows.append(diff)
-    if rows:
-        space = kernel_basis(Matrix(rows, field))
-    else:
-        space = SubspaceBasis(d, [a.basis_vector(i) for i in range(d)], field)
+    space = kernel_basis(Matrix(rows, field, cols=d))
     if space.dim == 0:
         return None
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 
-from .linalg import QQ, Matrix, compose, kernel_basis, rank, solve
+from .linalg import QQ, Matrix, compose, image_basis, kernel_basis, kron_sum, rank, solve
 
 
 class AlgebraSpecError(ValueError):
@@ -102,7 +102,8 @@ class FiniteAlgebra:
         return self._right_mats[i]
 
     def left_mult_of(self, vec):
-        return _combo([self.left_mult_matrix(i) for i in range(self.dim)], vec, self.dim, self.field)
+        parts = [(c, [self.left_mult_matrix(i)]) for i, c in enumerate(vec) if c]
+        return kron_sum(parts, self.dim, self.dim, self.field)
 
     def is_commutative(self):
         return all(self.mult[i][j] == self.mult[j][i] for i in range(self.dim) for j in range(i))
@@ -115,12 +116,14 @@ class FiniteAlgebra:
         return kernel_basis(rows)
 
     def radical_basis(self):
-        """Jacobson radical as the kernel of the trace form tr(L_a L_b).
+        """Jacobson radical as the kernel I of the trace form tr(L_a L_b).
 
-        The trace-form criterion is proven in characteristic zero and in
-        characteristic p > dim.  Below that the kernel can hold the unit
-        (tr L_1 = dim may vanish mod p, as for k[x]/(x^3) over GF(3)), and
-        such a kernel is refused instead of returned.
+        I is an ideal that contains the radical, so it is the radical
+        exactly when it is nilpotent, which is checked: its powers must
+        reach zero.  They do in characteristic zero and in characteristic
+        p > dim.  Below that tr L_e can vanish mod p for an idempotent e (e
+        = 1 in k[x]/(x^3) over GF(3)), and such a kernel is refused instead
+        of returned.
         """
         if self._rad is not None:
             return self._rad
@@ -130,11 +133,15 @@ class FiniteAlgebra:
 
         lmats = [self.left_mult_matrix(i) for i in range(self.dim)]
         rad = kernel_basis(Matrix([[trace(a * b) for b in lmats] for a in lmats], self.field))
-        if rad.contains(self.unit):
-            raise AlgebraSpecError(
-                "the trace form over %r vanishes on the unit, so it does not give the radical "
-                "(needs characteristic 0 or above dim %d)" % (self.field, self.dim)
-            )
+        basis, power = rad.matrix.transpose(), rad
+        while power.dim:  # I.I^k is spanned by the products of the two bases
+            smaller = image_basis(compose(self.mult_matrix(), [basis, power.matrix.transpose()]))
+            if smaller.dim == power.dim:
+                raise AlgebraSpecError(
+                    "the trace form's kernel over %r is not nilpotent, so it is not the radical "
+                    "(needs characteristic 0 or above dim %d)" % (self.field, self.dim)
+                )
+            power = smaller
         self._rad = rad
         return rad
 
@@ -306,21 +313,6 @@ def build_truncated_polynomial(n, field=QQ):
     return FiniteAlgebra(labels, unit, mult, field)
 
 
-
-def _combo(mats, coeffs, dim, field):
-    """sum_i coeffs[i] * mats[i] for dim x dim matrices, over their nonzeros."""
-    terms = [(c, m.nonzeros()) for c, m in zip(coeffs, mats) if c]
-    rows = []
-    for r in range(dim):
-        acc = {}
-        for c, nz in terms:
-            for j, b in nz[r]:
-                s = acc.get(j)
-                acc[j] = c * b if s is None else s + c * b
-        rows.append(acc)
-    return Matrix.from_nonzeros(rows, dim, field)
-
-
 def _structure_key(lam: FiniteAlgebra):
     """The field and structure constants of lam as one hashable value, kept
     on lam: equal algebras built separately have equal keys."""
@@ -336,10 +328,10 @@ def _structure_key(lam: FiniteAlgebra):
 
 # The per-algebra store: everything built once per algebra (enveloping
 # algebra, diagonal bimodule, periodic resolutions, differential matrices,
-# Hochschild contexts, bar syzygies, normalizing maps) lives here for the
-# life of the process, keyed on the algebra's structure so that equal
-# algebras built separately share entries.  Nothing in the package runs
-# concurrently, so it needs no lock.
+# Hochschild contexts, bar syzygies, normalizing maps, generators) lives
+# here for the life of the process, keyed on the algebra's structure so
+# that equal algebras built separately share entries.  Nothing in the
+# package runs concurrently, so it needs no lock.
 _store = {}
 
 
@@ -355,6 +347,22 @@ def _per_algebra(build):
         return value
 
     return memo
+
+
+@_per_algebra
+def _generators(lam: FiniteAlgebra):
+    """Basis indices that generate lam as a unital algebra, chosen greedily:
+    each is the first basis vector outside the subalgebra of the earlier ones."""
+    ident = Matrix.identity(lam.dim, lam.field)
+    gens, span = [], image_basis(Matrix.column_vector(lam.unit, lam.field))
+    for b in range(lam.dim):
+        grown = image_basis(span.matrix.stack(ident.select_rows([b])).transpose())
+        if grown.dim > span.dim:
+            gens.append(b)
+        while grown.dim > span.dim:  # close the span under products; it holds 1, so it only grows
+            span, words = grown, grown.matrix.transpose()
+            grown = image_basis(compose(lam.mult_matrix(), [words, words]))
+    return tuple(gens)
 
 
 @_per_algebra

@@ -183,21 +183,16 @@ class Cochain:
         output iota power, which they do by construction.
         """
         p = len(inputs)
-        d = self.algebra.dim
         field = self.algebra.field
-        out = Matrix.zeros(d, 1, field)
-        comp = self.comps.get(p)
         if p > self.cap:
             raise CapTooLow("evaluation at arity %d beyond cap" % p)
-        if comp:
-            factors = [Matrix.column_vector(vec, field) for vec, _ in inputs]
-            for e, mat in comp.items():
-                wcoeff = 1
-                for exp, (_, j) in zip(e, inputs):
-                    if exp:
-                        wcoeff *= j**exp
-                if wcoeff:
-                    out = out + compose(mat, factors).scale(field.of(wcoeff))
+        factors = [Matrix.column_vector(vec, field) for vec, _ in inputs]
+        terms = []
+        for e, mat in self.comps.get(p, {}).items():
+            wcoeff = math.prod(j**exp for exp, (_, j) in zip(e, inputs))  # j**0 is 1, also for j = 0
+            if wcoeff:
+                terms.append((field.of(wcoeff), [compose(mat, factors)]))
+        out = kron_sum(terms, self.algebra.dim, 1, field)
         jout = self.iota + sum(j for _, j in inputs)
         return out.column(0), jout
 

@@ -13,6 +13,9 @@ where they enter, and the dense view (entries) is built on demand and
 never kept.  Products, sums, differences, scaling, transposes, zero
 tests, matrix-vector products and equality run over the nonzeros, so the
 common sparse 0/±1 inputs stay cheap at sizes no dense grid could hold.
+kron_sum is the one loop that adds scaled matrices: a + b, a - b, a linear
+combination of action matrices and the terms of a brace or a transferred
+product are all sums of one-factor Kronecker products.
 
 Elimination is one row-sparse Gauss-Jordan kernel (_Echelon) over
 {column: value} rows: rref, kernel bases, solves, subspace coordinates and
@@ -22,14 +25,15 @@ Matrix keeps its rref.
 
 compose(m, [F_1, ..., F_k]) = m . (F_1 (x) ... (x) F_k) is the one
 tensor-composition primitive: the brace engine, the products of
-cohomology classes, homotopy transfer and the associativity, unit and
-Leibniz checks all reduce to it, without forming the Kronecker product.
-Where the Kronecker product itself is the matrix
-wanted (the bar and periodic resolutions, the outer bimodule actions and
-the Hochschild differential matrices, sums of signed products), kron
-builds it in one pass over the factors' nonzeros and kron_sum adds such
-products into one matrix; a brace sums its scaled terms, one-factor
-products, the same way.
+cohomology classes and homotopy transfer reduce to it, without forming
+the Kronecker product, and every structural check is a compose identity:
+the unit and associativity laws of an algebra or a bimodule, the
+commutation of a bimodule's two actions, the equivariance of a bimodule
+map and the Leibniz rule of a DG algebra.  Where the Kronecker product
+itself is the matrix wanted (the bar and periodic resolutions, the outer
+bimodule actions and the Hochschild differential matrices, sums of
+signed products), kron builds it in one pass over the factors' nonzeros
+and kron_sum adds such products into one matrix.
 
 Every operation is a pure function of its inputs, values are never mutated
 after construction (which is what makes both caches safe), and results are
@@ -288,33 +292,19 @@ class Matrix:
     def is_zero(self):
         return not any(self._nz)
 
-    def _plus(self, other, negate=False):
-        """self + other (self - other if negate), over the nonzeros of both."""
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch %dx%d + %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        out = []
-        for ra, rb in zip(self.nonzeros(), other.nonzeros()):
-            acc = dict(ra)
-            for j, b in rb:
-                if negate:
-                    b = -b
-                s = acc.get(j)
-                acc[j] = b if s is None else s + b
-            out.append(acc)
-        return Matrix.from_nonzeros(out, self.cols, self.field)
-
     def __add__(self, other):
-        return self._plus(other)
+        return kron_sum([(self.field.one, [self]), (self.field.one, [other])], self.rows, self.cols, self.field)
 
     def __sub__(self, other):
-        return self._plus(other, negate=True)
+        return kron_sum([(self.field.one, [self]), (-self.field.one, [other])], self.rows, self.cols, self.field)
 
     def __neg__(self):
         return self.scale(-self.field.one)
 
     def scale(self, c):
-        rows = [{j: c * x for j, x in r} if c else {} for r in self.nonzeros()]
-        return Matrix.from_nonzeros(rows, self.cols, self.field)
+        """c * self; a nonzero c keeps every nonzero and its column order."""
+        nz = [[(j, c * x) for j, x in r] for r in self._nz] if c else [[] for _ in self._nz]
+        return Matrix._of(nz, self.cols, self.field)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -430,9 +420,10 @@ def kron(factors) -> Matrix:
 
 def kron_sum(parts, rows, cols, field) -> Matrix:
     """The rows x cols sum of c * (F_1 (x) ... (x) F_k) over the (c, factors)
-    parts, c a scalar (a sign for the differentials, a signed weight
-    coefficient for a brace's terms).  Every part is added into one
-    {column: value} dict per row, and the sum is sorted once."""
+    parts, c a scalar (a sign for the differentials and for a - b, a signed
+    weight coefficient for a brace's terms, a coordinate for a linear
+    combination of matrices, which are one-factor parts).  Every part is
+    added into one {column: value} dict per row, and the sum is sorted once."""
     out = [{} for _ in range(rows)]
     for c, factors in parts:
         term = kron(factors)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from bracealg import linalg
 from bracealg.linalg import GF, QQ, Matrix, compose, rank
 from bracealg.algebra import (
     _bar,
@@ -24,6 +25,7 @@ from bracealg.algebra import (
     syzygy,
 )
 from bracealg import hochschild as H
+from bracealg.finite import _generators
 
 
 def k_algebra():
@@ -165,6 +167,28 @@ def test_radical_and_socle():
 
 def test_radical_by_trace_form_over_large_prime():
     assert build_truncated_polynomial(3, GF(7)).radical_basis().dim == 2
+
+
+def test_radical_refuses_kernel_that_is_not_nilpotent():
+    # k[x]/(x^3) x k over GF(3): tr L_{1_A} = 3 vanishes, so the trace form's
+    # kernel is span(1_A, x, x^2), an ideal but not nilpotent; the radical is
+    # span(x, x^2)
+    F = GF(3)
+    z, o = F.zero, F.one
+    e = [[o, z, z, z], [z, o, z, z], [z, z, o, z], [z, z, z, o]]
+    zero = [z] * 4
+    mult = [
+        [e[0], e[1], e[2], zero],
+        [e[1], e[2], zero, zero],
+        [e[2], zero, zero, zero],
+        [zero, zero, zero, e[3]],
+    ]
+    a = FiniteAlgebra(["1A", "x", "x^2", "b"], [o, z, z, o], mult, F)
+    with pytest.raises(AlgebraSpecError, match="not nilpotent"):
+        a.radical_basis()
+    # k[x]/(x^4) over GF(3): tr L_1 = 4 does not vanish, and the kernel is (x)
+    rad = build_truncated_polynomial(4, F).radical_basis()
+    assert rad.dim == 3 and not rad.contains(build_truncated_polynomial(4, F).unit)
 
 
 @pytest.mark.parametrize("n,p", [(3, 3), (5, 5)])
@@ -409,6 +433,75 @@ def test_comparison_maps_share_one_periodic_resolution(monkeypatch):
     assert lengths == [4, 4]
 
 
+def _corrupted(mats, i):
+    """mats with 1 added to entry (0, 0) of mats[i]."""
+    ent = [list(r) for r in mats[i].entries]
+    ent[0][0] = ent[0][0] + 1
+    return mats[:i] + [Matrix(ent, QQ)] + mats[i + 1 :]
+
+
+def test_exact_check_names_corrupted_non_generator_action():
+    # x^2 = x.x is not a generator of k[x]/(x^3); the first pair whose
+    # product the corrupted action breaks is (x, x) on either side.  The
+    # unit, the empty product, breaks the unit law at the corrupted column
+    lam = kxx(3)
+    syz = H._bar_syzygy(lam, 4)
+    with pytest.raises(AlgebraSpecError, match="left action is not unital at basis 0"):
+        Bimodule(lam, _corrupted(syz.left, 0), syz.right)
+    with pytest.raises(AlgebraSpecError, match="right action is not unital at basis 0"):
+        Bimodule(lam, syz.left, _corrupted(syz.right, 0))
+    with pytest.raises(AlgebraSpecError, match=r"left action not associative at \(1,1\)"):
+        Bimodule(lam, _corrupted(syz.left, 2), syz.right)
+    with pytest.raises(AlgebraSpecError, match=r"right action not associative at \(1,1\)"):
+        Bimodule(lam, syz.left, _corrupted(syz.right, lam.dim - 1))
+
+
+def _kxy2():
+    """k[x, y]/(x, y)^2, basis 1, x, y: two generators, x and y."""
+    e = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    zero = [0] * 3
+    return FiniteAlgebra(["1", "x", "y"], e[0], [e, [e[1], zero, zero], [e[2], zero, zero]])
+
+
+def test_generators_chosen_greedily():
+    assert _generators(kxx(1)) == () and _generators(kxx(7)) == (1,)
+    assert _generators(_kxy2()) == (1, 2)
+    # x (x) 1 and 1 (x) x generate k[x]/(x^5) (x) k[x]/(x^5)^op
+    assert _generators(enveloping(kxx(5))) == (1, 5)
+
+
+def test_exact_check_names_non_commuting_actions():
+    n = Matrix.from_int_rows([[0, 1], [0, 0]])
+    ident = Matrix.identity(2, QQ)
+    # x -> N on the left and x -> N^T on the right are each associative over
+    # k[x]/(x^2), but N N^T != N^T N
+    with pytest.raises(AlgebraSpecError, match=r"actions do not commute at \(1,1\)"):
+        Bimodule(kxx(2), [ident, n], [ident, n.transpose()])
+    # over k[x, y]/(x, y)^2, x -> N on the left commutes with x -> 0 on the
+    # right but not with y -> N^T: the pair is (x, y), not (y, x); and the
+    # other way round
+    lam, null = _kxy2(), Matrix.zeros(2, 2, QQ)
+    Bimodule(lam, [ident, n, null], [ident, null, null])  # each side alone is a module
+    with pytest.raises(AlgebraSpecError, match=r"actions do not commute at \(1,2\)"):
+        Bimodule(lam, [ident, n, null], [ident, null, n.transpose()])
+    with pytest.raises(AlgebraSpecError, match=r"actions do not commute at \(2,1\)"):
+        Bimodule(lam, [ident, null, n], [ident, n.transpose(), null])
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("lam,phi,bad", [(kxx(2), [1, 0], 1), (_kxy2(), [1, 1, 0], 2)], ids=["kx2", "kxy2"])
+def test_exact_check_names_non_equivariant_map(side, lam, phi, bad):
+    # on Lambda (x) Lambda, phi (x) 1 commutes with the right action and
+    # 1 (x) phi with the left, phi keeping 1 and x and killing the rest; each
+    # fails the other side at the generator phi kills (x, or y of (x, y))
+    free = free_rank_one_bimodule(lam)
+    ident = Matrix.identity(lam.dim, QQ)
+    phi = Matrix.from_int_rows([[c * int(i == j) for j in range(lam.dim)] for i, c in enumerate(phi)])
+    f = linalg.kron([phi, ident] if side == "left" else [ident, phi])
+    with pytest.raises(AlgebraSpecError, match="map does not commute with %s action %d" % (side, bad)):
+        BimoduleMap(free, free, f)
+
+
 def test_exact_check_rejects_corrupted_omega4_action():
     lam = kxx(3)
     unnormalized = syzygy(unnormalized_bar(lam, 4), 4)
@@ -416,12 +509,8 @@ def test_exact_check_rejects_corrupted_omega4_action():
     assert H._bar_syzygy(lam, 4).dim == 48
     for syz in (unnormalized, H._bar_syzygy(lam, 4)):
         Bimodule(lam, syz.left, syz.right)  # the syzygy itself passes
-        ent = [list(r) for r in syz.left[1].entries]
-        ent[0][0] = ent[0][0] + 1
-        left = list(syz.left)
-        left[1] = Matrix(ent, QQ)
         with pytest.raises(AlgebraSpecError):
-            Bimodule(lam, left, syz.right)
+            Bimodule(lam, _corrupted(syz.left, 1), syz.right)
 
 
 def _core_dim_and_verdict(res, k):
@@ -546,6 +635,19 @@ def test_symmetric_form_k_times_k():
     form = is_symmetric(a)
     assert form is not None
     assert form[0] and form[1]
+
+
+def test_symmetric_form_found_by_random_search():
+    # k^5: every basis functional is degenerate, and the trace forms are all
+    # of k^5, too many for the grid, so the seeded random search runs
+    d = 5
+    e = [[int(i == j) for j in range(d)] for i in range(d)]
+    mult = [[e[i] if i == j else [0] * d for j in range(d)] for i in range(d)]
+    a = FiniteAlgebra(["e%d" % i for i in range(d)], [1] * d, mult)
+    form = is_symmetric(a)
+    assert form is not None
+    gram = Matrix([[sum(c * x for c, x in zip(form, a.mult[i][j])) for j in range(d)] for i in range(d)], QQ)
+    assert gram == gram.transpose() and rank(gram) == d
 
 
 # -- JSON loader ------------------------------------------------------------

@@ -122,30 +122,33 @@ mixed_rational = st.one_of(st.integers(-3, 3).map(Fraction), small_rational)
 
 @st.composite
 def scalar_cases(draw):
-    """Fraction grids (a, a2, f1, f2, v): a and a2 are r x (k1 k2), f1 is
-    k1 x c1, f2 is k2 x c2 and v has length k1 k2."""
+    """Fraction grids (a, a2, f1, f2, v) and a scalar c: a and a2 are
+    r x (k1 k2), f1 is k1 x c1, f2 is k2 x c2 and v has length k1 k2."""
     r, k1, k2, c1, c2 = (draw(st.integers(1, 3)) for _ in range(5))
 
     def grid(rows, cols):
         return draw(st.lists(st.lists(mixed_rational, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
 
-    return grid(r, k1 * k2), grid(r, k1 * k2), grid(k1, c1), grid(k2, c2), grid(1, k1 * k2)[0]
+    return grid(r, k1 * k2), grid(r, k1 * k2), grid(k1, c1), grid(k2, c2), grid(1, k1 * k2)[0], draw(mixed_rational)
 
 
 @settings(max_examples=60, deadline=None)
 @given(scalar_cases())
 def test_int_scalars_match_all_rational_reference(case):
-    ga, ga2, gf1, gf2, gv = case
+    ga, ga2, gf1, gf2, gv, gc = case
 
     def results(field):
+        def of(x):
+            return field.of(x.numerator, x.denominator)
+
         def build(grid):
-            return Matrix([[field.of(x.numerator, x.denominator) for x in row] for row in grid], field)
+            return Matrix([[of(x) for x in row] for row in grid], field)
 
         a, a2, f1, f2 = map(build, (ga, ga2, gf1, gf2))
         red, piv = rref(a)
-        sol = solve(a, a.apply([field.of(x.numerator, x.denominator) for x in gv]))
-        mats = [red, kernel_basis(a).matrix, Matrix.column_vector(sol, field), compose(a, [f1, f2]), a * a2.transpose(), a + a2]
-        return piv, mats
+        sol = solve(a, a.apply([of(x) for x in gv]))
+        mats = [red, kernel_basis(a).matrix, Matrix.column_vector(sol, field), compose(a, [f1, f2]), a * a2.transpose()]
+        return piv, mats + [a + a2, a - a2, -a, a.scale(of(gc))]
 
     piv, mats = results(QQ)
     assert (piv, mats) == results(ALL_RATIONAL)
@@ -365,6 +368,10 @@ def test_matrix_kernel_matches_dense_reference(case):
         assert got.entries == dense and got.nonzeros() == _nonzeros(dense)
         assert got.is_zero() == (not any(x for row in dense for x in row))
     assert (A - A).is_zero() and (A + -A).is_zero() and A.scale(z).is_zero()
+    # a sum of mismatched shapes names both
+    taller = Matrix.zeros(A.rows + 1, A.cols, field)
+    with pytest.raises(ValueError, match=r"%dx%d .* %dx%d" % (taller.rows, A.cols, A.rows, A.cols)):
+        A + taller
     assert A.is_zero() == (not any(x for row in a for x in row))
     # elimination against the dense Gauss-Jordan reference
     E, n = Matrix(e, field), len(e[0])
