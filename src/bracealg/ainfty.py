@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from itertools import combinations_with_replacement, permutations
 
-from .finite import AlgebraSpecError, LaurentAlgebra, _per_algebra
+from .finite import AlgebraSpecError, LaurentAlgebra
 from .hochschild import (
     DEFAULT_CAP,
     Cochain,
@@ -24,8 +24,6 @@ from .hochschild import (
     HHClass,
     NotACocycle,
     WrongBidegree,
-    _reduced_matrix,
-    _vec_of,
     bracket,
     bracket_table,
     brace,
@@ -33,7 +31,6 @@ from .hochschild import (
     cup,
     cup_table,
     differential,
-    differential_parts,
     divide_class,
     hh_context,
     hh_isos_forward,
@@ -436,69 +433,6 @@ def two_equations_solve(lam, u: HHClass):
     return m_class
 
 
-# ---------------------------------------------------------------------------
-# Weighted coboundary solving (for the Euler-adjoined correction route)
-
-
-def _weight_monomials(p):
-    """The weights of degree <= 1 on p inputs: none, then one on each input."""
-    return [(0,) * p] + [tuple(int(u == t) for u in range(p)) for t in range(p)]
-
-
-def _weighted_to_vec(c: Cochain, p):
-    """The coordinates of the weight blocks of _weight_monomials(p), one
-    after another, each in hochschild's column-by-column layout."""
-    for e, mat in c.comps.get(p, {}).items():
-        if sum(e) > 1 and not mat.is_zero():
-            raise AlgebraSpecError("weighted solve supports weight degree <= 1")
-    return [x for e in _weight_monomials(p) for x in _vec_of(c.component_matrix(p, e))]
-
-
-def _vec_to_weighted(lam, p, j, vec):
-    """The cochain whose weight blocks have coordinates vec: the inverse of _weighted_to_vec."""
-    stride = lam.dim ** (p + 1)
-    comp = {}
-    for t, e in enumerate(_weight_monomials(p)):
-        mm = _reduced_matrix(lam, vec[t * stride : (t + 1) * stride])
-        if not mm.is_zero():
-            comp[e] = mm
-    return Cochain(lam, j, {p: comp} if comp else {}, math.inf)
-
-
-def _weight_moves(moves, field):
-    """The block map of one part of d: weight 0 stays, e_k goes to e_t for t in moves[k]."""
-    p = len(moves)
-    rows = [[field.zero] * (p + 1) for _ in range(p + 2)]
-    rows[0][0] = field.one
-    for k, targets in enumerate(moves):
-        for t in targets:
-            rows[t + 1][k + 1] = field.one
-    return Matrix(rows, field)
-
-
-@_per_algebra
-def _weighted_differential_matrix(lam, p):
-    """Matrix of d on the weight<=1 cochains, arity p -> p+1.
-
-    The parts of d over all inputs, each with one more Kronecker factor in
-    front that moves its weight blocks.
-    """
-    d, f = lam.dim, lam.field
-    ident = Matrix.identity(d, f)
-    parts = differential_parts(lam, p, ident, ident)
-    terms = [(sign, [_weight_moves(moves, f)] + factors) for sign, factors, moves in parts]
-    return kron_sum(terms, (p + 2) * d ** (p + 2), (p + 1) * d ** (p + 1), f)
-
-
-def weighted_solve_coboundary(lam, target: Cochain, p, j):
-    """Solve d(c) = target for c of arity p-1 in the weight<=1 space."""
-    dmat = _weighted_differential_matrix(lam, p - 1)
-    sol = solve(dmat, _weighted_to_vec(target, p))
-    if sol is None:
-        return None
-    return _vec_to_weighted(lam, p - 1, j, sol)
-
-
 def contractible_solution(a: Cochain, u: HHClass, q: int):
     """Cochains (c_lower, c_upper) with d(c_lower) = 0 and
     a + d(c_upper) + [m4_rep, c_lower] = 0 exactly.
@@ -509,8 +443,9 @@ def contractible_solution(a: Cochain, u: HHClass, q: int):
     level when the obstruction class lies in the image of the bracket; and
     the Euler-adjoined contraction formula c_lower ~ u^{-1} e2 x i^{q-1}
     otherwise, with the exact correction found by a linear solve in the
-    weighted cochain space.  The identity is re-verified exactly before
-    returning.  Raises ObstructionNotContractible when the hypothesis
+    weighted cochain space.  Routes 2 and 3 re-verify the identity exactly
+    before returning; route 1 is exact, as solve_coboundary's layout holds
+    its target.  Raises ObstructionNotContractible when the hypothesis
     fails (nonzero commutator class or no exact correction).
     """
     lam = a.algebra
@@ -533,10 +468,9 @@ def contractible_solution(a: Cochain, u: HHClass, q: int):
         total = a + differential(c_up, cap=p + 1) + bracket(m4_rep, lowc, cap=p)
         return total.is_zero(up_to=p)
 
-    def primitive(target):
-        """c with d(c) = -target, in the weight<=1 space if target has weights, or None."""
-        solver = solve_coboundary if target.is_iota_linear() else weighted_solve_coboundary
-        return solver(lam, target.scale(-field.one), p, q)
+    def primitive(target, weighted=False):
+        """c with d(c) = -target in solve_coboundary's layout, or None."""
+        return solve_coboundary(lam, target.scale(-field.one), p, q, weighted)
 
     # route 1: direct coboundary solve
     direct = primitive(a)
@@ -566,7 +500,7 @@ def contractible_solution(a: Cochain, u: HHClass, q: int):
     for sign in (field.one, -field.one):
         c_low = gamma_pair.scale(sign)
         r = a + bracket(m4_rep, c_low.to_cochain(), cap=p)
-        c_up = weighted_solve_coboundary(lam, r.scale(-field.one), p, q)
+        c_up = primitive(r, weighted=True)
         if c_up is not None and verified(c_low, c_up):
             return c_low, c_up
     raise ObstructionNotContractible("no exact correction found for the obstruction class", arity=p)

@@ -336,7 +336,12 @@ _store = {}
 
 
 def _per_algebra(build):
-    """Decorator: keep build(lam, *args) in the store, built on first use."""
+    """Decorator: keep build(lam, *args) in the store, built on first use.
+
+    The key is the positional arguments as passed, so a stored function
+    takes no defaults and no keywords: f(lam, p) and f(lam, p, False)
+    would be two entries for one value.
+    """
 
     @functools.wraps(build)
     def memo(lam, *args):

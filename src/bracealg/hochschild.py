@@ -368,29 +368,45 @@ def differential(c: Cochain, cap=None) -> Cochain:
 
 
 # ---------------------------------------------------------------------------
-# The normalized subcomplex as finite coordinates
+# Cochain coordinates: the normalized layout and the weighted one
 
 
 def normalized_space_dim(lam, p):
     return lam.dim * (lam.dim - 1) ** p
 
 
-def cochain_to_vec(c: Cochain, p):
-    """Coordinates of the arity-p component on Lambda-bar^(x)p: the
-    component composed with J (x) ... (x) J, J as in _normalizing_maps.
+def _layout(lam, p, weighted):
+    """(weights, J, P): the coordinates of arity-p cochains.
 
-    Requires an iota-linear component (no weights).
+    The coordinates are those of the weight blocks, one after another, and a
+    block is the component of that weight composed with J (x) ... (x) J,
+    column by column (_vec_of).  A plain cochain has one block, no weight,
+    on Lambda-bar^(x)p with the J, P of _normalizing_maps: the normalized
+    complex.  A weighted cochain has the blocks of weight degree <= 1 (no
+    weight, then one on each input) on Lambda^(x)p, J = P = I, because an
+    Euler weight need not vanish on the unit.
     """
+    if not weighted:
+        return [(0,) * p], *_normalized_maps(lam)
+    ident = Matrix.identity(lam.dim, lam.field)
+    return [(0,) * p] + [tuple(int(u == t) for u in range(p)) for t in range(p)], ident, ident
+
+
+def cochain_to_vec(c: Cochain, p, weighted):
+    """The coordinates of c's arity-p component in _layout(p, weighted); a
+    nonzero component of a weight outside the layout raises.  The plain
+    coordinates see only the values on Lambda-bar, so they hold a component
+    whole only when it is normalized."""
+    weights, J, _ = _layout(c.algebra, p, weighted)
     for e, m in c.comps.get(p, {}).items():
-        if any(e) and not m.is_zero():
-            raise AlgebraSpecError("cochain has Euler weights; not in the iota-linear model")
-    J, _ = _normalizing_maps(c.algebra)
-    return _vec_of(compose(c.component_matrix(p), [J] * p))
+        if e not in weights and not m.is_zero():
+            raise AlgebraSpecError("cochain has Euler weights of degree > %d" % weighted)
+    return [x for e in weights for x in _vec_of(compose(c.component_matrix(p, e), [J] * p))]
 
 
 def _vec_of(reduced):
     """The coordinates of a dim x m matrix, column by column: the one layout
-    of cochain coordinates, index column * dim + row."""
+    of a block, index column * dim + row."""
     return [x for col in reduced.transpose().entries for x in col]
 
 
@@ -400,11 +416,19 @@ def _reduced_matrix(lam, vec):
     return Matrix([vec[row::d] for row in range(d)], lam.field, cols=len(vec) // d)
 
 
-def vec_to_cochain(lam, p, j, vec, cap=math.inf):
-    """Normalized cochain from reduced coordinates: the reduced matrix composed
-    with P (x) ... (x) P, which vanishes on unit inputs since P.1 = 0."""
-    _, P = _normalizing_maps(lam)
-    return Cochain.from_matrix(lam, p, compose(_reduced_matrix(lam, vec), [P] * p), j, cap)
+def vec_to_cochain(lam, p, j, vec, weighted, cap=math.inf):
+    """The cochain with coordinates vec in _layout(p, weighted): each block's
+    reduced matrix composed with P (x) ... (x) P.  A plain cochain is
+    normalized, since P.1 = 0, and keeps its block even when it is zero, as
+    Cochain.from_matrix does; a weighted one keeps its nonzero blocks only."""
+    weights, _, P = _layout(lam, p, weighted)
+    stride = len(vec) // len(weights)
+    comp = {}
+    for t, e in enumerate(weights):
+        m = compose(_reduced_matrix(lam, vec[t * stride : (t + 1) * stride]), [P] * p)
+        if not (weighted and m.is_zero()):
+            comp[e] = m
+    return Cochain(lam, j, {p: comp} if comp else {}, cap)
 
 
 def differential_parts(lam, p, J, P):
@@ -413,9 +437,8 @@ def differential_parts(lam, p, J, P):
     d(f) = -mu(f, 1) + (-1)^p mu(1, f) + sum_i (-1)^(p-1+i) f(..., mu_i, ...),
     where mu_i multiplies inputs i and i+1 of d(f), counted from 0; this is
     [m2, f] written out.  Every input runs over M, given J: M -> Lambda and
-    P: Lambda -> M as for algebra._bar: the J, P of _normalizing_maps give
-    M = Lambda-bar and cochain_to_vec's coordinates, and J = P = I give
-    M = Lambda.
+    P: Lambda -> M as for algebra._bar: those of _layout give its blocks'
+    M, Lambda-bar or Lambda.
     Each part is (sign, factors, moves): kron(factors) = F_1 (x) ... (x) F_k
     maps arity-p coordinates to arity-(p+1) ones (linalg.kron_sum adds the
     signed parts into the matrix of d), and moves[k] lists the inputs of d(f)
@@ -453,21 +476,33 @@ def _normalized_maps(lam):
     return _normalizing_maps(lam)
 
 
-@_per_algebra
-def normalized_differential_matrix(lam, p):
-    """Matrix of d on normalized cochains, arity p -> p+1, in the coordinates
-    on Lambda-bar^(x)p of cochain_to_vec.
+def _weight_moves(moves, blocks_in, blocks_out, field):
+    """The block map of one part of d on _layout's weight blocks (block 0 no
+    weight, block k+1 a weight on input k): no weight stays none, and a
+    weight on input k of f moves to input t of d(f) for each t in moves[k]."""
+    images = [[0]] + [[t + 1 for t in ts] for ts in moves]
+    return Matrix([[field.one if t in images[k] else field.zero for k in range(blocks_in)] for t in range(blocks_out)], field)
 
+
+@_per_algebra
+def normalized_differential_matrix(lam, p, weighted):
+    """Matrix of d, arity p -> p+1, in the coordinates of _layout(p, weighted).
+
+    Each part of differential_parts gets one more Kronecker factor in front,
+    which moves the weight blocks; in the plain layout it is 1 x 1.
     d keeps normalized cochains normalized.  Put the unit at input k of
     d(f), with f normalized: every term that hands the unit to f vanishes,
     and the two that multiply it with a neighbour (faces k-1 and k, or a
     face and an outer product at either end) carry opposite signs and are
     equal, because 1.x = x = x.1.  _normalized_maps checks that unit law
-    exactly, once per algebra, and the parts are summed over Lambda-bar.
+    exactly, once per algebra, and the plain parts are summed over Lambda-bar.
     """
-    parts = differential_parts(lam, p, *_normalized_maps(lam))
-    terms = [(sign, factors) for sign, factors, _ in parts]
-    return kron_sum(terms, normalized_space_dim(lam, p + 1), normalized_space_dim(lam, p), lam.field)
+    weights, J, P = _layout(lam, p, weighted)
+    blocks = len(weights), len(_layout(lam, p + 1, weighted)[0])
+    parts = differential_parts(lam, p, J, P)
+    terms = [(sign, [_weight_moves(moves, *blocks, lam.field)] + factors) for sign, factors, moves in parts]
+    n = J.cols
+    return kron_sum(terms, blocks[1] * lam.dim * n ** (p + 1), blocks[0] * lam.dim * n**p, lam.field)
 
 
 def _is_normalized_component(c: Cochain, p):
@@ -488,9 +523,9 @@ def _cohomology_at(lam, p):
     None of it depends on the internal degree, so every j shares one
     factorisation per arity.
     """
-    cocycles = kernel_basis(normalized_differential_matrix(lam, p))
+    cocycles = kernel_basis(normalized_differential_matrix(lam, p, False))
     if p >= 1:
-        coboundaries = image_basis(normalized_differential_matrix(lam, p - 1))
+        coboundaries = image_basis(normalized_differential_matrix(lam, p - 1, False))
     else:
         coboundaries = SubspaceBasis(normalized_space_dim(lam, p), [], lam.field)
     return (cocycles, coboundaries, *quotient_basis(cocycles, coboundaries))
@@ -549,7 +584,7 @@ class HHClass:
         if representative is not None:
             if not _is_normalized_component(representative, context.p):
                 raise AlgebraSpecError("expected a normalized cochain")
-            vec = cochain_to_vec(representative, context.p)
+            vec = cochain_to_vec(representative, context.p, False)
         self.context, self.vec, self._representative = context, vec, representative
         self.coords = context.classify(vec)
 
@@ -557,7 +592,7 @@ class HHClass:
     def representative(self) -> Cochain:
         if self._representative is None:
             ctx = self.context
-            self._representative = vec_to_cochain(ctx.algebra, ctx.p, ctx.j, self.vec)
+            self._representative = vec_to_cochain(ctx.algebra, ctx.p, ctx.j, self.vec, False)
         return self._representative
 
     @property
@@ -722,14 +757,17 @@ def cohomology(lam, p, j):
     return hh_context(lam, p, j).basis_classes()
 
 
-def solve_coboundary(lam, target: Cochain, p, j):
-    """A normalized primitive b (arity p-1) with d(b) = target, or None."""
-    dmat = normalized_differential_matrix(lam, p - 1)
-    vec = cochain_to_vec(target, p)
-    sol = solve(dmat, vec)
-    if sol is None:
-        return None
-    return vec_to_cochain(lam, p - 1, j, sol)
+def solve_coboundary(lam, target: Cochain, p, j, weighted=False):
+    """A primitive b (arity p-1) with d(b) = target, or None.
+
+    The plain layout holds a target that is normalized and has no Euler
+    weights, and b is then normalized; the solve runs in the weighted
+    layout, which holds every target of weight degree <= 1, otherwise or
+    when asked for.
+    """
+    weighted = weighted or not (target.is_iota_linear() and _is_normalized_component(target, p))
+    sol = solve(normalized_differential_matrix(lam, p - 1, weighted), cochain_to_vec(target, p, weighted))
+    return None if sol is None else vec_to_cochain(lam, p - 1, j, sol, weighted)
 
 
 def divide_class(x_cls: HHClass, u_cls: HHClass) -> HHClass:
@@ -920,7 +958,7 @@ def random_cochain(lam, p, j, rng, normalized=True, cap=math.inf):
     if normalized:
         n = normalized_space_dim(lam, p)
         vec = [lam.field.of(rng.randint(-3, 3)) for _ in range(n)]
-        return vec_to_cochain(lam, p, j, vec, cap)
+        return vec_to_cochain(lam, p, j, vec, False, cap)
     m = Matrix(
         [[lam.field.of(rng.randint(-3, 3)) for _ in range(d**p)] for _ in range(d)],
         lam.field,

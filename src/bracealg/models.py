@@ -9,13 +9,14 @@ this is reported, never assumed away).
 
 dg_end(c) produces the associated "derived endomorphism" analog: a finite
 2-periodic DG algebra whose cohomology is stableEnd(M)[i^{+-1}] with an
-invertible degree-(-2) class and whose length-4 universal Massey product
-is a Tate unit whenever stableEnd(M) is not semisimple.  A naive strictly
-periodic endomorphism complex with equal even/odd dimensions can never
-have such cohomology (its folded Euler characteristic vanishes while
-Laurent form forces chi = dim stableEnd(M)), so the algebra is instead
-constructed as a verified truncated quotient: generators e (even),
-theta, with d(theta) = e^m, an even generator v with
+invertible degree-(-2) class.  Its transferred minimal model has no
+higher operation, so its length-4 universal Massey product is zero, not a
+Tate unit; seeded_minimal_model builds a model with a Tate-unit m4
+directly.  A naive strictly periodic endomorphism complex with equal
+even/odd dimensions can never have such cohomology (its folded Euler
+characteristic vanishes while Laurent form forces chi = dim stableEnd(M)),
+so the algebra is instead constructed as a verified truncated quotient:
+generators e (even), theta, with d(theta) = e^m, an even generator v with
 d(v) = e theta - theta e, the relation
 theta^2 = 1 + sum_i e^i v e^(m-1-i), and all heavier words zero, where
 m = min(a, n-a) = dim stableEnd(M).  All DG algebra axioms, the
@@ -124,6 +125,8 @@ def dg_end(c: PeriodicComplex) -> DGEnd:
     constructor re-verifies every DG algebra axiom, the cohomology is
     stableEnd(k[x]/(x^a))[i^{+-1}] (certified by an honest contraction and
     cross-checked against the independent stable-endomorphism oracle).
+    Homotopy transfer gives it no higher operation: `transfer` reports
+    "ops": {} and FORMAL at (4,2), (5,2), (6,2), (6,3), (7,3) and (8,4).
 
     A strictly periodic endomorphism complex with components R^2 cannot
     serve here: its folded Euler characteristic is zero while Laurent-form

@@ -406,6 +406,16 @@ def test_contractible_exact_obstruction():
     assert total.is_zero(up_to=6)
 
 
+def test_contractible_unnormalized_exact_obstruction():
+    # an unnormalized coboundary has values on unit inputs, which the
+    # normalized coordinates do not hold; the solve must still be exact
+    lam = build_truncated_polynomial(2)
+    b = H.random_cochain(lam, 5, 2, random.Random(5), normalized=False)
+    a = H.Cochain.from_matrix(lam, 6, H.differential(b).component_matrix(6), 2)
+    c_low, c_up = contractible_solution(a, u_class_of(lam), 2)
+    assert c_low.is_zero() and (a + H.differential(c_up)).is_zero(up_to=6)
+
+
 def test_contractible_nonzero_class_iota_linear_route():
     lam = build_truncated_polynomial(2)
     u = u_class_of(lam)

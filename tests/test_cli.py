@@ -473,6 +473,62 @@ def test_malformed_dump_exit_2(tmp_path, kind, edit):
     assert run(["transfer", str(path), "--cap-n", "6"]) == 2
 
 
+def _no_own_component(data):
+    data["ops"]["4"]["components"] = {}
+
+
+def _weighted_component(data):
+    comps = data["ops"]["4"]["components"]["4"]
+    comps.append({"weights": [1, 0, 0, 0], "matrix": comps[0]["matrix"]})
+
+
+def _input(tmp_path, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _kx3_with(**fields):
+    return dict(build_truncated_polynomial(3).to_json(), **fields)
+
+
+def _dg(dims, unit, mult):
+    return {"periodic": True, "dims": dims, "unit": unit, "diff": {}, "mult": mult}
+
+
+ODD_MULT = {"0,0": [[["1"]]], "0,1": [[["1"]]], "1,0": [[["1"]]], "1,1": [[["0"]]]}
+
+
+@pytest.mark.parametrize(
+    "make_argv,message",
+    [
+        pytest.param(lambda t: ["massey", _edited_structure_dump(t, _no_own_component)],
+                     "operation 4: missing its own component", id="structure-no-own-component"),
+        pytest.param(lambda t: ["massey", _edited_structure_dump(t, _weighted_component)],
+                     "operation 4: weighted components not allowed", id="structure-weighted-component"),
+        pytest.param(lambda t: ["hh", _input(t, [1, 2])], "algebra spec must be an object", id="spec-not-an-object"),
+        pytest.param(lambda t: ["hh", _input(t, _kx3_with(mult=[[0, 0]]))],
+                     "mult[0]: expected [i, j, coeffs]", id="spec-mult-not-a-triple"),
+        pytest.param(lambda t: ["hh", _input(t, _kx3_with(mult=[[5, 0, ["0", "0", "0"]]]))],
+                     "mult[0]: row index 5 out of range", id="spec-index-out-of-range"),
+        pytest.param(lambda t: ["transfer", _input(t, _dg({"1": 1}, [], {"1,1": [[["0"]]]}))],
+                     "need a degree-0 component containing the unit", id="dg-no-degree-0"),
+        pytest.param(lambda t: ["transfer", _input(t, _dg({"0": 1, "1": 1}, ["1", "0"], ODD_MULT))],
+                     "unit: expected 1 entries, got 2", id="dg-unit-length"),
+        pytest.param(lambda t: ["hh", _input(t, _kx3_with()), "--field", "fp:21"],
+                     "p must be an odd prime, got 21", id="field-not-prime"),
+        pytest.param(lambda t: ["hh", _input(t, _kx3_with()), "--field", "rr"],
+                     "unknown field 'rr' (use qq or fp:<prime>)", id="field-unknown"),
+        pytest.param(lambda t: ["massey"], "need a structure dump or --n/--a", id="massey-no-input"),
+        pytest.param(lambda t: ["transfer"], "need either an input DG dump or --n/--a model parameters", id="transfer-no-input"),
+        pytest.param(lambda t: ["model"], "model command needs --n and --a", id="model-no-input"),
+    ],
+)
+def test_input_refusals_exit_2(tmp_path, capsys, make_argv, message):
+    assert run(make_argv(tmp_path)) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 # -- per-command imports, checked in a fresh interpreter ------------------------
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(bracealg.__file__)))

@@ -486,7 +486,7 @@ def test_restrict_of_multiplication():
 
 
 def test_cocycle_to_extension_zero():
-    z = H.vec_to_cochain(LAM2, 4, 1, [QQ.zero] * H.normalized_space_dim(LAM2, 4))
+    z = H.vec_to_cochain(LAM2, 4, 1, [QQ.zero] * H.normalized_space_dim(LAM2, 4), False)
     fmap = H.cocycle_to_extension(z)
     assert fmap.matrix.is_zero()
 
@@ -664,7 +664,7 @@ def test_tate_unit_separable_flag():
     lam = build_truncated_polynomial(1)
     zero = H.HHClass(
         H.hh_context(lam, 4, 1),
-        H.vec_to_cochain(lam, 4, 1, [QQ.zero] * H.normalized_space_dim(lam, 4)),
+        H.vec_to_cochain(lam, 4, 1, [QQ.zero] * H.normalized_space_dim(lam, 4), False),
     )
     res = H.tate_unit_check(zero)
     assert bool(res) and res.separable
@@ -828,25 +828,18 @@ def _basis_vectors(n, field):
         yield vec
 
 
-def _brace_normalized_matrix(lam, p):
-    """d on normalized cochains by running [m2, -] on each basis cochain."""
+def _brace_differential_matrix(lam, p, weighted):
+    """d in the plain or the weighted coordinates, by running [m2, -] on each
+    basis cochain; in the plain layout each image is checked normalized."""
+    def size(q):
+        return len(H.cochain_to_vec(H.Cochain.zero(lam), q, weighted))
+
     cols = []
-    for vec in _basis_vectors(H.normalized_space_dim(lam, p), lam.field):
-        dc = H.differential(H.vec_to_cochain(lam, p, 0, vec))
-        assert H._is_normalized_component(dc, p + 1)
-        cols.append(H.cochain_to_vec(dc, p + 1))
-    return Matrix(cols, lam.field, cols=H.normalized_space_dim(lam, p + 1)).transpose()
-
-
-def _brace_weighted_matrix(lam, p):
-    """d on the weight <= 1 cochains by running [m2, -] on each basis cochain."""
-    from bracealg.ainfty import _vec_to_weighted, _weight_monomials, _weighted_to_vec
-
-    d = lam.dim
-    src = len(_weight_monomials(p)) * d * d**p
-    cols = [_weighted_to_vec(H.differential(_vec_to_weighted(lam, p, 0, vec)), p + 1)
-            for vec in _basis_vectors(src, lam.field)]
-    return Matrix(cols, lam.field, cols=len(_weight_monomials(p + 1)) * d * d ** (p + 1)).transpose()
+    for vec in _basis_vectors(size(p), lam.field):
+        dc = H.differential(H.vec_to_cochain(lam, p, 0, vec, weighted))
+        assert weighted or H._is_normalized_component(dc, p + 1)
+        cols.append(H.cochain_to_vec(dc, p + 1, weighted))
+    return Matrix(cols, lam.field, cols=size(p + 1)).transpose()
 
 
 @pytest.mark.parametrize(
@@ -858,12 +851,26 @@ def _brace_weighted_matrix(lam, p):
     ids=["k", "kx2", "kx3", "kx3-permuted", "upper", "upper-t2", "kx3-shifted", "kx2-x-first"],
 )
 def test_differential_matrices_match_brace_reference(lam):
-    from bracealg.ainfty import _weighted_differential_matrix
+    for weighted, arities in ((False, 5), (True, 4)):
+        for p in range(arities):
+            assert H.normalized_differential_matrix(lam, p, weighted) == _brace_differential_matrix(lam, p, weighted)
 
-    for p in range(5):
-        assert H.normalized_differential_matrix(lam, p) == _brace_normalized_matrix(lam, p)
-    for p in range(4):
-        assert _weighted_differential_matrix(lam, p) == _brace_weighted_matrix(lam, p)
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+def test_coordinate_layouts(weighted):
+    # coordinates round-trip; the zero vector gives the plain layout's one
+    # zero block, as Cochain.from_matrix does, and no component in the
+    # weighted layout; a weight outside the layout is refused
+    p, rng = 2, random.Random(19)
+    size = len(H.cochain_to_vec(H.Cochain.zero(LAM3), p, weighted))
+    assert size == ((p + 1) * 3 ** (p + 1) if weighted else H.normalized_space_dim(LAM3, p))
+    vec = [QQ.of(rng.randint(-3, 3)) for _ in range(size)]
+    assert H.cochain_to_vec(H.vec_to_cochain(LAM3, p, 1, vec, weighted), p, weighted) == vec
+    zero = H.vec_to_cochain(LAM3, p, 1, [QQ.zero] * size, weighted)
+    assert zero.comps == ({} if weighted else {p: {(0, 0): Matrix.zeros(3, 9, QQ)}})
+    heavy = H.Cochain(LAM3, 0, {p: {(1, 1) if weighted else (1, 0): Matrix.from_int_rows([[1] + [0] * 8] * 3)}})
+    with pytest.raises(AlgebraSpecError, match=r"^cochain has Euler weights of degree > %d$" % weighted):
+        H.cochain_to_vec(heavy, p, weighted)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -874,7 +881,7 @@ def test_normalization_check_fires_on_broken_unit_law(side):
     lam.mult[i][j] = [QQ.zero, QQ.one, QQ.one]
     lam._mult_mat = None
     with pytest.raises(AlgebraSpecError, match="differential left the normalized subcomplex"):
-        H.normalized_differential_matrix(lam, 1)
+        H.normalized_differential_matrix(lam, 1, False)
 
 
 def test_equal_algebras_share_the_store():
@@ -884,7 +891,7 @@ def test_equal_algebras_share_the_store():
 
     a, b = build_truncated_polynomial(3, GF(101)), build_truncated_polynomial(3, GF(101))
     assert a is not b and _structure_key(a) is _structure_key(a)
-    assert H.normalized_differential_matrix(a, 2) is H.normalized_differential_matrix(b, 2)
+    assert H.normalized_differential_matrix(a, 2, False) is H.normalized_differential_matrix(b, 2, False)
     assert H.hh_context(a, 2, 1) is H.hh_context(b, 2, 1)
 
 
@@ -963,7 +970,7 @@ def test_class_product_tables_of_empty_and_mixed_stacks():
 
 def test_class_of_a_non_cocycle_refused():
     ctx = H.hh_context(LAM3, 2, 1)
-    d = H.normalized_differential_matrix(LAM3, 2)
+    d = H.normalized_differential_matrix(LAM3, 2, False)
     v = next(v for v in _basis_vectors(d.cols, QQ) if any(d.apply(v)))
     with pytest.raises(H.NotACocycle, match=r"^vector is not a cocycle at \(2, -2\)$"):
         H.HHClass(ctx, vec=v)
