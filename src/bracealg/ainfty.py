@@ -6,26 +6,23 @@ along a deterministic echelon contraction produces the minimal operations
 m_n as iota-linear Hochschild cochains on H0; the Maurer-Cartan equation
 is verified exactly and is the arbiter for all sign conventions.  The
 inductive construction of A-infinity isomorphisms kills one even-arity
-obstruction at a time, preferring a plain coboundary solve and falling
-back to the Euler-adjoined contraction formula when the obstruction class
-is nonzero.
+obstruction at a time, by one exact linear solve for a primitive and a
+cocycle correction, plain first and Euler-adjoined when that fails.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement, permutations
+from itertools import product
 
 from .finite import AlgebraSpecError, LaurentAlgebra
 from .hochschild import (
-    DEFAULT_CAP,
     Cochain,
     EulerAdjoinedCochain,
     HHClass,
     NotACocycle,
     WrongBidegree,
     bracket,
-    bracket_table,
     brace,
     class_of,
     cup,
@@ -34,7 +31,6 @@ from .hochschild import (
     divide_class,
     hh_context,
     hh_isos_forward,
-    restrict_j,
     solve_coboundary,
     tate_unit_check,
 )
@@ -266,11 +262,9 @@ def _morphism_residual(f, m_ops, mp_ops, cap):
     for k, mk in mp_ops.items():
         _sum_per_arity(acc, mk)  # r = 0
         for r in range(1, k + 1):
-            for combo in combinations_with_replacement(args, r):
-                if k - r + sum(combo) > cap:
-                    continue
-                for perm in sorted(set(permutations(combo))):
-                    _sum_per_arity(acc, brace(mk, [f[a] for a in perm], cap=cap))
+            for combo in product(args, repeat=r):
+                if k - r + sum(combo) <= cap:
+                    _sum_per_arity(acc, brace(mk, [f[a] for a in combo], cap=cap))
     for c in m_ops.values():
         _sum_per_arity(acc, c.scale(-c.algebra.field.one))
     for a, ca in f.items():
@@ -437,73 +431,58 @@ def contractible_solution(a: Cochain, u: HHClass, q: int):
     """Cochains (c_lower, c_upper) with d(c_lower) = 0 and
     a + d(c_upper) + [m4_rep, c_lower] = 0 exactly.
 
-    m4_rep is u's representative placed at iota power 1.  Three routes, in
-    order: a direct coboundary solve (c_lower = 0) when the class of `a`
-    vanishes; an iota-linear c_lower solving [m4, c_lower] = -a at class
-    level when the obstruction class lies in the image of the bracket; and
-    the Euler-adjoined contraction formula c_lower ~ u^{-1} e2 x i^{q-1}
-    otherwise, with the exact correction found by a linear solve in the
-    weighted cochain space.  Routes 2 and 3 re-verify the identity exactly
-    before returning; route 1 is exact, as solve_coboundary's layout holds
-    its target.  Raises ObstructionNotContractible when the hypothesis
-    fails (nonzero commutator class or no exact correction).
+    m4_rep is u's representative placed at iota power 1.  A coboundary `a`
+    is solved first with c_lower = 0 and no candidates.  Otherwise one
+    linear solve per layout (solve_coboundary with `also`) finds c_upper
+    together with c_lower, a combination of candidate cocycles c, each
+    entering as the column of [m4_rep, c]: in the plain layout the
+    representatives of HH^{p-3, -2(q-1)}; in the weighted layout, tried when
+    the plain solve fails, also v . e2 for each representative v of
+    HH^{p-4, -2(q-1)} (the Euler-adjoined contraction
+    c_lower ~ u^{-1} e2 x i^{q-1}).  With zero free coordinates, c_lower
+    uses the leftmost candidates whose brackets are independent modulo
+    coboundaries.  The identity is re-verified exactly before returning.
+    Raises ObstructionNotContractible when neither layout solves it.
     """
     lam = a.algebra
-    field = lam.field
-    aits = [p_ for p_ in a.arities() if not a.component_matrix(p_).is_zero() or a.comps.get(p_)]
-    zero_pair = EulerAdjoinedCochain(Cochain.zero(lam, q - 1), Cochain.zero(lam, q - 1))
+    aits = [p_ for p_, comp in a.comps.items() if comp]
+    zero = Cochain.zero(lam, q - 1)
     if not aits:
-        return zero_pair, Cochain.zero(lam, q)
+        return EulerAdjoinedCochain(zero, zero), Cochain.zero(lam, q)
     if len(aits) != 1:
         raise AlgebraSpecError("obstruction must be arity-homogeneous")
     p = aits[0]
     if not differential(a, cap=p + 1).is_zero(up_to=p + 1):
         raise NotACocycle("obstruction is not a cocycle")
     m4_rep = u.representative.shift_iota(1)
+    target = a.scale(-lam.field.one)
 
-    def verified(c_low_pair, c_up):
-        lowc = c_low_pair.to_cochain()
+    def solved(cands, weighted):
+        """(c_lower, c_upper) from the candidates in one layout, or None."""
+        columns = [bracket(m4_rep, c.to_cochain(), cap=p) for c in cands]
+        sol = solve_coboundary(lam, target, p, q, weighted, also=columns)
+        if sol is None:
+            return None
+        c_up, x = sol
+        c_low = sum((c.scale(t) for t, c in zip(x, cands) if t), EulerAdjoinedCochain(zero, zero))
+        lowc = c_low.to_cochain()
         if not differential(lowc, cap=p).is_zero(up_to=p):
-            return False
-        total = a + differential(c_up, cap=p + 1) + bracket(m4_rep, lowc, cap=p)
-        return total.is_zero(up_to=p)
+            return None
+        if not (a + differential(c_up, cap=p + 1) + bracket(m4_rep, lowc, cap=p)).is_zero(up_to=p):
+            return None
+        return c_low, c_up
 
-    def primitive(target, weighted=False):
-        """c with d(c) = -target in solve_coboundary's layout, or None."""
-        return solve_coboundary(lam, target.scale(-field.one), p, q, weighted)
-
-    # route 1: direct coboundary solve
-    direct = primitive(a)
-    if direct is not None:
-        return zero_pair, direct
-    # hypothesis: the obstruction class commutes with the periodicity class
-    if p + 4 <= DEFAULT_CAP and not laurent_class_of(lam, bracket(m4_rep, a), p + 3, q + 1).is_zero():
-        raise ObstructionNotContractible("obstruction does not commute with the periodicity class", arity=p)
-    xi = class_of(lam, restrict_j(a), p, q)
-    u_shift = class_of(lam, u.representative.shift_iota(1), 4, 1)
-    # route 2: iota-linear correction from the bracket image
-    ctx = hh_context(lam, p - 3, q - 1)
-    basis = ctx.basis_classes()
-    if basis:
-        cols = [cls.coords for cls in bracket_table([u_shift], basis)[0]]
-        sol = solve(Matrix(cols, field).transpose(), [-c for c in xi.coords])
-        if sol is not None:
-            gamma = ctx.combination(sol).representative
-            c_up = primitive(a + bracket(m4_rep, gamma, cap=p))
-            if c_up is not None:
-                pair = EulerAdjoinedCochain(gamma, Cochain.zero(lam, q - 1))
-                if verified(pair, c_up):
-                    return pair, c_up
-    # route 3: Euler-adjoined contraction formula
-    v = divide_class(xi, u_shift)  # class at (p-4, q-1)
-    gamma_pair = EulerAdjoinedCochain(Cochain.zero(lam, q - 1), v.representative)
-    for sign in (field.one, -field.one):
-        c_low = gamma_pair.scale(sign)
-        r = a + bracket(m4_rep, c_low.to_cochain(), cap=p)
-        c_up = primitive(r, weighted=True)
-        if c_up is not None and verified(c_low, c_up):
-            return c_low, c_up
-    raise ObstructionNotContractible("no exact correction found for the obstruction class", arity=p)
+    # a coboundary needs no candidates, and so no hh_context, which stops at the horizontal cap
+    found = solved([], False)
+    if found is None:
+        cands = [EulerAdjoinedCochain(g.representative, zero) for g in hh_context(lam, p - 3, q - 1).basis_classes()]
+        found = solved(cands, False)
+    if found is None:
+        cands += [EulerAdjoinedCochain(zero, v.representative) for v in hh_context(lam, p - 4, q - 1).basis_classes()]
+        found = solved(cands, True)
+    if found is None:
+        raise ObstructionNotContractible("no exact correction found for the obstruction class", arity=p)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +495,7 @@ def build_iso(m: MinimalAInfty, mp: MinimalAInfty, N: int) -> AInftyMorphism:
     Requires m_3 = 0 on both sides and equal restricted Massey classes; if
     the classes differ, a compensating gauge by a central unit is searched
     first and the returned morphism carries that unit as its linear part.
-    Stage n kills the arity-(2n+2) obstruction by a coboundary solve, or
-    by the Euler-adjoined contraction when its class is nonzero.
+    Stage n kills the arity-(2n+2) obstruction with contractible_solution.
     """
     lam = m.algebra
     field = lam.field
@@ -535,11 +513,11 @@ def build_iso(m: MinimalAInfty, mp: MinimalAInfty, N: int) -> AInftyMorphism:
         return f
     # stage 1: d(f3) = m4 - m4'
     diff4 = m.op(4) - mp.op(4)
-    f3 = solve_coboundary(lam, diff4, 4, 1)
-    if f3 is None:
+    stage1 = solve_coboundary(lam, diff4, 4, 1)
+    if stage1 is None:
         raise ClassMismatch("m4 classes differ at the cochain level (precheck passed?)")
-    f = {3: f3}
-    u_cls = class_of(lam, restrict_j(m.op(4)).shift_iota(-1), 4, 0)
+    f = {3: stage1[0]}
+    u_cls = class_of(lam, m.op(4).shift_iota(-1), 4, 0)
     n = 2
     while 2 * n + 2 <= N:
         morph = AInftyMorphism(m, mp, f, None)

@@ -100,6 +100,9 @@ def structure_from_json(data, field=None) -> MinimalAInfty:
     for key, dump in data.get("ops", {}).items():
         where = "ops[%s]" % key
         n = _parse_int(key, where)
+        iota = _get(dump, "iota_power", where)
+        if n % 2 == 0 and iota != (n - 2) // 2:
+            raise AlgebraSpecError("operation %d: iota_power %r, expected %d" % (n, iota, (n - 2) // 2))
         comps = _get(dump, "components", where).get(str(n))
         if comps is None:
             raise AlgebraSpecError("operation %d: missing its own component" % n)
@@ -113,7 +116,7 @@ def structure_from_json(data, field=None) -> MinimalAInfty:
                 raise AlgebraSpecError("operation %d: weighted components not allowed" % n)
         if mat is None:
             continue
-        ops[n] = Cochain.from_matrix(lam, n, mat, _get(dump, "iota_power", where), cap)
+        ops[n] = Cochain.from_matrix(lam, n, mat, iota, cap)
     return MinimalAInfty(LaurentAlgebra(lam), ops, cap)
 
 

@@ -757,17 +757,24 @@ def cohomology(lam, p, j):
     return hh_context(lam, p, j).basis_classes()
 
 
-def solve_coboundary(lam, target: Cochain, p, j, weighted=False):
-    """A primitive b (arity p-1) with d(b) = target, or None.
+def solve_coboundary(lam, target: Cochain, p, j, weighted=False, also=()):
+    """(b, x) with d(b) + sum_t x[t] also[t] = target exactly, or None.
 
-    The plain layout holds a target that is normalized and has no Euler
-    weights, and b is then normalized; the solve runs in the weighted
-    layout, which holds every target of weight degree <= 1, otherwise or
+    b has arity p-1, and x has one coefficient per arity-p cochain of
+    `also`, whose columns follow those of d.  The solution is the one with
+    zero free coordinates: x = 0 when target is a coboundary, and b is then
+    the primitive found without `also`; otherwise x uses the leftmost
+    cochains of `also` that are independent modulo coboundaries.  The plain
+    layout holds cochains that are normalized and have no Euler weights, and
+    b is then normalized; the solve runs in the weighted layout, which holds
+    every cochain of weight degree <= 1, if target or `also` needs it or
     when asked for.
     """
-    weighted = weighted or not (target.is_iota_linear() and _is_normalized_component(target, p))
-    sol = solve(normalized_differential_matrix(lam, p - 1, weighted), cochain_to_vec(target, p, weighted))
-    return None if sol is None else vec_to_cochain(lam, p - 1, j, sol, weighted)
+    weighted = weighted or not all(c.is_iota_linear() and _is_normalized_component(c, p) for c in (target, *also))
+    d = normalized_differential_matrix(lam, p - 1, weighted)
+    columns = Matrix([cochain_to_vec(c, p, weighted) for c in also], lam.field, cols=d.rows).transpose()
+    sol = solve(d.augment(columns), cochain_to_vec(target, p, weighted))
+    return None if sol is None else (vec_to_cochain(lam, p - 1, j, sol[: d.cols], weighted), sol[d.cols :])
 
 
 def divide_class(x_cls: HHClass, u_cls: HHClass) -> HHClass:

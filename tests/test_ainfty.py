@@ -5,7 +5,7 @@ import random
 import pytest
 
 from bracealg.finite import AlgebraSpecError, LaurentAlgebra, build_truncated_polynomial
-from bracealg.linalg import Matrix, QQ
+from bracealg.linalg import Matrix, QQ, compose, solve_matrix
 from bracealg import hochschild as H
 from bracealg.ainfty import (
     AInftyMorphism,
@@ -16,6 +16,7 @@ from bracealg.ainfty import (
     MinimalAInfty,
     NOT_FORMAL,
     NotUnit,
+    ObstructionNotContractible,
     ainfty_map_check,
     build_iso,
     contractible_solution,
@@ -416,6 +417,19 @@ def test_contractible_unnormalized_exact_obstruction():
     assert c_low.is_zero() and (a + H.differential(c_up)).is_zero(up_to=6)
 
 
+def test_contractible_coboundary_beyond_horizontal_cap():
+    # a coboundary at arity 14 is solved without cohomology at arity 11,
+    # which lies beyond the horizontal cap
+    lam = build_truncated_polynomial(2)
+    with pytest.raises(H.CapTooLow):
+        H.hh_context(lam, 11, 6)
+    b = H.random_cochain(lam, 13, 7, random.Random(1))
+    a = H.Cochain.from_matrix(lam, 14, H.differential(b, cap=14).component_matrix(14), 7)
+    assert not a.is_zero()
+    c_low, c_up = contractible_solution(a, u_class_of(lam), 7)
+    assert c_low.is_zero() and (a + H.differential(c_up, cap=15)).is_zero(up_to=14)
+
+
 def test_contractible_nonzero_class_iota_linear_route():
     lam = build_truncated_polynomial(2)
     u = u_class_of(lam)
@@ -464,6 +478,24 @@ def test_contractible_euler_route_exact():
     m4_rep = u.representative.shift_iota(1)
     total = a + H.differential(c_up) + H.bracket(m4_rep, lowc)
     assert total.is_zero(up_to=6)
+
+
+def test_contractible_zero_unit_class_is_an_obstruction():
+    # with u = 0 every candidate's bracket vanishes, so a nonzero class
+    # cannot be contracted in either layout
+    lam = build_truncated_polynomial(2)
+    a = H.cohomology(lam, 6, 2)[0].representative
+    with pytest.raises(ObstructionNotContractible) as exc:
+        contractible_solution(a, u_class_of(lam).scale(QQ.zero), 2)
+    assert exc.value.arity == 6
+
+
+def test_verdict_inconclusive_on_nonzero_m6_class():
+    # [m4] = 0 but m6 has a nonzero class: the first obstruction is at arity 6
+    lam = build_truncated_polynomial(2)
+    m = MinimalAInfty(LaurentAlgebra(lam), {6: H.cohomology(lam, 6, 2)[0].representative.with_cap(8)}, 8)
+    v = formality_verdict_of_model(m, 8)
+    assert v == INCONCLUSIVE and v.obstruction_arity == 6
 
 
 # -- build_iso --------------------------------------------------------------------------
@@ -555,6 +587,60 @@ def test_transported_structure_identity():
     m = seeded_minimal_model(4, 2, cap=8)
     m2 = transported_structure(m, {}, cap=8)
     assert all((m2.op(n) - m.op(n)).is_zero() for n in (4, 6, 8))
+
+
+# -- conjugated DG models ---------------------------------------------------------------
+
+
+def conjugated_dump(dga, seed):
+    """The DG dump of dga in a new basis: mu' = g mu (g^-1 (x) g^-1),
+    d' = g d g^-1 and unit' = g unit.
+
+    In each parity g is the identity plus seeded entries in {-1, 0, 1} off
+    the diagonal, redrawn until invertible.  The dump describes an
+    isomorphic DG algebra whose structure constants are dense.
+    """
+    f = dga.field
+    rng = random.Random(seed)
+    g, ginv = {}, {}
+    for deg in dga.degrees():
+        n = dga.dim(deg)
+        while ginv.get(deg) is None:
+            g[deg] = Matrix([[f.one if r == c else f.of(rng.choice((-1, 0, 1))) for c in range(n)] for r in range(n)], f)
+            ginv[deg] = solve_matrix(g[deg], Matrix.identity(n, f))
+    mult = {}
+    for d1 in dga.degrees():
+        for d2 in dga.degrees():
+            prod = g[dga.deg_add(d1, d2)] * compose(dga.mult_matrix(d1, d2), [ginv[d1], ginv[d2]])
+            cols = [[f.to_str(x) for x in prod.column(c)] for c in range(prod.cols)]
+            mult["%d,%d" % (d1, d2)] = [cols[i * dga.dim(d2) : (i + 1) * dga.dim(d2)] for i in range(dga.dim(d1))]
+    diff = {}
+    for deg in dga.degrees():
+        d = g[dga.deg_next(deg)] * dga.d_matrix(deg) * ginv[deg]
+        diff[str(deg)] = [[f.to_str(x) for x in row] for row in d.entries]
+    return {
+        "periodic": True,
+        "dims": {str(deg): n for deg, n in dga.dims.items()},
+        "unit": [f.to_str(x) for x in g[0].apply(dga.unit)],
+        "mult": mult,
+        "diff": diff,
+        "labels": {},
+    }
+
+
+def test_conjugated_model_transfers_higher_operations():
+    # the unconjugated (4,2) model transfers to no operation at all; the
+    # conjugated one (its dump read back exactly) has operations at arities
+    # 4, 6 and 8, which transfer's MinimalAInfty checks against
+    # Maurer-Cartan, and the same verdict
+    e = dg_end(complete_resolution(4, 2))
+    dump = conjugated_dump(e, 1)
+    dga = DGAlgebra.from_json(dump)
+    assert dga.to_json() == dump
+    m = transfer(dga, make_contraction(dga), 8)
+    assert m.arities() == [4, 6, 8]
+    assert formality_verdict_of_model(m, 8) == FORMAL
+    assert is_formal(e, 8) == FORMAL
 
 
 # -- formality ----------------------------------------------------------------------------

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import bracealg
-from bracealg.finite import build_truncated_polynomial
+from bracealg.finite import LaurentAlgebra, build_truncated_polynomial
 from bracealg.ainfty import MinimalAInfty, gauge_by_central_unit
 from bracealg.cli import build_parser, main, structure_from_json, structure_to_json
+from bracealg.hochschild import cohomology
 from bracealg.models import complete_resolution, dg_end, seeded_minimal_model
 
 
@@ -300,6 +301,20 @@ def test_compare_pipeline(tmp_path):
     assert rep["morphism"]["components"] == {}
 
 
+def test_compare_reports_an_obstruction(tmp_path):
+    # [m4] = 0 but m6 has a nonzero class: compare reports the obstruction
+    # at arity 6 and exits 0
+    lam = build_truncated_polynomial(2)
+    m = MinimalAInfty(LaurentAlgebra(lam), {6: cohomology(lam, 6, 2)[0].representative.with_cap(8)}, 8)
+    pm, pz = tmp_path / "m.json", tmp_path / "z.json"
+    pm.write_text(json.dumps(structure_to_json(m)))
+    pz.write_text(json.dumps(structure_to_json(MinimalAInfty(m.laurent, {}, 8))))
+    out = tmp_path / "cmp.json"
+    assert run(["compare", str(pm), str(pz), "--cap-n", "8", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["result"] == "obstruction" and rep["obstruction_arity"] == 6
+
+
 def test_structure_dump_roundtrip():
     m = seeded_minimal_model(4, 2, cap=8)
     m2 = structure_from_json(structure_to_json(m))
@@ -482,6 +497,10 @@ def _weighted_component(data):
     comps.append({"weights": [1, 0, 0, 0], "matrix": comps[0]["matrix"]})
 
 
+def _wrong_iota_power(data):
+    data["ops"]["4"]["iota_power"] = 5
+
+
 def _input(tmp_path, data):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
@@ -506,6 +525,8 @@ ODD_MULT = {"0,0": [[["1"]]], "0,1": [[["1"]]], "1,0": [[["1"]]], "1,1": [[["0"]
                      "operation 4: missing its own component", id="structure-no-own-component"),
         pytest.param(lambda t: ["massey", _edited_structure_dump(t, _weighted_component)],
                      "operation 4: weighted components not allowed", id="structure-weighted-component"),
+        pytest.param(lambda t: ["massey", _edited_structure_dump(t, _wrong_iota_power)],
+                     "operation 4: iota_power 5, expected 1", id="structure-wrong-iota-power"),
         pytest.param(lambda t: ["hh", _input(t, [1, 2])], "algebra spec must be an object", id="spec-not-an-object"),
         pytest.param(lambda t: ["hh", _input(t, _kx3_with(mult=[[0, 0]]))],
                      "mult[0]: expected [i, j, coeffs]", id="spec-mult-not-a-triple"),

@@ -986,3 +986,16 @@ def test_non_normalized_representative_refused():
         H.HHClass(ctx, rep)
     with pytest.raises(AlgebraSpecError, match="expected a normalized cochain"):
         H.class_of(LAM2, rep, 1, 0)
+
+
+def test_solve_coboundary_extra_columns_on_a_coboundary():
+    # a coboundary target needs none of the extra columns: their
+    # coefficients are zero and b is the primitive found without them
+    target = H.differential(H.random_cochain(LAM2, 5, 2, random.Random(3)))
+    target = H.Cochain.from_matrix(LAM2, 6, target.component_matrix(6), 2)
+    also = [cls.representative for cls in H.cohomology(LAM2, 6, 2)] + [target]
+    b, x = H.solve_coboundary(LAM2, target, 6, 2)
+    b_also, x_also = H.solve_coboundary(LAM2, target, 6, 2, also=also)
+    assert x == [] and x_also == [QQ.zero] * len(also)
+    assert b_also.to_json() == b.to_json()
+    assert (H.differential(b, cap=6) - target).is_zero(up_to=6)
