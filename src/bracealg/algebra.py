@@ -26,7 +26,6 @@ from .linalg import (  # noqa: F401
     rank,
     _Echelon,
     _echelon_of,
-    _subtract,
     solve,
     solve_matrix,
 )
@@ -458,16 +457,10 @@ def _strip(m: Bimodule) -> StripResult:
         raise AlgebraSpecError("free part has unexpected rank")
     free_cols = [j for j in range(m.dim) if j not in reducer.rows]
     core_dim = len(free_cols)
-    # core vector for free column c: e_c - sum_k Phi[k][c] F_k
-    sections = Phi.transpose().nonzeros()
-    fnz = F.nonzeros()
-    core_vecs = []
-    for c in free_cols:
-        v = {c: field.one}
-        for k, x in sections[c]:
-            _subtract(v, x, fnz[k])
-        core_vecs.append(v)
-    include = Matrix.from_nonzeros(core_vecs, m.dim, field).transpose()
+    # core vector for free column c: e_c - sum_k Phi[k][c] F_k, the row c of
+    # I - Phi^T F; only the free rows are formed
+    ident = Matrix.identity(m.dim, field)
+    include = (ident.select_rows(free_cols) - Phi.transpose().select_rows(free_cols) * F).transpose()
     # column j of the projection: e_j reduced by F, which leaves it at the
     # free columns only
     free_pos = {c: t for t, c in enumerate(free_cols)}

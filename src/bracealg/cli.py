@@ -136,15 +136,14 @@ def cmd_hh(args, t0):
         raise CapTooLow("--cap-p must stay below the horizontal cap %d" % DEFAULT_CAP)
 
     def _j_for(p):
-        return max(0, (p + 1) // 2)
+        return (p + 1) // 2
 
     table = {str(p): hh_context(lam, p, _j_for(p)).dim for p in range(0, cap_p + 1)}
     # cup and bracket tables on generators of low bidegrees: one table per
     # pair of arities, listed generator pair by generator pair
     gens = [(p, cohomology(lam, p, _j_for(p))) for p in range(0, min(cap_p, 4) + 1)]
-    top = min(cap_p, DEFAULT_CAP - 1)
-    cups = {(p, q): cup_table(xs, ys) for p, xs in gens for q, ys in gens if p + q <= top}
-    brackets = {(p, q): bracket_table(xs, ys) for p, xs in gens for q, ys in gens if 1 <= p + q <= top + 1}
+    cups = {(p, q): cup_table(xs, ys) for p, xs in gens for q, ys in gens if p + q <= cap_p}
+    brackets = {(p, q): bracket_table(xs, ys) for p, xs in gens for q, ys in gens if 1 <= p + q <= cap_p + 1}
     pairs = [(p, i, q, k) for p, xs in gens for i in range(len(xs)) for q, ys in gens for k in range(len(ys))]
 
     def entries(tables):
@@ -225,10 +224,8 @@ def cmd_massey(args, t0):
     else:
         cls = hh_context(lam, 4, 1).combination([])
     zero = cls.is_zero()
-    # the Tate unit test is the stable-iso test of the syzygy map Omega^4 -> L;
-    # a seeded model carries the result for its own class
-    seeded = getattr(m, "tate_unit", None)
-    unit = seeded[1] if seeded and seeded[0] == cls else tate_unit_check(cls)
+    # the Tate unit test is the stable-iso test of the syzygy map Omega^4 -> L
+    unit = tate_unit_check(cls)
     report = {
         "schema": SCHEMA,
         "command": "massey",

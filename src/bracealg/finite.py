@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 
-from .linalg import QQ, Matrix, compose, image_basis, kernel_basis, kron_sum, rank, solve
+from .linalg import QQ, Matrix, compose, image_basis, kernel_basis, rank, solve
 
 
 class AlgebraSpecError(ValueError):
@@ -22,8 +22,10 @@ class FiniteAlgebra:
     mult[i][j] is the coordinate vector of e_i * e_j.  Associativity and
     the unit laws are verified on all basis triples when the algebra is
     constructed; everything downstream relies on them.  mult and unit are
-    not changed afterwards: the products and the per-algebra store key are
-    built from them once.
+    not changed afterwards: the product matrix and the per-algebra store
+    key are built from them once.  Every product is a compose of that
+    matrix: mul(u, v) inserts u and v, left_mult_of(v) inserts v and the
+    identity, right_mult_matrix(i) the identity and e_i.
     """
 
     def __init__(self, labels, unit, mult, field=QQ):
@@ -40,8 +42,6 @@ class FiniteAlgebra:
             for j, vec in enumerate(row):
                 if len(vec) != self.dim:
                     raise AlgebraSpecError("mult[%d][%d] has wrong length" % (i, j))
-        self._left_mats = None
-        self._right_mats = None
         self._mult_mat = None
         self._key = None  # _structure_key, built on first use
         self._rad = None
@@ -74,7 +74,8 @@ class FiniteAlgebra:
         return v
 
     def mul(self, u, v):
-        return self.left_mult_of(u).apply(v)
+        f = self.field
+        return compose(self.mult_matrix(), [Matrix.column_vector(u, f), Matrix.column_vector(v, f)]).column(0)
 
     def mult_matrix(self):
         """The product as a dim x dim^2 matrix; column i*dim+j is e_i e_j."""
@@ -86,24 +87,16 @@ class FiniteAlgebra:
         return self._mult_mat
 
     def left_mult_matrix(self, i):
-        if self._left_mats is None:
-            self._left_mats = [
-                Matrix([[self.mult[i][j][r] for j in range(self.dim)] for r in range(self.dim)], self.field)
-                for i in range(self.dim)
-            ]
-        return self._left_mats[i]
+        return self.left_mult_of(self.basis_vector(i))
 
     def right_mult_matrix(self, i):
-        if self._right_mats is None:
-            self._right_mats = [
-                Matrix([[self.mult[j][i][r] for j in range(self.dim)] for r in range(self.dim)], self.field)
-                for i in range(self.dim)
-            ]
-        return self._right_mats[i]
+        f = self.field
+        e_i = Matrix.column_vector(self.basis_vector(i), f)
+        return compose(self.mult_matrix(), [Matrix.identity(self.dim, f), e_i])
 
     def left_mult_of(self, vec):
-        parts = [(c, [self.left_mult_matrix(i)]) for i, c in enumerate(vec) if c]
-        return kron_sum(parts, self.dim, self.dim, self.field)
+        f = self.field
+        return compose(self.mult_matrix(), [Matrix.column_vector(vec, f), Matrix.identity(self.dim, f)])
 
     def is_commutative(self):
         return all(self.mult[i][j] == self.mult[j][i] for i in range(self.dim) for j in range(i))
@@ -128,14 +121,15 @@ class FiniteAlgebra:
         if self._rad is not None:
             return self._rad
 
-        def trace(m):
-            return sum((x for k, row in enumerate(m.nonzeros()) for j, x in row if j == k), self.field.zero)
-
-        lmats = [self.left_mult_matrix(i) for i in range(self.dim)]
-        rad = kernel_basis(Matrix([[trace(a * b) for b in lmats] for a in lmats], self.field))
+        d, mult = self.dim, self.mult_matrix()
+        # tr(L_a L_b) = tr L_{e_a e_b} = t . (e_a e_b), where t_c = tr L_c is
+        # the sum of the entries (k, c*d + k) of the product matrix
+        t = Matrix([[sum((mult[k, c * d + k] for k in range(d)), self.field.zero) for c in range(d)]], self.field)
+        form = (t * mult).row(0)
+        rad = kernel_basis(Matrix([form[a * d : (a + 1) * d] for a in range(d)], self.field))
         basis, power = rad.matrix.transpose(), rad
         while power.dim:  # I.I^k is spanned by the products of the two bases
-            smaller = image_basis(compose(self.mult_matrix(), [basis, power.matrix.transpose()]))
+            smaller = image_basis(compose(mult, [basis, power.matrix.transpose()]))
             if smaller.dim == power.dim:
                 raise AlgebraSpecError(
                     "the trace form's kernel over %r is not nilpotent, so it is not the radical "
@@ -154,10 +148,17 @@ class FiniteAlgebra:
         radb = self.radical_basis()
         if radb.dim == 0:
             return None
-        rows = Matrix.zeros(0, self.dim, self.field)
-        for v in radb.vectors():
-            rows = rows.stack(self.left_mult_of(v))
-        soc = kernel_basis(rows)
+        d, f = self.dim, self.field
+        # column t*d + j of the product is x_t e_j, x_t the t-th radical
+        # basis vector, so its t-th block of d columns is L_{x_t}; the
+        # socle equations are these blocks, stacked
+        prod = compose(self.mult_matrix(), [radb.matrix.transpose(), Matrix.identity(d, f)])
+        eqs = [{} for _ in range(radb.dim * d)]
+        for i, row in enumerate(prod.nonzeros()):
+            for c, x in row:
+                t, j = divmod(c, d)
+                eqs[t * d + i][j] = x
+        soc = kernel_basis(Matrix.from_nonzeros(eqs, d, f))
         if soc.dim != 1:
             return None
         return soc.vectors()[0]
@@ -328,10 +329,10 @@ def _structure_key(lam: FiniteAlgebra):
 
 # The per-algebra store: everything built once per algebra (enveloping
 # algebra, diagonal bimodule, periodic resolutions, differential matrices,
-# Hochschild contexts, bar syzygies, normalizing maps, generators) lives
-# here for the life of the process, keyed on the algebra's structure so
-# that equal algebras built separately share entries.  Nothing in the
-# package runs concurrently, so it needs no lock.
+# Hochschild contexts, bar syzygies, Tate-unit verdicts, normalizing maps,
+# generators) lives here for the life of the process, keyed on the
+# algebra's structure so that equal algebras built separately share
+# entries.  Nothing in the package runs concurrently, so it needs no lock.
 _store = {}
 
 

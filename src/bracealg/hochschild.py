@@ -945,15 +945,20 @@ def tate_unit_check(cls: HHClass) -> TateUnitResult:
 
     Criterion: the map Omega^4(L) -> L induced by the class, built from its
     reduced coordinates (vec), is a stable isomorphism.  The result does not
-    depend on the representative (tested).
+    depend on the representative (tested); it is kept in the per-algebra
+    store under the representative's coordinates.
     """
     if cls.bidegree != (4, -2):
         raise WrongBidegree("tate unit check needs bidegree (4, -2), got %r" % (cls.bidegree,))
+    return _tate_unit(cls.context.algebra, tuple(cls.vec))
+
+
+@_per_algebra
+def _tate_unit(lam, vec):
     from .algebra import _env_of, is_stable_iso
 
-    lam = cls.context.algebra
     separable = _env_of(lam).radical_basis().dim == 0
-    return TateUnitResult(is_stable_iso(_extension(lam, cls._reduced(), 4)), separable)
+    return TateUnitResult(is_stable_iso(_extension(lam, _reduced_matrix(lam, vec), 4)), separable)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,17 @@ A matrix is stored sparse: per row, the (column, value) pairs of its
 nonzero entries, plus its shape and field.  Dense rows are converted once
 where they enter, and the dense view (entries) is built on demand and
 never kept.  Products, sums, differences, scaling, transposes, zero
-tests, matrix-vector products and equality run over the nonzeros, so the
-common sparse 0/±1 inputs stay cheap at sizes no dense grid could hold.
-kron_sum is the one loop that adds scaled matrices: a + b, a - b, a linear
-combination of action matrices and the terms of a brace or a transferred
-product are all sums of one-factor Kronecker products.
+tests and equality run over the nonzeros, so the common sparse 0/±1
+inputs stay cheap at sizes no dense grid could hold.  kron_sum is the one
+loop that adds scaled matrices: a + b, a - b, a linear combination of
+action matrices and the terms of a brace or a transferred product are all
+sums of one-factor Kronecker products.
+
+compose, kron/kron_sum, Matrix.__mul__ (*) and _Echelon are the kernels
+of matrix arithmetic: apply (a product with the vector as a column), an
+algebra's multiplication operators and product, a stripped bimodule's
+inclusion and the equations of module maps are each one call to them,
+with no product loop of their own.
 
 Elimination is one row-sparse Gauss-Jordan kernel (_Echelon) over
 {column: value} rows: rref, kernel bases, solves, subspace coordinates and
@@ -323,17 +329,8 @@ class Matrix:
         return Matrix.from_nonzeros(out, other.cols, self.field)
 
     def apply(self, vec):
-        """Matrix times column vector, as a plain list."""
-        z = self.field.zero
-        out = []
-        for row in self.nonzeros():
-            acc = z
-            for j, e in row:
-                a = vec[j]
-                if a:
-                    acc = acc + e * a
-            out.append(acc)
-        return out
+        """Matrix times column vector, as a plain list; vec must have length cols."""
+        return (self * Matrix.column_vector(vec, self.field)).column(0)
 
     def transpose(self):
         cols = [[] for _ in range(self.cols)]

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from .dg import DGAlgebra, cohomology_algebra, make_contraction
 from .finite import AlgebraSpecError, FiniteAlgebra, build_truncated_polynomial
-from .linalg import Matrix, QQ, kernel_basis, rank, solve
+from .linalg import Matrix, QQ, kernel_basis, kron_sum, rank, solve
 
 
 class BadParameters(Exception):
@@ -230,17 +230,11 @@ def seeded_minimal_model(n, a, cap=8, field=QQ):
     if m == 1:
         return MinimalAInfty(lau, {}, cap)
     for cls in cohomology(lam, 4, 1):
-        unit = tate_unit_check(cls)
-        if unit:
+        if tate_unit_check(cls):
             break
     else:
         raise AlgebraSpecError("no Tate unit found in HH^{4,-2}")
-    model = MinimalAInfty(lau, {4: cls.representative.with_cap(cap)}, cap)
-    # the test of [m4], kept so it runs once; it is carried by the model, not
-    # kept in the per-algebra store, where test_tate_unit_representative_independent
-    # would compare a stored verdict with itself
-    model.tate_unit = (cls, unit)
-    return model
+    return MinimalAInfty(lau, {4: cls.representative.with_cap(cap)}, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +248,11 @@ def _cyclic_module(n, c, field):
 
 def _module_homs(x_src, x_tgt, field):
     """Basis of Hom_R(M, N) as matrices commuting with the x-actions."""
-    rows = []
     s, t = x_src.cols, x_tgt.rows
-    src_cols = x_src.transpose().nonzeros()
-    for i, tgt_row in enumerate(x_tgt.nonzeros()):
-        for j in range(s):
-            # (x_tgt h - h x_src)[i][j] as linear functional of h
-            row = {k * s + j: x for k, x in tgt_row}
-            for k, x in src_cols[j]:
-                row[i * s + k] = row.get(i * s + k, field.zero) - x
-            rows.append(row)
-    ker = kernel_basis(Matrix.from_nonzeros(rows, t * s, field))
+    # h -> x_tgt h - h x_src on h flattened row by row, entry (i, j) at i*s + j
+    one = field.one
+    parts = [(one, [x_tgt, Matrix.identity(s, field)]), (-one, [Matrix.identity(t, field), x_src.transpose()])]
+    ker = kernel_basis(kron_sum(parts, t * s, t * s, field))
     return [Matrix([[v[i * s + j] for j in range(s)] for i in range(t)], field) for v in ker.vectors()]
 
 

@@ -95,6 +95,15 @@ def test_kernel_substitution():
         assert all(x == QQ.zero for x in m.apply(v))
 
 
+@pytest.mark.parametrize("length", [2, 4])
+def test_apply_refuses_wrong_length(length):
+    # a 2 x 3 matrix takes vectors of length 3 only, longer ones included
+    m = Matrix.from_int_rows([[1, 2, 3], [0, 1, 0]])
+    assert m.apply([QQ.one] * 3) == [6, 1]
+    with pytest.raises(ValueError):
+        m.apply([QQ.one] * length)
+
+
 def test_rank_nullity_random():
     rng = random.Random(3)
     for _ in range(12):
