@@ -11,6 +11,7 @@ algebras themselves are in `finite`, re-exported here.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 
 # load_algebra and solve are re-exported for callers that import them from here
@@ -433,10 +434,7 @@ def _strip(m: Bimodule) -> StripResult:
     if funcs is None:
         raise AlgebraSpecError("free summand extraction failed (theory violation?)")
     # Gram matrix of the symmetrizing pairing on E and its inverse
-    gram = Matrix(
-        [[_form_value(env, lamform, env.mult[i][j]) for j in range(d2)] for i in range(d2)],
-        field,
-    )
+    gram = _gram(env, lamform)
     gram_inv = solve_matrix(gram, Matrix.identity(d2, field))
     if gram_inv is None:
         raise AlgebraSpecError("symmetrizing form of the enveloping algebra is degenerate")
@@ -475,8 +473,9 @@ def _strip(m: Bimodule) -> StripResult:
     return StripResult(core, r, include, proj_matrix)
 
 
-def _form_value(env, form, vec):
-    return sum((c * f for c, f in zip(vec, form) if c), env.field.zero)
+def _gram(a: FiniteAlgebra, form):
+    """The Gram matrix of the pairing (x, y) -> form(xy) on a's basis."""
+    return (Matrix([form], a.field) * a.mult_matrix()).reshape(a.dim, a.dim)
 
 
 _env_of = _per_algebra(enveloping)
@@ -522,43 +521,21 @@ def is_symmetric(a: FiniteAlgebra):
         return None
 
     def nondeg(form):
-        gram = Matrix(
-            [[_form_value(a, form, a.mult[i][j]) for j in range(d)] for i in range(d)],
-            field,
-        )
-        return rank(gram) == d
+        return rank(_gram(a, form)) == d
 
     for v in space.vectors():
         if nondeg(v):
             return v
     if space.dim > 1:
-        grid = range(-2, 3)
-        basis = space.vectors()
-
-        def combos(k):
-            if k == 0:
-                yield [field.zero] * d
-                return
-            for rest in combos(k - 1):
-                for c in grid:
-                    if c == 0:
-                        yield rest
-                    else:
-                        yield [x + field.of(c) * y for x, y in zip(rest, basis[k - 1])]
-
         if space.dim <= 4:
-            for cand in combos(space.dim):
-                if any(cand) and nondeg(cand):
-                    return cand
+            grid = itertools.product(range(-2, 3), repeat=space.dim)
         else:
             rng = random.Random(999)
-            for _ in range(200):
-                cand = [field.zero] * d
-                for b in basis:
-                    c = field.of(rng.randint(-3, 3))
-                    cand = [x + c * y for x, y in zip(cand, b)]
-                if any(cand) and nondeg(cand):
-                    return cand
+            grid = ([rng.randint(-3, 3) for _ in range(space.dim)] for _ in range(200))
+        for coeffs in grid:
+            cand = (Matrix([field.elements(coeffs)], field) * space.matrix).row(0)
+            if any(cand) and nondeg(cand):
+                return cand
     return None
 
 

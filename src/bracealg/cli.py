@@ -49,14 +49,13 @@ def _field_of(spec, cap_n):
     raise ConfigError("unknown field %r (use qq or fp:<prime>)" % spec)
 
 
-def _emit(report, out_path, t0):
+def _emit(report, out_path):
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    print("elapsed: %.3fs" % (time.time() - t0), file=sys.stderr)
 
 
 def _load_json(path):
@@ -124,7 +123,7 @@ def structure_from_json(data, field=None) -> MinimalAInfty:
 # Commands
 
 
-def cmd_hh(args, t0):
+def cmd_hh(args):
     from .finite import load_algebra
     from .hochschild import DEFAULT_CAP, CapTooLow, bracket_table, cohomology, cup_table, hh_context
 
@@ -166,7 +165,7 @@ def cmd_hh(args, t0):
         "cup_table": entries(cups),
         "bracket_table": entries(brackets),
     }
-    _emit(report, args.out, t0)
+    _emit(report, args.out)
     return EXIT_OK
 
 
@@ -182,7 +181,7 @@ def _load_dga(args, field):
     raise ConfigError("need either an input DG dump or --n/--a model parameters")
 
 
-def cmd_transfer(args, t0):
+def cmd_transfer(args):
     from .ainfty import formality_verdict_of_model, transfer
     from .dg import make_contraction
 
@@ -201,11 +200,11 @@ def cmd_transfer(args, t0):
         "formality": verdict.verdict,
         "hypothesis_flags": getattr(dga, "hypothesis_flags", {}),
     }
-    _emit(report, args.out, t0)
+    _emit(report, args.out)
     return EXIT_OK
 
 
-def cmd_massey(args, t0):
+def cmd_massey(args):
     from .ainfty import restricted_ump
     from .hochschild import hh_context, tate_unit_check
 
@@ -239,11 +238,11 @@ def cmd_massey(args, t0):
         "separable_coefficient": bool(unit.separable),
         "omega4_stable_iso_certificate": bool(unit),
     }
-    _emit(report, args.out, t0)
+    _emit(report, args.out)
     return EXIT_OK
 
 
-def cmd_compare(args, t0):
+def cmd_compare(args):
     from .ainfty import ClassMismatch, ObstructionNotContractible, build_iso
 
     field = _field_of(args.field, args.cap_n)
@@ -269,11 +268,11 @@ def cmd_compare(args, t0):
             morphism=f.to_json(),
             residual_digest=f.residual.digest(),
         )
-    _emit(report, args.out, t0)
+    _emit(report, args.out)
     return code
 
 
-def cmd_model(args, t0):
+def cmd_model(args):
     from .dg import cohomology_algebra
     from .models import complete_resolution, dg_end, periodicity_witness, rigidity_check, stable_endomorphism_algebra
 
@@ -298,7 +297,7 @@ def cmd_model(args, t0):
         },
         "hypothesis_flags": e.hypothesis_flags,
     }
-    _emit(report, args.out, t0)
+    _emit(report, args.out)
     return EXIT_OK
 
 
@@ -381,7 +380,7 @@ def _exit_code(exc):
 
 
 def main(argv=None):
-    t0 = time.time()
+    t0 = time.perf_counter()
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv[0] if argv else None).parse_args(argv)
@@ -389,13 +388,15 @@ def main(argv=None):
         print("error: caps must be at least 4", file=sys.stderr)
         return EXIT_INVALID_INPUT
     try:
-        return COMMANDS[args.command](args, t0)
+        code = COMMANDS[args.command](args)
     except Exception as exc:
         code = _exit_code(exc)
         if code is None:
             raise
         print("error: %s" % exc, file=sys.stderr)
         return code
+    print("elapsed: %.3fs" % (time.perf_counter() - t0), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

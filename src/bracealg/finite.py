@@ -80,10 +80,8 @@ class FiniteAlgebra:
     def mult_matrix(self):
         """The product as a dim x dim^2 matrix; column i*dim+j is e_i e_j."""
         if self._mult_mat is None:
-            d = self.dim
-            self._mult_mat = Matrix(
-                [[self.mult[i][j][r] for i in range(d) for j in range(d)] for r in range(d)], self.field
-            )
+            products = [self.mult[i][j] for i in range(self.dim) for j in range(self.dim)]
+            self._mult_mat = Matrix(products, self.field, cols=self.dim).transpose()
         return self._mult_mat
 
     def left_mult_matrix(self, i):
@@ -125,8 +123,7 @@ class FiniteAlgebra:
         # tr(L_a L_b) = tr L_{e_a e_b} = t . (e_a e_b), where t_c = tr L_c is
         # the sum of the entries (k, c*d + k) of the product matrix
         t = Matrix([[sum((mult[k, c * d + k] for k in range(d)), self.field.zero) for c in range(d)]], self.field)
-        form = (t * mult).row(0)
-        rad = kernel_basis(Matrix([form[a * d : (a + 1) * d] for a in range(d)], self.field))
+        rad = kernel_basis((t * mult).reshape(d, d))
         basis, power = rad.matrix.transpose(), rad
         while power.dim:  # I.I^k is spanned by the products of the two bases
             smaller = image_basis(compose(mult, [basis, power.matrix.transpose()]))
@@ -151,14 +148,10 @@ class FiniteAlgebra:
         d, f = self.dim, self.field
         # column t*d + j of the product is x_t e_j, x_t the t-th radical
         # basis vector, so its t-th block of d columns is L_{x_t}; the
-        # socle equations are these blocks, stacked
+        # socle equations are the rows of these blocks, row (i, t) the row
+        # i of L_{x_t}
         prod = compose(self.mult_matrix(), [radb.matrix.transpose(), Matrix.identity(d, f)])
-        eqs = [{} for _ in range(radb.dim * d)]
-        for i, row in enumerate(prod.nonzeros()):
-            for c, x in row:
-                t, j = divmod(c, d)
-                eqs[t * d + i][j] = x
-        soc = kernel_basis(Matrix.from_nonzeros(eqs, d, f))
+        soc = kernel_basis(prod.reshape(d * radb.dim, d))
         if soc.dim != 1:
             return None
         return soc.vectors()[0]

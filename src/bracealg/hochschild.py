@@ -131,8 +131,11 @@ class Cochain:
 
     # -- linear structure -------------------------------------------------
 
+    def _same_algebra(self, other):
+        return self.algebra is other.algebra or self.algebra.mult == other.algebra.mult
+
     def _merged(self, other, sign):
-        if self.algebra is not other.algebra and self.algebra.mult != other.algebra.mult:
+        if not self._same_algebra(other):
             raise AlgebraSpecError("cochain algebra mismatch")
         if self.iota != other.iota:
             raise AlgebraSpecError("cannot add cochains of different internal degree")
@@ -172,7 +175,9 @@ class Cochain:
     def __eq__(self, other):
         if not isinstance(other, Cochain):
             return NotImplemented
-        return (self - other).is_zero()
+        # cochains of different internal degree or over different algebras
+        # are unequal, as classes of different bidegree are
+        return self.iota == other.iota and self._same_algebra(other) and (self - other).is_zero()
 
     # -- evaluation -------------------------------------------------------
 
@@ -407,13 +412,12 @@ def cochain_to_vec(c: Cochain, p, weighted):
 def _vec_of(reduced):
     """The coordinates of a dim x m matrix, column by column: the one layout
     of a block, index column * dim + row."""
-    return [x for col in reduced.transpose().entries for x in col]
+    return reduced.transpose().reshape(1, reduced.rows * reduced.cols).row(0)
 
 
 def _reduced_matrix(lam, vec):
     """The dim x (len(vec) / dim) matrix with coordinates vec: the inverse of _vec_of."""
-    d = lam.dim
-    return Matrix([vec[row::d] for row in range(d)], lam.field, cols=len(vec) // d)
+    return Matrix([vec], lam.field).reshape(len(vec) // lam.dim, lam.dim).transpose()
 
 
 def vec_to_cochain(lam, p, j, vec, weighted, cap=math.inf):
@@ -556,9 +560,9 @@ class HHContext:
 
     def combination(self, coeffs):
         """The class of sum_t coeffs[t] reps[t]; the zero class for []."""
-        zero = self.algebra.field.zero
-        vec = [sum((c * v[t] for c, v in zip(coeffs, self.reps)), zero) for t in range(self.cocycles.ambient_dim)]
-        return HHClass(self, vec=vec)
+        field, n = self.algebra.field, self.cocycles.ambient_dim
+        parts = [(c, [Matrix([v], field)]) for c, v in zip(coeffs, self.reps)]
+        return HHClass(self, vec=kron_sum(parts, 1, n, field).row(0))
 
 
 @_per_algebra
@@ -659,31 +663,29 @@ def _stack(classes):
     return stack
 
 
-def _unstack(term, sign, b, head, tail, vecs, swap):
-    """Add sign * term into the coordinate lists vecs[c1][c2] (vecs[c2][c1]
-    if swap), for a term whose columns are (c1, h, c2, t), h < head, c2 < b,
-    t < tail: the product of stacked classes c1 and c2 at reduced column
-    h * tail + t.  vec is column-major, index column * dim + row."""
+def _pairs(term, a, b, head, tail, swap):
+    """The coordinates of every pair's product in a term whose columns are
+    (c1, h, c2, t), c1 < a, h < head, c2 < b, t < tail: the product of
+    stacked classes c1 and c2 at reduced column h * tail + t.  Row c1 * b +
+    c2 (c2 * a + c1 if swap) of the a*b x N result holds that pair's
+    coordinates, column-major as in _vec_of: index column * dim + row."""
     d = term.rows
+    out = [{} for _ in range(a * b)]
     for r, row in enumerate(term.nonzeros()):
         for col, x in row:
             rest, t = divmod(col, tail)
             rest, c2 = divmod(rest, b)
             c1, h = divmod(rest, head)
-            vec = vecs[c2][c1] if swap else vecs[c1][c2]
-            k = (h * tail + t) * d + r
-            vec[k] = vec[k] + sign * x
+            out[c2 * a + c1 if swap else c1 * b + c2][(h * tail + t) * d + r] = x
+    return Matrix.from_nonzeros(out, d * head * tail, term.field)
 
 
-def _table(ctx, a, b):
-    """An a x b table of zero coordinate lists for classes of ctx."""
+def _classes(ctx, xs, ys, parts):
+    """The len(xs) x len(ys) table of the classes whose coordinates are the
+    rows of the sum of parts, row x * len(ys) + y for the pair (x, y)."""
     lam = ctx.algebra
-    size = normalized_space_dim(lam, ctx.p)
-    return [[[lam.field.zero] * size for _ in range(b)] for _ in range(a)]
-
-
-def _classes(ctx, vecs):
-    return [[HHClass(ctx, vec=vec) for vec in row] for row in vecs]
+    total = kron_sum(parts, len(xs) * len(ys), normalized_space_dim(lam, ctx.p), lam.field)
+    return [[HHClass(ctx, vec=total.row(x * len(ys) + y)) for y in range(len(ys))] for x in range(len(xs))]
 
 
 def cup_table(xs, ys):
@@ -700,15 +702,15 @@ def cup_table(xs, ys):
     p, q = xs[0].context.p, ys[0].context.p
     ctx = hh_context(lam, p + q, xs[0].context.j + ys[0].context.j)
     n = lam.dim - 1
-    vecs = _table(ctx, len(xs), len(ys))
     prod = compose(lam.mult_matrix(), [_stack(xs), _stack(ys)])
-    _unstack(prod, -1 if p * q % 2 else 1, len(ys), n**p, n**q, vecs, False)
-    return _classes(ctx, vecs)
+    term = _pairs(prod, len(xs), len(ys), n**p, n**q, False)
+    return _classes(ctx, xs, ys, [(-1 if p * q % 2 else 1, [term])])
 
 
-def _brace_into(vecs, fs, gs, sign, swap):
-    """Add sign * f{g} into vecs[f][g] (vecs[g][f] if swap) for every f in fs
-    and g in gs: f{g} = sum_s (-1)^((q+1)s) f(..., g, ...), g at input s.
+def _brace_parts(fs, gs, sign, swap):
+    """The kron_sum parts of sign * f{g} for every f in fs and g in gs, the
+    pair (f, g) at row f * len(gs) + g (g * len(fs) + f if swap): f{g} =
+    sum_s (-1)^((q+1)s) f(..., g, ...), g at input s.
 
     f's inputs in reduced coordinates lie in Lambda-bar: a normalized f is
     its reduced matrix composed with P on each input, P as in
@@ -722,10 +724,12 @@ def _brace_into(vecs, fs, gs, sign, swap):
     n = lam.dim - 1
     _, P = _normalizing_maps(lam)
     F, G = _stack(fs), P * _stack(gs)
+    parts = []
     for s in range(p):
         factors = [Matrix.identity(len(fs), field), Matrix.identity(n**s, field), G, Matrix.identity(n ** (p - 1 - s), field)]
-        term_sign = -sign if (q + 1) * s % 2 else sign
-        _unstack(compose(F, factors), term_sign, len(gs), n**s, n ** (q + p - 1 - s), vecs, swap)
+        term = _pairs(compose(F, factors), len(fs), len(gs), n**s, n ** (q + p - 1 - s), swap)
+        parts.append((-sign if (q + 1) * s % 2 else sign, [term]))
+    return parts
 
 
 def bracket_table(xs, ys):
@@ -740,10 +744,8 @@ def bracket_table(xs, ys):
     lam = xs[0].context.algebra
     p, q = xs[0].context.p, ys[0].context.p
     ctx = hh_context(lam, max(p + q - 1, 0), xs[0].context.j + ys[0].context.j)
-    vecs = _table(ctx, len(xs), len(ys))
-    _brace_into(vecs, xs, ys, 1, False)
-    _brace_into(vecs, ys, xs, 1 if (p - 1) * (q - 1) % 2 else -1, True)
-    return _classes(ctx, vecs)
+    parts = _brace_parts(xs, ys, 1, False) + _brace_parts(ys, xs, 1 if (p - 1) * (q - 1) % 2 else -1, True)
+    return _classes(ctx, xs, ys, parts)
 
 
 def class_of(lam, c: Cochain, p, j) -> HHClass:
@@ -837,7 +839,7 @@ class EulerAdjoinedCochain:
     def __eq__(self, other):
         if not isinstance(other, EulerAdjoinedCochain):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.plain == other.plain and self.euler == other.euler
 
     def __repr__(self):
         return "EulerAdjoined(plain=%r, euler=%r)" % (self.plain, self.euler)

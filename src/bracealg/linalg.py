@@ -20,8 +20,12 @@ sums of one-factor Kronecker products.
 compose, kron/kron_sum, Matrix.__mul__ (*) and _Echelon are the kernels
 of matrix arithmetic: apply (a product with the vector as a column), an
 algebra's multiplication operators and product, a stripped bimodule's
-inclusion and the equations of module maps are each one call to them,
-with no product loop of their own.
+inclusion, the equations of module maps, Gram matrices and the product
+tables of cohomology classes are each calls to them, with no product or
+sum loop of their own.  Matrix.reshape and transpose are the kernels of
+re-indexing: they move entries and compute nothing, and every flattening
+of a matrix into a vector (a cochain block's coordinates are
+transpose().reshape(1, n), column by column) or back is one of them.
 
 Elimination is one row-sparse Gauss-Jordan kernel (_Echelon) over
 {column: value} rows: rref, kernel bases, solves, subspace coordinates and
@@ -338,6 +342,21 @@ class Matrix:
             for j, x in row:
                 cols[j].append((i, x))
         return Matrix._of(cols, self.rows, self.field)
+
+    def reshape(self, rows, cols):
+        """The rows x cols matrix with the same entries in row-major order:
+        entry (i, j) sits at flat index i * cols + j on both sides.  The
+        nonzeros are walked once, in flat order, so each new row's pairs
+        come out by column."""
+        if rows * cols != self.rows * self.cols:
+            raise ValueError("reshape: %dx%d into %dx%d" % (self.rows, self.cols, rows, cols))
+        nz = [[] for _ in range(rows)]
+        for i, row in enumerate(self._nz):
+            base = i * self.cols
+            for j, x in row:
+                r, c = divmod(base + j, cols)
+                nz[r].append((c, x))
+        return Matrix._of(nz, cols, self.field)
 
     def stack(self, other):
         """Rows of self followed by rows of other."""

@@ -185,11 +185,7 @@ def dg_end(c: PeriodicComplex) -> DGEnd:
     for par in (0, 1):
         cols = [as_vector(d_of_word(w), (par + 1) % 2) for w in basis[par]]
         tgt = (par + 1) % 2
-        diff[par] = Matrix(
-            [[cols[j][i] for j in range(dims[par])] for i in range(dims[tgt])],
-            field,
-            cols=dims[par],
-        )
+        diff[par] = Matrix(cols, field, cols=dims[tgt]).transpose()
     unit = as_vector({"": 1}, 0)
     labels = {0: evens, 1: odds}
     flags = {
@@ -252,8 +248,8 @@ def _module_homs(x_src, x_tgt, field):
     # h -> x_tgt h - h x_src on h flattened row by row, entry (i, j) at i*s + j
     one = field.one
     parts = [(one, [x_tgt, Matrix.identity(s, field)]), (-one, [Matrix.identity(t, field), x_src.transpose()])]
-    ker = kernel_basis(kron_sum(parts, t * s, t * s, field))
-    return [Matrix([[v[i * s + j] for j in range(s)] for i in range(t)], field) for v in ker.vectors()]
+    ker = kernel_basis(kron_sum(parts, t * s, t * s, field)).matrix
+    return [ker.select_rows([k]).reshape(t, s) for k in range(ker.rows)]
 
 
 def stable_hom_dim(n, c_src, c_tgt, field=QQ):
@@ -264,20 +260,16 @@ def stable_hom_dim(n, c_src, c_tgt, field=QQ):
     homs = _module_homs(xs, xt, field)
     through = _module_homs(xs, xr, field)
     back = _module_homs(xr, xt, field)
-    pvecs = []
-    for f in through:
-        for g in back:
-            comp = g * f
-            pvecs.append([x for row in comp.entries for x in row])
-    from .linalg import SubspaceBasis
+    size = c_tgt * c_src
+    return _span_dim(homs, size, field) - _span_dim([g * f for f in through for g in back], size, field)
 
-    p_span = SubspaceBasis(c_tgt * c_src, pvecs, field)
-    h_span = SubspaceBasis(
-        c_tgt * c_src,
-        [[x for row in h.entries for x in row] for h in homs],
-        field,
-    )
-    return h_span.dim - p_span.dim
+
+def _span_dim(mats, size, field):
+    """The dimension of the span of mats, each flattened row by row to size entries."""
+    flat = Matrix.zeros(0, size, field)
+    for m in mats:
+        flat = flat.stack(m.reshape(1, size))
+    return rank(flat)
 
 
 def stable_endomorphism_algebra(n, a, field=QQ) -> FiniteAlgebra:

@@ -280,7 +280,11 @@ def test_massey_semisimple_flag(tmp_path):
     assert rep["tate_unit"] is True and rep["separable_coefficient"] is True
 
 
-def test_compare_pipeline(tmp_path):
+def elapsed_lines(capsys):
+    return [line for line in capsys.readouterr().err.splitlines() if line.startswith("elapsed:")]
+
+
+def test_compare_pipeline(tmp_path, capsys):
     m = seeded_minimal_model(4, 2, cap=8)
     mp = gauge_by_central_unit(m, m.algebra.element_from([1, 1]))
     zero = MinimalAInfty(m.laurent, {}, 8)
@@ -289,12 +293,15 @@ def test_compare_pipeline(tmp_path):
     pmp.write_text(json.dumps(structure_to_json(mp)))
     pz.write_text(json.dumps(structure_to_json(zero)))
     out = str(tmp_path / "cmp.json")
+    capsys.readouterr()
     assert run(["compare", str(pm), str(pmp), "--cap-n", "8", "--out", out]) == 0
+    assert len(elapsed_lines(capsys)) == 1  # main times every command that returns
     rep = json.loads(Path(out).read_text())
     assert rep["result"] == "isomorphism"
     assert rep["residual_digest"]["nonzero_arities"] == []
-    # mismatched classes -> exit 4
+    # mismatched classes -> exit 4, still timed
     assert run(["compare", str(pm), str(pz), "--cap-n", "8", "--out", out]) == 4
+    assert len(elapsed_lines(capsys)) == 1
     # self-compare -> identity (no higher components)
     assert run(["compare", str(pm), str(pm), "--cap-n", "8", "--out", out]) == 0
     rep = json.loads(Path(out).read_text())

@@ -312,6 +312,23 @@ def test_sum_of_different_internal_degrees_refused():
         H.Cochain.zero(LAM2, 0) + c
 
 
+def test_cochains_of_different_internal_degree_are_unequal():
+    assert H.Cochain.iota_cochain(LAM2, 1) != H.Cochain.iota_cochain(LAM2, 0)
+    assert H.Cochain.zero(LAM2, 0) != H.Cochain.zero(LAM2, 1)
+    assert H.Cochain.zero(LAM2, 1) == H.Cochain.zero(LAM2, 1)
+
+
+def test_cochains_over_different_algebras_are_unequal():
+    assert H.Cochain.unit_cochain(LAM2) != H.Cochain.unit_cochain(LAM3)
+    # two builds of one algebra count as the same algebra
+    assert H.Cochain.unit_cochain(LAM3) == H.Cochain.unit_cochain(build_truncated_polynomial(3))
+    # so are Euler-adjoined pairs over them
+    assert H.euler_derivation(LAM2) != H.euler_derivation(LAM3)
+    assert H.euler_derivation(LAM3) == H.euler_derivation(build_truncated_polynomial(3))
+    shifted = H.EulerAdjoinedCochain(H.Cochain.zero(LAM2, 1), H.Cochain.unit_cochain(LAM2))
+    assert H.euler_derivation(LAM2) != shifted
+
+
 def test_bracket_even_square():
     rng = random.Random(5)
     x = rc(LAM2, 2, 0, rng)  # even total degree

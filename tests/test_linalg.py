@@ -104,6 +104,34 @@ def test_apply_refuses_wrong_length(length):
         m.apply([QQ.one] * length)
 
 
+def test_reshape_keeps_row_major_order():
+    # entry (i, j) of the 2 x 3 matrix sits at flat index 3i + j, and at
+    # (k // cols, k % cols) of every reshape
+    m = Matrix.from_int_rows([[1, 0, 2], [3, 4, 0]])
+    assert m.reshape(1, 6).entries == [[1, 0, 2, 3, 4, 0]]
+    assert m.reshape(3, 2).entries == [[1, 0], [2, 3], [4, 0]]
+    assert m.reshape(6, 1).entries == [[1], [0], [2], [3], [4], [0]]
+    assert m.reshape(3, 2).nonzeros() == [[(0, 1)], [(0, 2), (1, 3)], [(0, 4)]]
+    assert m.reshape(2, 3) == m
+
+
+def test_reshape_refuses_other_sizes():
+    m = Matrix.from_int_rows([[1, 0, 2], [3, 4, 0]])
+    for rows, cols in [(4, 2), (1, 5), (0, 6), (6, 0)]:
+        with pytest.raises(ValueError):
+            m.reshape(rows, cols)
+
+
+def test_reshape_of_empty_shapes():
+    # 0 rows or 0 columns: every shape of size 0 is reachable, and none other
+    for m in (Matrix.zeros(0, 3, QQ), Matrix.zeros(4, 0, QQ)):
+        for rows, cols in [(0, 0), (0, 5), (5, 0)]:
+            out = m.reshape(rows, cols)
+            assert (out.rows, out.cols) == (rows, cols) and out.is_zero()
+        with pytest.raises(ValueError):
+            m.reshape(1, 1)
+
+
 def test_rank_nullity_random():
     rng = random.Random(3)
     for _ in range(12):

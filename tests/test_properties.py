@@ -70,6 +70,32 @@ def test_rref_independent_of_row_order(data):
     assert rref(m.select_rows(order)) == rref(m)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_reshape_round_trip(data):
+    m = data.draw(matrices(max_dim=6))
+    size = m.rows * m.cols
+    rows = data.draw(st.sampled_from([r for r in range(1, size + 1) if size % r == 0]))
+    flat = m.reshape(rows, size // rows)
+    assert sum(map(len, flat.nonzeros())) == sum(map(len, m.nonzeros()))
+    assert flat.reshape(1, size).row(0) == [x for row in m.entries for x in row]
+    assert flat.reshape(m.rows, m.cols) == m
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.data())
+def test_reduced_matrix_inverts_vec_of(n, data):
+    # a block's coordinates are its entries column by column
+    lam = build_truncated_polynomial(n)
+    cols = data.draw(st.integers(0, 5))
+    ent = data.draw(st.lists(st.lists(small_rational, min_size=cols, max_size=cols), min_size=n, max_size=n))
+    m = Matrix([[QQ.of(x.numerator, x.denominator) for x in r] for r in ent], QQ, cols=cols)
+    vec = H._vec_of(m)
+    assert vec == [x for col in m.transpose().entries for x in col]
+    assert H._reduced_matrix(lam, vec) == m
+    assert H._vec_of(H._reduced_matrix(lam, vec)) == vec
+
+
 @settings(max_examples=40, deadline=None)
 @given(matrices())
 def test_rank_nullity(m):
