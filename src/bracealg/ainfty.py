@@ -5,6 +5,8 @@ whose cohomology is of Laurent form H0 (x) k[i^{+-1}], homotopy transfer
 along a deterministic echelon contraction produces the minimal operations
 m_n as iota-linear Hochschild cochains on H0; the Maurer-Cartan equation
 is verified exactly and is the arbiter for all sign conventions.  The
+Maurer-Cartan and morphism residuals are signed brace terms (d and the cup
+product written as braces with m2), summed by one brace_sum per arity.  The
 inductive construction of A-infinity isomorphisms kills one even-arity
 obstruction at a time, by one exact linear solve for a primitive and a
 cocycle correction, plain first and Euler-adjoined when that fails.
@@ -24,8 +26,8 @@ from .hochschild import (
     WrongBidegree,
     bracket,
     brace,
+    brace_sum,
     class_of,
-    cup,
     cup_table,
     differential,
     divide_class,
@@ -173,33 +175,26 @@ def transfer(dga: DGAlgebra, con: ContractionData, N: int) -> MinimalAInfty:
 # Structure equations
 
 
-def _sum_per_arity(acc, c: Cochain):
-    for p in c.arities():
-        comp = c.comps[p]
-        cur = acc.get(p)
-        piece = Cochain(c.algebra, c.iota, {p: comp}, cap=c.cap)
-        if cur is None:
-            acc[p] = piece
-        else:
-            if cur.iota != piece.iota:
-                raise AlgebraSpecError("inconsistent internal degrees in arity %d" % p)
-            acc[p] = cur + piece
+def _residuals(lam, terms, arities, cap):
+    """{p: the sum of the terms (p, sign, x0, args)} for p in arities, one
+    brace_sum each, reliable up to cap; the zero cochain where no term is."""
+    at = {}
+    for p, *term in terms:
+        at.setdefault(p, []).append(term)
+    return {p: brace_sum(at[p], cap=cap) if p in at else Cochain.zero(lam) for p in arities}
+
+
+def _d_terms(p, c):
+    """d(c) = m2{c} + (-1)^p c{m2} for c of arity p, as terms of arity p + 1."""
+    m2 = Cochain.multiplication(c.algebra)
+    return [(p + 1, 1, m2, [c]), (p + 1, (-1) ** p, c, [m2])]
 
 
 def mc_check(m: MinimalAInfty) -> ResidualReport:
     """Residuals d(m) + m{m} per arity, all zero up to the cap on success."""
-    lam = m.algebra
-    residuals = {}
-    acc = {}
-    for n, c in m.ops.items():
-        _sum_per_arity(acc, differential(c))
-    for a, ca in m.ops.items():
-        for b, cb in m.ops.items():
-            if a + b - 1 <= m.cap:
-                _sum_per_arity(acc, brace(ca, [cb], cap=m.cap))
-    for p in range(3, m.cap + 1):
-        residuals[p] = acc.get(p, Cochain.zero(lam)).with_cap(m.cap) if p in acc else Cochain.zero(lam)
-    return ResidualReport(residuals, m.cap)
+    terms = [t for n, c in m.ops.items() for t in _d_terms(n, c)]
+    terms += [(a + b - 1, 1, ca, [cb]) for a, ca in m.ops.items() for b, cb in m.ops.items()]
+    return ResidualReport(_residuals(m.algebra, terms, range(3, m.cap + 1), m.cap), m.cap)
 
 
 class AInftyMorphism:
@@ -240,38 +235,26 @@ def ainfty_map_check(f: AInftyMorphism, m: MinimalAInfty, mp: MinimalAInfty, cap
         cap = min(m.cap, mp.cap)
     if f.linear is not None:
         mp = gauge_by_central_unit(mp, f.linear)
-    acc = _morphism_residual(f.higher, m.ops, mp.ops, cap)
-    residuals = {p: acc.get(p, Cochain.zero(m.algebra)) for p in range(3, cap + 1)}
-    return ResidualReport(residuals, cap)
+    terms = _morphism_terms(f.higher, m.ops, mp.ops, cap)
+    return ResidualReport(_residuals(m.algebra, terms, range(3, cap + 1), cap), cap)
 
 
-def _morphism_residual(f, m_ops, mp_ops, cap):
-    """d(f) + f.f + sum_{r>=0} m'{f,...,f} - m - f{m}, as {arity: Cochain}.
-
-    f, m_ops and mp_ops map arities to the components of the morphism
-    (identity linear part), the source and the target operations.
-    """
-    acc = {}
-    for c in f.values():
-        _sum_per_arity(acc, differential(c))
-    for a, ca in f.items():
-        for b, cb in f.items():
-            if a + b <= cap:
-                _sum_per_arity(acc, cup(ca, cb, cap=cap))
-    args = sorted(f)
+def _morphism_terms(f, m_ops, mp_ops, cap):
+    """d(f) + f.f + sum_{r>=0} m'{f,...,f} - m - f{m} as terms (arity, sign,
+    x0, args), f_a.f_b = (-1)^(a-1) m2{f_a, f_b} and m'_k{} = m'_k, the m'
+    terms up to arity cap; f, m_ops and mp_ops map arities to the components
+    of the morphism (identity linear part), the source and the target ops."""
+    terms = [(k, -1, mk, []) for k, mk in m_ops.items()]
+    for a, fa in f.items():
+        m2 = Cochain.multiplication(fa.algebra)
+        terms += _d_terms(a, fa) + [(a + b, (-1) ** (a - 1), m2, [fa, fb]) for b, fb in f.items()]
+        terms += [(a + b - 1, -1, fa, [mb]) for b, mb in m_ops.items()]
     for k, mk in mp_ops.items():
-        _sum_per_arity(acc, mk)  # r = 0
-        for r in range(1, k + 1):
-            for combo in product(args, repeat=r):
+        for r in range(k + 1):
+            for combo in product(sorted(f), repeat=r):
                 if k - r + sum(combo) <= cap:
-                    _sum_per_arity(acc, brace(mk, [f[a] for a in combo], cap=cap))
-    for c in m_ops.values():
-        _sum_per_arity(acc, c.scale(-c.algebra.field.one))
-    for a, ca in f.items():
-        for b, cb in m_ops.items():
-            if a - 1 + b <= cap:
-                _sum_per_arity(acc, brace(ca, [cb], cap=cap).scale(-ca.algebra.field.one))
-    return acc
+                    terms.append((k - r + sum(combo), 1, mk, [f[a] for a in combo]))
+    return terms
 
 
 def _left_multiply(c: Cochain, z):
@@ -651,8 +634,9 @@ def transported_structure(m: MinimalAInfty, fdict, cap=None) -> MinimalAInfty:
     f = {n: c for n, c in fdict.items() if not c.is_zero()}
     ops = {}
     for N in range(3, cap + 1):
-        # the r = 0 terms m''_k (k < N) of the residual never reach arity N
-        resid = _morphism_residual(f, m.ops, ops, cap).get(N)
-        if resid is not None and not resid.is_zero():
-            ops[N] = resid.scale(-m.algebra.field.one)
+        # m''_N is minus the arity-N terms, which hold no m''_k with k >= N
+        terms = [(p, -sign, x0, args) for p, sign, x0, args in _morphism_terms(f, m.ops, ops, N)]
+        op = _residuals(m.algebra, terms, [N], cap)[N]
+        if not op.is_zero():
+            ops[N] = op
     return MinimalAInfty(m.laurent, ops, cap)

@@ -86,7 +86,7 @@ def structure_to_json(m: MinimalAInfty):
 
 def structure_from_json(data, field=None) -> MinimalAInfty:
     from .ainfty import MinimalAInfty
-    from .finite import AlgebraSpecError, LaurentAlgebra, _get, _parse_int, _parse_matrix, load_algebra
+    from .finite import AlgebraSpecError, LaurentAlgebra, _dict, _get, _list, _parse_int, _parse_matrix, load_algebra
     from .hochschild import Cochain
     from .linalg import QQ
 
@@ -96,20 +96,20 @@ def structure_from_json(data, field=None) -> MinimalAInfty:
     if not isinstance(cap, int):
         raise AlgebraSpecError("structure dump: cap %r is not an integer" % (cap,))
     ops = {}
-    for key, dump in data.get("ops", {}).items():
+    for key, dump in _dict(data.get("ops", {}), "structure dump ops").items():
         where = "ops[%s]" % key
         n = _parse_int(key, where)
         iota = _get(dump, "iota_power", where)
         if n % 2 == 0 and iota != (n - 2) // 2:
             raise AlgebraSpecError("operation %d: iota_power %r, expected %d" % (n, iota, (n - 2) // 2))
-        comps = _get(dump, "components", where).get(str(n))
+        comps = _dict(_get(dump, "components", where), where + ".components").get(str(n))
         if comps is None:
             raise AlgebraSpecError("operation %d: missing its own component" % n)
         mat = None
-        for pos, entry in enumerate(comps):
+        for pos, entry in enumerate(_list(comps, "%s.components[%d]" % (where, n))):
             at = "%s.components[%d]" % (where, pos)
             entry_mat = _parse_matrix(field, _get(entry, "matrix", at), lam.dim**n, at + ".matrix")
-            if not any(_get(entry, "weights", at)):
+            if not any(_list(_get(entry, "weights", at), at + ".weights")):
                 mat = entry_mat
             elif not entry_mat.is_zero():
                 raise AlgebraSpecError("operation %d: weighted components not allowed" % n)

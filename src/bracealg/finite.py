@@ -224,7 +224,7 @@ def _parse_int(txt, where):
 def _parse_matrix(field, rows, cols, where):
     """A Matrix from a dump's rows of scalars, each of length cols."""
     out = []
-    for r, row in enumerate(rows):
+    for r, row in enumerate(_list(rows, where)):
         if not isinstance(row, list) or len(row) != cols:
             raise AlgebraSpecError("%s: row %d must be a list of %d scalars" % (where, r, cols))
         out.append([_parse_scalar(field, x, "%s[%d][%d]" % (where, r, c)) for c, x in enumerate(row)])
@@ -242,6 +242,13 @@ def _list(value, where):
     """value if it is a JSON list, else an AlgebraSpecError naming the field."""
     if not isinstance(value, list):
         raise AlgebraSpecError("%s: expected a list, got %r" % (where, value))
+    return value
+
+
+def _dict(value, where):
+    """value if it is a JSON object, else an AlgebraSpecError naming the field."""
+    if not isinstance(value, dict):
+        raise AlgebraSpecError("%s: expected an object, got %r" % (where, value))
     return value
 
 

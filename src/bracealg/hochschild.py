@@ -7,12 +7,13 @@ internal degree, plus optional "weight" matrices recording polynomial
 dependence on the iota powers of individual inputs, keyed by exponent
 tuples.  iota-linear cochains have no weights; the fractional Euler
 derivation is the basic example of a weight-one cochain.  One engine,
-brace, computes on this representation, weighted or not; cup product, Lie
-bracket and differential are braces, and the weight rule is stated once,
-in brace's docstring.  Products of cohomology classes skip it: a class
-keeps the reduced coordinates of a normalized representative, and the cup
-and bracket tables of two lists of classes are compositions of their
-coordinate matrices set side by side.
+brace_sum, sums signed braces on this representation, weighted or not;
+brace is its one-term case, cup product, Lie bracket and differential are
+braces, and the weight rule is stated once, in brace_sum's docstring.
+Products of cohomology classes skip it: a class keeps the reduced
+coordinates of a normalized representative, and the cup and bracket tables
+of two lists of classes are compositions of their coordinate matrices set
+side by side.
 
 Sign convention: Koszul signs with respect to the total degree shifted by
 -1 (the bar convention).  The binary product cochain is minus the algebra
@@ -248,12 +249,20 @@ def _times_linear(poly, q, positions):
 
 
 def brace(x0: Cochain, args, cap=None) -> Cochain:
-    """The brace x0{y_1, ..., y_n}; vanishes when arity(x0) < n.
+    """The brace x0{y_1, ..., y_n}, brace_sum's one-term case; it vanishes
+    when arity(x0) < n, and x0{} = x0."""
+    return brace_sum([(1, x0, list(args))], cap)
 
-    The result's arity-P component collects every way of inserting the
+
+def brace_sum(terms, cap=None) -> Cochain:
+    """sum_t sign_t x0_t{args_t} over a nonempty list of terms (sign, x0, args)
+    of one internal degree, sign = +-1 and args a list of cochains y_1, ..., y_n.
+
+    The arity-P component of x0{args} collects every way of inserting the
     arguments, in order, into distinct inputs (slots) of an x0 component;
     the sign of a term is the Koszul sign for moving each y_k past the
-    inputs that precede its block, all degrees shifted by -1.
+    inputs that precede its block, all degrees shifted by -1.  The sum is
+    reliable up to the smallest reliable range among its terms and cap.
 
     The weight rule: a weight is an exponent tuple (e_0, ..., e_{P-1}),
     standing for the monomial prod_u j_u^e_u in the iota powers j_u of the
@@ -262,74 +271,70 @@ def brace(x0: Cochain, args, cap=None) -> Cochain:
     iota power of the inserted value, q_k + sum_{u in block} j_u with q_k
     the iota of y_k, so each unit of its exponent multiplies the weight
     polynomial by that linear form.  Each weight of each component is then
-    the sum of its signed, weighted terms, added up once (kron_sum).
+    the sum of the signed, weighted terms of every brace, added up once
+    (kron_sum), and a weight whose sum vanishes is dropped.
     """
-    args = list(args)
-    n = len(args)
-    lam = x0.algebra
+    lam = terms[0][1].algebra
     field = lam.field
-    if n == 0:
-        return x0
-    iota = x0.iota + sum(a.iota for a in args)
+    iotas = {x0.iota + sum(a.iota for a in args) for _, x0, args in terms}
+    if len(iotas) != 1:
+        raise AlgebraSpecError("cannot add cochains of different internal degree")
     # reliable range: one below the smallest arity receiving an unknown term
-    amins = [_min_possible_arity(a) for a in args]
-    x0min = _min_possible_arity(x0)
-    limit = math.inf
-    if x0.cap != math.inf:
-        limit = min(limit, (x0.cap + 1) - n + sum(amins))
-    for k, a in enumerate(args):
-        if a.cap != math.inf:
+    unknown = math.inf
+    for _, x0, args in terms:
+        n, amins = len(args), [_min_possible_arity(a) for a in args]
+        unknown = min(unknown, x0.cap + 1 - n + sum(amins))
+        for k, a in enumerate(args):
             others = sum(m for t, m in enumerate(amins) if t != k)
-            limit = min(limit, max(x0min, n) - n + (a.cap + 1) + others)
-    if limit != math.inf:
-        limit -= 1
-    if cap is not None:
-        limit = min(limit, cap)
+            unknown = min(unknown, max(_min_possible_arity(x0), n) - n + a.cap + 1 + others)
+    limit = unknown - 1 if cap is None else min(unknown - 1, cap)
     ident = Matrix.identity(lam.dim, field)
-    choices = [[(pk, ek, mk) for pk, comp in a.comps.items() if pk <= a.cap for ek, mk in comp.items()] for a in args]
     parts = {}  # P -> {weight: [(scalar, [term])]}
-    for p0, comp0 in x0.comps.items():
-        if p0 < n or p0 > x0.cap:
-            continue
-        for slots in combinations(range(p0), n):
-            for choice in product(*choices):
-                P = p0 - n + sum(pk for pk, _, _ in choice)
-                if P > limit:
-                    continue
-                at = dict(zip(slots, choice))
-                starts, pos = [], 0  # where each input of x0 lands
-                for t in range(p0):
-                    starts.append(pos)
-                    pos += at[t][0] if t in at else 1
-                blocks = [range(starts[s], starts[s] + pk) for s, (pk, _, _) in zip(slots, choice)]
-                # y_k has total degree p_k - 2 iota, shifted by -1: parity p_k + 1
-                sgn = -1 if sum((len(b) + 1) * b.start for b in blocks) % 2 else 1
-                base = [0] * P
-                for block, (_, ek, _) in zip(blocks, choice):
-                    for u, x in zip(block, ek):
-                        base[u] += x
-                factors = [at[t][2] if t in at else ident for t in range(p0)]
-                for e0, mat0 in comp0.items():
-                    w = list(base)
-                    for t in range(p0):
-                        if t not in at:
-                            w[starts[t]] += e0[t]
-                    poly = {tuple(w): 1}
-                    for block, s, y in zip(blocks, slots, args):
-                        for _ in range(e0[s]):
-                            poly = _times_linear(poly, y.iota, block)
-                    if not poly or (term := compose(mat0, factors)).is_zero():
+    for sign, x0, args in terms:
+        n = len(args)
+        choices = [[(pk, ek, mk) for pk, comp in a.comps.items() if pk <= a.cap for ek, mk in comp.items()] for a in args]
+        for p0, comp0 in x0.comps.items():
+            if p0 < n or p0 > x0.cap:
+                continue
+            for slots in combinations(range(p0), n):
+                for choice in product(*choices):
+                    P = p0 - n + sum(pk for pk, _, _ in choice)
+                    if P > limit:
                         continue
-                    bucket = parts.setdefault(P, {})
-                    for e, c in poly.items():
-                        bucket.setdefault(e, []).append((field.of(sgn * c), [term]))
+                    at = dict(zip(slots, choice))
+                    starts, pos = [], 0  # where each input of x0 lands
+                    for t in range(p0):
+                        starts.append(pos)
+                        pos += at[t][0] if t in at else 1
+                    blocks = [range(starts[s], starts[s] + pk) for s, (pk, _, _) in zip(slots, choice)]
+                    # y_k has total degree p_k - 2 iota, shifted by -1: parity p_k + 1
+                    sgn = -sign if sum((len(b) + 1) * b.start for b in blocks) % 2 else sign
+                    base = [0] * P
+                    for block, (_, ek, _) in zip(blocks, choice):
+                        for u, x in zip(block, ek):
+                            base[u] += x
+                    factors = [at[t][2] if t in at else ident for t in range(p0)]
+                    for e0, mat0 in comp0.items():
+                        w = list(base)
+                        for t in range(p0):
+                            if t not in at:
+                                w[starts[t]] += e0[t]
+                        poly = {tuple(w): 1}
+                        for block, s, y in zip(blocks, slots, args):
+                            for _ in range(e0[s]):
+                                poly = _times_linear(poly, y.iota, block)
+                        if not poly or (term := compose(mat0, factors)).is_zero():
+                            continue
+                        bucket = parts.setdefault(P, {})
+                        for e, c in poly.items():
+                            bucket.setdefault(e, []).append((field.of(sgn * c), [term]))
     comps = {}
     for P, bucket in parts.items():
-        sums = {e: kron_sum(terms, lam.dim, lam.dim**P, field) for e, terms in bucket.items()}
+        sums = {e: kron_sum(at_e, lam.dim, lam.dim**P, field) for e, at_e in bucket.items()}
         kept = {e: m for e, m in sums.items() if not m.is_zero()}
         if kept:
             comps[P] = kept
-    return Cochain(lam, iota, comps, limit)
+    return Cochain(lam, iotas.pop(), comps, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +563,10 @@ class HHContext:
     def basis_classes(self):
         return [HHClass(self, vec=v) for v in self.reps]
 
-    def combination(self, coeffs):
-        """The class of sum_t coeffs[t] reps[t]; the zero class for []."""
+    def combination(self, coeffs, vecs=None):
+        """The class of sum_t coeffs[t] vecs[t] (vecs: the reps' by default); the zero class for []."""
         field, n = self.algebra.field, self.cocycles.ambient_dim
-        parts = [(c, [Matrix([v], field)]) for c, v in zip(coeffs, self.reps)]
+        parts = [(c, [Matrix([v], field)]) for c, v in zip(coeffs, self.reps if vecs is None else vecs)]
         return HHClass(self, vec=kron_sum(parts, 1, n, field).row(0))
 
 
@@ -617,12 +622,12 @@ class HHClass:
         )
 
     def scale(self, c):
-        return HHClass(self.context, vec=[c * x for x in self.vec])
+        return self.context.combination([c], [self.vec])
 
     def _plus(self, other, sign):
         if other.context.p != self.context.p:
             raise WrongBidegree("cannot add classes of arities %d and %d" % (self.context.p, other.context.p))
-        return HHClass(self.context, vec=[x + sign * y for x, y in zip(self.vec, other.vec)])
+        return self.context.combination([1, sign], [self.vec, other.vec])
 
     def __add__(self, other):
         return self._plus(other, 1)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -269,6 +270,109 @@ def test_map_check_detects_distinct_structures():
     f = AInftyMorphism(m, zero, {}, None)
     rep = ainfty_map_check(f, m, zero, cap=8)
     assert not rep.ok and 4 in rep.failures()
+
+
+# -- the residuals against the formulas written with differential, cup and brace ------
+
+
+def _arity_sums(pieces):
+    """{p: the Cochain sum of the arity-p components of the pieces}."""
+    out = {}
+    for c in pieces:
+        for p, comp in c.comps.items():
+            piece = H.Cochain(c.algebra, c.iota, {p: comp}, c.cap)
+            out[p] = out[p] + piece if p in out else piece
+    return out
+
+
+def _mc_reference(m):
+    """d(m) + m{m} per arity."""
+    pieces = [H.differential(c) for c in m.ops.values()]
+    pieces += [H.brace(ca, [cb], cap=m.cap) for ca in m.ops.values() for cb in m.ops.values()]
+    return _arity_sums(pieces)
+
+
+def _morphism_reference(f, m, mp, cap):
+    """d(f) + f.f + sum_{r>=0} m'{f,...,f} - m - f{m} per arity."""
+    minus = QQ.of(-1)
+    pieces = [H.differential(c) for c in f.values()]
+    pieces += [H.cup(ca, cb, cap=cap) for ca in f.values() for cb in f.values()]
+    for k, mk in mp.ops.items():
+        pieces.append(mk)
+        for r in range(1, k + 1):
+            for combo in itertools.product(sorted(f), repeat=r):
+                if k - r + sum(combo) <= cap:
+                    pieces.append(H.brace(mk, [f[a] for a in combo], cap=cap))
+    pieces += [c.scale(minus) for c in m.ops.values()]
+    pieces += [H.brace(ca, [cb], cap=cap).scale(minus) for ca in f.values() for cb in m.ops.values()]
+    return _arity_sums(pieces)
+
+
+def _nonzero_after_matching(report, reference):
+    """The number of nonzero residuals in report, each checked to equal the
+    reference at its arity."""
+    nonzero = 0
+    for p, got in report.residuals.items():
+        want = reference.get(p)
+        if want is None:
+            assert got.is_zero()
+            continue
+        assert p <= got.cap and got == want
+        nonzero += not got.is_zero()
+    return nonzero
+
+
+def _transports(m, seed):
+    """(f, the transport of m along f) for f = {3: b3}, {5: b5} and {3: b3, 5: b5}."""
+    rng = random.Random(seed)
+    b3 = H.random_cochain(m.algebra, 3, 1, rng, normalized=True)
+    b5 = H.random_cochain(m.algebra, 5, 2, rng, normalized=True)
+    return [(f, transported_structure(m, f, cap=m.cap)) for f in ({3: b3}, {5: b5}, {3: b3, 5: b5})]
+
+
+def _reference_structures():
+    """The seeded (4,2) model at cap 9, a gauge of it whose m4 has values
+    off the unit (so that f{m} is not zero), the (6,3) model at cap 8, and
+    (source, f, target) for the gauged pair and the transports of the last two."""
+    m = seeded_minimal_model(4, 2, cap=9)
+    gauged = gauge_by_central_unit(m, m.algebra.element_from([1, 1]))
+    m63 = seeded_minimal_model(6, 3, cap=8)
+    iso = build_iso(m, gauged, 9)
+    assert iso.linear is None and 3 in iso.higher
+    pairs = [(m, iso.higher, gauged)]
+    pairs += [(s, f, t) for s in (gauged, m63) for f, t in _transports(s, 77)]
+    return [m, gauged, m63], pairs
+
+
+def test_mc_residuals_match_the_reference_formula():
+    models, pairs = _reference_structures()
+    for s in models + [t for _, _, t in pairs]:
+        assert _nonzero_after_matching(mc_check(s), _mc_reference(s)) == 0
+    # structures with a seeded non-cocycle added to m4 and a seeded m6, whose
+    # residuals are nonzero
+    rng = random.Random(78)
+    for s in models:
+        noise = [H.random_cochain(s.algebra, n, j, rng, normalized=False) for n, j in ((4, 1), (6, 2))]
+        ops = {4: s.op(4) + noise[0].with_cap(s.cap), 6: noise[1]}
+        bad = MinimalAInfty(s.laurent, ops, s.cap, check=False)
+        assert _nonzero_after_matching(mc_check(bad), _mc_reference(bad)) >= 2
+
+
+def test_morphism_residuals_match_the_reference_formula():
+    _, pairs = _reference_structures()
+    for s, f, t in pairs:
+        rep = ainfty_map_check(AInftyMorphism(s, t, f), s, t)
+        assert _nonzero_after_matching(rep, _morphism_reference(f, s, t, s.cap)) == 0
+        # the same components read as a morphism s -> s are not one
+        rep = ainfty_map_check(AInftyMorphism(s, s, f), s, s)
+        assert _nonzero_after_matching(rep, _morphism_reference(f, s, s, s.cap)) >= 1
+
+
+def test_transported_ops_carry_the_structure_cap():
+    m = seeded_minimal_model(4, 2, cap=9)
+    for seed in range(3):
+        for _, mp in _transports(m, seed):
+            assert mp.ops and all(c.cap == 9 for c in mp.ops.values())
 
 
 # -- gauge -----------------------------------------------------------------------

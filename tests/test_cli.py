@@ -468,19 +468,66 @@ def _short_mult_row(data):
     data["mult"]["0,0"][1].pop()
 
 
+def _ops_not_an_object(data):
+    data["ops"] = "x"
+
+
+def _components_not_an_object(data):
+    data["ops"]["4"]["components"] = 5
+
+
+def _component_list_not_a_list(data):
+    data["ops"]["4"]["components"]["4"] = 5
+
+
+def _weights_not_a_list(data):
+    data["ops"]["4"]["components"]["4"][0]["weights"] = 5
+
+
+def _matrix_not_a_list(data):
+    data["ops"]["4"]["components"]["4"][0]["matrix"] = 5
+
+
+def _string_dims_value(data):
+    data["dims"]["0"] = str(data["dims"]["0"])
+
+
+def _three_degree_mult_key(data):
+    data["mult"]["0,0,0"] = data["mult"].pop("0,0")
+
+
+def _mult_not_an_object(data):
+    data["mult"] = "x"
+
+
+def _diff_rows_not_a_list(data):
+    data["diff"] = {"0": 5}
+
+
 @pytest.mark.parametrize(
     "kind,edit",
     [
         ("structure", _ragged_row),
         ("structure", _bad_op_key),
         ("structure", _string_cap),
+        ("structure", _ops_not_an_object),
+        ("structure", _components_not_an_object),
+        ("structure", _component_list_not_a_list),
+        ("structure", _weights_not_a_list),
+        ("structure", _matrix_not_a_list),
         ("dg", _no_dims),
         ("dg", _ragged_diff_row),
         ("dg", _short_mult_row),
+        ("dg", _string_dims_value),
+        ("dg", _three_degree_mult_key),
+        ("dg", _mult_not_an_object),
+        ("dg", _diff_rows_not_a_list),
     ],
     ids=[
-        "ragged-matrix-row", "non-integer-op-key", "string-cap", "dg-no-dims", "dg-ragged-diff-row",
-        "dg-short-mult-row",
+        "ragged-matrix-row", "non-integer-op-key", "string-cap", "ops-not-an-object", "components-not-an-object",
+        "component-list-not-a-list", "weights-not-a-list", "matrix-not-a-list", "dg-no-dims", "dg-ragged-diff-row",
+        "dg-short-mult-row", "dg-string-dims-value", "dg-three-degree-mult-key", "dg-mult-not-an-object",
+        "dg-diff-rows-not-a-list",
     ],
 )
 def test_malformed_dump_exit_2(tmp_path, kind, edit):

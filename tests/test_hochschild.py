@@ -243,6 +243,46 @@ def test_engine_outputs_pinned():
     assert hashlib.sha256(outs.encode()).hexdigest() == ENGINE_OUTPUTS_SHA256
 
 
+def test_brace_sum_equals_sum_of_braces():
+    # seeded terms of one internal degree: weighted, two-arity and capped
+    # cochains, terms with no arguments (x0{} = x0), and a cap of the sum's own
+    rng = random.Random(4242)
+
+    def draw(lam, lo, hi, j):
+        c = rwc(lam, rng.randint(lo, hi), j, rng)
+        if rng.random() < 0.4:
+            c = c + rwc(lam, rng.randint(lo, hi), j, rng)
+        return c.with_cap(rng.choice([math.inf, math.inf, hi, hi + 1]))
+
+    no_args = capped = 0
+    for lam in (LAM2, LAM3):
+        for _ in range(12):
+            iota = rng.choice([-1, 0, 1])
+            terms = []
+            for _ in range(rng.randint(1, 4)):
+                n = rng.choice([0, 1, 1, 2])
+                js = [rng.choice([-1, 0, 1]) for _ in range(n)]
+                args = [draw(lam, 0, 2, j) for j in js]
+                terms.append((rng.choice([1, -1]), draw(lam, max(n, 1), 3, iota - sum(js)), args))
+                no_args += n == 0
+                capped += any(c.cap != math.inf for c in [terms[-1][1], *args])
+            cap = rng.choice([None, 3, 4])
+            got = H.brace_sum(terms, cap=cap)
+            want = H.Cochain.zero(lam, iota)
+            for sign, x0, args in terms:
+                want = want + H.brace(x0, args, cap=cap).scale(lam.field.of(sign))
+            assert got.cap == want.cap
+            assert got == want
+            assert all(p <= got.cap for p in got.comps)
+    assert no_args and capped
+
+
+def test_brace_sum_refuses_mixed_internal_degrees():
+    x = H.Cochain.multiplication(LAM2)
+    with pytest.raises(AlgebraSpecError, match="different internal degree"):
+        H.brace_sum([(1, x, [H.Cochain.iota_cochain(LAM2, 0)]), (1, x, [H.Cochain.iota_cochain(LAM2, 1)])])
+
+
 def _cup_cap(x, y, cap):
     """The cup's reliable range as cup once computed it itself."""
     limit = math.inf
