@@ -6,7 +6,7 @@ along a deterministic echelon contraction produces the minimal operations
 m_n as iota-linear Hochschild cochains on H0; the Maurer-Cartan equation
 is verified exactly and is the arbiter for all sign conventions.  The
 Maurer-Cartan and morphism residuals are signed brace terms (d and the cup
-product written as braces with m2), summed by one brace_sum per arity.  The
+product take theirs from hochschild), summed by one brace_sum per arity.  The
 inductive construction of A-infinity isomorphisms kills one even-arity
 obstruction at a time, by one exact linear solve for a primitive and a
 cocycle correction, plain first and Euler-adjoined when that fails.
@@ -24,6 +24,8 @@ from .hochschild import (
     HHClass,
     NotACocycle,
     WrongBidegree,
+    _cup_terms,
+    _d_terms,
     bracket,
     brace,
     brace_sum,
@@ -184,15 +186,9 @@ def _residuals(lam, terms, arities, cap):
     return {p: brace_sum(at[p], cap=cap) if p in at else Cochain.zero(lam) for p in arities}
 
 
-def _d_terms(p, c):
-    """d(c) = m2{c} + (-1)^p c{m2} for c of arity p, as terms of arity p + 1."""
-    m2 = Cochain.multiplication(c.algebra)
-    return [(p + 1, 1, m2, [c]), (p + 1, (-1) ** p, c, [m2])]
-
-
 def mc_check(m: MinimalAInfty) -> ResidualReport:
     """Residuals d(m) + m{m} per arity, all zero up to the cap on success."""
-    terms = [t for n, c in m.ops.items() for t in _d_terms(n, c)]
+    terms = [(n + 1, *t) for n, c in m.ops.items() for t in _d_terms(c)]
     terms += [(a + b - 1, 1, ca, [cb]) for a, ca in m.ops.items() for b, cb in m.ops.items()]
     return ResidualReport(_residuals(m.algebra, terms, range(3, m.cap + 1), m.cap), m.cap)
 
@@ -241,13 +237,13 @@ def ainfty_map_check(f: AInftyMorphism, m: MinimalAInfty, mp: MinimalAInfty, cap
 
 def _morphism_terms(f, m_ops, mp_ops, cap):
     """d(f) + f.f + sum_{r>=0} m'{f,...,f} - m - f{m} as terms (arity, sign,
-    x0, args), f_a.f_b = (-1)^(a-1) m2{f_a, f_b} and m'_k{} = m'_k, the m'
-    terms up to arity cap; f, m_ops and mp_ops map arities to the components
-    of the morphism (identity linear part), the source and the target ops."""
+    x0, args), d and the cup product f_a.f_b as hochschild writes them and
+    m'_k{} = m'_k, the m' terms up to arity cap; f, m_ops and mp_ops map
+    arities to the components of the morphism (identity linear part), the
+    source and the target ops."""
     terms = [(k, -1, mk, []) for k, mk in m_ops.items()]
     for a, fa in f.items():
-        m2 = Cochain.multiplication(fa.algebra)
-        terms += _d_terms(a, fa) + [(a + b, (-1) ** (a - 1), m2, [fa, fb]) for b, fb in f.items()]
+        terms += [(a + 1, *t) for t in _d_terms(fa)] + [(a + b, *t) for b, fb in f.items() for t in _cup_terms(fa, fb)]
         terms += [(a + b - 1, -1, fa, [mb]) for b, mb in m_ops.items()]
     for k, mk in mp_ops.items():
         for r in range(k + 1):
@@ -513,12 +509,10 @@ def build_iso(m: MinimalAInfty, mp: MinimalAInfty, N: int) -> AInftyMorphism:
             n += 1
             continue
         old_f3 = f[3]
-        c_low, c_up = contractible_solution(a, u_cls, n)
+        c_low, newtop = contractible_solution(a, u_cls, n)
         lowc = c_low.to_cochain()
         if not lowc.is_zero():
             f[2 * n - 1] = f.get(2 * n - 1, Cochain.zero(lam, n - 1)) + lowc
-        newtop = c_up
-        if not lowc.is_zero():
             newtop = newtop + brace(old_f3, [lowc], cap=2 * n + 1)
             if n == 2:
                 newtop = newtop + brace(lowc, [lowc], cap=5).scale(field.of(1, 2))

@@ -10,7 +10,7 @@ along it is in `ainfty`.
 
 from __future__ import annotations
 
-from .finite import AlgebraSpecError, FiniteAlgebra, LaurentAlgebra, _dict, _get, _parse_int, _parse_matrix, _parse_scalar
+from .finite import AlgebraSpecError, FiniteAlgebra, LaurentAlgebra, _dict, _get, _list, _parse_int, _parse_matrix, _parse_scalar
 from .linalg import Matrix, QQ, SubspaceBasis, _echelon_of, _sparse, compose, kernel_basis, solve_matrix
 
 
@@ -159,22 +159,25 @@ class DGAlgebra:
             return _get(data, key, "DG dump")
 
         periodic = get("periodic")
+        if not isinstance(periodic, bool):
+            raise AlgebraSpecError("DG dump periodic: expected true or false, got %r" % (periodic,))
         dims = {_parse_int(k, "DG dump dims"): v for k, v in _dict(get("dims"), "DG dump dims").items()}
         if not all(isinstance(v, int) for v in dims.values()):
             raise AlgebraSpecError("DG dump dims: expected integer dimensions, got %r" % get("dims"))
-        unit = [sc(x) for x in get("unit")]
+        unit = [sc(x) for x in _list(get("unit"), "DG dump unit")]
         mult = {}
         for key, table in _dict(get("mult"), "DG dump mult").items():
             # a key of three or more degrees leaves a comma in d2, which is no integer
             d1, d2 = (_parse_int(t, "DG dump mult key %r" % key) for t in key.partition(",")[::2])
-            mult[(d1, d2)] = [[[sc(x) for x in vec] for vec in row] for row in table]
+            at = "DG dump mult[%s]" % key
+            mult[(d1, d2)] = [[[sc(x) for x in _list(vec, at)] for vec in _list(row, at)] for row in _list(table, at)]
         diff = {}
         for k, rows in _dict(get("diff"), "DG dump diff").items():
             deg = _parse_int(k, "DG dump diff")
             tgt = dims.get((deg + 1) % 2 if periodic else deg + 1, 0)
             src = dims.get(deg, 0)
             diff[deg] = _parse_matrix(field, rows, src, "DG dump diff[%s]" % k) if rows else Matrix.zeros(tgt, src, field)
-        return DGAlgebra(dims, unit, mult, diff, periodic=periodic, labels=data.get("labels"), field=field)
+        return DGAlgebra(dims, unit, mult, diff, periodic=periodic, labels=_dict(data.get("labels", {}), "DG dump labels"), field=field)
 
     def __repr__(self):
         return "DGAlgebra(%s, dims=%r)" % ("periodic" if self.periodic else "bounded", self.dims)

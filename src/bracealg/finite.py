@@ -169,6 +169,8 @@ class FiniteAlgebra:
         return all(self.mul(vec, e) == self.mul(e, vec) for e in map(self.basis_vector, range(self.dim)))
 
     def element_from(self, coeffs):
+        if len(coeffs) != self.dim:
+            raise AlgebraSpecError("element: expected %d coordinates, got %d" % (self.dim, len(coeffs)))
         return self.field.elements(coeffs)
 
     # -- serialization --------------------------------------------------

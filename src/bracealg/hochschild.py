@@ -7,10 +7,11 @@ internal degree, plus optional "weight" matrices recording polynomial
 dependence on the iota powers of individual inputs, keyed by exponent
 tuples.  iota-linear cochains have no weights; the fractional Euler
 derivation is the basic example of a weight-one cochain.  One engine,
-brace_sum, sums signed braces on this representation, weighted or not;
-brace is its one-term case, cup product, Lie bracket and differential are
-braces, and the weight rule is stated once, in brace_sum's docstring.
-Products of cohomology classes skip it: a class keeps the reduced
+brace_sum, sums signed braces on this representation and is the only
+adder of cochains: brace is its one-term case, x +- y are terms with no
+arguments, cup, bracket and d are one brace_sum each, and a reliable range
+counts only blocks that are not all zero.  The weight rule is in its docstring.
+Products of cohomology classes skip the engine: a class keeps the reduced
 coordinates of a normalized representative, and the cup and bracket tables
 of two lists of classes are compositions of their coordinate matrices set
 side by side.
@@ -55,8 +56,9 @@ class Cochain:
     is sum_e (prod_i j_i^{e_i}) M_e(l_1,...,l_p) * i^{iota + sum j_i}.  Column
     (i_1 ... i_p) in base dim, first input most significant, is the value on
     the basis inputs e_{i_1}, ..., e_{i_p}: the order of linalg.compose.
-    Components with arity > cap are unknown rather than zero, and a sum
-    keeps none of them.
+    Components with arity > cap are unknown rather than zero.  + and - are
+    brace_sum's terms with no arguments, so a sum keeps none of them and
+    no all-zero block.
     """
 
     __slots__ = ("algebra", "iota", "comps", "cap")
@@ -106,7 +108,8 @@ class Cochain:
         return sorted(self.comps)
 
     def min_arity(self):
-        ar = [p for p, c in self.comps.items() if c]
+        """The smallest arity with a block that is not all zero, or None."""
+        ar = [p for p, c in self.comps.items() if not all(m.is_zero() for m in c.values())]
         return min(ar) if ar else None
 
     def is_iota_linear(self):
@@ -135,43 +138,21 @@ class Cochain:
     def _same_algebra(self, other):
         return self.algebra is other.algebra or self.algebra.mult == other.algebra.mult
 
-    def _merged(self, other, sign):
-        if not self._same_algebra(other):
-            raise AlgebraSpecError("cochain algebra mismatch")
-        if self.iota != other.iota:
-            raise AlgebraSpecError("cannot add cochains of different internal degree")
-        cap = min(self.cap, other.cap)
-        comps = self.with_cap(cap).comps
-        for p, comp in other.comps.items():
-            if p > cap:
-                continue
-            tgt = comps.setdefault(p, {})
-            for e, mat in comp.items():
-                cur = tgt.get(e)
-                new = mat.scale(sign) if sign != self.algebra.field.one else mat
-                tgt[e] = cur + new if cur is not None else new
-        return Cochain(self.algebra, self.iota, comps, cap)
-
     def __add__(self, other):
-        return self._merged(other, self.algebra.field.one)
+        return brace_sum([(1, self, []), (1, other, [])])
 
     def __sub__(self, other):
-        return self._merged(other, -self.algebra.field.one)
+        return brace_sum([(1, self, []), (-1, other, [])])
 
     def scale(self, c):
         comps = {p: {e: m.scale(c) for e, m in comp.items()} for p, comp in self.comps.items()}
         return Cochain(self.algebra, self.iota, comps, self.cap)
 
     def is_zero(self, up_to=None):
-        bound = self.cap if up_to is None else min(up_to, self.cap)
         if up_to is not None and up_to > self.cap:
             raise CapTooLow("zero test up to %s exceeds reliable cap %s" % (up_to, self.cap))
-        for p, comp in self.comps.items():
-            if p <= bound:
-                for mat in comp.values():
-                    if not mat.is_zero():
-                        return False
-        return True
+        low = self.min_arity()
+        return low is None or low > (self.cap if up_to is None else up_to)
 
     def __eq__(self, other):
         if not isinstance(other, Cochain):
@@ -229,11 +210,9 @@ class Cochain:
 
 
 def _min_possible_arity(c: Cochain):
-    """Smallest arity at which c can be nonzero (inf for the exact zero)."""
+    """Smallest arity at which c can be nonzero: min_arity, else cap + 1."""
     m = c.min_arity()
-    if m is not None:
-        return m
-    return c.cap + 1 if c.cap != math.inf else math.inf
+    return c.cap + 1 if m is None else m
 
 
 def _times_linear(poly, q, positions):
@@ -263,6 +242,8 @@ def brace_sum(terms, cap=None) -> Cochain:
     the sign of a term is the Koszul sign for moving each y_k past the
     inputs that precede its block, all degrees shifted by -1.  The sum is
     reliable up to the smallest reliable range among its terms and cap.
+    Every cochain sum is one: x + y and x - y are the terms (1, x, []) and
+    (+-1, y, []), so every x0 and argument must live on one algebra.
 
     The weight rule: a weight is an exponent tuple (e_0, ..., e_{P-1}),
     standing for the monomial prod_u j_u^e_u in the iota powers j_u of the
@@ -274,8 +255,10 @@ def brace_sum(terms, cap=None) -> Cochain:
     the sum of the signed, weighted terms of every brace, added up once
     (kron_sum), and a weight whose sum vanishes is dropped.
     """
-    lam = terms[0][1].algebra
-    field = lam.field
+    first = terms[0][1]
+    if not all(first._same_algebra(c) for _, x0, args in terms for c in (x0, *args)):
+        raise AlgebraSpecError("cochain algebra mismatch")
+    lam, field = first.algebra, first.algebra.field
     iotas = {x0.iota + sum(a.iota for a in args) for _, x0, args in terms}
     if len(iotas) != 1:
         raise AlgebraSpecError("cannot add cochains of different internal degree")
@@ -323,7 +306,7 @@ def brace_sum(terms, cap=None) -> Cochain:
                         for block, s, y in zip(blocks, slots, args):
                             for _ in range(e0[s]):
                                 poly = _times_linear(poly, y.iota, block)
-                        if not poly or (term := compose(mat0, factors)).is_zero():
+                        if not poly or (term := compose(mat0, factors) if n else mat0).is_zero():
                             continue
                         bucket = parts.setdefault(P, {})
                         for e, c in poly.items():
@@ -343,38 +326,41 @@ def brace_sum(terms, cap=None) -> Cochain:
 
 def _slices(c: Cochain):
     """(p, the arity-p part of c) for each component, each with c's cap;
-    [(0, c)] if c has none.  Bracing the slices, brace's reliable range
-    gives the sums of cup and bracket their caps."""
+    [(0, c)] if c has none.  Summing braces of the slices, brace_sum's
+    reliable range gives cup, bracket and d their caps."""
     return [(p, Cochain(c.algebra, c.iota, {p: comp}, c.cap)) for p, comp in c.comps.items() if comp] or [(0, c)]
+
+
+def _cup_terms(x: Cochain, y: Cochain):
+    """x.y = (-1)^(|x|-1) m2{x, y} as brace_sum terms, one per slice of x."""
+    m2 = Cochain.multiplication(x.algebra)
+    return [(1 if p % 2 else -1, m2, [xs, y]) for p, xs in _slices(x)]
+
+
+def _d_terms(c: Cochain):
+    """d(c) = m2{c_p} + (-1)^p c_p{m2} as brace_sum terms, two per slice c_p of c."""
+    m2 = Cochain.multiplication(c.algebra)
+    return [t for p, cp in _slices(c) for t in ((1, m2, [cp]), (-1 if p % 2 else 1, cp, [m2]))]
 
 
 def cup(x: Cochain, y: Cochain, cap=None) -> Cochain:
     """Cup product x.y = (-1)^(|x|-1) m2{x, y}, extended bilinearly."""
-    lam = x.algebra
-    m2 = Cochain.multiplication(lam)
-    out = Cochain.zero(lam, x.iota + y.iota)
-    for p, xs in _slices(x):
-        sgn = lam.field.one if (p - 2 * x.iota - 1) % 2 == 0 else -lam.field.one
-        out = out + brace(m2, [xs, y], cap=cap).scale(sgn)
-    return out
+    return brace_sum(_cup_terms(x, y), cap)
 
 
 def bracket(x: Cochain, y: Cochain, cap=None) -> Cochain:
     """Gerstenhaber bracket [x,y] = x{y} - (-1)^(|x|-1)(|y|-1) y{x}."""
-    out = Cochain.zero(x.algebra, x.iota + y.iota)
+    terms = []
     for p, xs in _slices(x):
         for q, ys in _slices(y):
-            first = brace(xs, [ys], cap=cap)
-            second = brace(ys, [xs], cap=cap)
-            sgn = (p - 1) * (q - 1)  # iota powers are even and drop mod 2
-            out = out + first - second if sgn % 2 == 0 else out + first + second
-    return out
+            # iota powers are even and drop mod 2
+            terms += [(1, xs, [ys]), (1 if (p - 1) * (q - 1) % 2 else -1, ys, [xs])]
+    return brace_sum(terms, cap)
 
 
 def differential(c: Cochain, cap=None) -> Cochain:
-    """Hochschild differential d(c) = [m2, c] (bidegree (1, 0))."""
-    m2 = Cochain.multiplication(c.algebra)
-    return bracket(m2, c, cap=cap)
+    """Hochschild differential d(c) = [m2, c] (bidegree (1, 0)), as its brace terms."""
+    return brace_sum(_d_terms(c), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -826,8 +812,7 @@ class EulerAdjoinedCochain:
         return self.plain.algebra
 
     def to_cochain(self) -> Cochain:
-        e2 = Cochain.euler(self.algebra)
-        return self.plain + cup(self.euler, e2)
+        return brace_sum([(1, self.plain, [])] + _cup_terms(self.euler, Cochain.euler(self.algebra)))
 
     def __add__(self, other):
         return EulerAdjoinedCochain(self.plain + other.plain, self.euler + other.euler)

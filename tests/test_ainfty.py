@@ -31,7 +31,7 @@ from bracealg.ainfty import (
     transported_structure,
     two_equations_solve,
 )
-from bracealg.dg import DGAlgebra, NotLaurentForm, cohomology_algebra, make_contraction
+from bracealg.dg import ContractionData, DGAlgebra, NotLaurentForm, cohomology_algebra, make_contraction
 from bracealg.models import complete_resolution, dg_end, seeded_minimal_model
 
 
@@ -92,21 +92,37 @@ def test_dga_rejects_broken_leibniz():
 
 
 def _square_zero_dga(edit=None):
-    """k[x]/(x^2) in both parities with zero differential, after edit(mult)."""
+    """k[x]/(x^2) in both parities with zero differential, after edit(mult, diff)."""
     lam = build_truncated_polynomial(2)
     mult = {key: [[list(v) for v in row] for row in lam.mult] for key in ((0, 0), (0, 1), (1, 0), (1, 1))}
+    diff = {0: Matrix.zeros(2, 2, QQ), 1: Matrix.zeros(2, 2, QQ)}
     if edit:
-        edit(mult)
-    zero = Matrix.zeros(2, 2, QQ)
-    return DGAlgebra({0: 2, 1: 2}, lam.unit, mult, {0: zero, 1: zero}, periodic=True)
+        edit(mult, diff)
+    return DGAlgebra({0: 2, 1: 2}, lam.unit, mult, diff, periodic=True)
 
 
-def _break_associativity(mult):
+def _break_associativity(mult, diff):
     mult[(0, 1)][1][1] = [QQ.one, QQ.zero]  # x . u_x = u_1, so (x x) u_x != x (x u_x)
 
 
-def _break_right_unit(mult):
+def _break_right_unit(mult, diff):
     mult[(1, 0)][0][0] = [QQ.zero, QQ.one]  # u_1 . 1 = u_x
+
+
+def _break_left_unit(mult, diff):
+    mult[(0, 1)][0][0] = [QQ.zero, QQ.one]  # 1 . u_1 = u_x
+
+
+def _d_of_unit(mult, diff):
+    diff[0] = Matrix.from_int_rows([[1, 0], [0, 0]])  # d1 = u_1, and d^2 = 0
+
+
+def _d_of_x(mult, diff):
+    diff[0] = Matrix.from_int_rows([[0, 1], [0, 0]])  # dx = u_1: d(x x) = 0, but dx x + x dx = 2 u_x
+
+
+def _d_squared_identity(mult, diff):
+    diff[0] = diff[1] = Matrix.identity(2, QQ)
 
 
 @pytest.mark.parametrize(
@@ -114,13 +130,34 @@ def _break_right_unit(mult):
     [
         (_break_associativity, r"associativity fails at degrees \(0,0,1\)"),
         (_break_right_unit, "right unit law fails in degree 1"),
+        (_break_left_unit, "left unit law fails in degree 1"),
+        (_d_of_unit, "unit is not a cocycle"),
+        (_d_of_x, r"Leibniz fails at degrees \(0,0\)"),
+        (_d_squared_identity, r"d\^2 != 0 at degree 0"),
     ],
-    ids=["associativity", "unit-law"],
+    ids=["associativity", "unit-law", "left-unit-law", "unit-cocycle", "leibniz", "d-squared"],
 )
 def test_dga_rejects_broken_axiom(edit, message):
     assert _square_zero_dga().dims == {0: 2, 1: 2}  # the unedited model is accepted
     with pytest.raises(AlgebraSpecError, match=message):
         _square_zero_dga(edit)
+
+
+def _doubled(con, which):
+    """A copy of the contraction con with every map of `which` doubled."""
+    maps = {k: getattr(con, k) for k in ("p", "i", "h")}
+    maps[which] = {deg: m.scale(QQ.of(2)) for deg, m in maps[which].items()}
+    return ContractionData(con.dga, maps["p"], maps["i"], maps["h"], con.h_dims)
+
+
+@pytest.mark.parametrize(
+    "which,message", [("i", "p i != id"), ("h", r"d h \+ h d != id - i p")], ids=["i-doubled", "h-doubled"]
+)
+def test_contraction_verify_rejects_broken_maps(which, message):
+    con = make_contraction(dg_end(complete_resolution(4, 2)))
+    with pytest.raises(AlgebraSpecError, match=message):
+        _doubled(con, which).verify()
+    con.verify()
 
 
 def test_dga_json_roundtrip():
@@ -401,6 +438,14 @@ def test_gauge_by_central_unit_converts_plain_ints():
     assert a.arities() == b.arities()
     assert all((a.op(n) - b.op(n)).is_zero() for n in a.arities())
     assert not (a.op(4) - m.op(4)).is_zero()
+
+
+def test_gauge_refuses_an_element_of_the_wrong_length():
+    m = seeded_minimal_model(6, 3, cap=8)
+    assert m.algebra.dim == 3
+    for call in (lambda: m.algebra.element_from([1, 1]), lambda: gauge_by_central_unit(m, [1, 1])):
+        with pytest.raises(AlgebraSpecError, match="^element: expected 3 coordinates, got 2$"):
+            call()
 
 
 def test_gauge_scalar_scales_m4():

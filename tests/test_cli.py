@@ -504,6 +504,26 @@ def _diff_rows_not_a_list(data):
     data["diff"] = {"0": 5}
 
 
+def _unit_not_a_list(data):
+    data["unit"] = 5
+
+
+def _mult_table_not_a_list(data):
+    data["mult"]["0,0"] = 5
+
+
+def _mult_vector_not_a_list(data):
+    data["mult"]["0,0"][0][0] = 5
+
+
+def _periodic_not_a_bool(data):
+    data["periodic"] = "yes"
+
+
+def _labels_not_an_object(data):
+    data["labels"] = 5
+
+
 @pytest.mark.parametrize(
     "kind,edit",
     [
@@ -522,12 +542,18 @@ def _diff_rows_not_a_list(data):
         ("dg", _three_degree_mult_key),
         ("dg", _mult_not_an_object),
         ("dg", _diff_rows_not_a_list),
+        ("dg", _unit_not_a_list),
+        ("dg", _mult_table_not_a_list),
+        ("dg", _mult_vector_not_a_list),
+        ("dg", _periodic_not_a_bool),
+        ("dg", _labels_not_an_object),
     ],
     ids=[
         "ragged-matrix-row", "non-integer-op-key", "string-cap", "ops-not-an-object", "components-not-an-object",
         "component-list-not-a-list", "weights-not-a-list", "matrix-not-a-list", "dg-no-dims", "dg-ragged-diff-row",
         "dg-short-mult-row", "dg-string-dims-value", "dg-three-degree-mult-key", "dg-mult-not-an-object",
-        "dg-diff-rows-not-a-list",
+        "dg-diff-rows-not-a-list", "dg-unit-not-a-list", "dg-mult-table-not-a-list", "dg-mult-vector-not-a-list",
+        "dg-periodic-not-a-bool", "dg-labels-not-an-object",
     ],
 )
 def test_malformed_dump_exit_2(tmp_path, kind, edit):

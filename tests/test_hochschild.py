@@ -203,9 +203,11 @@ def test_cup_unit_laws_and_associativity():
     assert (H.cup(H.cup(a, b), d) - H.cup(a, H.cup(b, d))).is_zero()
 
 
-# sha256 of the to_json of _engine_outputs(), recorded before the brace
-# engine was rewritten on exponent-tuple weights
-ENGINE_OUTPUTS_SHA256 = "b32a7626e51f561538d382cd178d5d96897654bf03ab3c63286eeec0ffe058a0"
+# sha256 of the to_json of _engine_outputs(), recorded when every cochain sum
+# became a brace_sum; the outputs equal those of the earlier pairwise adder
+# once all-zero weight blocks are dropped from every sum, the inputs' sums
+# included (with them, output 17 was reliable up to arity 1, not 3)
+ENGINE_OUTPUTS_SHA256 = "550dd5ecab8c6427a021e478270c7eecf9b96976da8d6ff430223e53791ccb22"
 
 
 def _engine_outputs():
@@ -268,13 +270,83 @@ def test_brace_sum_equals_sum_of_braces():
                 capped += any(c.cap != math.inf for c in [terms[-1][1], *args])
             cap = rng.choice([None, 3, 4])
             got = H.brace_sum(terms, cap=cap)
-            want = H.Cochain.zero(lam, iota)
-            for sign, x0, args in terms:
-                want = want + H.brace(x0, args, cap=cap).scale(lam.field.of(sign))
+            want = _matrix_sum(lam, iota, [(sign, H.brace(x0, args, cap=cap)) for sign, x0, args in terms])
             assert got.cap == want.cap
-            assert got == want
+            assert _nonzero_blocks(got) == _nonzero_blocks(want)
             assert all(p <= got.cap for p in got.comps)
     assert no_args and capped
+
+
+def _matrix_sum(lam, iota, signed):
+    """Reference adder: sum_t sign_t c_t over (sign, cochain) pairs of internal
+    degree iota, Matrix sums per arity and weight, reliable up to the smallest
+    cap; it keeps all-zero blocks."""
+    cap = min(c.cap for _, c in signed)
+    comps = {}
+    for sign, c in signed:
+        assert c.iota == iota
+        for p, comp in c.comps.items():
+            if p > cap:
+                continue
+            at = comps.setdefault(p, {})
+            for e, m in comp.items():
+                m = m.scale(lam.field.of(sign))
+                at[e] = at[e] + m if e in at else m
+    return H.Cochain(lam, iota, comps, cap)
+
+
+def _nonzero_blocks(c):
+    return {(p, e): m for p, comp in c.comps.items() for e, m in comp.items() if not m.is_zero()}
+
+
+def test_sums_match_the_matrix_adder_without_zero_blocks():
+    # + and - against the reference adder; x - x keeps no block at all
+    rng = random.Random(4343)
+    for lam in (LAM2, LAM3):
+        for _ in range(10):
+            j = rng.choice([0, 1])
+            x = rwc(lam, rng.randint(0, 3), j, rng).with_cap(rng.choice([math.inf, 2, 3]))
+            y = rwc(lam, rng.randint(0, 3), j, rng)
+            assert _nonzero_blocks(x + y) == _nonzero_blocks(_matrix_sum(lam, j, [(1, x), (1, y)]))
+            assert _nonzero_blocks(x - y) == _nonzero_blocks(_matrix_sum(lam, j, [(1, x), (-1, y)]))
+            assert (x + y).cap == (x - y).cap == min(x.cap, y.cap)
+            assert (x - x).comps == {} and (x - x).cap == x.cap
+
+
+# x over k[x]/(x^2) and y over the group algebra of Z/2, both of dimension 2
+KZ2 = {"dim": 2, "labels": ["1", "g"], "unit": ["1", "0"], "mult": [
+    [0, 0, ["1", "0"]], [0, 1, ["0", "1"]], [1, 0, ["0", "1"]], [1, 1, ["1", "0"]],
+]}
+
+
+def test_operations_refuse_cochains_over_different_algebras():
+    rng = random.Random(5)
+    x, y = rc(LAM2, 1, 0, rng), rc(load_algebra(KZ2), 1, 0, rng)
+    m2 = H.Cochain.multiplication(LAM2)
+    calls = [
+        lambda: H.brace(x, [y]), lambda: H.brace(y, [x]), lambda: H.brace(m2, [x, y]),
+        lambda: H.cup(x, y), lambda: H.cup(y, x), lambda: H.bracket(x, y), lambda: H.bracket(y, x),
+        lambda: x + y, lambda: x - y,
+        # d(x) + y and d(x) + d(y), each as one sum
+        lambda: H.brace_sum(H._d_terms(x) + [(1, y, [])]), lambda: H.brace_sum(H._d_terms(x) + H._d_terms(y)),
+    ]
+    for call in calls:
+        with pytest.raises(AlgebraSpecError, match="^cochain algebra mismatch$"):
+            call()
+    assert H.differential(x).algebra is LAM2 and H.differential(y).algebra is not LAM2
+
+
+def test_an_all_zero_block_does_not_narrow_the_reliable_range():
+    x0 = H.random_cochain(LAM2, 2, 0, random.Random(1), normalized=False).with_cap(2)
+    y = H.random_cochain(LAM2, 2, 0, random.Random(2), normalized=False)
+    y_zero = H.Cochain(LAM2, 0, {**y.comps, 0: {(): Matrix.zeros(2, 1, QQ)}})
+    assert (y.min_arity(), y_zero.min_arity()) == (2, 2)
+    plain, padded = H.brace(x0, [y]), H.brace(x0, [y_zero])
+    assert plain.cap == padded.cap == 3
+    assert padded.to_json() == plain.to_json() and _nonzero_blocks(plain)
+    # a cochain of zero blocks only can be nonzero from cap + 1 on, as the zero cochain
+    zeros = H.Cochain(LAM2, 0, {1: {(0,): Matrix.zeros(2, 2, QQ)}}, 4)
+    assert zeros.min_arity() is None and zeros.is_zero() and H._min_possible_arity(zeros) == 5
 
 
 def test_brace_sum_refuses_mixed_internal_degrees():
