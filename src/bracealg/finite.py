@@ -45,28 +45,9 @@ class FiniteAlgebra:
         self._mult_mat = None
         self._key = None  # _structure_key, built on first use
         self._rad = None
-        self._check_axioms()
+        _check_unit_and_associativity(self.mult_matrix(), self.unit, lambda a: a, "on basis %d", "on basis triple (%d,%d,%d)")
 
     # -- construction helpers -----------------------------------------
-
-    def _check_axioms(self):
-        """Unit laws and associativity as matrix identities on all basis
-        vectors and triples; an error names the first failing one."""
-        d = self.dim
-        mult = self.mult_matrix()
-        ident = Matrix.identity(d, self.field)
-        unit = Matrix.column_vector(self.unit, self.field)
-        left = _first_difference(compose(mult, [unit, ident]), ident)
-        right = _first_difference(compose(mult, [ident, unit]), ident)
-        if left is not None and (right is None or left <= right):
-            raise AlgebraSpecError("left unit law fails on basis %d" % left)
-        if right is not None:
-            raise AlgebraSpecError("right unit law fails on basis %d" % right)
-        col = _first_difference(compose(mult, [mult, ident]), compose(mult, [ident, mult]))
-        if col is not None:
-            raise AlgebraSpecError(
-                "associativity fails on basis triple (%d,%d,%d)" % (col // (d * d), col // d % d, col % d)
-            )
 
     def basis_vector(self, i):
         v = [self.field.zero] * self.dim
@@ -196,10 +177,30 @@ class FiniteAlgebra:
         return "FiniteAlgebra(dim=%d, %s)" % (self.dim, ",".join(map(str, self.basis_labels[:6])))
 
 
-def _first_difference(a: Matrix, b: Matrix):
-    """The first column in which a and b differ, or None."""
-    cols = [j for ra, rb in zip(a.nonzeros(), b.nonzeros()) for j, _ in set(ra) ^ set(rb)]
-    return min(cols, default=None)
+def _first_difference(a: Matrix, b: Matrix, key=None):
+    """The first column in which a and b differ, or None; with key, the
+    least key(column) over the columns in which they differ."""
+    cols = {j for ra, rb in zip(a.nonzeros(), b.nonzeros()) if ra != rb for j, _ in set(ra) ^ set(rb)}
+    return min(cols if key is None else map(key, cols), default=None)
+
+
+def _check_unit_and_associativity(mult: Matrix, unit, label, at_one, at_three):
+    """The unit laws mult (1 (x) I) = I = mult (I (x) 1) and associativity
+    mult (mult (x) I) = mult (I (x) mult) of a product mult (n x n^2) with
+    unit vector unit, for FiniteAlgebra and DGAlgebra alike.  An error names
+    the least label(a) of a failing basis index a (the index, or its degree),
+    or the least triple of them, formatted by at_one or at_three."""
+    n, field = mult.rows, mult.field
+    ident, one = Matrix.identity(n, field), Matrix.column_vector(unit, field)
+    left = _first_difference(compose(mult, [one, ident]), ident, label)
+    right = _first_difference(compose(mult, [ident, one]), ident, label)
+    if left is not None and (right is None or left <= right):
+        raise AlgebraSpecError("left unit law fails " + at_one % left)
+    if right is not None:
+        raise AlgebraSpecError("right unit law fails " + at_one % right)
+    triple = _first_difference(compose(mult, [mult, ident]), compose(mult, [ident, mult]), lambda c: (label(c // n // n), label(c // n % n), label(c % n)))
+    if triple is not None:
+        raise AlgebraSpecError("associativity fails " + at_three % triple)
 
 
 def _parse_scalar(field, txt, where):

@@ -31,6 +31,7 @@ from bracealg.ainfty import (
     transported_structure,
     two_equations_solve,
 )
+from bracealg.ainfty import _search_compensating_unit
 from bracealg.dg import ContractionData, DGAlgebra, NotLaurentForm, cohomology_algebra, make_contraction
 from bracealg.models import complete_resolution, dg_end, seeded_minimal_model
 
@@ -143,21 +144,83 @@ def test_dga_rejects_broken_axiom(edit, message):
         _square_zero_dga(edit)
 
 
-def _doubled(con, which):
-    """A copy of the contraction con with every map of `which` doubled."""
-    maps = {k: getattr(con, k) for k in ("p", "i", "h")}
-    maps[which] = {deg: m.scale(QQ.of(2)) for deg, m in maps[which].items()}
-    return ContractionData(con.dga, maps["p"], maps["i"], maps["h"], con.h_dims)
+def _with(con, **maps):
+    """A copy of the contraction con with the maps given in maps replaced."""
+    return ContractionData(con.dga, maps.get("p", con.p), maps.get("i", con.i), maps.get("h", con.h), con.h_dims)
 
 
+def _model_contraction():
+    return make_contraction(dg_end(complete_resolution(4, 2)))
+
+
+def _doubled(which):
+    """The (4,2) model's contraction with every map of `which` doubled."""
+    con = _model_contraction()
+    return _with(con, **{which: {deg: m.scale(QQ.of(2)) for deg, m in getattr(con, which).items()}})
+
+
+def _h_squared_nonzero():
+    # h' = h + d h d in each degree: d h' + h' d = d h + h d, as d^2 = 0,
+    # but h'^2 != 0
+    con = _model_contraction()
+    d, nxt = con.dga.d_matrix, con.dga.deg_next
+    return _with(con, h={deg: m + d(deg) * con.h[nxt(deg)] * d(deg) for deg, m in con.h.items()})
+
+
+def _h_i_nonzero():
+    # on k[x]/(x^2) in both parities with d = 0, p = i = id and h = 0; an
+    # h of degree 0 sending 1 to u_1 keeps d h + h d = 0 = id - i p and
+    # h^2 = 0, but h i != 0
+    con = make_contraction(_square_zero_dga())
+    return _with(con, h={**con.h, 0: Matrix.from_int_rows([[1, 0], [0, 0]])})
+
+
+# p h = 0 has no case: it follows from the other four identities, which
+# verify checks first on the whole space.  p (d h + h d) = p - p i p = 0
+# gives p h d = -p d h, so p h = p h (d h + h d + i p) = p h d h + p h h d
+# + p h i p = -p d h h + 0 + 0 = 0.  No input reaches that refusal.
 @pytest.mark.parametrize(
-    "which,message", [("i", "p i != id"), ("h", r"d h \+ h d != id - i p")], ids=["i-doubled", "h-doubled"]
+    "broken,message",
+    [
+        (lambda: _doubled("i"), "p i != id"),
+        (lambda: _doubled("h"), r"d h \+ h d != id - i p"),
+        (_h_squared_nonzero, r"h\^2 != 0 in degree 0"),
+        (_h_i_nonzero, "h i != 0 in degree 0"),
+    ],
+    ids=["i-doubled", "h-doubled", "h-squared", "h-i"],
 )
-def test_contraction_verify_rejects_broken_maps(which, message):
-    con = make_contraction(dg_end(complete_resolution(4, 2)))
+def test_contraction_verify_rejects_broken_maps(broken, message):
     with pytest.raises(AlgebraSpecError, match=message):
-        _doubled(con, which).verify()
-    con.verify()
+        broken().verify()
+    _model_contraction().verify()
+
+
+def test_bounded_dga_checks_products_outside_dims():
+    # y, then 1 and e, then z and w in degrees -1, 0 and 1, with z y = e and
+    # z e = w the only products besides the unit's.  z z lies in degree 2,
+    # which dims does not have, so it is zero, and (z z) y = 0 != w = z (z y);
+    # every triple whose products stay inside dims is associative
+    basis = {-1: ["y"], 0: ["1", "e"], 1: ["z", "w"]}
+
+    def prod(a, b):
+        return b if a == "1" else a if b == "1" else {("z", "y"): "e", ("z", "e"): "w"}.get((a, b))
+
+    mult = {
+        (d1, d2): [[[QQ.of(int(prod(a, b) == c)) for c in basis.get(d1 + d2, [])] for b in basis[d2]] for a in basis[d1]]
+        for d1 in basis
+        for d2 in basis
+    }
+    with pytest.raises(AlgebraSpecError, match=r"associativity fails at degrees \(1,1,-1\)"):
+        DGAlgebra({d: len(b) for d, b in basis.items()}, [QQ.one, QQ.zero], mult, {}, periodic=False)
+
+
+def test_periodic_dga_without_an_odd_component():
+    # a periodic algebra given only in degree 0 has a zero odd component:
+    # its products and maps at degree 1 are zero blocks, and it transfers
+    lam = build_truncated_polynomial(2)
+    dga = DGAlgebra({0: 2}, lam.unit, {(0, 0): lam.mult}, {}, periodic=True)
+    assert dga.dims == {0: 2, 1: 0} and dga.mult_matrix(1, 1) == Matrix.zeros(2, 0, QQ)
+    assert transfer(dga, make_contraction(dga), 6).arities() == []
 
 
 def test_dga_json_roundtrip():
@@ -462,6 +525,19 @@ def test_gauge_unit_errors():
     lam = m.algebra
     with pytest.raises(NotUnit):
         gauge_by_central_unit(m, lam.element_from([0, 1]))
+
+
+def test_compensating_unit_search_walks_the_kernel():
+    # on k[x]/(x^3), with target the zero class of HH^4 at weight 1, the
+    # particular solution of u . current = target is u = 0, no unit, so the
+    # search walks the kernel of u -> u . current.  For current = 0 that is
+    # the whole centre, and 0 + 1 is a unit; x and x^2 kill the first basis
+    # class, and no unit u has u . class = 0 for a nonzero class
+    lam = build_truncated_polynomial(3)
+    ctx = H.hh_context(lam, 4, 1)
+    zero, first = ctx.combination([]), ctx.combination([1, 0])
+    assert _search_compensating_unit(lam, zero, zero) == [1, 0, 0]
+    assert _search_compensating_unit(lam, zero, first) is None
 
 
 def test_gauge_action_on_restricted_class():

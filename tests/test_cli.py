@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -6,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bracealg
 from bracealg.finite import LaurentAlgebra, build_truncated_polynomial
@@ -524,6 +526,10 @@ def _labels_not_an_object(data):
     data["labels"] = 5
 
 
+def _mult_key_outside_dims(data):
+    data["mult"]["2,0"] = []
+
+
 @pytest.mark.parametrize(
     "kind,edit",
     [
@@ -547,13 +553,14 @@ def _labels_not_an_object(data):
         ("dg", _mult_vector_not_a_list),
         ("dg", _periodic_not_a_bool),
         ("dg", _labels_not_an_object),
+        ("dg", _mult_key_outside_dims),
     ],
     ids=[
         "ragged-matrix-row", "non-integer-op-key", "string-cap", "ops-not-an-object", "components-not-an-object",
         "component-list-not-a-list", "weights-not-a-list", "matrix-not-a-list", "dg-no-dims", "dg-ragged-diff-row",
         "dg-short-mult-row", "dg-string-dims-value", "dg-three-degree-mult-key", "dg-mult-not-an-object",
         "dg-diff-rows-not-a-list", "dg-unit-not-a-list", "dg-mult-table-not-a-list", "dg-mult-vector-not-a-list",
-        "dg-periodic-not-a-bool", "dg-labels-not-an-object",
+        "dg-periodic-not-a-bool", "dg-labels-not-an-object", "dg-mult-key-outside-dims",
     ],
 )
 def test_malformed_dump_exit_2(tmp_path, kind, edit):
@@ -616,6 +623,15 @@ ODD_MULT = {"0,0": [[["1"]]], "0,1": [[["1"]]], "1,0": [[["1"]]], "1,1": [[["0"]
                      "need a degree-0 component containing the unit", id="dg-no-degree-0"),
         pytest.param(lambda t: ["transfer", _input(t, _dg({"0": 1, "1": 1}, ["1", "0"], ODD_MULT))],
                      "unit: expected 1 entries, got 2", id="dg-unit-length"),
+        pytest.param(lambda t: ["transfer", _input(t, _dg({"0": 1}, ["1"], {"0,0": [[["1"]]], "2,0": []}))],
+                     "multiplication table at degrees (2,0) outside dims", id="dg-mult-key-outside-dims"),
+        pytest.param(lambda t: ["transfer", _input(t, dict(_dg({"0": 1, "1": 1}, ["1"], ODD_MULT), diff={"0": [["0"], ["0"]]}))],
+                     "differential shape mismatch at degree 0", id="dg-diff-too-many-rows"),
+        pytest.param(lambda t: ["transfer", _input(t, _dg({"0": 1, "2": 0}, ["1"], {"0,0": [[["1"]]]}))],
+                     "periodic DG algebra: degrees must be 0 or 1, got [0, 2]", id="dg-periodic-degree-2"),
+        pytest.param(lambda t: ["transfer", _input(t, _dg({"0": 1, "1": -1}, ["1"], {"0,0": [[["1"]]]}))],
+                     "DG dump dims: expected non-negative integer dimensions, got {'0': 1, '1': -1}",
+                     id="dg-negative-dimension"),
         pytest.param(lambda t: ["hh", _input(t, _kx3_with()), "--field", "fp:21"],
                      "p must be an odd prime, got 21", id="field-not-prime"),
         pytest.param(lambda t: ["hh", _input(t, _kx3_with()), "--field", "rr"],
@@ -628,6 +644,48 @@ ODD_MULT = {"0,0": [[["1"]]], "0,1": [[["1"]]], "1,0": [[["1"]]], "1,1": [[["0"]
 def test_input_refusals_exit_2(tmp_path, capsys, make_argv, message):
     assert run(make_argv(tmp_path)) == 2
     assert capsys.readouterr().err == "error: %s\n" % message
+
+
+@pytest.fixture(scope="module")
+def model_42_dump(tmp_path_factory):
+    """The DG dump of `model --n 4 --a 2` and a directory for edited copies."""
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    assert run(["model", "--n", "4", "--a", "2", "--out", str(path)]) == 0
+    return json.loads(path.read_text())["dga"], tmp_path_factory.mktemp("edited")
+
+
+EDITS = {
+    "wrong-type": st.sampled_from(["x", 5, 1.5, True, [], {}, [[1]]]),
+    "null": st.none(),
+    "integer": st.sampled_from([-1, -3, 2, 3, 10**6]),
+}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.data())
+def test_edited_dg_dump_exits_0_or_2(model_42_dump, data):
+    # one seeded edit to the dump: a value of the wrong type, null, a
+    # deleted key or entry, a negative or out-of-range integer, or an extra
+    # mult key; transfer then reports (0) or refuses with an error line (2),
+    # and never raises
+    dump, out = model_42_dump
+    edited = copy.deepcopy(dump)
+    kind = data.draw(st.sampled_from(sorted(EDITS) + ["delete", "mult-key"]))
+    if kind == "mult-key":
+        key = "%d,%d" % (data.draw(st.integers(-2, 3)), data.draw(st.integers(-2, 3)))
+        edited["mult"][key] = data.draw(st.sampled_from([[], dump["mult"]["0,0"]]))
+    else:
+        parent, key = edited, data.draw(st.sampled_from(sorted(edited)))
+        while isinstance(parent[key], (dict, list)) and parent[key] and data.draw(st.booleans()):
+            parent = parent[key]
+            key = data.draw(st.sampled_from(list(parent) if isinstance(parent, dict) else range(len(parent))))
+        if kind == "delete":
+            del parent[key]
+        else:
+            parent[key] = data.draw(EDITS[kind])
+    path = out / "edited.json"
+    path.write_text(json.dumps(edited))
+    assert run(["transfer", str(path), "--cap-n", "6", "--out", str(out / "report.json")]) in (0, 2)
 
 
 # -- per-command imports, checked in a fresh interpreter ------------------------
