@@ -135,36 +135,28 @@ class ResidualReport:
 def transfer(dga: DGAlgebra, con: ContractionData, N: int) -> MinimalAInfty:
     """Kadeishvili transfer: minimal operations up to arity N.
 
-    Sum over planar binary trees computed by the convolution recursion
-    Theta_n = sum_k b2(Psi_k (x) Psi_{n-k}), Psi_n = h Theta_n, with
-    b2(x, y) = (-1)^(parity(x)+1) x y in shifted coordinates; all other
-    Koszul signs vanish because the intermediate maps have degree zero.
+    Sum over planar binary trees computed by the convolution recursion on
+    V, the sum of the components: Theta_n = sum_k (-1)^k M(Psi_k (x)
+    Psi_{n-k}), Psi_1 = I, Psi_n = H Theta_n and b_n = P Theta_n, the sign
+    that of b2(x, y) = (-1)^(parity(x)+1) x y in shifted coordinates; all
+    other Koszul signs vanish because the intermediate maps have degree
+    zero.  Theta_n lies in the component of parity n, so b_n is zero at odd
+    n, as P vanishes on the odd component once the odd cohomology is zero.
     The Maurer-Cartan equation (checked on construction) pins the signs.
-    The recursion runs on parities, so a bounded algebra raises NotLaurentForm.
+    A bounded algebra, or one with odd cohomology, raises NotLaurentForm.
     """
-    from .dg import NotLaurentForm, _laurent_h0, _require_periodic
+    from .dg import _laurent_h0
 
     f = dga.field
-    _require_periodic(dga)
-    if con.h_dims.get(1, 0):
-        raise NotLaurentForm("odd cohomology nonzero")
-    h0 = con.h_dims[0]
     lau = _laurent_h0(con)
     base = lau.base
-
-    psi = {1: con.i[0]}
+    psi = {1: con.I}
     ops = {}
     for n in range(2, N + 1):
-        dth = n % 2
-        terms = []
-        for k in range(1, n):
-            term = compose(dga.mult_matrix((k + 1) % 2, (n - k + 1) % 2), [psi[k], psi[n - k]])
-            terms.append((-f.one if k % 2 else f.one, [term]))
-        theta = kron_sum(terms, dga.dim(dth), h0**n, f)
-        psi[n] = con.h[dth] * theta
-        if dth:
-            continue  # odd arity: lands in odd cohomology, which vanishes
-        bn = con.p[0] * theta
+        terms = [(-f.one if k % 2 else f.one, [compose(dga.M, [psi[k], psi[n - k]])]) for k in range(1, n)]
+        theta = kron_sum(terms, dga.M.rows, base.dim**n, f)
+        psi[n] = con.H * theta
+        bn = con.P * theta
         if n == 2:
             if bn != Cochain.multiplication(base).component_matrix(2):
                 raise AlgebraSpecError("transferred binary product disagrees with the algebra")

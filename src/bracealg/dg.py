@@ -2,19 +2,20 @@
 
 The DG algebras handled here are either 2-periodic (stored folded, with a
 component for each parity) or concentrated in finitely many degrees.  Each
-keeps its product and differential once, as matrices on the direct sum of
-its components, and its axioms and its contraction's identities are
-identities of whole-space matrices, checked as a FiniteAlgebra's are.  A
-contraction (p, i, h) onto the cohomology is built and verified once per
-algebra; for a periodic algebra whose cohomology is of Laurent form
-H0 (x) k[i^{+-1}], it witnesses H0 as a LaurentAlgebra.  Homotopy transfer
-along it is in `ainfty`.
+keeps its product and differential once, as matrices M and D on V, the
+direct sum of its components, and everything downstream is a map on V: the
+axioms and the contraction's identities are identities of whole-space
+matrices, checked as a FiniteAlgebra's are, and the contraction is one
+triple (P, I, H) of maps between V and C, the direct sum of the cohomology
+groups.  It is built and verified once per algebra; for a periodic algebra
+whose cohomology is of Laurent form H0 (x) k[i^{+-1}], it witnesses H0 as a
+LaurentAlgebra.  Homotopy transfer along it is in `ainfty`.
 """
 
 from __future__ import annotations
 
 from .finite import AlgebraSpecError, FiniteAlgebra, LaurentAlgebra, _check_unit_and_associativity, _dict, _first_difference, _get, _list, _parse_int, _parse_matrix, _parse_scalar
-from .linalg import Matrix, QQ, SubspaceBasis, _echelon_of, _sparse, compose, kernel_basis, kron_sum, solve_matrix
+from .linalg import Matrix, QQ, _echelon_of, _sparse, compose, kernel_basis, solve_matrix
 
 
 class NotLaurentForm(Exception):
@@ -29,12 +30,13 @@ class DGAlgebra:
     """A DG algebra with either a 2-periodic (folded) or finite grading.
 
     For the periodic case the degrees are the parities 0, 1 and the stored
-    data repeats 2-periodically in the obvious way; d has degree +1.  Every
-    product block is built and shape-checked at construction, and a table at
-    a degree outside dims is refused.  On V, the sum of the components with
-    degrees in order, the product is one n x n^2 matrix M (a product landing
-    outside dims is zero) and d one n x n matrix D, and the axioms are
-    verified as identities of these: D D = 0, the unit laws and
+    data repeats 2-periodically in the obvious way; d has degree +1.  On V,
+    the sum of the components with degrees in order, the product is one
+    n x n^2 matrix M (a product landing outside dims is zero) and d one
+    n x n matrix D, both read in one pass from the given tables, which are
+    shape-checked; a table at a degree outside dims is refused.  mult and
+    diff are kept only as that input.  The axioms are verified as
+    identities of M and D: D D = 0, the unit laws and
     M (M (x) I) = M (I (x) M) as for a FiniteAlgebra, d(1) = 0 and Leibniz
     D M = M (D (x) I) + M (S (x) D), S = (-1)^degree on V.  An error names
     the degrees of the first failing column.
@@ -63,12 +65,20 @@ class DGAlgebra:
         for d1, d2 in mult:
             if d1 not in self.dims or d2 not in self.dims:
                 raise AlgebraSpecError("multiplication table at degrees (%r,%r) outside dims" % (d1, d2))
-        self._blocks = {(d1, d2): self._block(d1, d2) for d1 in self.degrees() for d2 in self.degrees()}
-        self._proj, self._degree_of = _direct_sum(self.dims, field)
-        n, proj = len(self._degree_of), self._proj
-        parts = [(field.one, [compose(proj[t].transpose() * m, [proj[d1], proj[d2]])]) for (d1, d2), m in self._blocks.items() if (t := self.deg_add(d1, d2)) in proj]
-        self._M = kron_sum(parts, n, n * n, field)
-        self._D = _on_sum({(self.deg_next(deg), deg): dm for deg, dm in diff.items()}, proj, proj, field)
+        self._degree_of = _degrees(self.dims)  # of each basis index of V
+        n = len(self._degree_of)
+        entries = []  # (row, column, value) of M
+        for (d1, d2), table in sorted(mult.items()):
+            s1, s2, st = self._slot(d1), self._slot(d2), self._slot(self.deg_add(d1, d2))
+            if len(table) != len(s1) or any(len(row) != len(s2) or any(len(v) != len(st) for v in row) for row in table):
+                raise AlgebraSpecError("multiplication table shape mismatch at degrees (%r,%r)" % (d1, d2))
+            entries += [(st[r], a * n + b, x) for a, row in zip(s1, table) for b, v in zip(s2, row) for r, x in enumerate(v) if x]
+        self.M = _from_entries(entries, n, n * n, field)
+        entries = []  # (row, column, value) of D
+        for deg, dm in diff.items():
+            src, tgt = self._slot(deg), self._slot(self.deg_next(deg))
+            entries += [(tgt[r], src[c], x) for r, row in enumerate(dm.nonzeros()) for c, x in row]
+        self.D = _from_entries(entries, n, n, field)
         self._check()
 
     def degrees(self):
@@ -81,40 +91,39 @@ class DGAlgebra:
     def deg_next(self, d):
         return (d + 1) % 2 if self.periodic else d + 1
 
-    def deg_prev(self, d):
-        return (d - 1) % 2 if self.periodic else d - 1
-
     def dim(self, d):
         return self.dims.get(d, 0)
 
-    def _block(self, d1, d2):
-        """The product on degrees (d1, d2) from its table, shape-checked; zero without one."""
-        n1, n2, nt = self.dim(d1), self.dim(d2), self.dim(self.deg_add(d1, d2))
-        table = self.mult.get((d1, d2))
-        if table is None:
-            return Matrix.zeros(nt, n1 * n2, self.field)
-        if len(table) != n1 or any(len(row) != n2 or any(len(v) != nt for v in row) for row in table):
-            raise AlgebraSpecError("multiplication table shape mismatch at degrees (%r,%r)" % (d1, d2))
-        return Matrix([[v[r] for row in table for v in row] for r in range(nt)], self.field, cols=n1 * n2)
+    def _slot(self, deg):
+        """The basis indices of V that span the component of degree deg (none
+        for a degree that dims does not have)."""
+        start = sum(n for d, n in self.dims.items() if d < deg)
+        return range(start, start + self.dim(deg))
+
+    def on_sum(self, deg, vec):
+        """vec, a vector of the component of degree deg, as a vector of V."""
+        zero, slot = self.field.zero, self._slot(deg)
+        return [zero] * slot.start + list(vec) + [zero] * (len(self._degree_of) - slot.stop)
+
+    def _view(self, m, rows, cols):
+        """The block of m (M or D) at the given rows and columns."""
+        return Matrix([[m[r, c] for c in cols] for r in rows], self.field, cols=len(cols))
 
     def mult_matrix(self, d1, d2):
-        """The product on degrees (d1, d2) as a matrix; column i*dim(d2)+j is e_i e_j."""
-        return self._blocks[(d1, d2)]
-
-    def mul_vectors(self, d1, u, d2, v):
-        """Product of u (degree d1) and v (degree d2)."""
-        f = self.field
-        return compose(self.mult_matrix(d1, d2), [Matrix.column_vector(u, f), Matrix.column_vector(v, f)]).column(0)
+        """The product on degrees (d1, d2), read off M; column i*dim(d2)+j is e_i e_j."""
+        n = len(self._degree_of)
+        return self._view(self.M, self._slot(self.deg_add(d1, d2)), [a * n + b for a in self._slot(d1) for b in self._slot(d2)])
 
     def d_matrix(self, deg):
-        return self.diff.get(deg) or Matrix.zeros(self.dim(self.deg_next(deg)), self.dim(deg), self.field)
+        """d on the component of degree deg, read off D."""
+        return self._view(self.D, self._slot(self.deg_next(deg)), self._slot(deg))
 
     def _check(self):
-        f, M, D, degree_of, n = self.field, self._M, self._D, self._degree_of, len(self._degree_of)
+        f, M, D, degree_of, n = self.field, self.M, self.D, self._degree_of, len(self._degree_of)
         deg = _first_difference(D * D, Matrix.zeros(n, n, f), degree_of.__getitem__)
         if deg is not None:
             raise AlgebraSpecError("d^2 != 0 at degree %r" % deg)
-        unit = self._proj[0].transpose().apply(self.unit)
+        unit = self.on_sum(0, self.unit)
         _check_unit_and_associativity(M, unit, degree_of.__getitem__, "in degree %r", "at degrees (%r,%r,%r)")
         if any(D.apply(unit)):
             raise AlgebraSpecError("unit is not a cocycle")
@@ -173,22 +182,19 @@ class DGAlgebra:
         return "DGAlgebra(%s, dims=%r)" % ("periodic" if self.periodic else "bounded", self.dims)
 
 
-def _direct_sum(dims, field):
-    """(projections, degree_of) for the direct sum of the components dims,
-    degrees in order: projections[deg] maps it onto the component of degree
-    deg, and degree_of[a] is the degree of its basis index a."""
-    degree_of = [deg for deg in sorted(dims) for _ in range(dims[deg])]
-    ident = Matrix.identity(len(degree_of), field)
-    return {deg: ident.select_rows([a for a, d in enumerate(degree_of) if d == deg]) for deg in dims}, degree_of
+def _from_entries(entries, rows, cols, field):
+    """The rows x cols matrix with the given (row, column, value) entries,
+    no position given twice, and zero everywhere else."""
+    out = [{} for _ in range(rows)]
+    for r, c, x in entries:
+        out[r][c] = x
+    return Matrix.from_nonzeros(out, cols, field)
 
 
-def _on_sum(blocks, rows, cols, field):
-    """The map between two direct sums, given by their projections rows and
-    cols, whose block from component c to component r is blocks[(r, c)].  A
-    block at a degree that a sum does not have is empty and adds nothing."""
-    n_rows, n_cols = (sum(p.rows for p in side.values()) for side in (rows, cols))
-    parts = [(field.one, [rows[r].transpose() * m * cols[c]]) for (r, c), m in blocks.items() if r in rows and c in cols]
-    return kron_sum(parts, n_rows, n_cols, field)
+def _degrees(dims):
+    """The degree of each basis index of the direct sum of the components of
+    dimensions dims, degrees in order."""
+    return [deg for deg in sorted(dims) for _ in range(dims[deg])]
 
 
 # ---------------------------------------------------------------------------
@@ -196,38 +202,35 @@ def _on_sum(blocks, rows, cols, field):
 
 
 class ContractionData:
-    """Deterministic harmonious contraction (p, i, h) of a DG algebra.
+    """Deterministic harmonious contraction of a DG algebra onto its cohomology.
 
-    p i = id, d h + h d = id - i p and the side conditions h^2 = 0, h i = 0,
-    p h = 0 (which follows from the others) hold by construction.  verify
-    checks them for the whole-space maps P, I and Hm (h, of degree -1) on V,
-    the sum of the components, and H, that of the cohomology: P I = id_H,
-    D Hm + Hm D = id_V - I P, Hm Hm = 0, Hm I = 0 and P Hm = 0, each error
-    naming the degree of the first failing column.
+    P: V -> C, I: C -> V and H: V -> V (of degree -1) are maps between the
+    sum V of the components and the sum C of the cohomology groups, of
+    dimensions h_dims, both with degrees in order.  P I = id_C,
+    D H + H D = id_V - I P and the side conditions H H = 0, H I = 0 and
+    P H = 0 (which follows from the others) hold by construction; verify
+    checks them in that order, each error naming the degree of the first
+    failing column.
     """
 
-    def __init__(self, dga: DGAlgebra, p, i, h, h_classes):
+    def __init__(self, dga: DGAlgebra, P, I, H, h_dims):
         self.dga = dga
-        self.p = p  # degree -> Matrix (hdim x dim)
-        self.i = i  # degree -> Matrix (dim x hdim)
-        self.h = h  # degree -> Matrix (dim(next-lower) x dim): degree -1 map
-        self.h_dims = h_classes  # degree -> cohomology dimension
+        self.P = P  # Matrix (dim C x dim V)
+        self.I = I  # Matrix (dim V x dim C)
+        self.H = H  # Matrix (dim V x dim V)
+        self.h_dims = h_dims  # degree -> cohomology dimension
         self.h0 = None  # the LaurentAlgebra H0 it witnesses, built on first use
 
     def verify(self):
-        dga, f = self.dga, self.dga.field
-        proj, on_v = dga._proj, dga._degree_of
-        hproj, on_h = _direct_sum(self.h_dims, f)
-        n, nh = len(on_v), len(on_h)
-        P = _on_sum({(deg, deg): m for deg, m in self.p.items()}, hproj, proj, f)
-        I = _on_sum({(deg, deg): m for deg, m in self.i.items()}, proj, hproj, f)
-        Hm = _on_sum({(dga.deg_prev(deg), deg): m for deg, m in self.h.items()}, proj, proj, f)
+        f, D, P, I, H = self.dga.field, self.dga.D, self.P, self.I, self.H
+        on_v, on_c = self.dga._degree_of, _degrees(self.h_dims)
+        n, nc = len(on_v), len(on_c)
         for lhs, rhs, degree_of, message in (
-            (P * I, Matrix.identity(nh, f), on_h, "p i != id in degree %r"),
-            (dga._D * Hm + Hm * dga._D + I * P, Matrix.identity(n, f), on_v, "d h + h d != id - i p in degree %r"),
-            (Hm * Hm, Matrix.zeros(n, n, f), on_v, "h^2 != 0 in degree %r"),
-            (Hm * I, Matrix.zeros(n, nh, f), on_h, "h i != 0 in degree %r"),
-            (P * Hm, Matrix.zeros(nh, n, f), on_v, "p h != 0 in degree %r"),
+            (P * I, Matrix.identity(nc, f), on_c, "p i != id in degree %r"),
+            (D * H + H * D + I * P, Matrix.identity(n, f), on_v, "d h + h d != id - i p in degree %r"),
+            (H * H, Matrix.zeros(n, n, f), on_v, "h^2 != 0 in degree %r"),
+            (H * I, Matrix.zeros(n, nc, f), on_c, "h i != 0 in degree %r"),
+            (P * H, Matrix.zeros(nc, n, f), on_v, "p h != 0 in degree %r"),
         ):
             deg = _first_difference(lhs, rhs, degree_of.__getitem__)
             if deg is not None:
@@ -237,14 +240,16 @@ class ContractionData:
 def make_contraction(dga: DGAlgebra, scheme="default") -> ContractionData:
     """Echelon-pivot contraction; `scheme` varies the complement choices.
 
-    Each component splits as im d + W1 + W2, with W2 a complement of the
-    kernel and W1 one of the image in the kernel.  d is injective on W2 and
-    maps it onto the image, so d(W2 of the previous degree) is the basis of
-    im d used, and h inverts d there.  In degree zero the unit is forced to
-    represent its class first, so i(1) = 1; together with the side
-    conditions this makes the transferred operations strictly unital.  It
-    is built and verified once per DG algebra and scheme; later calls
-    return the same contraction.
+    V splits as im d + W1 + W2, with W2 a complement of ker d among the
+    basis vectors (taken in index order, or in reverse for "reverse") and
+    W1 one of im d in ker d.  d is injective on W2 and maps it onto im d,
+    so d(W2) is the basis of im d used, and H inverts d there.  The unit is
+    forced to represent its class first, so I(1) = 1; together with the
+    side conditions this makes the transferred operations strictly unital.
+    Every choice is greedy and the components do not interact, so each
+    component's part is the choice made on that component alone.  It is
+    built and verified once per DG algebra and scheme; later calls return
+    the same contraction.
     """
     # candidates ordering defines the scheme; "reverse" stays because
     # test_transfer_model_independence_of_class transfers along it to
@@ -254,44 +259,33 @@ def make_contraction(dga: DGAlgebra, scheme="default") -> ContractionData:
     con = dga._contractions.get(scheme)
     if con is not None:
         return con
-    f = dga.field
-    p, i, h, hdims = {}, {}, {}, {}
-    degs = dga.degrees()
-    kers, w2 = {}, {}
-    for deg in degs:
-        dim = dga.dim(deg)
-        kers[deg] = kernel_basis(dga.d_matrix(deg)) if dim else SubspaceBasis(0, [], f)
-        # W2: complement of ker in the whole component
-        cands = range(dim)[::-1] if scheme == "reverse" else range(dim)
-        span, ident = _echelon_of(f, kers[deg].matrix.nonzeros()), Matrix.identity(dim, f)
-        w2[deg] = [e for e in map(ident.row, cands) if span.add(_sparse(e)) is not None]
-    for deg in degs:
-        dim, ker, prev = dga.dim(deg), kers[deg], dga.deg_prev(deg)
-        w2_prev = w2.get(prev, [])
-        im = [dga.d_matrix(prev).apply(v) for v in w2_prev]
-        # W1: complement of im in ker (unit first in degree 0)
-        w1_vecs = []
-        span = _echelon_of(f, [_sparse(v) for v in im])
-        if deg == 0:
-            if not ker.contains(dga.unit):
-                raise NotLaurentForm("unit is not a cocycle")
-            if span.add(_sparse(dga.unit)) is None:
-                raise NotLaurentForm("unit class vanishes in cohomology")
-            w1_vecs.append(list(dga.unit))
-        w1_vecs += [v for v in ker.vectors() if span.add(_sparse(v)) is not None]
-        hdims[deg] = len(w1_vecs)
-        # p and h from the decomposition im + W1 + W2
-        basis_rows = im + w1_vecs + w2[deg]
-        B = Matrix(basis_rows, f, cols=dim).transpose()
-        Binv = solve_matrix(B, Matrix.identity(dim, f))
-        if Binv is None:
-            raise AlgebraSpecError("component decomposition failed")
-        nim = len(im)
-        i[deg] = Matrix(w1_vecs, f, cols=dim).transpose()
-        p[deg] = Binv.select_rows(range(nim, nim + len(w1_vecs)))
-        # h(v) := W2-preimage of the im-part of v
-        h[deg] = Matrix(w2_prev, f, cols=dga.dim(prev)).transpose() * Binv.select_rows(range(nim))
-    contraction = ContractionData(dga, p, i, h, hdims)
+    f, D, degree_of = dga.field, dga.D, dga._degree_of
+    n = len(degree_of)
+    ker = kernel_basis(D)
+    # W2: complement of ker d among the basis vectors
+    span = _echelon_of(f, ker.matrix.nonzeros())
+    w2 = [a for a in (range(n)[::-1] if scheme == "reverse" else range(n)) if span.add({a: f.one}) is not None]
+    columns = D.transpose().nonzeros()
+    im = [columns[a] for a in w2]
+    # W1: complement of im d in ker d, the unit first; d(1) = 0, as the
+    # DGAlgebra constructor checks, so the unit lies in ker d
+    span = _echelon_of(f, im)
+    unit = _sparse(dga.on_sum(0, dga.unit))
+    if span.add(dict(unit)) is None:
+        raise NotLaurentForm("unit class vanishes in cohomology")
+    w1 = [list(unit.items())] + [v for v in ker.matrix.nonzeros() if span.add(dict(v)) is not None]
+    w1.sort(key=lambda v: degree_of[v[0][0]])  # stable: the unit stays first in degree 0
+    h_dims = {deg: sum(degree_of[v[0][0]] == deg for v in w1) for deg in dga.degrees()}
+    # P and H from the decomposition im + W1 + W2, whose basis B is
+    # invertible: d is injective on W2, W1 completes im d to ker d and W2
+    # completes ker d to V
+    W2 = Matrix.from_nonzeros([{a: f.one} for a in w2], n, f)
+    Binv = solve_matrix(Matrix.from_nonzeros(map(dict, im + w1), n, f).stack(W2).transpose(), Matrix.identity(n, f))
+    P = Binv.select_rows(range(len(im), len(im) + len(w1)))
+    I = Matrix.from_nonzeros(map(dict, w1), n, f).transpose()
+    # H(v) := W2-preimage of the im-part of v
+    H = W2.transpose() * Binv.select_rows(range(len(im)))
+    contraction = ContractionData(dga, P, I, H, h_dims)
     contraction.verify()
     dga._contractions[scheme] = contraction
     return contraction
@@ -304,32 +298,28 @@ def make_contraction(dga: DGAlgebra, scheme="default") -> ContractionData:
 def cohomology_algebra(dga: DGAlgebra):
     """H(dga) as a Laurent algebra H0 (x) k[i^{+-1}].
 
-    Fails with NotLaurentForm when the odd cohomology is nonzero, when the
-    input is not 2-periodic (a bounded algebra can never have Laurent
-    cohomology), or when the unit class dies.
+    Fails with NotLaurentForm when the unit class dies, when the input is
+    not 2-periodic (a bounded algebra can never have Laurent cohomology), or
+    when the odd cohomology is nonzero.
     """
-    _require_periodic(dga)
-    con = make_contraction(dga)
-    if con.h_dims.get(1, 0):
-        raise NotLaurentForm("odd cohomology has dimension %d" % con.h_dims[1])
-    if con.h_dims.get(0, 0) == 0:
-        raise NotLaurentForm("zero cohomology")
-    return _laurent_h0(con)
-
-
-def _require_periodic(dga: DGAlgebra):
-    if not dga.periodic:
-        raise NotLaurentForm("bounded DG algebras do not have Laurent cohomology")
+    return _laurent_h0(make_contraction(dga))
 
 
 def _laurent_h0(con: ContractionData) -> LaurentAlgebra:
-    """H0 (x) k[i^{+-1}] with the product p(i(a) i(b)) and unit p(1), for the
-    contraction con.  Built once per contraction."""
+    """H0 (x) k[i^{+-1}] with the product P(I(a) I(b)) and unit P(1), for the
+    contraction con of a periodic algebra with zero odd cohomology; then C
+    is H0 and P, I map between it and V.  Built once per contraction."""
     if con.h0 is None:
         dga = con.dga
-        reps = con.i[0].transpose().entries
-        mult = [[con.p[0].apply(dga.mul_vectors(0, a, 0, b)) for b in reps] for a in reps]
-        labels = ["h%d" % t for t in range(con.h_dims[0])]
+        if not dga.periodic:
+            raise NotLaurentForm("bounded DG algebras do not have Laurent cohomology")
+        if con.h_dims[1]:
+            raise NotLaurentForm("odd cohomology has dimension %d" % con.h_dims[1])
+        # h_dims[0] >= 1: make_contraction puts the unit into W1 or refuses
+        h0 = con.h_dims[0]
+        prod = con.P * compose(dga.M, [con.I, con.I])
+        mult = [[prod.column(a * h0 + b) for b in range(h0)] for a in range(h0)]
+        labels = ["h%d" % t for t in range(h0)]
         labels[0] = "1"
-        con.h0 = LaurentAlgebra(FiniteAlgebra(labels, con.p[0].apply(dga.unit), mult, dga.field))
+        con.h0 = LaurentAlgebra(FiniteAlgebra(labels, con.P.apply(dga.on_sum(0, dga.unit)), mult, dga.field))
     return con.h0

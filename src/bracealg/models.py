@@ -25,9 +25,9 @@ cohomology, and the Laurent form are re-verified by the constructor.
 
 from __future__ import annotations
 
-from .dg import DGAlgebra, cohomology_algebra, make_contraction
+from .dg import DGAlgebra, _laurent_h0, cohomology_algebra, make_contraction
 from .finite import AlgebraSpecError, FiniteAlgebra, build_truncated_polynomial
-from .linalg import Matrix, QQ, kernel_basis, kron_sum, rank, solve
+from .linalg import Matrix, QQ, compose, kernel_basis, kron_sum, rank, solve
 
 
 class BadParameters(Exception):
@@ -301,30 +301,27 @@ def periodicity_witness(e: DGEnd):
 
     In the folded model the witness is an even cocycle w together with an
     even cocycle w' whose classes multiply to the unit class; for the
-    constructed models w = w' = 1 under the periodic identification.
+    constructed models w = w' = 1 under the periodic identification.  The
+    inverse class is solved for in H0, and the product of the cocycles is
+    checked exactly.
     """
     w = getattr(e, "periodicity_element", None)
     if w is None:
         w = e.unit
-    if any(e.d_matrix(0).apply(w)):
+    w_on_sum = e.on_sum(0, w)
+    if any(e.D.apply(w_on_sum)):
         raise NoWitness("designated periodicity element is not a cocycle")
     con = make_contraction(e)
-    wcls = con.p[0].apply(w)
+    h0 = _laurent_h0(con).base
+    wcls = con.P.apply(w_on_sum)
     if not any(wcls):
         raise NoWitness("periodicity class vanishes in cohomology")
-    # find an inverse class: solve [w][w'] = [1] on representatives
-    h0 = con.h_dims[0]
-    field = e.field
-    reps = con.i[0].transpose().entries
-    cols = [con.p[0].apply(e.mul_vectors(0, w, 0, rep)) for rep in reps]
-    A = Matrix(cols, field, cols=h0).transpose()
-    unit_cls = con.p[0].apply(e.unit)
-    sol = solve(A, unit_cls)
+    sol = solve(h0.left_mult_of(wcls), h0.unit)
     if sol is None:
         raise NoWitness("periodicity class is not invertible in cohomology")
-    inv_rep = con.i[0].apply(sol)
+    inv_rep = con.I.apply(sol)
     # verify the product is the unit class exactly
-    prod = e.mul_vectors(0, w, 0, inv_rep)
-    if con.p[0].apply(prod) != unit_cls:
+    prod = compose(e.M, [Matrix.column_vector(w_on_sum, e.field), Matrix.column_vector(inv_rep, e.field)]).column(0)
+    if con.P.apply(prod) != h0.unit:
         raise NoWitness("inverse verification failed")
-    return w, inv_rep
+    return w, inv_rep[: e.dim(0)]  # degree 0 comes first in V

@@ -32,6 +32,7 @@ from bracealg.ainfty import (
     two_equations_solve,
 )
 from bracealg.ainfty import _search_compensating_unit
+from bracealg.cli import structure_to_json
 from bracealg.dg import ContractionData, DGAlgebra, NotLaurentForm, cohomology_algebra, make_contraction
 from bracealg.models import complete_resolution, dg_end, seeded_minimal_model
 
@@ -146,7 +147,7 @@ def test_dga_rejects_broken_axiom(edit, message):
 
 def _with(con, **maps):
     """A copy of the contraction con with the maps given in maps replaced."""
-    return ContractionData(con.dga, maps.get("p", con.p), maps.get("i", con.i), maps.get("h", con.h), con.h_dims)
+    return ContractionData(con.dga, maps.get("P", con.P), maps.get("I", con.I), maps.get("H", con.H), con.h_dims)
 
 
 def _model_contraction():
@@ -156,23 +157,23 @@ def _model_contraction():
 def _doubled(which):
     """The (4,2) model's contraction with every map of `which` doubled."""
     con = _model_contraction()
-    return _with(con, **{which: {deg: m.scale(QQ.of(2)) for deg, m in getattr(con, which).items()}})
+    return _with(con, **{which: getattr(con, which).scale(QQ.of(2))})
 
 
 def _h_squared_nonzero():
-    # h' = h + d h d in each degree: d h' + h' d = d h + h d, as d^2 = 0,
-    # but h'^2 != 0
+    # h' = h + d h d: d h' + h' d = d h + h d, as d^2 = 0, but h'^2 != 0
     con = _model_contraction()
-    d, nxt = con.dga.d_matrix, con.dga.deg_next
-    return _with(con, h={deg: m + d(deg) * con.h[nxt(deg)] * d(deg) for deg, m in con.h.items()})
+    D = con.dga.D
+    return _with(con, H=con.H + D * con.H * D)
 
 
 def _h_i_nonzero():
-    # on k[x]/(x^2) in both parities with d = 0, p = i = id and h = 0; an
-    # h of degree 0 sending 1 to u_1 keeps d h + h d = 0 = id - i p and
-    # h^2 = 0, but h i != 0
+    # on k[x]/(x^2) in both parities (basis 1, x, u_1, u_x) with d = 0,
+    # p = i = id and h = 0; an h sending 1 to u_1 keeps d h + h d = 0 =
+    # id - i p and h^2 = 0, but h i != 0
     con = make_contraction(_square_zero_dga())
-    return _with(con, h={**con.h, 0: Matrix.from_int_rows([[1, 0], [0, 0]])})
+    assert con.H.is_zero()
+    return _with(con, H=Matrix.from_nonzeros([{}, {}, {0: QQ.one}, {}], 4))
 
 
 # p h = 0 has no case: it follows from the other four identities, which
@@ -182,8 +183,8 @@ def _h_i_nonzero():
 @pytest.mark.parametrize(
     "broken,message",
     [
-        (lambda: _doubled("i"), "p i != id"),
-        (lambda: _doubled("h"), r"d h \+ h d != id - i p"),
+        (lambda: _doubled("I"), "p i != id"),
+        (lambda: _doubled("H"), r"d h \+ h d != id - i p"),
         (_h_squared_nonzero, r"h\^2 != 0 in degree 0"),
         (_h_i_nonzero, "h i != 0 in degree 0"),
     ],
@@ -244,34 +245,77 @@ def test_cohomology_algebra_zero_differential():
 
 
 def test_cohomology_algebra_rejects_odd():
-    with pytest.raises(NotLaurentForm):
+    with pytest.raises(NotLaurentForm, match="odd cohomology has dimension 1"):
         cohomology_algebra(odd_clifford_dga())
 
 
 def test_cohomology_algebra_rejects_bounded():
-    with pytest.raises(NotLaurentForm):
+    with pytest.raises(NotLaurentForm, match="bounded DG algebras do not have Laurent cohomology"):
         cohomology_algebra(bounded_dga())
+
+
+def test_make_contraction_rejects_unknown_scheme():
+    with pytest.raises(AlgebraSpecError, match="unknown contraction scheme 'forward'"):
+        make_contraction(bounded_dga(), "forward")
+
+
+@pytest.mark.parametrize("build", [make_contraction, cohomology_algebra])
+def test_unit_class_vanishing_is_refused(build):
+    # 1 and an odd u with u u = 0 and d(u) = 1: a DG algebra (d(u u) = 0 =
+    # d(u) u - u d(u)) whose unit is a coboundary
+    one = [[[QQ.one]]]
+    mult = {(0, 0): one, (0, 1): one, (1, 0): one, (1, 1): [[[QQ.zero]]]}
+    diff = {0: Matrix.zeros(1, 1, QQ), 1: Matrix.from_int_rows([[1]])}
+    dga = DGAlgebra({0: 1, 1: 1}, [QQ.one], mult, diff, periodic=True)
+    with pytest.raises(NotLaurentForm, match="unit class vanishes in cohomology"):
+        build(dga)
+
+
+def _block(m, row_dims, r, col_dims, c):
+    """The block of m from the component of degree c to that of degree r,
+    for the direct sums, degrees in order, of components of dimensions
+    col_dims and row_dims; empty for a degree that they do not have."""
+
+    def slot(dims, deg):
+        start = sum(n for d, n in dims.items() if d < deg)
+        return range(start, start + dims.get(deg, 0))
+
+    rows, cols = slot(row_dims, r), slot(col_dims, c)
+    return Matrix([[m[i, j] for j in cols] for i in rows], QQ, cols=len(cols))
+
+
+def _per_degree(con):
+    """The contraction's maps as per-degree blocks {name: {degree: block}}:
+    p and i between each component and its cohomology, and h from each
+    component to that of the degree below."""
+    dga, c = con.dga, con.h_dims
+    prev = {deg: (deg - 1) % 2 if dga.periodic else deg - 1 for deg in dga.degrees()}
+    return {
+        "p": {deg: _block(con.P, c, deg, dga.dims, deg) for deg in dga.degrees()},
+        "i": {deg: _block(con.I, dga.dims, deg, c, deg) for deg in dga.degrees()},
+        "h": {deg: _block(con.H, dga.dims, prev[deg], dga.dims, deg) for deg in dga.degrees()},
+    }
 
 
 def test_contraction_zero_differential():
     lam = build_truncated_polynomial(2)
     con = make_contraction(trivial_laurent_dga(lam))
-    assert con.h[0].is_zero() and con.h[1].is_zero()
-    assert con.p[0] * con.i[0] == Matrix.identity(2, QQ)
+    assert con.H.is_zero()
+    assert con.P == con.I == Matrix.identity(2, QQ)
 
 
 def test_contraction_models_verified():
-    # verify() runs in make_contraction; spot-check dh + hd = id - ip
+    # verify() runs in make_contraction; spot-check dh + hd = id - ip per
+    # degree, on the blocks of the whole-space maps
     e = dg_end(complete_resolution(2, 1))
-    con = make_contraction(e)
+    blocks = _per_degree(make_contraction(e))
+    p, i, h = blocks["p"], blocks["i"], blocks["h"]
     for deg in (0, 1):
         prev, nxt = (deg - 1) % 2, (deg + 1) % 2
-        dim = e.dim(deg)
-        dh = e.d_matrix(prev) * con.h[deg]
-        hd = con.h[nxt] * e.d_matrix(deg)
-        ip = con.i[deg] * con.p[deg] if con.h_dims.get(deg) else Matrix.zeros(dim, dim, QQ)
-        assert dh + hd + ip == Matrix.identity(dim, QQ)
-        assert (con.h[prev] * con.h[deg]).is_zero()
+        dh = e.d_matrix(prev) * h[deg]
+        hd = h[nxt] * e.d_matrix(deg)
+        assert dh + hd + i[deg] * p[deg] == Matrix.identity(e.dim(deg), QQ)
+        assert (h[prev] * h[deg]).is_zero()
 
 
 def test_contraction_schemes_differ_but_verify():
@@ -279,12 +323,14 @@ def test_contraction_schemes_differ_but_verify():
     con1 = make_contraction(e, scheme="default")
     con2 = make_contraction(e, scheme="reverse")
     assert con1.h_dims == con2.h_dims
+    assert con1.H != con2.H
 
 
-# sha256 of the (p, i, h) entries of every contraction below under both
-# schemes, recorded before make_contraction took the image basis from
-# d(W2); every transferred operation of the test suite is zero, so this is
-# what pins h
+# sha256 of the per-degree (p, i, h) entries of every contraction below
+# under both schemes, recorded before make_contraction took the image
+# basis from d(W2), when the contraction was kept as per-degree blocks;
+# every transferred operation of the test suite but the conjugated
+# model's is zero, so this is what pins h
 CONTRACTIONS_SHA256 = "96cc757cd0c0f3e4e92ade352d1007f9376fd993dc9651e866efd850f0577d3e"
 
 
@@ -294,10 +340,10 @@ def test_contraction_maps_pinned():
     maps = []
     for dga in dgas:
         for scheme in ("default", "reverse"):
-            con = make_contraction(dga, scheme)
+            blocks = _per_degree(make_contraction(dga, scheme))
             maps.append({
-                name: {str(deg): [[QQ.to_str(x) for x in row] for row in m.entries] for deg, m in sorted(part.items())}
-                for name, part in (("p", con.p), ("i", con.i), ("h", con.h))
+                name: {str(deg): [[QQ.to_str(x) for x in row] for row in m.entries] for deg, m in sorted(blocks[name].items())}
+                for name in ("p", "i", "h")
             })
     assert hashlib.sha256(json.dumps(maps).encode()).hexdigest() == CONTRACTIONS_SHA256
 
@@ -853,17 +899,26 @@ def conjugated_dump(dga, seed):
     }
 
 
+# sha256 of structure_to_json of the conjugated (4,2) model's transfer
+# below under both contraction schemes, recorded while the contraction and
+# the transfer still ran per degree and per parity
+CONJUGATED_TRANSFER_SHA256 = "7b511ef571b76aeef789a829c116d799231f51e16cb52143960c8c616bb0f6b6"
+
+
 def test_conjugated_model_transfers_higher_operations():
     # the unconjugated (4,2) model transfers to no operation at all; the
     # conjugated one (its dump read back exactly) has operations at arities
     # 4, 6 and 8, which transfer's MinimalAInfty checks against
-    # Maurer-Cartan, and the same verdict
+    # Maurer-Cartan, the same bytes under both schemes as pinned, and the
+    # same verdict
     e = dg_end(complete_resolution(4, 2))
     dump = conjugated_dump(e, 1)
     dga = DGAlgebra.from_json(dump)
     assert dga.to_json() == dump
     m = transfer(dga, make_contraction(dga), 8)
     assert m.arities() == [4, 6, 8]
+    ms = [m, transfer(dga, make_contraction(dga, "reverse"), 8)]
+    assert hashlib.sha256(json.dumps([structure_to_json(x) for x in ms]).encode()).hexdigest() == CONJUGATED_TRANSFER_SHA256
     assert formality_verdict_of_model(m, 8) == FORMAL
     assert is_formal(e, 8) == FORMAL
 

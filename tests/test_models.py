@@ -1,6 +1,6 @@
 import pytest
 
-from bracealg.linalg import QQ, kernel_basis, rank
+from bracealg.linalg import Matrix, QQ, compose, kernel_basis, rank, solve
 from bracealg.ainfty import mc_check, transfer
 from bracealg.dg import cohomology_algebra, make_contraction
 from bracealg.finite import AlgebraSpecError
@@ -78,15 +78,51 @@ def test_periodicity_witness():
     e = dg_end(complete_resolution(4, 2))
     w, winv = periodicity_witness(e)
     # verified inside: [w][winv] = [1]; check the product at cochain level
-    prod = e.mul_vectors(0, w, 0, winv)
+    prod = compose(e.mult_matrix(0, 0), [Matrix.column_vector(w), Matrix.column_vector(winv)]).column(0)
     con = make_contraction(e)
-    assert con.p[0].apply(prod) == con.p[0].apply(e.unit)
+    assert con.P.apply(e.on_sum(0, prod)) == con.P.apply(e.on_sum(0, e.unit))
+
+
+def _basis_vector(e, word):
+    return [QQ.of(int(w == word)) for w in e.labels[0]]
+
+
+@pytest.mark.parametrize(
+    "word,message",
+    [
+        ("v", "designated periodicity element is not a cocycle"),  # d(v) = et - te
+        ("ee", "periodicity class vanishes in cohomology"),  # e^2 = d(t)
+        ("e", "periodicity class is not invertible in cohomology"),  # [e] is nilpotent
+    ],
+)
+def test_periodicity_witness_refuses(word, message):
+    e = dg_end(complete_resolution(4, 2))
+    e.periodicity_element = _basis_vector(e, word)
+    with pytest.raises(NoWitness, match=message):
+        periodicity_witness(e)
+
+
+def test_periodicity_witness_checks_the_inverse(monkeypatch):
+    # an inverse class solved wrongly (twice the true one) is caught by the
+    # exact product check
+    import bracealg.models as models
+
+    e = dg_end(complete_resolution(4, 2))
+    monkeypatch.setattr(models, "solve", lambda m, b: [2 * x for x in solve(m, b)])
+    with pytest.raises(NoWitness, match="inverse verification failed"):
+        periodicity_witness(e)
 
 
 def test_hypothesis_flags_reported():
     e = dg_end(complete_resolution(4, 2))
     assert e.hypothesis_flags["rigid"] is False
     assert e.hypothesis_flags["stable_end_dim"] == 2
+
+
+@pytest.mark.parametrize("n,a", [(3, 3), (3, 0)])
+def test_seeded_minimal_model_rejects_bad_parameters(n, a):
+    with pytest.raises(BadParameters, match=r"need 1 <= a <= n-1"):
+        seeded_minimal_model(n, a)
 
 
 def test_seeded_minimal_model_21_formal():
