@@ -152,8 +152,13 @@ def transfer(dga: DGAlgebra, con: ContractionData, N: int) -> MinimalAInfty:
     base = lau.base
     psi = {1: con.I}
     ops = {}
+    # Psi_k = H Theta_k (Psi_1 = I) lands in parity k - 1, so term k reads M
+    # only where its first input has that parity: cut[p] is M there
+    ident = Matrix.identity(dga.M.rows, f)
+    even = Matrix.from_nonzeros([{} if deg % 2 else {a: f.one} for a, deg in enumerate(dga._degree_of)], ident.cols, f)
+    cut = [compose(dga.M, [even, ident]), compose(dga.M, [ident - even, ident])]
     for n in range(2, N + 1):
-        terms = [(-f.one if k % 2 else f.one, [compose(dga.M, [psi[k], psi[n - k]])]) for k in range(1, n)]
+        terms = [(-f.one if k % 2 else f.one, [compose(cut[(k - 1) % 2], [psi[k], psi[n - k]])]) for k in range(1, n)]
         theta = kron_sum(terms, dga.M.rows, base.dim**n, f)
         psi[n] = con.H * theta
         bn = con.P * theta

@@ -1,11 +1,13 @@
 """Bimodules, bar resolutions and syzygies over finite-dimensional algebras.
 
 Bimodules over an algebra L are the same thing as left modules over its
-enveloping algebra L (x) L^op; the stable category machinery (stripping
-projective summands, stable isomorphism) is implemented for enveloping
-algebras of the commutative local test beds, where the socle criterion
-makes projective summands visible by plain rank computations.  The
-algebras themselves are in `finite`, re-exported here.
+enveloping algebra L (x) L^op; one is stored as its two action maps only,
+each built by one kron or compose and checked by identities of the two.
+The stable category machinery (stripping projective summands, stable
+isomorphism) is implemented for enveloping algebras of the commutative
+local test beds, where the socle criterion makes projective summands
+visible by plain rank computations.  The algebras themselves are in
+`finite`, re-exported here.
 """
 
 from __future__ import annotations
@@ -47,35 +49,37 @@ def enveloping(a: FiniteAlgebra) -> FiniteAlgebra:
 
 
 class Bimodule:
-    """A Lambda-bimodule with explicit action matrices per algebra basis.
+    """A Lambda-bimodule M (dimension m; d = dim Lambda) as its action maps:
+    l, the m x dm matrix of Lambda (x) M -> M, column b*m + v being e_b . v,
+    and r, the m x md matrix of M (x) Lambda -> M, column v*d + b being v . e_b.
 
-    The actions are checked exactly, by compose identities of the action maps
-    l: Lambda (x) M -> M and r: M (x) Lambda -> M: the unit laws, l(mu (x) 1) =
-    l(1 (x) l) and r(1 (x) mu) = r(r (x) 1) with the outer algebra input on a
-    generating set G (finite._generators), and l(1 (x) r) = r(l (x) 1) on
-    G x G.  That suffices, as the a with L_ab = L_a L_b for every b form a
-    unital subalgebra, and likewise on the right and for commutation.  An
-    error names the first failing pair of basis elements.
+    The actions are checked exactly, by compose identities of l and r: the
+    unit laws, l(mu (x) 1) = l(1 (x) l) and r(1 (x) mu) = r(r (x) 1) with the
+    outer algebra input on a generating set G (finite._generators), and
+    l(1 (x) r) = r(l (x) 1) on G x G.  That suffices, as the a with L_ab =
+    L_a L_b for every b form a unital subalgebra, and likewise on the right
+    and for commutation.  An error names the first failing pair of basis
+    elements.
     """
 
-    def __init__(self, algebra: FiniteAlgebra, left, right):
+    def __init__(self, algebra: FiniteAlgebra, l: Matrix, r: Matrix):
         self.algebra = algebra
-        self.left = list(left)
-        self.right = list(right)
-        self.dim = self.left[0].rows if self.left else 0
+        self.l = l
+        self.r = r
+        self.dim = l.rows
         self._strip = None  # filled in by strip_projective_summands
         self._check()
 
     def _check(self):
-        lam, m = self.algebra, self.dim
+        lam, m, l, r = self.algebra, self.dim, self.l, self.r
         d, field, gens = lam.dim, lam.field, _generators(lam)
-        if len(self.left) != d or len(self.right) != d:
-            raise AlgebraSpecError("need one action matrix per algebra basis element")
+        if (l.cols, r.rows, r.cols) != (d * m, m, m * d):
+            shapes = (m, d * m, m, m * d, m, l.cols, r.rows, r.cols)
+            raise AlgebraSpecError("action maps need shapes %dx%d and %dx%d, got %dx%d and %dx%d" % shapes)
         k, mu, unit = len(gens), lam.mult_matrix(), Matrix.column_vector(lam.unit, field)
         basis, ident, ik = Matrix.identity(d, field), Matrix.identity(m, field), Matrix.identity(k, field)
         G = basis.select_rows(gens).transpose()  # d x k: the generators as columns
-        l, r = _action_maps(self, range(d))
-        lg, rg = _action_maps(self, gens)
+        lg, rg = compose(l, [G, ident]), compose(r, [ident, G])
         col = _first_difference(compose(l, [unit, ident]), ident)
         if col is not None:
             raise AlgebraSpecError("left action is not unital at basis %d" % col)
@@ -93,36 +97,30 @@ class Bimodule:
             raise AlgebraSpecError("actions do not commute at (%d,%d)" % (gens[col // (m * k)], gens[col % k]))
 
     def env_action(self, i, j):
-        """Matrix of the enveloping-algebra basis element e_i (x) e_j."""
-        return self.left[i] * self.right[j]
+        """Matrix of the enveloping-algebra basis element e_i (x) e_j, L_i R_j,
+        each factor read off its map in one pass: row v of L_i is row v*d + i
+        of l reshaped to md x m, column v of R_j row v*d + j of r transposed."""
+        m, d = self.dim, self.algebra.dim
+        left = self.l.reshape(m * d, m).select_rows(range(i, m * d, d))
+        return left * self.r.transpose().select_rows(range(j, m * d, d)).transpose()
 
     def __repr__(self):
         return "Bimodule(dim=%d over %r)" % (self.dim, self.algebra)
 
 
-def _action_maps(mod: Bimodule, idx):
-    """The action maps of mod on the k algebra basis elements idx: l, whose
-    column t*m + v is e_idx[t] . v, and r, whose column v*k + t is v . e_idx[t]."""
-    k, m, field = len(idx), mod.dim, mod.algebra.field
-    basis = Matrix.identity(k, field)
-    l = kron_sum([(field.one, [basis.select_rows([t]), mod.left[i]]) for t, i in enumerate(idx)], m, k * m, field)
-    r = kron_sum([(field.one, [mod.right[i], basis.select_rows([t])]) for t, i in enumerate(idx)], m, m * k, field)
-    return l, r
-
-
 @_per_algebra
 def diagonal_bimodule(lam: FiniteAlgebra) -> Bimodule:
-    """Lambda itself with the regular actions; built (and stripped) once per
-    algebra."""
-    mats_l = [lam.left_mult_matrix(i) for i in range(lam.dim)]
-    mats_r = [lam.right_mult_matrix(i) for i in range(lam.dim)]
-    return Bimodule(lam, mats_l, mats_r)
+    """Lambda itself with the regular actions: l = r = mu.  Built (and
+    stripped) once per algebra."""
+    mu = lam.mult_matrix()
+    return Bimodule(lam, mu, mu)
 
 
 class BimoduleMap:
     """A map f of bimodules given by its matrix; checked to be equivariant,
-    exactly, by f l = l'(1 (x) f) and f r = r'(f (x) 1) on the generating set
-    G of Lambda, as in Bimodule.  An error names the first failing generator."""
+    exactly, by f l(G (x) 1) = l'(G (x) f) and f r(1 (x) G) = r'(f (x) G) on
+    the generating set G of Lambda, as in Bimodule.  An error names the
+    first failing generator."""
 
     def __init__(self, source: Bimodule, target: Bimodule, matrix: Matrix):
         self.source = source
@@ -133,13 +131,14 @@ class BimoduleMap:
         self._check()
 
     def _check(self):
-        f, gens = self.matrix, _generators(self.source.algebra)
-        ik = Matrix.identity(len(gens), f.field)
-        (l, r), (tl, tr) = _action_maps(self.source, gens), _action_maps(self.target, gens)
-        col = _first_difference(f * l, compose(tl, [ik, f]))
+        f, src = self.matrix, self.source
+        gens = _generators(src.algebra)
+        G = Matrix.identity(src.algebra.dim, f.field).select_rows(gens).transpose()
+        ident = Matrix.identity(src.dim, f.field)
+        col = _first_difference(f * compose(src.l, [G, ident]), compose(self.target.l, [G, f]))
         if col is not None:  # column (g, v)
-            raise AlgebraSpecError("map does not commute with left action %d" % gens[col // self.source.dim])
-        col = _first_difference(f * r, compose(tr, [f, ik]))
+            raise AlgebraSpecError("map does not commute with left action %d" % gens[col // src.dim])
+        col = _first_difference(f * compose(src.r, [ident, G]), compose(self.target.r, [f, G]))
         if col is not None:  # column (v, g)
             raise AlgebraSpecError("map does not commute with right action %d" % gens[col % len(gens)])
 
@@ -156,8 +155,9 @@ class BarModule:
     1 (x) M^(x)p (x) 1, with M = Lambda / k.1 (bar_resolution) or Lambda of dim mid.
 
     Basis indices encode tuples (j_0, m_1, ..., m_p, j_{p+1}), the first
-    position most significant.  The outer actions are built on first use: a
-    syzygy needs them on one module of a resolution only.
+    position most significant.  The action maps, l = mu (x) I on the first
+    slot and r = I (x) mu on the last, are built on first use: a syzygy
+    needs them on one module of a resolution only.
     """
 
     def __init__(self, algebra: FiniteAlgebra, p: int, mid: int):
@@ -166,12 +166,14 @@ class BarModule:
         self.dim = algebra.dim**2 * mid**p
 
     @functools.cached_property
-    def left(self):
-        return _outer_actions(self.algebra, self.dim, "left")
+    def l(self):
+        lam = self.algebra
+        return kron([lam.mult_matrix(), Matrix.identity(self.dim // lam.dim, lam.field)])
 
     @functools.cached_property
-    def right(self):
-        return _outer_actions(self.algebra, self.dim, "right")
+    def r(self):
+        lam = self.algebra
+        return kron([Matrix.identity(self.dim // lam.dim, lam.field), lam.mult_matrix()])
 
     @functools.cached_property
     def generators(self):
@@ -184,19 +186,10 @@ class BarModule:
         return "BarModule(p=%d, dim=%d)" % (self.p, self.dim)
 
 
-def _outer_actions(lam: FiniteAlgebra, dim, side):
-    """L_b in the first slot (side "left") or R_b in the last, for each basis
-    element b, on Lambda (x) R (x) Lambda of dimension dim."""
-    rest = Matrix.identity(dim // lam.dim, lam.field)
-    if side == "left":
-        return [kron([lam.left_mult_matrix(b), rest]) for b in range(lam.dim)]
-    return [kron([rest, lam.right_mult_matrix(b)]) for b in range(lam.dim)]
-
-
 def free_rank_one_bimodule(lam: FiniteAlgebra) -> Bimodule:
     """Lambda (x) Lambda with outer actions; basis (i,j) at i*dim+j."""
     free = BarModule(lam, 0, lam.dim)
-    return Bimodule(lam, free.left, free.right)
+    return Bimodule(lam, free.l, free.r)
 
 
 class Resolution:
@@ -303,16 +296,12 @@ def periodic_bimodule_resolution(lam: FiniteAlgebra, length: int) -> Resolution:
         raise AlgebraSpecError("periodic resolution oracle needs k[x]/(x^n) in the monomial basis")
     free = free_rank_one_bimodule(lam)
     modules = [free for _ in range(length + 1)]
-
-    def middle_mult(celem):
-        # bimodule endomorphism of Lambda(x)Lambda inserting celem in the
-        # middle: a (x) b -> sum coeff * a c1 (x) c2 b
-        parts = [(coeff, [lam.right_mult_matrix(c1), lam.left_mult_matrix(c2)]) for (c1, c2), coeff in celem.items()]
-        return kron_sum(parts, n * n, n * n, field)
-
-    pi_elem = {(1, 0): field.one, (0, 1): -field.one} if n > 1 else {}
-    tau_elem = {(i, n - 1 - i): field.one for i in range(n)}
-    diffs = [lam.mult_matrix()] + [middle_mult(pi_elem if k % 2 else tau_elem) for k in range(1, length + 1)]
+    # d_k inserts c = pi or tau, columns of Lambda (x) Lambda, in the middle:
+    # a (x) b -> sum_c a c_1 (x) c_2 b, one compose of mu (x) mu
+    outer, ident = kron([lam.mult_matrix(), lam.mult_matrix()]), Matrix.identity(n, field)
+    pi = Matrix.column_vector([field.one if c == n else -field.one if c == 1 else field.zero for c in range(n * n)], field)
+    tau = Matrix.column_vector([field.one if c // n + c % n == n - 1 else field.zero for c in range(n * n)], field)
+    diffs = [lam.mult_matrix()] + [compose(outer, [ident, pi if k % 2 else tau, ident]) for k in range(1, length + 1)]
     res = Resolution(lam, modules, diffs)
     _check_complex(res, "periodic resolution")
     # exactness by ranks
@@ -327,8 +316,8 @@ class SyzygyBimodule(Bimodule):
     """ker(d_{k-1}) with its induced actions; inclusion is the kernel's
     RREF row basis in the ambient module."""
 
-    def __init__(self, algebra, left, right, inclusion: SubspaceBasis):
-        super().__init__(algebra, left, right)
+    def __init__(self, algebra, l, r, inclusion: SubspaceBasis):
+        super().__init__(algebra, l, r)
         self.inclusion = inclusion
 
 
@@ -349,12 +338,12 @@ def _restrict_to_kernel(lam, mod, ker: SubspaceBasis) -> SyzygyBimodule:
     """The actions of mod induced on the submodule spanned by ker.
 
     The coordinates of a member in the RREF row basis are its entries at
-    the pivot columns, so an induced action is the action's rows at the
-    pivots times the basis vectors."""
-    basis = ker.matrix.transpose()
-    left = [a.select_rows(ker.pivots) * basis for a in mod.left]
-    right = [a.select_rows(ker.pivots) * basis for a in mod.right]
-    return SyzygyBimodule(lam, left, right, ker)
+    the pivot columns, so an induced action map is the action map's rows at
+    the pivots with the basis vectors put into its module input."""
+    basis, ident = ker.matrix.transpose(), Matrix.identity(lam.dim, lam.field)
+    l = compose(mod.l.select_rows(ker.pivots), [ident, basis])
+    r = compose(mod.r.select_rows(ker.pivots), [basis, ident])
+    return SyzygyBimodule(lam, l, r, ker)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +388,7 @@ def _strip(m: Bimodule) -> StripResult:
     rad = env.radical_basis()
     if rad.dim == 0:
         # semisimple: everything is projective
-        empty = [Matrix.zeros(0, 0, field)] * lam.dim
+        empty = Matrix.zeros(0, 0, field)
         core = Bimodule(lam, empty, empty)
         return StripResult(core, m.dim, Matrix.zeros(m.dim, 0, field), Matrix.zeros(0, m.dim, field))
     soc = env.socle_generator()
@@ -424,10 +413,15 @@ def _strip(m: Bimodule) -> StripResult:
     r = len(sel)
     if r == 0:
         return StripResult(m, 0, Matrix.identity(m.dim, field), Matrix.identity(m.dim, field))
-    # F-basis rows: b_t . m_l, at row l*d2 + t
-    env_mats = [m.env_action(*divmod(t, lam.dim)) for t in range(d2)]  # e_i (x) e_j at i*dim+j
-    env_cols = [bt.transpose().nonzeros() for bt in env_mats]
-    F = Matrix.from_nonzeros([dict(env_cols[t][l]) for l in sel for t in range(d2)], m.dim, field)
+    # b_t = e_i (x) e_j (t = i*d + j) acts as v -> l(e_i (x) r(v (x) e_j)); rs is
+    # r with its inputs swapped to (e_j, v) (its columns permuted through the
+    # transpose), so that compose with l lists the inputs as (i, j, v)
+    d, ident_d = lam.dim, Matrix.identity(lam.dim, field)
+    rs = m.r.transpose().select_rows([v * d + j for j in range(d) for v in range(m.dim)]).transpose()
+    # F-basis rows: b_t . m_l, at row l*d2 + t, from the columns (i, j, l)
+    chosen = Matrix.identity(m.dim, field).select_rows(sel).transpose()
+    F = compose(m.l, [ident_d, compose(rs, [ident_d, chosen])]).transpose()
+    F = F.select_rows([t * r + l for l in range(r) for t in range(d2)])
     # dual functionals: f_l(b_t . m_l') = delta_{l l'} lamform(b_t)
     RHS = Matrix.from_nonzeros([{l: lamform[t]} for l in range(r) for t in range(d2)], r, field)
     funcs = solve_matrix(F, RHS)
@@ -439,10 +433,8 @@ def _strip(m: Bimodule) -> StripResult:
     if gram_inv is None:
         raise AlgebraSpecError("symmetrizing form of the enveloping algebra is degenerate")
     # phi_l(v) = gram_inv . (f_l(b_t v))_t; Phi stacks the blocks phi_l, so
-    # Phi = (I_r (x) gram_inv) . G with row l*d2 + t of G the row l of f o B_t
-    f_rows = funcs.transpose()
-    fB = [(f_rows * bt).nonzeros() for bt in env_mats]
-    G = Matrix.from_nonzeros([dict(fbt[l]) for l in range(r) for fbt in fB], m.dim, field)
+    # Phi = (I_r (x) gram_inv) . G with row l*d2 + t of G the functional f_l o b_t
+    G = compose(funcs.transpose() * m.l, [ident_d, rs]).reshape(r * d2, m.dim)
     Phi = kron([Matrix.identity(r, field), gram_inv]) * G
     # Phi is a retraction onto the free part: phi_l(b_t m_l) = b_t and
     # phi_l'(b_t m_l) = 0 for l' != l, i.e. Phi F^T is the identity
@@ -464,9 +456,7 @@ def _strip(m: Bimodule) -> StripResult:
     free_pos = {c: t for t, c in enumerate(free_cols)}
     proj_rows = [{free_pos[c]: x for c, x in reducer.reduce({j: field.one}).items()} for j in range(m.dim)]
     proj_matrix = Matrix.from_nonzeros(proj_rows, core_dim, field).transpose()
-    left = [proj_matrix * (a * include) for a in m.left]
-    right = [proj_matrix * (a * include) for a in m.right]
-    core = Bimodule(lam, left, right)
+    core = Bimodule(lam, proj_matrix * compose(m.l, [ident_d, include]), proj_matrix * compose(m.r, [include, ident_d]))
     # the core must carry no further free summand
     if not socle_action(core).is_zero():
         raise AlgebraSpecError("stripping did not reach a projective-free core")

@@ -234,7 +234,7 @@ def test_criterion_3_hh_isos():
     report(3, dt < 120, "Euler model round trips and bracket table exact, %.1fs" % dt)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_criterion_4_bimodule_periodicity(n):
     from bracealg.algebra import bar_resolution, comparison_map_to_periodic, is_stable_iso
 

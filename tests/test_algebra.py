@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from bracealg import linalg
-from bracealg.linalg import GF, QQ, Matrix, compose, kernel_basis, rank
+from bracealg.linalg import GF, QQ, Matrix, compose, kernel_basis, kron_sum, rank
 from bracealg.algebra import (
     _bar,
     _normalizing_maps,
@@ -42,6 +42,24 @@ def unnormalized_bar(lam, length):
 
 def kxx(n, field=QQ):
     return build_truncated_polynomial(n, field)
+
+
+def _from_lists(lam, left, right):
+    """The bimodule whose actions of e_b are the matrices left[b] and right[b]:
+    l and r are the sums of e_b^T (x) left[b] and of right[b] (x) e_b^T."""
+    d, f, m = lam.dim, lam.field, left[0].rows
+    e = Matrix.identity(d, f)
+    l = kron_sum([(f.one, [e.select_rows([b]), a]) for b, a in enumerate(left)], m, d * m, f)
+    r = kron_sum([(f.one, [a, e.select_rows([b])]) for b, a in enumerate(right)], m, m * d, f)
+    return Bimodule(lam, l, r)
+
+
+def _lists(mod):
+    """The matrices of e_b acting on mod from the left and from the right, for
+    each basis element b: l(e_b (x) 1) and r(1 (x) e_b)."""
+    lam, ident = mod.algebra, Matrix.identity(mod.dim, mod.algebra.field)
+    e = [Matrix.column_vector(lam.basis_vector(b), lam.field) for b in range(lam.dim)]
+    return [compose(mod.l, [x, ident]) for x in e], [compose(mod.r, [ident, x]) for x in e]
 
 
 def two_copies_of_k():
@@ -370,7 +388,7 @@ def test_bar_resolution_matches_definition(lam):
         for p in range(1, 4):
             assert res.differential_matrix(p) == diffs[p]
         for p in range(4):
-            assert (res.modules[p].left, res.modules[p].right) == actions[p]
+            assert _lists(res.modules[p]) == actions[p]
         # Omega^k = ker d_{k-1}, with d_0 the augmentation
         kernels = [aug, diffs[1], diffs[2]]
         assert [syzygy(res, k).dim for k in (1, 2, 3)] == [m.cols - rank(m) for m in kernels]
@@ -491,15 +509,15 @@ def test_exact_check_names_corrupted_non_generator_action():
     # product the corrupted action breaks is (x, x) on either side.  The
     # unit, the empty product, breaks the unit law at the corrupted column
     lam = kxx(3)
-    syz = H._bar_syzygy(lam, 4)
+    left, right = _lists(H._bar_syzygy(lam, 4))
     with pytest.raises(AlgebraSpecError, match="left action is not unital at basis 0"):
-        Bimodule(lam, _corrupted(syz.left, 0), syz.right)
+        _from_lists(lam, _corrupted(left, 0), right)
     with pytest.raises(AlgebraSpecError, match="right action is not unital at basis 0"):
-        Bimodule(lam, syz.left, _corrupted(syz.right, 0))
+        _from_lists(lam, left, _corrupted(right, 0))
     with pytest.raises(AlgebraSpecError, match=r"left action not associative at \(1,1\)"):
-        Bimodule(lam, _corrupted(syz.left, 2), syz.right)
+        _from_lists(lam, _corrupted(left, 2), right)
     with pytest.raises(AlgebraSpecError, match=r"right action not associative at \(1,1\)"):
-        Bimodule(lam, syz.left, _corrupted(syz.right, lam.dim - 1))
+        _from_lists(lam, left, _corrupted(right, lam.dim - 1))
 
 
 def _kxy2():
@@ -522,16 +540,16 @@ def test_exact_check_names_non_commuting_actions():
     # x -> N on the left and x -> N^T on the right are each associative over
     # k[x]/(x^2), but N N^T != N^T N
     with pytest.raises(AlgebraSpecError, match=r"actions do not commute at \(1,1\)"):
-        Bimodule(kxx(2), [ident, n], [ident, n.transpose()])
+        _from_lists(kxx(2), [ident, n], [ident, n.transpose()])
     # over k[x, y]/(x, y)^2, x -> N on the left commutes with x -> 0 on the
     # right but not with y -> N^T: the pair is (x, y), not (y, x); and the
     # other way round
     lam, null = _kxy2(), Matrix.zeros(2, 2, QQ)
-    Bimodule(lam, [ident, n, null], [ident, null, null])  # each side alone is a module
+    _from_lists(lam, [ident, n, null], [ident, null, null])  # each side alone is a module
     with pytest.raises(AlgebraSpecError, match=r"actions do not commute at \(1,2\)"):
-        Bimodule(lam, [ident, n, null], [ident, null, n.transpose()])
+        _from_lists(lam, [ident, n, null], [ident, null, n.transpose()])
     with pytest.raises(AlgebraSpecError, match=r"actions do not commute at \(2,1\)"):
-        Bimodule(lam, [ident, null, n], [ident, n.transpose(), null])
+        _from_lists(lam, [ident, null, n], [ident, n.transpose(), null])
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -554,9 +572,35 @@ def test_exact_check_rejects_corrupted_omega4_action():
     assert unnormalized.dim == 183
     assert H._bar_syzygy(lam, 4).dim == 48
     for syz in (unnormalized, H._bar_syzygy(lam, 4)):
-        Bimodule(lam, syz.left, syz.right)  # the syzygy itself passes
+        left, right = _lists(syz)
+        _from_lists(lam, left, right)  # the syzygy itself passes
         with pytest.raises(AlgebraSpecError):
-            Bimodule(lam, _corrupted(syz.left, 1), syz.right)
+            _from_lists(lam, _corrupted(left, 1), right)
+
+
+def test_env_action_matches_action_maps():
+    # L_i R_j as env_action reads it (l reshaped, r transposed) equals the
+    # composite of the two actions read by compose, on Omega^4 of k[x]/(x^3),
+    # its stripped core and the diagonal bimodule
+    lam = kxx(3)
+    syz = H._bar_syzygy(lam, 4)
+    e = [Matrix.column_vector(lam.basis_vector(b)) for b in range(lam.dim)]
+    for mod in (syz, strip_projective_summands(syz).core, diagonal_bimodule(lam)):
+        ident = Matrix.identity(mod.dim)
+        for i, j in itertools.product(range(lam.dim), repeat=2):
+            assert mod.env_action(i, j) == compose(mod.l, [e[i], ident]) * compose(mod.r, [ident, e[j]])
+
+
+def test_bimodule_refuses_wrong_shapes():
+    lam = kxx(2)
+    mu = lam.mult_matrix()
+    with pytest.raises(AlgebraSpecError, match="action maps need shapes 2x4 and 2x4, got 2x4 and 2x2"):
+        Bimodule(lam, mu, Matrix.identity(2))
+    with pytest.raises(AlgebraSpecError, match="action maps need shapes 2x4 and 2x4, got 2x2 and 2x4"):
+        Bimodule(lam, Matrix.identity(2), mu)
+    diag = diagonal_bimodule(lam)
+    with pytest.raises(AlgebraSpecError, match="bimodule map has wrong shape"):
+        BimoduleMap(diag, diag, Matrix.identity(3))
 
 
 def _core_dim_and_verdict(res, k):
@@ -615,24 +659,24 @@ def test_strip_diagonal_is_core():
     assert core2.dim == 2 and r2 == 0
 
 
+def _block_diagonal(a, b):
+    z1 = Matrix.zeros(a.rows, b.cols, QQ)
+    z2 = Matrix.zeros(b.rows, a.cols, QQ)
+    top = Matrix([ra + rb for ra, rb in zip(a.entries, z1.entries)], QQ)
+    bot = Matrix([ra + rb for ra, rb in zip(z2.entries, b.entries)], QQ)
+    return top.stack(bot)
+
+
 def test_strip_lambda_plus_free():
     lam = kxx(2)
     diag = diagonal_bimodule(lam)
     free = free_rank_one_bimodule(lam)
 
-    def block(a, b):
-        z1 = Matrix.zeros(a.rows, b.cols, QQ)
-        z2 = Matrix.zeros(b.rows, a.cols, QQ)
-        top = Matrix([ra + rb for ra, rb in zip(a.entries, z1.entries)], QQ)
-        bot = Matrix([ra + rb for ra, rb in zip(z2.entries, b.entries)], QQ)
-        return top.stack(bot)
-
-    from bracealg.algebra import Bimodule
-
-    summ = Bimodule(
+    (diag_left, diag_right), (free_left, free_right) = _lists(diag), _lists(free)
+    summ = _from_lists(
         lam,
-        [block(diag.left[i], free.left[i]) for i in range(2)],
-        [block(diag.right[i], free.right[i]) for i in range(2)],
+        [_block_diagonal(diag_left[i], free_left[i]) for i in range(2)],
+        [_block_diagonal(diag_right[i], free_right[i]) for i in range(2)],
     )
     core, r = strip_projective_summands(summ)
     assert r == 1
@@ -653,7 +697,8 @@ def test_strip_results_pinned():
         for k in (1, 2, 3, 4):
             s = strip_projective_summands(syzygy(res, k))
             put(n, k, s.stripped_rank)
-            for m in [s.include_matrix, s.project_matrix, *s.core.left, *s.core.right]:
+            left, right = _lists(s.core)
+            for m in [s.include_matrix, s.project_matrix, *left, *right]:
                 put(m.rows, m.cols, [[(j, str(x)) for j, x in row] for row in m.nonzeros()])
     assert digest.hexdigest() == "596b56e011318b20c89133d0f7d334af655d0d3dd0bdce30a1607778639b985d"
 
@@ -680,6 +725,115 @@ def test_zero_map_not_stable_iso():
     diag = diagonal_bimodule(lam)
     f = BimoduleMap(diag, diag, Matrix.zeros(2, 2, QQ))
     assert not is_stable_iso(f)
+
+
+# -- refusals of the resolutions, stripping and comparison -------------------
+
+
+def test_bar_refuses_broken_inputs():
+    lam = kxx(2)
+    with pytest.raises(AlgebraSpecError, match="length must be >= 1"):
+        bar_resolution(lam, 0)
+    # P = 2 I doubles the inner faces, which breaks d o d = 0
+    ident = Matrix.identity(2)
+    with pytest.raises(AlgebraSpecError, match="bar resolution: d_1 o d_2 != 0"):
+        _bar(lam, 2, ident, ident.scale(QQ.of(2)))
+    # the middle factor k[x]/(x^3) / k.x: P J = I and d o d = 0 hold, but
+    # I - J P maps e_1 = x outside k.1, so the contracting homotopy fails
+    J = Matrix.from_int_rows([[1, 0], [0, 0], [0, 1]])
+    P = Matrix.from_int_rows([[1, 0, 0], [0, 0, 1]])
+    with pytest.raises(AlgebraSpecError, match="bar homotopy identity fails at p=0 idx=3"):
+        _bar(kxx(3), 2, J, P)
+    with pytest.raises(AlgebraSpecError, match="resolution too short for syzygy 4"):
+        syzygy(bar_resolution(lam, 2), 4)
+
+
+def test_periodic_resolution_checks_exactness(monkeypatch):
+    # a rank one too high at d_1; the unstored build, so that the check runs
+    from bracealg import algebra
+
+    monkeypatch.setattr(algebra, "rank", lambda m: rank(m) + 1)
+    with pytest.raises(AlgebraSpecError, match="periodic resolution not exact at 0"):
+        periodic_bimodule_resolution.__wrapped__(kxx(3), 3)
+
+
+def _exterior_algebra():
+    """The exterior algebra on x, y, basis 1, x, y, xy: local with a
+    one-dimensional socle, and not symmetric (L(xy) = L(yx) = -L(xy))."""
+    e = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    zero = [0] * 4
+    mult = [e, [e[1], zero, e[3], zero], [e[2], [0, 0, 0, -1], zero, zero], [e[3], zero, zero, zero]]
+    return FiniteAlgebra(["1", "x", "y", "xy"], e[0], mult)
+
+
+def test_strip_refuses_unsupported_algebras():
+    # the enveloping algebra of k[x, y]/(x, y)^2 has a socle of dimension 4
+    with pytest.raises(AlgebraSpecError, match="semisimple or local symmetric enveloping algebras"):
+        strip_projective_summands(diagonal_bimodule(_kxy2()))
+    with pytest.raises(AlgebraSpecError, match="coefficient algebra is not symmetric"):
+        strip_projective_summands(diagonal_bimodule(_exterior_algebra()))
+
+
+def _nth_call_changed(real, n, change):
+    """real, with the result of its n-th call (counted from 1) replaced by
+    change(result)."""
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        result = real(*args)
+        return change(result) if len(calls) == n else result
+
+    return patched
+
+
+class _FirstVectorOnly(linalg._Echelon):
+    """An echelon that accepts only the first vector added."""
+
+    def add(self, row):
+        return None if self.rows else super().add(row)
+
+
+@pytest.mark.parametrize(
+    "name,patched,message",
+    [
+        ("solve_matrix", _nth_call_changed(linalg.solve_matrix, 1, lambda sol: None), "free summand extraction failed"),
+        ("solve_matrix", _nth_call_changed(linalg.solve_matrix, 2, lambda sol: None), "symmetrizing form .* degenerate"),
+        ("solve_matrix", _nth_call_changed(linalg.solve_matrix, 1, lambda sol: sol.scale(QQ.of(2))), "retraction verification failed"),
+        ("_echelon_of", lambda field, rows: linalg._echelon_of(field, rows[:-1]), "free part has unexpected rank"),
+        ("_Echelon", _FirstVectorOnly, "did not reach a projective-free core"),
+    ],
+    ids=["extraction", "gram", "retraction", "rank", "core"],
+)
+def test_strip_checks_its_steps(monkeypatch, name, patched, message):
+    # Lambda (x) Lambda (+) Lambda (x) Lambda over k[x]/(x^2), two free
+    # summands, with one step of the stripping broken
+    from bracealg import algebra
+
+    lam = kxx(2)
+    left, right = _lists(free_rank_one_bimodule(lam))
+
+    def twice():
+        return _from_lists(lam, [_block_diagonal(a, a) for a in left], [_block_diagonal(a, a) for a in right])
+
+    assert strip_projective_summands(twice()).stripped_rank == 2
+    monkeypatch.setattr(algebra, name, patched)
+    with pytest.raises(AlgebraSpecError, match=message):
+        strip_projective_summands(twice())
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [(1, "comparison lift failed at degree 1"), (2, "syzygy comparison does not land in the periodic syzygy")],
+)
+def test_comparison_checks_its_solves(monkeypatch, call, message):
+    # Omega^2 of k[x]/(x^2): the lift at degree 1 is the first solve, the
+    # landing in the periodic syzygy the second; either found unsolvable
+    from bracealg import algebra
+
+    monkeypatch.setattr(algebra, "solve_matrix", _nth_call_changed(linalg.solve_matrix, call, lambda sol: None))
+    with pytest.raises(AlgebraSpecError, match=message):
+        comparison_map_to_periodic(bar_resolution(kxx(2), 2), 2)
 
 
 # -- symmetric forms -------------------------------------------------------
