@@ -36,12 +36,15 @@ from .linalg import (  # noqa: F401
 
 def enveloping(a: FiniteAlgebra) -> FiniteAlgebra:
     """A (x) A^op; basis (i,j) at index i*dim+j, (a(x)b)(c(x)d)=ac(x)db."""
-    d = range(a.dim)
-    labels = ["%s(x)%s" % (a.basis_labels[i], a.basis_labels[j]) for i in d for j in d]
+    d = a.dim
+    labels = ["%s(x)%s" % (a.basis_labels[i], a.basis_labels[j]) for i in range(d) for j in range(d)]
     unit = [x * y for x in a.unit for y in a.unit]
-    # op side: (i,j)*(k,l) -> (ik, lj)
-    mult = [[[x * y for x in a.mult[i][k] for y in a.mult[l][j]] for k in d for l in d] for i in d for j in d]
-    return FiniteAlgebra(labels, unit, mult, a.field)
+    # op side: (i,j)*(k,l) -> (ik, lj); row (i,k,l,j) of mu^T (x) mu^T is
+    # e_i e_k (x) e_l e_j, and it becomes the row (i,j,k,l) of the product's
+    # transpose
+    muT = a.mult_matrix().transpose()
+    order = [((i * d + k) * d + l) * d + j for i, j, k, l in itertools.product(range(d), repeat=4)]
+    return FiniteAlgebra(labels, unit, kron([muT, muT]).select_rows(order).transpose(), a.field)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +295,7 @@ def periodic_bimodule_resolution(lam: FiniteAlgebra, length: int) -> Resolution:
     field = lam.field
     # sanity: lam must actually be k[x]/(x^n) in the standard basis
     probe = build_truncated_polynomial(n, field)
-    if lam.mult != probe.mult:
+    if lam.mult_matrix() != probe.mult_matrix():
         raise AlgebraSpecError("periodic resolution oracle needs k[x]/(x^n) in the monomial basis")
     free = free_rank_one_bimodule(lam)
     modules = [free for _ in range(length + 1)]
@@ -423,10 +426,17 @@ def _strip(m: Bimodule) -> StripResult:
     F = compose(m.l, [ident_d, compose(rs, [ident_d, chosen])]).transpose()
     F = F.select_rows([t * r + l for l in range(r) for t in range(d2)])
     # dual functionals: f_l(b_t . m_l') = delta_{l l'} lamform(b_t)
+    # F X = RHS is solved by one elimination of F | RHS; with no pivot in the
+    # RHS block its pivot rows are RREF(F) on the left, so the same echelon
+    # is the reducer of the projection below
     RHS = Matrix.from_nonzeros([{l: lamform[t]} for l in range(r) for t in range(d2)], r, field)
-    funcs = solve_matrix(F, RHS)
-    if funcs is None:
+    reducer, n = _echelon_of(field, F.augment(RHS).nonzeros()), m.dim
+    if any(pc >= n for pc in reducer.rows):
         raise AlgebraSpecError("free summand extraction failed (theory violation?)")
+    if len(reducer.rows) != d2 * r:
+        raise AlgebraSpecError("free part has unexpected rank")
+    rhs_block = [{j - n: field.canonical(x) for j, x in reducer.rows.get(c, {}).items() if j >= n} for c in range(n)]
+    funcs = Matrix.from_nonzeros(rhs_block, r, field)
     # Gram matrix of the symmetrizing pairing on E and its inverse
     gram = _gram(env, lamform)
     gram_inv = solve_matrix(gram, Matrix.identity(d2, field))
@@ -440,21 +450,18 @@ def _strip(m: Bimodule) -> StripResult:
     # phi_l'(b_t m_l) = 0 for l' != l, i.e. Phi F^T is the identity
     if Phi * F.transpose() != Matrix.identity(r * d2, field):
         raise AlgebraSpecError("retraction verification failed")
-    # complement: kernel of Phi via the explicit section; F is factored
-    # once, and the projection reduces by it and reads the free columns
-    reducer = _echelon_of(field, F.nonzeros())
-    if len(reducer.rows) != d2 * r:
-        raise AlgebraSpecError("free part has unexpected rank")
-    free_cols = [j for j in range(m.dim) if j not in reducer.rows]
+    # complement: kernel of Phi via the explicit section; the projection
+    # reduces by F's echelon and reads the free columns
+    free_cols = [j for j in range(n) if j not in reducer.rows]
     core_dim = len(free_cols)
     # core vector for free column c: e_c - sum_k Phi[k][c] F_k, the row c of
     # I - Phi^T F; only the free rows are formed
     ident = Matrix.identity(m.dim, field)
     include = (ident.select_rows(free_cols) - Phi.transpose().select_rows(free_cols) * F).transpose()
     # column j of the projection: e_j reduced by F, which leaves it at the
-    # free columns only
+    # free columns and the RHS block; only the free columns are read
     free_pos = {c: t for t, c in enumerate(free_cols)}
-    proj_rows = [{free_pos[c]: x for c, x in reducer.reduce({j: field.one}).items()} for j in range(m.dim)]
+    proj_rows = [{free_pos[c]: x for c, x in reducer.reduce({j: field.one}).items() if c < n} for j in range(n)]
     proj_matrix = Matrix.from_nonzeros(proj_rows, core_dim, field).transpose()
     core = Bimodule(lam, proj_matrix * compose(m.l, [ident_d, include]), proj_matrix * compose(m.r, [include, ident_d]))
     # the core must carry no further free summand
@@ -500,13 +507,9 @@ def is_symmetric(a: FiniteAlgebra):
     """
     d = a.dim
     field = a.field
-    rows = []
-    for i in range(d):
-        for j in range(i):
-            diff = [x - y for x, y in zip(a.mult[i][j], a.mult[j][i])]
-            if any(diff):
-                rows.append(diff)
-    space = kernel_basis(Matrix(rows, field, cols=d))
+    # the trace forms vanish on every commutator e_i e_j - e_j e_i, i > j
+    commutators = a.commutator().transpose().select_rows([i * d + j for i in range(d) for j in range(i)])
+    space = kernel_basis(commutators)
     if space.dim == 0:
         return None
 

@@ -316,10 +316,8 @@ def _laurent_h0(con: ContractionData) -> LaurentAlgebra:
         if con.h_dims[1]:
             raise NotLaurentForm("odd cohomology has dimension %d" % con.h_dims[1])
         # h_dims[0] >= 1: make_contraction puts the unit into W1 or refuses
-        h0 = con.h_dims[0]
-        prod = con.P * compose(dga.M, [con.I, con.I])
-        mult = [[prod.column(a * h0 + b) for b in range(h0)] for a in range(h0)]
-        labels = ["h%d" % t for t in range(h0)]
+        labels = ["h%d" % t for t in range(con.h_dims[0])]
         labels[0] = "1"
-        con.h0 = LaurentAlgebra(FiniteAlgebra(labels, con.P.apply(dga.on_sum(0, dga.unit)), mult, dga.field))
+        mu = con.P * compose(dga.M, [con.I, con.I])
+        con.h0 = LaurentAlgebra(FiniteAlgebra(labels, con.P.apply(dga.on_sum(0, dga.unit)), mu, dga.field))
     return con.h0

@@ -1,8 +1,13 @@
-"""Finite-dimensional algebras by structure constants: the core every layer uses.
+"""Finite-dimensional algebras by their product matrix: the core every layer uses.
 
-Algebras are checked at construction (associativity, unit laws) and loaded
-from specs with precise errors.  Everything built once per algebra lives in
-the per-algebra store below.  The bimodule layer is in `algebra`.
+A finite algebra is its basis labels, its unit and its product matrix mu,
+the dim x dim^2 matrix whose column i*dim+j is e_i e_j.  Every product,
+check and derived structure is one matrix expression in mu.  The nested
+[i, j, coeffs] table of an algebra spec is read into mu once, on load, and
+written back from it by to_json.  Algebras are checked at construction
+(associativity, unit laws) and loaded from specs with precise errors.
+Everything built once per algebra lives in the per-algebra store below.
+The bimodule layer is in `algebra`.
 """
 
 from __future__ import annotations
@@ -17,75 +22,69 @@ class AlgebraSpecError(ValueError):
 
 
 class FiniteAlgebra:
-    """An associative unital algebra by structure constants.
+    """An associative unital algebra, as (labels, unit, mu).
 
-    mult[i][j] is the coordinate vector of e_i * e_j.  Associativity and
-    the unit laws are verified on all basis triples when the algebra is
-    constructed; everything downstream relies on them.  mult and unit are
-    not changed afterwards: the product matrix and the per-algebra store
-    key are built from them once.  Every product is a compose of that
-    matrix: mul(u, v) inserts u and v, left_mult_of(v) inserts v and the
-    identity, right_mult_matrix(i) the identity and e_i.
+    mu is the dim x dim^2 product matrix, column i*dim+j the coordinate
+    vector of e_i e_j; raw ints in unit and mu are lifted into the field
+    once.  Associativity mu (mu (x) I) = mu (I (x) mu) and the unit laws are
+    checked when the algebra is constructed; everything downstream relies
+    on them.  Nothing is changed afterwards: the per-algebra store key and
+    the radical are built from mu once and kept.  Every product is a
+    compose of mu: mul(u, v) inserts u and v, left_mult_of(v) inserts v and
+    the identity; the centre, commutativity and the trace forms
+    (algebra.is_symmetric) all read the commutator mu - mu tau.
     """
 
-    def __init__(self, labels, unit, mult, field=QQ):
+    def __init__(self, labels, unit, mu: Matrix, field=QQ):
         self.field = field
-        self.dim = len(labels)
+        self.dim = d = len(labels)
         self.basis_labels = list(labels)
         self.unit = field.elements(unit)
-        self.mult = [[field.elements(vec) for vec in row] for row in mult]
-        if len(self.unit) != self.dim or len(self.mult) != self.dim:
-            raise AlgebraSpecError("dimension mismatch in algebra data")
-        for i, row in enumerate(self.mult):
-            if len(row) != self.dim:
-                raise AlgebraSpecError("mult row %d has wrong length" % i)
-            for j, vec in enumerate(row):
-                if len(vec) != self.dim:
-                    raise AlgebraSpecError("mult[%d][%d] has wrong length" % (i, j))
-        self._mult_mat = None
+        if len(self.unit) != d or (mu.rows, mu.cols) != (d, d * d):
+            shapes = (d, d, d, d * d, len(self.unit), mu.rows, mu.cols)
+            raise AlgebraSpecError("algebra data: dim %d needs a unit of length %d and a %dx%d product, got %d and %dx%d" % shapes)
+        # raw ints are lifted once; an entry that lifts to zero is dropped
+        rows = [dict(zip([j for j, _ in r], field.elements([x for _, x in r]))) for r in mu.nonzeros()]
+        self._mu = Matrix.from_nonzeros(rows, d * d, field)
         self._key = None  # _structure_key, built on first use
         self._rad = None
-        _check_unit_and_associativity(self.mult_matrix(), self.unit, lambda a: a, "on basis %d", "on basis triple (%d,%d,%d)")
-
-    # -- construction helpers -----------------------------------------
-
-    def basis_vector(self, i):
-        v = [self.field.zero] * self.dim
-        v[i] = self.field.one
-        return v
+        _check_unit_and_associativity(self._mu, self.unit, lambda a: a, "on basis %d", "on basis triple (%d,%d,%d)")
 
     def mul(self, u, v):
         f = self.field
-        return compose(self.mult_matrix(), [Matrix.column_vector(u, f), Matrix.column_vector(v, f)]).column(0)
+        return compose(self._mu, [Matrix.column_vector(u, f), Matrix.column_vector(v, f)]).column(0)
 
     def mult_matrix(self):
         """The product as a dim x dim^2 matrix; column i*dim+j is e_i e_j."""
-        if self._mult_mat is None:
-            products = [self.mult[i][j] for i in range(self.dim) for j in range(self.dim)]
-            self._mult_mat = Matrix(products, self.field, cols=self.dim).transpose()
-        return self._mult_mat
+        return self._mu
 
-    def left_mult_matrix(self, i):
-        return self.left_mult_of(self.basis_vector(i))
+    @property
+    def mult(self):
+        """The product as a nested table, mult[i][j] the coordinates of e_i e_j,
+        read off mu on each access.  The package does not read it; the span
+        tracer in perfbench/ keys repeated inputs on it."""
+        d, cols = self.dim, self._mu.transpose().entries
+        return [cols[i * d : i * d + d] for i in range(d)]
 
-    def right_mult_matrix(self, i):
-        f = self.field
-        e_i = Matrix.column_vector(self.basis_vector(i), f)
-        return compose(self.mult_matrix(), [Matrix.identity(self.dim, f), e_i])
+    def commutator(self):
+        """mu - mu tau, tau swapping the two inputs: column i*dim+j is
+        e_i e_j - e_j e_i."""
+        d = self.dim
+        swapped = self._mu.transpose().select_rows([j * d + i for i in range(d) for j in range(d)]).transpose()
+        return self._mu - swapped
 
     def left_mult_of(self, vec):
         f = self.field
-        return compose(self.mult_matrix(), [Matrix.column_vector(vec, f), Matrix.identity(self.dim, f)])
+        return compose(self._mu, [Matrix.column_vector(vec, f), Matrix.identity(self.dim, f)])
 
     def is_commutative(self):
-        return all(self.mult[i][j] == self.mult[j][i] for i in range(self.dim) for j in range(i))
+        return self.commutator().is_zero()
 
     def center_basis(self):
-        """Basis of the centre, as a SubspaceBasis of k^dim."""
-        rows = Matrix.zeros(0, self.dim, self.field)
-        for j in range(self.dim):
-            rows = rows.stack(self.left_mult_matrix(j) - self.right_mult_matrix(j))
-        return kernel_basis(rows)
+        """Basis of the centre, as a SubspaceBasis of k^dim: the z with
+        e_i z = z e_i for every i, the rows (r, i) of the commutator
+        reshaped so that its second input is the column."""
+        return kernel_basis(self.commutator().reshape(self.dim * self.dim, self.dim))
 
     def radical_basis(self):
         """Jacobson radical as the kernel I of the trace form tr(L_a L_b).
@@ -147,7 +146,8 @@ class FiniteAlgebra:
         return sol
 
     def is_central(self, vec):
-        return all(self.mul(vec, e) == self.mul(e, vec) for e in map(self.basis_vector, range(self.dim)))
+        f = self.field
+        return compose(self.commutator(), [Matrix.column_vector(vec, f), Matrix.identity(self.dim, f)]).is_zero()
 
     def element_from(self, coeffs):
         if len(coeffs) != self.dim:
@@ -157,16 +157,12 @@ class FiniteAlgebra:
     # -- serialization --------------------------------------------------
 
     def to_json(self):
-        ser = self.field.to_str
+        ser, d = self.field.to_str, self.dim
         return {
-            "dim": self.dim,
+            "dim": d,
             "labels": self.basis_labels,
             "unit": [ser(x) for x in self.unit],
-            "mult": [
-                [i, j, [ser(x) for x in self.mult[i][j]]]
-                for i in range(self.dim)
-                for j in range(self.dim)
-            ],
+            "mult": [[c // d, c % d, [ser(x) for x in col]] for c, col in enumerate(self._mu.transpose().entries)],
         }
 
     @staticmethod
@@ -267,7 +263,7 @@ def load_algebra(data, field=QQ):
         if key not in data:
             raise AlgebraSpecError("algebra spec missing key %r" % key)
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # a JSON true is no dimension
         raise AlgebraSpecError("dim: must be a positive integer")
     labels = _list(data["labels"], "labels")
     if len(labels) != dim:
@@ -276,22 +272,22 @@ def load_algebra(data, field=QQ):
     if len(unit) != dim:
         raise AlgebraSpecError("unit: expected %d entries, got %d" % (dim, len(unit)))
     unit = [_parse_scalar(field, x, "unit[%d]" % k) for k, x in enumerate(unit)]
-    z = field.zero
-    mult = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
+    rows = [{} for _ in range(dim)]  # row k of mu; a repeated pair overwrites its column
     for pos, triple in enumerate(_list(data["mult"], "mult")):
         where = "mult[%d]" % pos
         if len(_list(triple, where)) != 3:
             raise AlgebraSpecError("%s: expected [i, j, coeffs]" % where)
         i, j, coeffs = triple
-        if not (isinstance(i, int) and 0 <= i < dim):
+        if not (type(i) is int and 0 <= i < dim):
             raise AlgebraSpecError("%s: row index %r out of range" % (where, i))
-        if not (isinstance(j, int) and 0 <= j < dim):
+        if not (type(j) is int and 0 <= j < dim):
             raise AlgebraSpecError("%s: column index %r out of range" % (where, j))
         if len(_list(coeffs, where + " coeffs")) != dim:
             raise AlgebraSpecError("%s: coeffs length %d != dim %d" % (where, len(coeffs), dim))
-        mult[i][j] = [_parse_scalar(field, c, "%s[%d]" % (where, k)) for k, c in enumerate(coeffs)]
+        for k, c in enumerate(coeffs):
+            rows[k][i * dim + j] = _parse_scalar(field, c, "%s[%d]" % (where, k))
     try:
-        return FiniteAlgebra(labels, unit, mult, field)
+        return FiniteAlgebra(labels, unit, Matrix.from_nonzeros(rows, dim * dim, field), field)
     except AlgebraSpecError:
         raise
     except Exception as exc:  # pragma: no cover
@@ -302,31 +298,19 @@ def build_truncated_polynomial(n, field=QQ):
     """k[x]/(x^n) with basis 1, x, ..., x^(n-1)."""
     if n < 1:
         raise AlgebraSpecError("n must be >= 1")
-    z, o = field.zero, field.one
     labels = ["1"] + ["x^%d" % i if i > 1 else "x" for i in range(1, n)]
-    unit = [o] + [z] * (n - 1)
-    mult = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            vec = [z] * n
-            if i + j < n:
-                vec[i + j] = o
-            row.append(vec)
-        mult.append(row)
-    return FiniteAlgebra(labels, unit, mult, field)
+    unit = [field.one] + [field.zero] * (n - 1)
+    # x^i x^j = x^(i+j) below n: row k holds the columns i*n + (k - i)
+    mu = Matrix.from_nonzeros([{i * n + k - i: field.one for i in range(k + 1)} for k in range(n)], n * n, field)
+    return FiniteAlgebra(labels, unit, mu, field)
 
 
 def _structure_key(lam: FiniteAlgebra):
-    """The field and structure constants of lam as one hashable value, kept
-    on lam: equal algebras built separately have equal keys."""
+    """The field, unit and product matrix of lam as one hashable value, kept
+    on lam: equal algebras built separately have equal keys, and equal
+    structure constants over different fields do not."""
     if lam._key is None:
-        lam._key = (
-            lam.field,
-            lam.dim,
-            tuple(lam.unit),
-            tuple(tuple(tuple(v) for v in row) for row in lam.mult),
-        )
+        lam._key = (lam.field, lam.dim, tuple(lam.unit), tuple(map(tuple, lam.mult_matrix().nonzeros())))
     return lam._key
 
 

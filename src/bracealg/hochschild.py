@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from itertools import combinations, product
 
-from .finite import AlgebraSpecError, FiniteAlgebra, _normalizing_maps, _per_algebra
+from .finite import AlgebraSpecError, FiniteAlgebra, _normalizing_maps, _per_algebra, _structure_key
 from .linalg import Matrix, SubspaceBasis, SubspaceNotContained, compose, image_basis, kernel_basis, kron_sum, quotient_basis, solve
 
 
@@ -136,7 +136,7 @@ class Cochain:
     # -- linear structure -------------------------------------------------
 
     def _same_algebra(self, other):
-        return self.algebra is other.algebra or self.algebra.mult == other.algebra.mult
+        return self.algebra is other.algebra or _structure_key(self.algebra) == _structure_key(other.algebra)
 
     def __add__(self, other):
         return brace_sum([(1, self, []), (1, other, [])])

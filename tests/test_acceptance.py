@@ -301,7 +301,7 @@ def test_criterion_6_substance_on_direct_model():
     """The unit-class substance of criterion 6, on the direct minimal model."""
     t0 = time.time()
     m = seeded_minimal_model(4, 2, cap=8)
-    assert m.algebra.dim == 2 and m.algebra.mult == LAM2.mult
+    assert m.algebra.dim == 2 and m.algebra.mult_matrix() == LAM2.mult_matrix()
     assert 3 not in m.ops
     assert mc_check(m).ok
     r = restricted_ump(m)

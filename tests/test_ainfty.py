@@ -37,11 +37,18 @@ from bracealg.dg import ContractionData, DGAlgebra, NotLaurentForm, cohomology_a
 from bracealg.models import complete_resolution, dg_end, seeded_minimal_model
 
 
+def _table(lam):
+    """lam's product as the nested table a DGAlgebra takes per degree pair,
+    read off mu: _table(lam)[i][j] is e_i e_j."""
+    d, cols = lam.dim, lam.mult_matrix().transpose().entries
+    return [cols[i * d : i * d + d] for i in range(d)]
+
+
 def trivial_laurent_dga(lam):
     """lam[i^{+-1}] as a folded periodic DG algebra with zero differential."""
     d = lam.dim
     dims = {0: d, 1: 0}
-    mult = {(0, 0): lam.mult}
+    mult = {(0, 0): _table(lam)}
     diff = {0: Matrix.zeros(0, d, QQ), 1: Matrix.zeros(d, 0, QQ)}
     return DGAlgebra(dims, lam.unit, mult, diff, periodic=True)
 
@@ -64,7 +71,7 @@ def bounded_dga():
     """k[x]/(x^2) concentrated in degree 0 (bounded, not periodic)."""
     lam = build_truncated_polynomial(2)
     dims = {0: lam.dim}
-    mult = {(0, 0): lam.mult}
+    mult = {(0, 0): _table(lam)}
     diff = {0: Matrix.zeros(0, lam.dim, QQ)}
     return DGAlgebra(dims, lam.unit, mult, diff, periodic=False)
 
@@ -82,10 +89,10 @@ def test_dga_rejects_broken_leibniz():
     d = lam.dim
     dims = {0: d, 1: d}
     mult = {
-        (0, 0): lam.mult,
-        (0, 1): lam.mult,
-        (1, 0): lam.mult,
-        (1, 1): lam.mult,
+        (0, 0): _table(lam),
+        (0, 1): _table(lam),
+        (1, 0): _table(lam),
+        (1, 1): _table(lam),
     }
     bad = Matrix.from_int_rows([[0, 1], [0, 0]])
     diff = {0: bad, 1: Matrix.zeros(d, d, QQ)}
@@ -96,7 +103,7 @@ def test_dga_rejects_broken_leibniz():
 def _square_zero_dga(edit=None):
     """k[x]/(x^2) in both parities with zero differential, after edit(mult, diff)."""
     lam = build_truncated_polynomial(2)
-    mult = {key: [[list(v) for v in row] for row in lam.mult] for key in ((0, 0), (0, 1), (1, 0), (1, 1))}
+    mult = {key: _table(lam) for key in ((0, 0), (0, 1), (1, 0), (1, 1))}
     diff = {0: Matrix.zeros(2, 2, QQ), 1: Matrix.zeros(2, 2, QQ)}
     if edit:
         edit(mult, diff)
@@ -219,7 +226,7 @@ def test_periodic_dga_without_an_odd_component():
     # a periodic algebra given only in degree 0 has a zero odd component:
     # its products and maps at degree 1 are zero blocks, and it transfers
     lam = build_truncated_polynomial(2)
-    dga = DGAlgebra({0: 2}, lam.unit, {(0, 0): lam.mult}, {}, periodic=True)
+    dga = DGAlgebra({0: 2}, lam.unit, {(0, 0): _table(lam)}, {}, periodic=True)
     assert dga.dims == {0: 2, 1: 0} and dga.mult_matrix(1, 1) == Matrix.zeros(2, 0, QQ)
     assert transfer(dga, make_contraction(dga), 6).arities() == []
 
@@ -241,7 +248,7 @@ def test_cohomology_algebra_zero_differential():
     a = trivial_laurent_dga(lam)
     lau = cohomology_algebra(a)
     assert lau.base.dim == 2
-    assert lau.base.mult == lam.mult
+    assert lau.base.mult_matrix() == lam.mult_matrix()
 
 
 def test_cohomology_algebra_rejects_odd():

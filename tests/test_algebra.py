@@ -58,15 +58,41 @@ def _lists(mod):
     """The matrices of e_b acting on mod from the left and from the right, for
     each basis element b: l(e_b (x) 1) and r(1 (x) e_b)."""
     lam, ident = mod.algebra, Matrix.identity(mod.dim, mod.algebra.field)
-    e = [Matrix.column_vector(lam.basis_vector(b), lam.field) for b in range(lam.dim)]
+    e = [Matrix.column_vector(v, lam.field) for v in _basis(lam)]
     return [compose(mod.l, [x, ident]) for x in e], [compose(mod.r, [ident, x]) for x in e]
+
+
+def _mu(table, field=QQ):
+    """The product matrix of a nested table, table[i][j] the coordinates of
+    e_i e_j: column i*d+j of mu.  Raw ints stay raw; FiniteAlgebra lifts them."""
+    return Matrix([v for row in table for v in row], field).transpose()
+
+
+def _table(lam):
+    """The dense reference table read off mu: _table(lam)[i][j] is e_i e_j."""
+    d, cols = lam.dim, lam.mult_matrix().transpose().entries
+    return [cols[i * d : i * d + d] for i in range(d)]
+
+
+def _basis(lam):
+    """The basis vectors e_0, ..., e_(d-1) of lam, as coordinate lists."""
+    return Matrix.identity(lam.dim, lam.field).entries
 
 
 def two_copies_of_k():
     # k x k with componentwise multiplication
     z, o = 0, 1
     mult = [[[o, z], [z, z]], [[z, z], [z, o]]]
-    return FiniteAlgebra(["e1", "e2"], [o, o], mult)
+    return FiniteAlgebra(["e1", "e2"], [o, o], _mu(mult))
+
+
+def _exterior_algebra():
+    """The exterior algebra on x, y, basis 1, x, y, xy: local with a
+    one-dimensional socle, and not symmetric (L(xy) = L(yx) = -L(xy))."""
+    e = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    zero = [0] * 4
+    mult = [e, [e[1], zero, e[3], zero], [e[2], [0, 0, 0, -1], zero, zero], [e[3], zero, zero, zero]]
+    return FiniteAlgebra(["1", "x", "y", "xy"], e[0], _mu(mult))
 
 
 # -- finite algebras -------------------------------------------------------
@@ -81,7 +107,7 @@ def test_truncated_polynomial_n1_is_field():
 def test_truncated_polynomial_n2():
     a = kxx(2)
     assert a.dim == 2
-    x = a.basis_vector(1)
+    x = _basis(a)[1]
     assert a.mul(x, x) == [QQ.zero, QQ.zero]
 
 
@@ -93,10 +119,10 @@ def test_truncated_polynomial_n4_constructor_checks():
 
 def test_raw_int_structure_constants_lift_into_prime_field():
     f5 = GF(5)
-    a = FiniteAlgebra(["1", "t"], [1, 0], [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]], f5)  # t^2 = -1
+    a = FiniteAlgebra(["1", "t"], [1, 0], _mu([[[1, 0], [0, 1]], [[0, 1], [-1, 0]]]), f5)  # t^2 = -1
     fp = type(f5.one)
-    assert all(type(x) is fp for x in a.unit + [x for row in a.mult for v in row for x in v])
-    assert a.mult[1][1] == [4, 0] and a.element_from([6, -2]) == [1, 3]
+    assert all(type(x) is fp for x in a.unit + [x for row in a.mult_matrix().nonzeros() for _, x in row])
+    assert a.mult_matrix().column(1 * 2 + 1) == [4, 0] and a.element_from([6, -2]) == [1, 3]
     assert all(type(x) is fp for x in a.element_from([6, -2]))
 
 
@@ -109,17 +135,17 @@ def test_associativity_violation_rejected():
         [[0, 0, 1], z3, z3],
     ]
     with pytest.raises(AlgebraSpecError, match=r"basis triple \(1,1,1\)"):
-        FiniteAlgebra(["1", "a", "b"], [1, 0, 0], mult)
+        FiniteAlgebra(["1", "a", "b"], [1, 0, 0], _mu(mult))
 
 
 def test_associativity_error_names_first_failing_triple():
     # k[x]/(x^4) with x^3 * x = x^3: the triples (1,2,1), (2,1,1), ... fail,
     # and the error names the first in lexicographic order
     a = kxx(4)
-    mult = [[list(v) for v in row] for row in a.mult]
+    mult = _table(a)
     mult[3][1] = [0, 0, 0, 1]
     with pytest.raises(AlgebraSpecError, match=r"basis triple \(1,2,1\)$"):
-        FiniteAlgebra(a.basis_labels, a.unit, mult)
+        FiniteAlgebra(a.basis_labels, a.unit, _mu(mult))
 
 
 @pytest.mark.parametrize(
@@ -130,7 +156,7 @@ def test_unit_law_error_names_basis(i, j, vec, message):
     mult = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
     mult[i][j] = vec
     with pytest.raises(AlgebraSpecError, match=message):
-        FiniteAlgebra(["1", "t"], [1, 0], mult)
+        FiniteAlgebra(["1", "t"], [1, 0], _mu(mult))
 
 
 def test_comparison_refuses_permuted_basis():
@@ -157,7 +183,7 @@ def test_enveloping_dims():
     d = 3
     xb1 = 1 * d + 0
     xbx = 1 * d + 1
-    prod = e.mult[xb1][xbx]
+    prod = e.mult_matrix().column(xb1 * d * d + xbx)
     expect = [QQ.zero] * 9
     expect[2 * d + 1] = QQ.one
     assert prod == expect
@@ -166,6 +192,12 @@ def test_enveloping_dims():
 def test_center_and_units():
     a = kxx(2)
     assert a.center_basis().dim == 2  # commutative
+    assert a.is_commutative() and all(a.is_central(z) for z in _basis(a))
+    # the exterior algebra on x, y: xy = -yx, so the centre is span(1, xy)
+    ext = _exterior_algebra()
+    assert not ext.is_commutative()
+    assert ext.center_basis() == kernel_basis(Matrix.from_int_rows([[0, 1, 0, 0], [0, 0, 1, 0]]))
+    assert [ext.is_central(z) for z in _basis(ext)] == [True, False, False, True]
     assert a.is_unit(a.element_from([1, 1]))
     assert not a.is_unit(a.element_from([0, 1]))
     inv = a.inverse(a.element_from([1, 1]))
@@ -202,7 +234,7 @@ def test_radical_refuses_kernel_that_is_not_nilpotent():
         [e[2], zero, zero, zero],
         [zero, zero, zero, e[3]],
     ]
-    a = FiniteAlgebra(["1A", "x", "x^2", "b"], [o, z, z, o], mult, F)
+    a = FiniteAlgebra(["1A", "x", "x^2", "b"], [o, z, z, o], _mu(mult, F), F)
     with pytest.raises(AlgebraSpecError, match="not nilpotent"):
         a.radical_basis()
     # k[x]/(x^4) over GF(3): tr L_1 = 4 does not vanish, and the kernel is (x)
@@ -277,30 +309,55 @@ SKEW_K_TIMES_K = {
 
 
 def _dense_left_ops(lam):
-    # column j of L_i is e_i e_j, read straight from lam.mult
-    rng = range(lam.dim)
-    return [Matrix([[lam.mult[i][j][r] for j in rng] for r in rng], lam.field) for i in rng]
+    # column j of L_i is e_i e_j, read from the dense table
+    rng, table = range(lam.dim), _table(lam)
+    return [Matrix([[table[i][j][r] for j in rng] for r in rng], lam.field) for i in rng]
 
 
 @pytest.mark.parametrize(
     "lam",
-    [k_algebra(), kxx(3), load_algebra(UPPER_TRIANGULAR), load_algebra(SKEW_K_TIMES_K), kxx(3, GF(7))],
-    ids=["k", "kx3", "upper", "skew-kxk", "kx3-gf7"],
+    [k_algebra(), kxx(3), load_algebra(UPPER_TRIANGULAR), load_algebra(SKEW_K_TIMES_K), kxx(3, GF(7)), _exterior_algebra()],
+    ids=["k", "kx3", "upper", "skew-kxk", "kx3-gf7", "exterior"],
 )
 def test_multiplication_operators_match_structure_constants(lam):
-    # dense references from lam.mult: column j of L_i is e_i e_j, of R_i is e_j e_i
+    # dense references from the table read off mu: column j of L_i is e_i e_j
     d, f = lam.dim, lam.field
-    rng = range(d)
+    rng, table, basis = range(d), _table(lam), _basis(lam)
     left = _dense_left_ops(lam)
     u = [f.of(k - 1, k + 2) for k in rng]
     v = [f.of(2 * k + 1) for k in rng]
+    assert lam.mult == table  # the nested view perfbench's tracer reads
     for i in rng:
-        assert lam.left_mult_matrix(i) == left[i]
-        assert lam.right_mult_matrix(i) == Matrix([[lam.mult[j][i][r] for j in rng] for r in rng], f)
-    left_v = [[sum((v[i] * lam.mult[i][j][r] for i in rng), f.zero) for j in rng] for r in rng]
+        assert lam.left_mult_of(basis[i]) == left[i]
+    left_v = [[sum((v[i] * table[i][j][r] for i in rng), f.zero) for j in rng] for r in rng]
     assert lam.left_mult_of(v) == Matrix(left_v, f)
-    uv = [sum((u[i] * v[j] * lam.mult[i][j][r] for i in rng for j in rng), f.zero) for r in rng]
+    uv = [sum((u[i] * v[j] * table[i][j][r] for i in rng for j in rng), f.zero) for r in rng]
     assert lam.mul(u, v) == uv
+    # the commutator views: z is central when z e_j = e_j z for every j,
+    # the rows (j, r) of sum_i z_i (e_i e_j - e_j e_i)
+    comm = Matrix([[table[i][j][r] - table[j][i][r] for i in rng] for j in rng for r in rng], f)
+    centre = kernel_basis(comm)
+    assert lam.center_basis() == centre
+    assert lam.is_commutative() == all(table[i][j] == table[j][i] for i in rng for j in rng)
+    for z in basis + [u, v] + centre.vectors():
+        assert lam.is_central(z) == (comm.apply(z) == [f.zero] * (d * d))
+    form = is_symmetric(lam)
+    traces = kernel_basis(Matrix([[x - y for x, y in zip(table[i][j], table[j][i])] for i in rng for j in range(i)], f, cols=d))
+    if form is None:
+        assert all(rank(_dense_gram(table, t, f)) < d for t in traces.vectors())
+    else:
+        assert traces.contains(form) and rank(_dense_gram(table, form, f)) == d
+    # (a (x) b)(c (x) e) = ac (x) eb: column ((i,j),(k,l)) of the enveloping
+    # product is e_i e_k (x) e_l e_j
+    quads = list(itertools.product(rng, repeat=4))
+    env = [[table[i][k][a] * table[l][j][b] for i, j, k, l in quads] for a in rng for b in rng]
+    assert enveloping(lam).mult_matrix() == Matrix(env, f)
+
+
+def _dense_gram(table, form, field):
+    """The Gram matrix (i, j) -> form(e_i e_j) from the dense table."""
+    rng = range(len(table))
+    return Matrix([[sum((c * x for c, x in zip(form, table[i][j])), field.zero) for j in rng] for i in rng], field)
 
 
 @pytest.mark.parametrize(
@@ -310,7 +367,7 @@ def test_multiplication_operators_match_structure_constants(lam):
 )
 def test_radical_and_socle_match_dense_references(lam):
     # the radical is the kernel of tr(L_a L_b), the socle that of the L_x,
-    # x in the radical, stacked; both from operators read off lam.mult
+    # x in the radical, stacked; both from operators read off the dense table
     f, ops = lam.field, _dense_left_ops(lam)
     rad = kernel_basis(Matrix([[sum(((a * b)[k, k] for k in range(lam.dim)), f.zero) for b in ops] for a in ops], f))
     assert lam.radical_basis() == rad
@@ -333,7 +390,7 @@ def _bar_reference(lam, length, normalized):
     e_u = -(1/c_u) sum_{j != u} c_j e_j for the unit sum_j c_j e_j.  The left
     action multiplies slot 0 from the left and the right action the last
     slot from the right."""
-    d, field = lam.dim, lam.field
+    d, field, table = lam.dim, lam.field, _table(lam)
     u = next(i for i, c in enumerate(lam.unit) if c)
     mids = [j for j in range(d) if j != u] if normalized else list(range(d))
     n = len(mids)
@@ -352,7 +409,7 @@ def _bar_reference(lam, length, normalized):
 
     aug = [[field.zero] * d**2 for _ in range(d)]
     for i, j in itertools.product(range(d), repeat=2):
-        for r, c in enumerate(lam.mult[i][j]):
+        for r, c in enumerate(table[i][j]):
             aug[r][index((i, j))] += c
     diffs, actions = [], []
     for p in range(length + 1):
@@ -363,13 +420,13 @@ def _bar_reference(lam, length, normalized):
         for col, tup in enumerate(itertools.product(range(d), *[range(n)] * p, range(d))):
             values = (tup[0],) + tuple(mids[m] for m in tup[1:-1]) + (tup[-1],)
             for i in range(p + 1 if p else 0):
-                for r, c in enumerate(lam.mult[values[i]][values[i + 1]]):
+                for r, c in enumerate(table[values[i]][values[i + 1]]):
                     for new, x in [(r, field.one)] if i in (0, p) else modulo_unit(r):
                         dp[index(tup[:i] + (new,) + tup[i + 2 :])][col] += c * x if i % 2 == 0 else -c * x
             for b in range(d):
-                for r, c in enumerate(lam.mult[b][tup[0]]):
+                for r, c in enumerate(table[b][tup[0]]):
                     left[b][index((r,) + tup[1:])][col] += c
-                for r, c in enumerate(lam.mult[tup[-1]][b]):
+                for r, c in enumerate(table[tup[-1]][b]):
                     right[b][index(tup[:-1] + (r,))][col] += c
         diffs.append(Matrix(dp, field, cols=size))
         actions.append(([Matrix(a, field, cols=size) for a in left], [Matrix(a, field, cols=size) for a in right]))
@@ -524,7 +581,7 @@ def _kxy2():
     """k[x, y]/(x, y)^2, basis 1, x, y: two generators, x and y."""
     e = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     zero = [0] * 3
-    return FiniteAlgebra(["1", "x", "y"], e[0], [e, [e[1], zero, zero], [e[2], zero, zero]])
+    return FiniteAlgebra(["1", "x", "y"], e[0], _mu([e, [e[1], zero, zero], [e[2], zero, zero]]))
 
 
 def test_generators_chosen_greedily():
@@ -584,7 +641,7 @@ def test_env_action_matches_action_maps():
     # its stripped core and the diagonal bimodule
     lam = kxx(3)
     syz = H._bar_syzygy(lam, 4)
-    e = [Matrix.column_vector(lam.basis_vector(b)) for b in range(lam.dim)]
+    e = [Matrix.column_vector(v) for v in _basis(lam)]
     for mod in (syz, strip_projective_summands(syz).core, diagonal_bimodule(lam)):
         ident = Matrix.identity(mod.dim)
         for i, j in itertools.product(range(lam.dim), repeat=2):
@@ -757,15 +814,6 @@ def test_periodic_resolution_checks_exactness(monkeypatch):
         periodic_bimodule_resolution.__wrapped__(kxx(3), 3)
 
 
-def _exterior_algebra():
-    """The exterior algebra on x, y, basis 1, x, y, xy: local with a
-    one-dimensional socle, and not symmetric (L(xy) = L(yx) = -L(xy))."""
-    e = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    zero = [0] * 4
-    mult = [e, [e[1], zero, e[3], zero], [e[2], [0, 0, 0, -1], zero, zero], [e[3], zero, zero, zero]]
-    return FiniteAlgebra(["1", "x", "y", "xy"], e[0], mult)
-
-
 def test_strip_refuses_unsupported_algebras():
     # the enveloping algebra of k[x, y]/(x, y)^2 has a socle of dimension 4
     with pytest.raises(AlgebraSpecError, match="semisimple or local symmetric enveloping algebras"):
@@ -787,6 +835,14 @@ def _nth_call_changed(real, n, change):
     return patched
 
 
+def _with_pivot_in_last_column(field, rows):
+    """The echelon of rows and one more, the unit vector at their last
+    nonzero column: for F | RHS a pivot in the RHS block, so F X = RHS
+    reads as inconsistent."""
+    last = max(j for row in rows for j, _ in row)
+    return linalg._echelon_of(field, [*rows, [(last, field.one)]])
+
+
 class _FirstVectorOnly(linalg._Echelon):
     """An echelon that accepts only the first vector added."""
 
@@ -797,8 +853,8 @@ class _FirstVectorOnly(linalg._Echelon):
 @pytest.mark.parametrize(
     "name,patched,message",
     [
-        ("solve_matrix", _nth_call_changed(linalg.solve_matrix, 1, lambda sol: None), "free summand extraction failed"),
-        ("solve_matrix", _nth_call_changed(linalg.solve_matrix, 2, lambda sol: None), "symmetrizing form .* degenerate"),
+        ("_echelon_of", _with_pivot_in_last_column, "free summand extraction failed"),
+        ("solve_matrix", _nth_call_changed(linalg.solve_matrix, 1, lambda sol: None), "symmetrizing form .* degenerate"),
         ("solve_matrix", _nth_call_changed(linalg.solve_matrix, 1, lambda sol: sol.scale(QQ.of(2))), "retraction verification failed"),
         ("_echelon_of", lambda field, rows: linalg._echelon_of(field, rows[:-1]), "free part has unexpected rank"),
         ("_Echelon", _FirstVectorOnly, "did not reach a projective-free core"),
@@ -865,11 +921,12 @@ def test_symmetric_form_found_by_random_search():
     d = 5
     e = [[int(i == j) for j in range(d)] for i in range(d)]
     mult = [[e[i] if i == j else [0] * d for j in range(d)] for i in range(d)]
-    a = FiniteAlgebra(["e%d" % i for i in range(d)], [1] * d, mult)
+    a = FiniteAlgebra(["e%d" % i for i in range(d)], [1] * d, _mu(mult))
     form = is_symmetric(a)
     # the first nondegenerate draw of the search seeded with 999
     assert form == [3, 2, -3, 3, 1]
-    gram = Matrix([[sum(c * x for c, x in zip(form, a.mult[i][j])) for j in range(d)] for i in range(d)], QQ)
+    table = _table(a)
+    gram = Matrix([[sum(c * x for c, x in zip(form, table[i][j])) for j in range(d)] for i in range(d)], QQ)
     assert gram == gram.transpose() and rank(gram) == d
 
 
@@ -880,7 +937,36 @@ def test_load_algebra_roundtrip():
     a = kxx(3)
     data = a.to_json()
     b = load_algebra(data)
-    assert b.mult == a.mult and b.unit == a.unit
+    assert b.mult_matrix() == a.mult_matrix() and b.unit == a.unit
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda spec: spec.update(dim=0), "^dim: must be a positive integer$"),
+        (lambda spec: spec.update(dim="3"), "^dim: must be a positive integer$"),
+        (lambda spec: spec.update(dim=True), "^dim: must be a positive integer$"),
+        (lambda spec: spec["mult"][4].__setitem__(1, False), r"^mult\[4\]: column index False out of range$"),
+        (lambda spec: spec.pop("unit"), "^algebra spec missing key 'unit'$"),
+        (lambda spec: spec["mult"][4].__setitem__(2, ["0", "1"]), r"^mult\[4\]: coeffs length 2 != dim 3$"),
+    ],
+    ids=["dim-zero", "dim-string", "dim-true", "index-false", "missing-unit", "coeffs-length"],
+)
+def test_load_algebra_refusals_name_the_field(edit, message):
+    spec = kxx(3).to_json()
+    edit(spec)
+    with pytest.raises(AlgebraSpecError, match=message):
+        load_algebra(spec)
+
+
+@pytest.mark.parametrize(
+    "unit,mu,got",
+    [([1, 0], Matrix.zeros(2, 3), "2 and 2x3"), ([1], kxx(2).mult_matrix(), "1 and 2x4"), ([1, 0], Matrix.zeros(3, 4), "2 and 3x4")],
+    ids=["mu-cols", "unit-length", "mu-rows"],
+)
+def test_constructor_refuses_wrong_shapes(unit, mu, got):
+    with pytest.raises(AlgebraSpecError, match="^algebra data: dim 2 needs a unit of length 2 and a 2x4 product, got %s$" % got):
+        FiniteAlgebra(["1", "x"], unit, mu)
 
 
 def test_load_algebra_position_precise_errors():

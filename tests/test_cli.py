@@ -158,10 +158,11 @@ def test_hh_all_zero_for_k(tmp_path):
     assert rep["hh_dimensions"] == {"0": 1, "1": 0, "2": 0, "3": 0, "4": 0}
 
 
-def test_malformed_spec_exit_2(tmp_path):
+def test_malformed_spec_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dim": 2, "labels": ["1", "x"], "unit": ["1", "0"], "mult": [[0, 0, ["1"]]]}))
     assert run(["hh", str(path)]) == 2
+    assert "mult[0]: coeffs length 1 != dim 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

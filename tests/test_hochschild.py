@@ -562,7 +562,7 @@ def test_euler_values():
     e2 = H.Cochain.euler(LAM2)
     val, j = e2.evaluate([(LAM2.unit, 1)])
     assert val == [-QQ.one, QQ.zero] and j == 1
-    val0, _ = e2.evaluate([(LAM2.basis_vector(1), 0)])
+    val0, _ = e2.evaluate([([QQ.zero, QQ.one], 0)])
     assert all(v == QQ.zero for v in val0)
     assert H.differential(e2).is_zero()
 
@@ -661,6 +661,7 @@ def _extension_by_elimination(c, res, J):
     B = Matrix([[v[i] for v in incl] for i in range(len(incl[0]))], lam.field)
     W = solve_matrix(res.differential_matrix(k), B)
     cmat = compose(c.component_matrix(k), [J] * k).entries
+    basis = Matrix.identity(d, lam.field).entries
     cols = []
     for t in range(syz.dim):
         acc = [lam.field.zero] * d
@@ -670,7 +671,7 @@ def _extension_by_elimination(c, res, J):
                 first, rest = divmod(idx, n**k * d)
                 col, last = divmod(rest, d)
                 val = [cmat[r][col] for r in range(d)]
-                val = lam.mul(lam.mul(lam.basis_vector(first), val), lam.basis_vector(last))
+                val = lam.mul(lam.mul(basis[first], val), basis[last])
                 acc = [x + coeff * y for x, y in zip(acc, val)]
         cols.append(acc)
     return Matrix([[cols[t][r] for t in range(syz.dim)] for r in range(d)], lam.field)
@@ -1003,14 +1004,30 @@ def test_coordinate_layouts(weighted):
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_normalization_check_fires_on_broken_unit_law(side):
-    # k[x]/(x^3) built valid, then edited so that 1.x (or x.1) = x + x^2
+def test_normalization_check_fires_on_broken_unit_law(monkeypatch, side):
+    # k[x]/(x^3) with 1.x (or x.1) = x + x^2, built with the constructor's
+    # unit and associativity check switched off
+    from bracealg import finite
+
     lam = build_truncated_polynomial(3)
     i, j = (0, 1) if side == "left" else (1, 0)
-    lam.mult[i][j] = [QQ.zero, QQ.one, QQ.one]
-    lam._mult_mat = None
+    broken = lam.mult_matrix() + Matrix.from_nonzeros([{}, {}, {i * 3 + j: QQ.one}], 9)
+    monkeypatch.setattr(finite, "_check_unit_and_associativity", lambda *args: None)
+    lam = finite.FiniteAlgebra(lam.basis_labels, lam.unit, broken)
     with pytest.raises(AlgebraSpecError, match="differential left the normalized subcomplex"):
         H.normalized_differential_matrix(lam, 1, False)
+
+
+def test_cochains_over_different_fields_do_not_mix():
+    # the same structure constants over QQ and GF(5) are different algebras:
+    # their cochains neither add nor compare equal
+    a = H.Cochain.multiplication(build_truncated_polynomial(3))
+    b = H.Cochain.multiplication(build_truncated_polynomial(3, GF(5)))
+    with pytest.raises(AlgebraSpecError, match="^cochain algebra mismatch$"):
+        a + b
+    with pytest.raises(AlgebraSpecError, match="^cochain algebra mismatch$"):
+        b - a
+    assert (a == b) is False and (b == a) is False
 
 
 def test_equal_algebras_share_the_store():
